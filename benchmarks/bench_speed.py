@@ -205,9 +205,9 @@ def run_matrix(*, quick: bool, jobs: int) -> Dict[str, object]:
 
     Both passes run uncached (pure compute); the parallel pass must
     reproduce the serial results byte-for-byte or the benchmark aborts.
-    The parallel pass runs under the sweep supervisor — the production
-    fan-out path — so its crash/retry machinery's overhead is what gets
-    timed, not the bare ``multiprocessing.Pool``.
+    The parallel pass runs under the sweep supervisor — the only
+    multi-process path — so the timing includes one spawn and import
+    per persistent worker plus the crash/retry machinery's overhead.
     """
     from repro.sweep import SupervisorConfig
 

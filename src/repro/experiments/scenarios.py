@@ -254,7 +254,8 @@ def grid_specs(
             scheduler=name,
             coda_config=coda_config,
             sample_interval_s=sample_interval_s,
-        ).with_seed(seed)
+            seed=seed,
+        )
         for name in schedulers
         for seed in seeds
     ]

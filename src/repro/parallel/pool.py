@@ -1,9 +1,9 @@
 """The process-level fan-out pool.
 
 :class:`SimPool` executes independent :class:`~repro.parallel.RunSpec`
-runs across a ``multiprocessing`` worker pool (``spawn`` context — fresh
-interpreters, no inherited state) and memoizes them through an optional
-:class:`~repro.parallel.ResultCache`.
+runs across the sweep supervisor's long-lived ``spawn`` workers (fresh
+interpreters, no inherited state; see :mod:`repro.sweep.supervisor`) and
+memoizes them through an optional :class:`~repro.parallel.ResultCache`.
 
 Determinism contract:
 
@@ -18,7 +18,6 @@ Determinism contract:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -73,10 +72,10 @@ def default_jobs() -> int:
 
 
 def _execute_to_dict(spec: RunSpec) -> Dict[str, Any]:
-    """Pool worker: run one spec and return its serialized result.
+    """Run one spec in-process and return its serialized result.
 
-    Module-level so ``spawn`` can import it; returns plain data so the
-    parent deserializes through the same path the cache uses.
+    Plain data, so the caller deserializes through the same path the
+    cache and the supervised workers use.
     """
     return run_result_to_dict(spec.execute())
 
@@ -97,13 +96,15 @@ class SimPool:
     the serialization round trip, keeping all three paths — serial,
     parallel, cached — structurally identical.
 
-    Passing a :class:`~repro.sweep.SupervisorConfig` as ``supervisor``
-    routes multi-process execution through the fault-tolerant worker
-    supervisor (per-run timeouts, heartbeat liveness, bounded retries)
-    instead of a bare ``multiprocessing.Pool``.  :meth:`map` promises a
-    result for every spec, so a spec the supervisor quarantines raises
-    :class:`RuntimeError` — callers that want partial results should use
-    :func:`repro.sweep.run_sweep` instead.
+    ``jobs > 1`` always runs through the fault-tolerant worker
+    supervisor (:func:`repro.sweep.run_supervised`: persistent workers,
+    bounded retries, and — with a ``supervisor``
+    :class:`~repro.sweep.SupervisorConfig` — per-run timeouts and
+    heartbeat liveness); ``supervisor=None`` means the default config.
+    :meth:`map` promises a result for every spec, so a spec the
+    supervisor quarantines raises :class:`RuntimeError` — callers that
+    want partial results should use :func:`repro.sweep.run_sweep`
+    instead.
     """
 
     def __init__(
@@ -149,17 +150,8 @@ class SimPool:
         return [result for result in results if result is not None]
 
     def _execute(self, todo: List[RunSpec]) -> List[Dict[str, Any]]:
-        if self.supervisor is not None and self.jobs > 1 and len(todo) > 1:
-            return self._execute_supervised(todo)
         if self.jobs == 1 or len(todo) == 1:
             return [_execute_to_dict(spec) for spec in todo]
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=min(self.jobs, len(todo))) as pool:
-            # chunksize=1: runs are few and long, so load balance beats
-            # batching; map (not imap_unordered) pins result order.
-            return pool.map(_execute_to_dict, todo, chunksize=1)
-
-    def _execute_supervised(self, todo: List[RunSpec]) -> List[Dict[str, Any]]:
         # Lazy import: repro.sweep imports repro.parallel at module
         # scope, so the reverse edge must stay function-local.
         from repro.sweep.supervisor import OUTCOME_OK, run_supervised

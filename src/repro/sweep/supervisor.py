@@ -1,16 +1,22 @@
 """The worker supervisor: crash-, hang-, and poison-tolerant fan-out.
 
 :func:`run_supervised` executes a batch of independent
-:class:`~repro.parallel.RunSpec` runs with one dedicated ``spawn``
-process per attempt, supervised over a one-way pipe:
+:class:`~repro.parallel.RunSpec` runs over ``min(jobs, len(specs))``
+long-lived ``spawn`` workers, kept for the length of one call and each
+supervised over a duplex pipe:
 
-* the worker streams ``("hb", seq)`` heartbeats from a daemon thread and
-  exactly one terminal message — ``("ok", payload)`` or
-  ``("error", reason)``;
-* the supervisor detects **crashes** (the process exits without a
-  terminal message), **overruns** (wall clock past
-  ``run_timeout_s`` — the worker is killed), and **hangs** (no heartbeat
-  within ``heartbeat_timeout_s`` — ditto);
+* a worker pays for spawn and imports once, then serves specs one at a
+  time: it receives ``(index, spec)`` and answers with exactly one
+  terminal message — ``("ok", payload)`` or ``("error", reason)`` —
+  while a daemon thread streams ``("hb", seq)`` heartbeats for the
+  worker's whole life;
+* the supervisor keeps at most one spec in flight per worker, so a
+  crash loses only that spec, and detects **crashes** (the process
+  exits without a terminal message), **overruns** (wall clock past
+  ``run_timeout_s`` since dispatch — the worker is killed), and
+  **hangs** (no heartbeat within ``heartbeat_timeout_s`` of dispatch or
+  of the last beat — ditto).  A killed worker is replaced only while
+  work is pending; at batch end every worker is told to stop and joined;
 * every failure is retried with deterministic exponential backoff +
   seeded jitter, at most ``max_retries`` times; past that the spec is
   **quarantined** and the rest of the grid keeps going;
@@ -76,7 +82,7 @@ OUTCOME_QUARANTINED = "quarantined"
 
 #: Chaos-injection environment variables (test/CI only; unset = inert).
 #: ``REPRO_TEST_CRASH_SPEC`` — comma-separated spec labels whose worker
-#: process dies on startup, per ``REPRO_TEST_CRASH_MODE`` (``exit`` |
+#: process dies on receiving them, per ``REPRO_TEST_CRASH_MODE`` (``exit`` |
 #: ``kill`` | ``stop`` | ``hang`` | ``midrun``); ``midrun`` SIGKILLs the
 #: worker *mid-simulation*, after ``REPRO_TEST_CRASH_EVENT`` fired
 #: events (checkpoint-aware attempts only — the kill lands after that
@@ -94,7 +100,7 @@ RAISE_SPEC_ENV = "REPRO_TEST_RAISE_SPEC"
 #: Exit code of a chaos-injected worker death.
 _CHAOS_EXIT_CODE = 13
 
-#: Grace period when reaping a killed or finished worker process.
+#: Grace period when joining a stopped, killed or finished worker.
 _REAP_TIMEOUT_S = 5.0
 
 
@@ -326,18 +332,18 @@ def _execute_attempt(
 # The worker side
 
 
-def _supervised_worker(
-    spec: RunSpec, conn: Connection, config: SupervisorConfig
-) -> None:
-    """Process entry point: run one spec, streaming heartbeats.
+def _supervised_worker(conn: Connection, config: SupervisorConfig) -> None:
+    """Process entry point: serve specs off the pipe until told to stop.
 
-    Module-level so the ``spawn`` context can import it.  All pipe
-    writes share a lock because the heartbeat thread and the main thread
-    both send.  Checkpoint notices (``restored`` and
+    Module-level so the ``spawn`` context can import it.  The worker
+    imports once, announces itself with a startup heartbeat, then loops:
+    receive ``(index, spec)``, run it, answer with one terminal message.
+    A ``None`` message (or EOF: the supervisor is gone) ends the loop.
+    All pipe writes share a lock because the heartbeat thread and the
+    main thread both send.  Checkpoint notices (``restored`` and
     ``checkpoint-fallback``) travel the same pipe as non-terminal
     messages.
     """
-    label = spec.label()
     lock = threading.Lock()
     stop = threading.Event()
 
@@ -359,7 +365,34 @@ def _supervised_worker(
             sequence += 1
 
     threading.Thread(target=beat, daemon=True, name="sweep-heartbeat").start()
-    _maybe_inject_failure(label)
+    try:
+        while True:
+            try:
+                assignment = conn.recv()
+            except (EOFError, OSError):
+                break
+            if assignment is None:
+                break
+            _, spec = assignment
+            _serve(spec, config, send)
+    finally:
+        stop.set()
+        with lock:
+            conn.close()
+
+
+def _serve(
+    spec: RunSpec,
+    config: SupervisorConfig,
+    send: Callable[[Tuple[str, Any]], None],
+) -> None:
+    """Run one assignment and send its terminal message.
+
+    A function of its own so the run's runner, result and payload die
+    with this frame instead of lingering in the worker until its next
+    spec.
+    """
+    _maybe_inject_failure(spec.label())
     try:
         payload = _execute_attempt(
             spec, config, lambda kind, detail: send((kind, detail))
@@ -371,9 +404,6 @@ def _supervised_worker(
         send(("error", f"{type(error).__name__}: {error}"))
     else:
         send(("ok", payload))
-    finally:
-        stop.set()
-        conn.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -381,61 +411,83 @@ def _supervised_worker(
 
 
 @dataclass
-class _ActiveRun:
-    index: int
+class _Worker:
     process: "multiprocessing.process.BaseProcess"
     conn: Connection
-    deadline: Optional[float]
-    last_heartbeat: float
+    #: Index of the spec in flight; ``None`` while the worker is idle.
+    index: Optional[int] = None
+    #: Run-timeout and heartbeat clocks, both restarted at dispatch.
+    deadline: Optional[float] = None
+    last_heartbeat: float = 0.0
     #: Checkpoint notices drained off the pipe, pending emission.
     notices: List[Tuple[str, str]] = field(default_factory=list)
 
 
 def _launch(
     context: "multiprocessing.context.SpawnContext",
-    spec: RunSpec,
     config: SupervisorConfig,
 ) -> Tuple["multiprocessing.process.BaseProcess", Connection]:
-    """Start one worker; returns (process, supervisor's receive end).
+    """Start one worker; returns (process, supervisor's end of the pipe).
 
     Separated out so tests can monkeypatch it to simulate spawn-level
     infrastructure failures.
     """
-    recv_conn, send_conn = context.Pipe(duplex=False)
+    parent_conn, child_conn = context.Pipe(duplex=True)
     process = context.Process(
         target=_supervised_worker,
-        args=(spec, send_conn, config),
+        args=(child_conn, config),
         daemon=True,
     )
     process.start()
-    # Drop the parent's copy of the send end so a dead worker reads as
-    # EOF instead of a pipe that never closes.
-    send_conn.close()
-    return process, recv_conn
+    # Drop the parent's copy of the child's end so a dead worker reads
+    # as EOF instead of a pipe that never closes.
+    child_conn.close()
+    return process, parent_conn
 
 
-def _reap(process: "multiprocessing.process.BaseProcess") -> None:
-    """Kill (if needed) and join a worker, never hanging the supervisor."""
-    if process.is_alive():
-        process.kill()
-    process.join(timeout=_REAP_TIMEOUT_S)
+def _reap(worker: _Worker, grace_s: float = 0.0) -> None:
+    """Join a worker, killing it if still alive after ``grace_s``.
+
+    Every join is bounded, so a wedged worker can never hang the
+    supervisor.
+    """
+    worker.process.join(timeout=grace_s)
+    if worker.process.is_alive():
+        worker.process.kill()
+        worker.process.join(timeout=_REAP_TIMEOUT_S)
+    worker.conn.close()
 
 
-def _pump(active: _ActiveRun, now: float) -> Optional[Tuple[str, Any]]:
+def _shutdown(workers: List[_Worker]) -> None:
+    """End of batch: stop idle workers in order, kill busy ones."""
+    for worker in workers:
+        if worker.index is not None:
+            worker.process.kill()
+            continue
+        try:
+            worker.conn.send(None)
+        except (OSError, ValueError):
+            pass  # already dead; the reap below collects it
+    for worker in workers:
+        _reap(worker, grace_s=_REAP_TIMEOUT_S)
+    workers.clear()
+
+
+def _pump(worker: _Worker, now: float) -> Optional[Tuple[str, Any]]:
     """Drain buffered messages; return the terminal one, if any.
 
     Heartbeats refresh ``last_heartbeat`` and are swallowed; checkpoint
-    notices are queued on ``active.notices`` for the collect loop to
+    notices are queued on ``worker.notices`` for the collect loop to
     emit.  ``eof`` means the worker closed (or died on) the pipe without
     a terminal message — a crash.
     """
     try:
-        while active.conn.poll():
-            kind, detail = active.conn.recv()
+        while worker.conn.poll():
+            kind, detail = worker.conn.recv()
             if kind == "hb":
-                active.last_heartbeat = now
+                worker.last_heartbeat = now
             elif kind in ("restored", "checkpoint-fallback"):
-                active.notices.append((str(kind), str(detail)))
+                worker.notices.append((str(kind), str(detail)))
             else:
                 return (str(kind), detail)
     except (EOFError, OSError):
@@ -597,19 +649,41 @@ def _run_spawned(
     config: SupervisorConfig,
     emit: EventSink,
 ) -> Optional[str]:
-    """The spawn-pool supervision loop.
+    """The spawn-pool supervision loop over long-lived workers.
 
     Returns ``None`` when every outcome settled, or a degradation reason
     — in which case still-unsettled outcomes are left for the serial
-    fallback (any in-flight workers are reaped and their aborted
-    attempts un-charged).
+    fallback (any in-flight attempts are un-charged).  However the loop
+    ends, idle workers are stopped and busy ones killed before this
+    returns or raises: a graceful shutdown on SIGINT/SIGTERM leaves the
+    interrupted attempts journalled as attempts, and the caller flushes
+    whatever already settled.
     """
     context = multiprocessing.get_context("spawn")
-    #: (not-before wall time, index) of runs awaiting (re)launch.
+    workers: List[_Worker] = []
+    try:
+        return _spawned_loop(
+            specs, outcomes, min(jobs, len(specs)), config, emit,
+            context, workers,
+        )
+    finally:
+        _shutdown(workers)
+
+
+def _spawned_loop(
+    specs: Sequence[RunSpec],
+    outcomes: List[RunOutcome],
+    slots: int,
+    config: SupervisorConfig,
+    emit: EventSink,
+    context: "multiprocessing.context.SpawnContext",
+    workers: List[_Worker],
+) -> Optional[str]:
+    #: (not-before wall time, index) of runs awaiting (re)dispatch.
     pending: List[Tuple[float, int]] = [
         (0.0, index) for index in range(len(specs))
     ]
-    active: Dict[int, _ActiveRun] = {}
+    spawn_failures = 0
 
     def fail(index: int, reason: str, now: float) -> None:
         outcome = outcomes[index]
@@ -617,76 +691,50 @@ def _run_spawned(
             delay = config.backoff_s(outcome.label, len(outcome.failures))
             pending.append((now + delay, index))
 
-    def drain_notices(act: _ActiveRun) -> None:
-        while act.notices:
-            kind, detail = act.notices.pop(0)
-            emit(
-                SupervisorEvent(
-                    kind=kind,
-                    index=act.index,
-                    label=outcomes[act.index].label,
-                    attempt=outcomes[act.index].attempts,
-                    reason=detail,
-                )
-            )
+    def retire(worker: _Worker) -> None:
+        _reap(worker)
+        workers.remove(worker)
 
-    try:
-        return _spawned_loop(
-            specs, outcomes, jobs, config, emit,
-            context, pending, active, fail, drain_notices,
-        )
-    except KeyboardInterrupt:
-        # Graceful shutdown: reap in-flight workers before the interrupt
-        # propagates; their unfinished attempts stay journalled as
-        # attempts, and the caller flushes whatever already settled.
-        for act in list(active.values()):
-            _reap(act.process)
-            act.conn.close()
-        active.clear()
-        raise
-
-
-def _spawned_loop(
-    specs: Sequence[RunSpec],
-    outcomes: List[RunOutcome],
-    jobs: int,
-    config: SupervisorConfig,
-    emit: EventSink,
-    context: "multiprocessing.context.SpawnContext",
-    pending: List[Tuple[float, int]],
-    active: Dict[int, _ActiveRun],
-    fail: Callable[[int, str, float], None],
-    drain_notices: Callable[[_ActiveRun], None],
-) -> Optional[str]:
-    spawn_failures = 0
-    while pending or active:
+    while pending or any(w.index is not None for w in workers):
         now = _wall_now()
-        # -- launch ------------------------------------------------------
+        # -- dispatch ----------------------------------------------------
         pending.sort()
-        while pending and len(active) < jobs and pending[0][0] <= now:
-            _, index = pending.pop(0)
+        while pending and pending[0][0] <= now:
+            worker = next((w for w in workers if w.index is None), None)
+            if worker is None:
+                if len(workers) >= slots:
+                    break
+                try:
+                    process, conn = _launch(context, config)
+                except OSError as error:
+                    # Infrastructure, not the spec: nothing is charged.
+                    spawn_failures += 1
+                    if spawn_failures >= config.spawn_failure_limit:
+                        for busy in workers:
+                            if busy.index is not None:
+                                outcomes[busy.index].attempts -= 1
+                        return (
+                            f"{spawn_failures} consecutive worker spawn "
+                            f"failures (last: {error}); falling back to "
+                            "in-process serial execution"
+                        )
+                    # Cool off before the next launch try.
+                    pending[0] = (now + config.poll_interval_s, pending[0][1])
+                    break
+                spawn_failures = 0
+                worker = _Worker(process=process, conn=conn)
+                workers.append(worker)
+            index = pending[0][1]
+            try:
+                worker.conn.send((index, specs[index]))
+            except (OSError, ValueError):
+                # The worker died idle, after its last answer: replace
+                # it without charging the spec.
+                retire(worker)
+                continue
+            pending.pop(0)
             outcome = outcomes[index]
             outcome.attempts += 1
-            try:
-                process, conn = _launch(context, specs[index], config)
-            except OSError as error:
-                # Infrastructure, not the spec: un-charge the attempt.
-                outcome.attempts -= 1
-                spawn_failures += 1
-                if spawn_failures >= config.spawn_failure_limit:
-                    for act in list(active.values()):
-                        _reap(act.process)
-                        act.conn.close()
-                        outcomes[act.index].attempts -= 1
-                    active.clear()
-                    return (
-                        f"{spawn_failures} consecutive worker spawn "
-                        f"failures (last: {error}); falling back to "
-                        "in-process serial execution"
-                    )
-                pending.append((now + config.poll_interval_s, index))
-                break  # re-sort and cool off before the next launch try
-            spawn_failures = 0
             emit(
                 SupervisorEvent(
                     kind="attempt",
@@ -695,65 +743,74 @@ def _spawned_loop(
                     attempt=outcome.attempts,
                 )
             )
-            deadline = (
+            worker.index = index
+            worker.deadline = (
                 now + config.run_timeout_s
                 if config.run_timeout_s is not None
                 else None
             )
-            active[index] = _ActiveRun(
-                index=index,
-                process=process,
-                conn=conn,
-                deadline=deadline,
-                last_heartbeat=now,
-            )
+            worker.last_heartbeat = now
 
         # -- wait --------------------------------------------------------
-        timeout = _wait_timeout_s(active, pending, config, now)
-        if active:
-            connection_wait(
-                [act.conn for act in active.values()], timeout=timeout
-            )
+        can_dispatch = len(workers) < slots or any(
+            w.index is None for w in workers
+        )
+        timeout = _wait_timeout_s(workers, pending, can_dispatch, config, now)
+        if workers:
+            connection_wait([w.conn for w in workers], timeout=timeout)
         elif pending:
             time.sleep(timeout)
 
         # -- collect -----------------------------------------------------
         now = _wall_now()
-        for index in sorted(active):
-            act = active[index]
-            terminal = _pump(act, now)
-            if terminal is None and not act.process.is_alive():
+        for worker in list(workers):
+            terminal = _pump(worker, now)
+            if terminal is None and not worker.process.is_alive():
                 # Exited between polls; drain any message that raced out.
-                terminal = _pump(act, now)
+                terminal = _pump(worker, now)
                 if terminal is None:
                     terminal = ("eof", None)
+            index = worker.index
+            if index is None:
+                # Idle workers only beat; anything else means it died.
+                if terminal is not None:
+                    retire(worker)
+                continue
+            outcome = outcomes[index]
             # Emit checkpoint notices before the terminal verdict so a
             # ``restored`` line always precedes its attempt's ``ok``.
-            drain_notices(act)
+            for notice_kind, notice in worker.notices:
+                emit(
+                    SupervisorEvent(
+                        kind=notice_kind,
+                        index=index,
+                        label=outcome.label,
+                        attempt=outcome.attempts,
+                        reason=notice,
+                    )
+                )
+            worker.notices.clear()
             if terminal is not None:
                 kind, detail = terminal
-                _reap(act.process)
-                act.conn.close()
-                del active[index]
                 if kind == "ok":
-                    _note_success(outcomes[index], detail, emit)
+                    worker.index = None
+                    _note_success(outcome, detail, emit)
                 elif kind == "error":
+                    # The spec raised; the worker itself is healthy.
+                    worker.index = None
                     fail(index, str(detail), now)
                 else:
-                    code = act.process.exitcode
+                    retire(worker)
+                    code = worker.process.exitcode
                     fail(index, f"worker crashed (exit code {code})", now)
                 continue
-            expired = (
-                act.deadline is not None and now >= act.deadline
-            )
+            expired = worker.deadline is not None and now >= worker.deadline
             silent = (
                 config.heartbeat_timeout_s is not None
-                and now - act.last_heartbeat >= config.heartbeat_timeout_s
+                and now - worker.last_heartbeat >= config.heartbeat_timeout_s
             )
             if expired or silent:
-                _reap(act.process)
-                act.conn.close()
-                del active[index]
+                retire(worker)
                 if expired:
                     reason = (
                         "run exceeded timeout "
@@ -770,20 +827,28 @@ def _spawned_loop(
 
 
 def _wait_timeout_s(
-    active: Dict[int, _ActiveRun],
+    workers: List[_Worker],
     pending: List[Tuple[float, int]],
+    can_dispatch: bool,
     config: SupervisorConfig,
     now: float,
 ) -> float:
-    """How long the loop may block before the next deadline matters."""
+    """How long the loop may block before the next deadline matters.
+
+    Pending runs only bound the wait while a worker slot could take
+    them; otherwise the next completion is what frees one, and that
+    wakes the wait on its own.
+    """
     horizon = now + config.poll_interval_s
-    for act in active.values():
-        if act.deadline is not None:
-            horizon = min(horizon, act.deadline)
+    for worker in workers:
+        if worker.index is None:
+            continue
+        if worker.deadline is not None:
+            horizon = min(horizon, worker.deadline)
         if config.heartbeat_timeout_s is not None:
             horizon = min(
-                horizon, act.last_heartbeat + config.heartbeat_timeout_s
+                horizon, worker.last_heartbeat + config.heartbeat_timeout_s
             )
-    if pending:
+    if pending and can_dispatch:
         horizon = min(horizon, min(ready for ready, _ in pending))
     return max(0.01, horizon - now)

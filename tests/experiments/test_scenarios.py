@@ -126,6 +126,38 @@ class TestGridSpecs:
         ]
         assert all(spec.scenario is scenario for spec in specs)
 
+    def test_cells_match_the_with_seed_form(self):
+        from repro.core.coda import CodaConfig
+        from repro.experiments.scenarios import grid_specs, small_scenario
+        from repro.parallel import RunSpec
+
+        scenario = small_scenario(duration_days=0.02, nodes=3)
+        config = CodaConfig(reserved_cores=3)
+        specs = grid_specs(
+            scenario,
+            schedulers=("fifo", "coda"),
+            seeds=(1, 2),
+            coda_config=config,
+            sample_interval_s=600.0,
+        )
+        expected = [
+            RunSpec(
+                scenario=scenario,
+                scheduler=name,
+                coda_config=config,
+                sample_interval_s=600.0,
+            ).with_seed(seed)
+            for name in ("fifo", "coda")
+            for seed in (1, 2)
+        ]
+        assert specs == expected
+        assert [s.canonical_json() for s in specs] == [
+            s.canonical_json() for s in expected
+        ]
+        assert [s.fingerprint() for s in specs] == [
+            s.fingerprint() for s in expected
+        ]
+
     def test_coda_config_threaded_through(self):
         from repro.core.coda import CodaConfig
         from repro.experiments.scenarios import grid_specs, small_scenario

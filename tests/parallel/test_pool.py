@@ -57,6 +57,19 @@ class TestSimPool:
         for left, right in zip(serial, parallel):
             assert _dumps(left) == _dumps(right)
 
+    def test_unsupervised_pool_quarantines_a_spec_that_always_raises(
+        self, scenario, monkeypatch
+    ):
+        # jobs > 1 always runs under the supervisor's default config, so
+        # a poison spec is retried, quarantined, and named.
+        monkeypatch.setenv("REPRO_TEST_RAISE_SPEC", "drf:s1")
+        specs = [
+            RunSpec(scenario=scenario, scheduler=name)
+            for name in ("fifo", "drf")
+        ]
+        with pytest.raises(RuntimeError, match="'drf:s1' quarantined"):
+            SimPool(jobs=2).map(specs)
+
     def test_mixed_hit_miss_batch_keeps_order(self, tmp_path, scenario):
         cache = ResultCache(tmp_path / "cache")
         first = RunSpec(scenario=scenario, scheduler="fifo")

@@ -40,8 +40,47 @@ def specs():
     return grid_specs(scenario, schedulers=("fifo", "coda"), seeds=(1,))
 
 
+@pytest.fixture
+def four_specs():
+    # ~0.1-0.2 s per cell: long enough that two workers spawned together
+    # take turns instead of one racing through the batch on a head start.
+    scenario = small_scenario(duration_days=2.0, nodes=8, seed=1)
+    return grid_specs(scenario, schedulers=("fifo",), seeds=(1, 2, 3, 4))
+
+
 #: Fast retry schedule so failure tests don't sleep through real backoff.
 _FAST = dict(backoff_base_s=0.01, heartbeat_interval_s=0.2)
+
+
+class _CountingConn:
+    """The supervisor's end of a worker pipe, counting assignments."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.assignments = 0
+
+    def send(self, message):
+        if message is not None:  # None is the stop message
+            self.assignments += 1
+        self._conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+@pytest.fixture
+def launches(monkeypatch):
+    """Every worker pipe the supervisor launches, counted per worker."""
+    real = supervisor_module._launch
+    conns = []
+
+    def counting_launch(context, config):
+        process, conn = real(context, config)
+        conns.append(_CountingConn(conn))
+        return process, conns[-1]
+
+    monkeypatch.setattr(supervisor_module, "_launch", counting_launch)
+    return conns
 
 
 class TestSerialPath:
@@ -170,7 +209,7 @@ class TestSpawnedPath:
         )
 
     def test_spawn_failures_degrade_to_serial(self, specs, monkeypatch):
-        def broken_launch(context, spec, config):
+        def broken_launch(context, config):
             raise OSError("fork: resource temporarily unavailable")
 
         monkeypatch.setattr(supervisor_module, "_launch", broken_launch)
@@ -191,6 +230,58 @@ class TestSpawnedPath:
         assert [o.status for o in outcomes] == [OUTCOME_OK, OUTCOME_OK]
         assert [o.attempts for o in outcomes] == [1, 1]
         for outcome, result in zip(outcomes, serial_map(specs)):
+            assert _payload_dumps(outcome.payload) == _dumps(result)
+
+
+class TestWorkerLifecycle:
+    """Workers outlive one spec: spawn once, serve many, die alone."""
+
+    def test_clean_batch_reuses_one_worker_per_slot(
+        self, four_specs, launches
+    ):
+        outcomes = run_supervised(four_specs, jobs=2)
+        assert len(launches) == 2
+        assert [conn.assignments >= 2 for conn in launches] == [True, True]
+        assert [o.attempts for o in outcomes] == [1, 1, 1, 1]
+        for outcome, result in zip(outcomes, serial_map(four_specs)):
+            assert _payload_dumps(outcome.payload) == _dumps(result)
+
+    def test_worker_killed_on_its_second_spec_is_replaced(
+        self, four_specs, launches, tmp_path, monkeypatch
+    ):
+        # The third cell only ever goes to a worker that finished one.
+        monkeypatch.setenv("REPRO_TEST_CRASH_SPEC", "fifo:s3")
+        monkeypatch.setenv("REPRO_TEST_CRASH_MODE", "kill")
+        monkeypatch.setenv("REPRO_TEST_CRASH_ONCE_DIR", str(tmp_path))
+        config = SupervisorConfig(max_retries=1, **_FAST)
+        outcomes = run_supervised(four_specs, jobs=2, config=config)
+        assert len(launches) == 3
+        crashed = outcomes[2]
+        assert crashed.status == OUTCOME_OK
+        assert crashed.attempts == 2
+        assert "worker crashed" in crashed.failures[0]
+        assert [o.attempts for i, o in enumerate(outcomes) if i != 2] == [
+            1, 1, 1,
+        ]
+        for outcome, result in zip(outcomes, serial_map(four_specs)):
+            assert _payload_dumps(outcome.payload) == _dumps(result)
+
+    def test_hang_on_a_reused_worker_hits_the_run_timeout(
+        self, four_specs, launches, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TEST_CRASH_SPEC", "fifo:s3")
+        monkeypatch.setenv("REPRO_TEST_CRASH_MODE", "hang")
+        monkeypatch.setenv("REPRO_TEST_CRASH_ONCE_DIR", str(tmp_path))
+        config = SupervisorConfig(max_retries=1, run_timeout_s=3.0, **_FAST)
+        outcomes = run_supervised(four_specs, jobs=2, config=config)
+        hung = outcomes[2]
+        assert hung.status == OUTCOME_OK
+        assert hung.attempts == 2
+        assert "exceeded timeout" in hung.failures[0]
+        # By then the other worker is idle, so the retry reuses it
+        # instead of spawning a replacement.
+        assert len(launches) == 2
+        for outcome, result in zip(outcomes, serial_map(four_specs)):
             assert _payload_dumps(outcome.payload) == _dumps(result)
 
 
