@@ -19,7 +19,17 @@ laws the evaluation rests on:
   nodes, only at hardware levels, only on resident jobs;
 * **IV007** — quarantine residency: no running job resides on a node the
   health tracker currently holds in QUARANTINED state (placement must
-  skip such nodes; quarantine entry must have evicted residents).
+  skip such nodes; quarantine entry must have evicted residents);
+* **IV008** — health-index soundness: the tracker's quarantined and
+  de-prioritized lists equal a from-scratch recomputation of every
+  record's state at ``now`` (:meth:`NodeHealthTracker.states_at`, which
+  mutates nothing), and no deadline- or strike-index entry that was due
+  at the tracker's last drained ``now`` is still armed.
+
+Sweeps run on the first event of every ``interval_s``-aligned window of
+simulated time, a pure function of the fired event times, so a run
+resumed from a checkpoint (:meth:`InvariantAuditor.resume`) sweeps at
+exactly the instants the uninterrupted run does.
 
 Because the auditor is an observer — it schedules no events and never
 touches the clock — an audited run is byte-identical to an unaudited one.
@@ -35,6 +45,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Set
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.mba import MBA_LEVELS
+from repro.health.tracker import NodeHealthState
 from repro.metrics.audit import AuditStats, InvariantViolation
 from repro.schedulers.base import Scheduler
 from repro.schedulers.drf import DrfScheduler
@@ -78,8 +89,9 @@ class InvariantAuditor:
         self._engine: Optional[Engine] = None
         self._cluster: Optional[Cluster] = None
         self._scheduler: Optional[Scheduler] = None
+        #: Time of the last event observed (None: none yet, so the next
+        #: event opens a window and sweeps).
         self._last_time: Optional[float] = None
-        self._next_due = 0.0
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -109,9 +121,24 @@ class InvariantAuditor:
         self._scheduler = scheduler
         if stats is not None:
             self.stats = stats
-        self._last_time = engine.now
-        self._next_due = engine.now
+        self._sync_clock()
         engine.add_observer(self._on_event)
+
+    def resume(self, runner: "SimulationRunner") -> None:
+        """Re-bind to ``runner`` after a checkpoint restore replaced its
+        collector and moved its engine clock.
+
+        Counts keep accruing in the restored collector's stats, and the
+        sweep cadence continues from the restored clock as if the run had
+        never stopped.
+        """
+        self.stats = runner.collector.audit
+        self._sync_clock()
+
+    def _sync_clock(self) -> None:
+        engine = self._engine
+        assert engine is not None
+        self._last_time = engine.now if engine.fired else None
 
     def detach(self) -> None:
         """Stop observing. Idempotent."""
@@ -126,20 +153,20 @@ class InvariantAuditor:
         engine = self._engine
         if engine is None:  # pragma: no cover - detach() races are a no-op
             return
-        if self._last_time is not None:
+        last = self._last_time
+        if last is not None:
             self._assert(
-                event.time >= self._last_time - _EPS,
+                event.time >= last - _EPS,
                 "IV003",
-                lambda last=self._last_time: (
+                lambda: (
                     f"event {event.tag!r} fired at {event.time}, before "
                     f"the previously-fired event at {last} — the event "
                     "clock moved backwards"
                 ),
             )
-        self._last_time = max(self._last_time or event.time, event.time)
-        if engine.now + _EPS >= self._next_due:
+        self._last_time = event.time if last is None else max(last, event.time)
+        if last is None or engine.now // self.interval_s > last // self.interval_s:
             self.check_now()
-            self._next_due = engine.now + self.interval_s
 
     # ------------------------------------------------------------------ #
     # The sweep
@@ -155,6 +182,7 @@ class InvariantAuditor:
         self._check_allocation_residency(self._cluster)
         self._check_throttle_states(self._cluster)
         self._check_quarantine_residency(self._cluster)
+        self._check_health_index(self._cluster)
         if isinstance(self._scheduler, DrfScheduler):
             self._check_drf_shares(self._scheduler, self._cluster)
         return self.stats.violation_count - before
@@ -314,7 +342,12 @@ class InvariantAuditor:
     def _check_drf_shares(self, scheduler: DrfScheduler, cluster: Cluster) -> None:
         total = cluster.total
         ledger = scheduler._ledger
-        tenant_ids = sorted(ledger._usage)
+        # Tenants with a running job: a ledger keeps emptied tenants'
+        # entries, a restored one does not, and a resumed audit must
+        # count the same assertions as the uninterrupted one.
+        tenant_ids = sorted(
+            {tenant_id for tenant_id, _, _ in ledger._job_footprint.values()}
+        )
         for tenant_id in tenant_ids:
             usage = ledger.usage_of(tenant_id)
             self._assert(
@@ -388,6 +421,56 @@ class InvariantAuditor:
                     f"{sorted(node.jobs_here())}"
                 ),
             )
+
+    # -- IV008 ---------------------------------------------------------- #
+
+    def _check_health_index(self, cluster: Cluster) -> None:
+        """The deadline index agrees with a full recomputation.
+
+        The list queries drain due transitions, which is the same
+        idempotent catch-up any later query would perform;
+        ``states_at`` reads the records without touching them.
+        """
+        now = self._engine.now if self._engine is not None else 0.0
+        health = cluster.health
+        quarantined = health.quarantined_nodes(now)
+        flagged = health.deprioritized_nodes(now)
+        states = health.states_at(now)
+        expected_q = sorted(
+            node_id
+            for node_id, state in states.items()
+            if state is NodeHealthState.QUARANTINED
+        )
+        expected_f = sorted(
+            node_id
+            for node_id, state in states.items()
+            if state is NodeHealthState.SUSPECT
+            or state is NodeHealthState.PROBATION
+        )
+        self._assert(
+            quarantined == expected_q,
+            "IV008",
+            lambda: (
+                f"health index lists quarantined nodes {quarantined}, "
+                f"recomputation at t={now} gives {expected_q}"
+            ),
+        )
+        self._assert(
+            flagged == expected_f,
+            "IV008",
+            lambda: (
+                f"health index lists de-prioritized nodes {flagged}, "
+                f"recomputation at t={now} gives {expected_f}"
+            ),
+        )
+        self._assert(
+            not health.overdue(),
+            "IV008",
+            lambda: (
+                "health index still arms an entry that was due at its "
+                f"last drain (t={health.drained_now})"
+            ),
+        )
 
     # ------------------------------------------------------------------ #
 

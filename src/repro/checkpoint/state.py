@@ -120,6 +120,8 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
             )
         runner.restore(state["runner"], jobs_by_id)
         runner.collector = collector_from_dict(state["collector"])
+        if runner.auditor is not None:
+            runner.auditor.resume(runner)
         runner.rearm(jobs_by_id)
         runner.scheduler.rearm(engine, jobs_by_id)
         if runner.fault_injector is not None:

@@ -54,7 +54,8 @@ class Cluster:
             node.generation = self._generation
         #: Single-entry free-capacity snapshot memo, managed by
         #: :mod:`repro.schedulers.placement` and invalidated through
-        #: :attr:`version` (plus the health tracker's own version).
+        #: :attr:`version` (plus the health tracker's quarantined and
+        #: de-prioritized node sets).
         self.free_snapshot_cache: Any = None
         # Total capacity never changes after construction (a failed GPU
         # still counts toward the total), so compute it once.

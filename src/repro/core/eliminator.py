@@ -123,7 +123,7 @@ class ContentionEliminator:
         )
 
     def _tick(self, context: SchedulerContext) -> None:
-        # One memoized scan instead of a per-node state_of: the tracker's
+        # One index read instead of a per-node state_of: the tracker's
         # lazy transitions are idempotent at fixed now, so the set is
         # exactly the nodes the per-node check would have excluded.
         # A quarantined node hosts nothing to police (residents were

@@ -20,18 +20,32 @@ readmission); a completed probation resets the backoff.
 
 Determinism contract: quarantine entry is *eager* (decided inside
 :meth:`record_failure`, which only the runner's failure paths call), while
-QUARANTINED → PROBATION → HEALTHY transitions are *lazy* and anchored to
-deadlines fixed at entry time — so querying a node's state never changes
-what any later query returns.  An observer (the invariant auditor) may
-read states freely without perturbing the run.
+QUARANTINED -> PROBATION -> HEALTHY and SUSPECT -> HEALTHY transitions are
+*lazy* and anchored to deadlines fixed when the strike or quarantine was
+recorded.  A query at ``now`` first applies every transition due by
+``now`` and then reads the result, so applying them earlier (an observer's
+query) or later never changes what any query returns.  The invariant
+auditor may therefore query freely without perturbing the run.
+
+The deadline index makes a query cost O(transitions due since the last
+query) instead of O(records): the QUARANTINED and flagged (SUSPECT or
+PROBATION) node sets are kept current, a heap holds each benched node's
+``quarantine_until`` / ``probation_until`` and another holds the raw time
+of every SUSPECT strike.  Draining pops entries due by ``now`` with the
+very predicates :meth:`NodeHealthTracker._advance` uses, runs ``_advance``
+on the popped node and re-indexes it.  :meth:`NodeHealthTracker.restore`
+rebuilds the index from the records, and the auditor's IV008 check
+compares it against a from-scratch recomputation
+(:meth:`NodeHealthTracker.states_at`).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.health.config import HealthConfig
 
@@ -69,6 +83,15 @@ class _NodeRecord:
     probation_until: float = float("-inf")
 
 
+def _deadline_of(record: _NodeRecord) -> Optional[float]:
+    """The instant the record's next deadline transition falls due."""
+    if record.state is NodeHealthState.QUARANTINED:
+        return record.quarantine_until
+    if record.state is NodeHealthState.PROBATION:
+        return record.probation_until
+    return None
+
+
 class NodeHealthTracker:
     """Tracks every node's health state from observed failure events."""
 
@@ -78,16 +101,10 @@ class NodeHealthTracker:
         #: All quarantine windows ever entered (for metrics).
         self.spans: List[QuarantineSpan] = []
         self.quarantines_started: int = 0
-        #: Bumped on every strike intake; cache keys and snapshot memos
-        #: (see :mod:`repro.schedulers.placement`) key on it.  Lazy
-        #: deadline transitions do NOT bump it: they are pure functions of
-        #: (records, now), so a (now, version) key stays sound.
+        #: Bumped on every strike intake and carried in snapshots.
+        #: Lazy deadline transitions do NOT bump it.
         self.version: int = 0
-        self._scan_key: Optional[Tuple[float, int]] = None
-        self._scan_result: Tuple[List[int], List[int]] = ([], [])
-        #: Cached ``sorted(self._records)``; records are only added, so a
-        #: length match in :meth:`_scan` proves it is current.
-        self._sorted_ids: List[int] = []
+        self._reindex()
 
     # ------------------------------------------------------------------ #
     # Strike intake (runner failure paths only)
@@ -99,15 +116,23 @@ class NodeHealthTracker:
         :meth:`quarantine_until`)."""
         if not self.config.enabled:
             return False
+        weight = self.config.weight_of(kind)
         self.version += 1
         record = self._records.setdefault(node_id, _NodeRecord())
+        deadline = _deadline_of(record)
+        entered = self._strike(record, node_id, now, weight)
+        self._index(node_id, record, deadline)
+        return entered
+
+    def _strike(
+        self, record: _NodeRecord, node_id: int, now: float, weight: float
+    ) -> bool:
         self._advance(record, now)
         if record.state is NodeHealthState.QUARANTINED:
             # Already benched; a strike against an empty node (e.g. a GPU
             # burning out while idle) must not extend the sentence, or a
             # flaky-but-idle node could never serve again.
             return False
-        weight = self.config.weight_of(kind)
         record.strikes.append((now, weight))
         self._expire_strikes(record, now)
         if record.state is NodeHealthState.PROBATION:
@@ -119,17 +144,16 @@ class NodeHealthTracker:
             self._enter_quarantine(record, node_id, now)
             return True
         record.state = NodeHealthState.SUSPECT
+        heapq.heappush(self._strike_times, (now, node_id))
         return False
 
     # ------------------------------------------------------------------ #
-    # Queries (lazy, idempotent at fixed ``now``)
+    # Queries (drain due transitions, then read the index)
 
     def state_of(self, node_id: int, now: float) -> NodeHealthState:
+        self._drain(now)
         record = self._records.get(node_id)
-        if record is None:
-            return NodeHealthState.HEALTHY
-        self._advance(record, now)
-        return record.state
+        return NodeHealthState.HEALTHY if record is None else record.state
 
     def quarantine_until(self, node_id: int) -> float:
         """Deadline of the node's current/most recent quarantine window."""
@@ -137,46 +161,17 @@ class NodeHealthTracker:
         return float("-inf") if record is None else record.quarantine_until
 
     def quarantined_nodes(self, now: float) -> List[int]:
-        return list(self._scan(now)[0])
+        self._drain(now)
+        if self._quarantined_sorted is None:
+            self._quarantined_sorted = sorted(self._quarantined)
+        return list(self._quarantined_sorted)
 
     def deprioritized_nodes(self, now: float) -> List[int]:
         """Nodes placement should prefer to avoid: SUSPECT or PROBATION."""
-        return list(self._scan(now)[1])
-
-    def _scan(self, now: float) -> Tuple[List[int], List[int]]:
-        """One pass over all records: (quarantined, deprioritized) node
-        ids, memoized on ``(now, version)``.
-
-        Sound because the only eager mutation path (:meth:`record_failure`)
-        bumps :attr:`version`, and the lazy transitions applied by
-        :meth:`state_of` are idempotent at fixed ``now``.
-        """
-        key = (now, self.version)
-        if self._scan_key == key:
-            return self._scan_result
-        quarantined: List[int] = []
-        deprioritized: List[int] = []
-        flagged = (NodeHealthState.SUSPECT, NodeHealthState.PROBATION)
-        records = self._records
-        if len(self._sorted_ids) != len(records):
-            # Records are only ever added, so a length match proves the
-            # cached ordering is current.
-            self._sorted_ids = sorted(records)
-        for node_id in self._sorted_ids:
-            record = records[node_id]
-            if record.state is NodeHealthState.HEALTHY and not record.strikes:
-                # A healthy record with no strikes has no pending
-                # transition: _advance would be a no-op and state_of would
-                # report HEALTHY, contributing to neither list.
-                continue
-            state = self.state_of(node_id, now)
-            if state is NodeHealthState.QUARANTINED:
-                quarantined.append(node_id)
-            elif state in flagged:
-                deprioritized.append(node_id)
-        self._scan_key = key
-        self._scan_result = (quarantined, deprioritized)
-        return self._scan_result
+        self._drain(now)
+        if self._flagged_sorted is None:
+            self._flagged_sorted = sorted(self._flagged)
+        return list(self._flagged_sorted)
 
     def total_quarantine_s(self, now: float) -> float:
         """Quarantine time accumulated through ``now`` across all nodes."""
@@ -185,10 +180,46 @@ class NodeHealthTracker:
         )
 
     # ------------------------------------------------------------------ #
+    # Audit support (pure: nothing here mutates the tracker)
+
+    def states_at(self, now: float) -> Dict[int, NodeHealthState]:
+        """Every record's state at ``now``, recomputed from the records
+        alone without consulting or touching the index."""
+        window = self.config.failure_window_s
+        states: Dict[int, NodeHealthState] = {}
+        for node_id, record in self._records.items():
+            state = record.state
+            if (
+                state is NodeHealthState.QUARANTINED
+                and now >= record.quarantine_until
+            ):
+                state = NodeHealthState.PROBATION
+            if (
+                state is NodeHealthState.PROBATION
+                and now >= record.probation_until
+            ):
+                state = NodeHealthState.HEALTHY
+            if state is NodeHealthState.SUSPECT and all(
+                time <= now - window for time, _ in record.strikes
+            ):
+                state = NodeHealthState.HEALTHY
+            states[node_id] = state
+        return states
+
+    def overdue(self) -> bool:
+        """True when an index entry was due at the last drained ``now``
+        but is still armed (a drain that stopped early)."""
+        now = self.drained_now
+        if self._deadlines and self._deadlines[0][0] <= now:
+            return True
+        horizon = now - self.config.failure_window_s
+        return bool(self._strike_times) and self._strike_times[0][0] <= horizon
+
+    # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
     def snapshot(self) -> Dict[str, Any]:
-        """Serializable tracker state (the scan memo is rebuilt on demand)."""
+        """Serializable tracker state (the index is rebuilt on restore)."""
         return {
             "records": {
                 str(node_id): [
@@ -229,15 +260,80 @@ class NodeHealthTracker:
         ]
         self.quarantines_started = int(state["quarantines_started"])
         self.version = int(state["version"])
-        self._scan_key = None
-        self._scan_result = ([], [])
-        # Restored records may have the same count but different ids;
-        # the length heuristic in _scan cannot see that, so drop the
-        # cached ordering outright.
-        self._sorted_ids = []
+        self._reindex()
 
     # ------------------------------------------------------------------ #
-    # Internals
+    # The deadline index
+
+    def _reindex(self) -> None:
+        """Rebuild the whole index from the records."""
+        self._quarantined: Set[int] = set()
+        self._flagged: Set[int] = set()
+        #: Sorted views of the two sets, dropped only when membership
+        #: changes.
+        self._quarantined_sorted: Optional[List[int]] = None
+        self._flagged_sorted: Optional[List[int]] = None
+        #: Heap of (quarantine_until | probation_until, node_id).  An
+        #: entry whose key no longer matches the record's deadline is
+        #: stale and skipped on pop.
+        self._deadlines: List[Tuple[float, int]] = []
+        #: Heap of (raw strike time, node_id), one entry per SUSPECT
+        #: strike.
+        self._strike_times: List[Tuple[float, int]] = []
+        #: Latest ``now`` every due entry has been drained through.
+        self.drained_now = float("-inf")
+        for node_id, record in self._records.items():
+            self._index(node_id, record, None)
+            self._strike_times.extend((time, node_id) for time, _ in record.strikes)
+        heapq.heapify(self._strike_times)
+
+    def _drain(self, now: float) -> None:
+        """Advance every node with an entry due by ``now``."""
+        deadlines = self._deadlines
+        records = self._records
+        while deadlines and deadlines[0][0] <= now:
+            due, node_id = heapq.heappop(deadlines)
+            record = records[node_id]
+            if _deadline_of(record) == due:
+                self._advance(record, now)
+                self._index(node_id, record, due)
+        strike_times = self._strike_times
+        # The exact expression _expire_strikes compares against, so an
+        # entry pops at the instant its strike expires.
+        horizon = now - self.config.failure_window_s
+        while strike_times and strike_times[0][0] <= horizon:
+            node_id = heapq.heappop(strike_times)[1]
+            record = records[node_id]
+            deadline = _deadline_of(record)
+            self._advance(record, now)
+            self._index(node_id, record, deadline)
+        if now > self.drained_now:
+            self.drained_now = now
+
+    def _index(
+        self, node_id: int, record: _NodeRecord, deadline: Optional[float]
+    ) -> None:
+        """Re-file ``node_id`` after its record moved; ``deadline`` is
+        the one it was armed at before the move."""
+        state = record.state
+        if (state is NodeHealthState.QUARANTINED) != (
+            node_id in self._quarantined
+        ):
+            self._quarantined ^= {node_id}
+            self._quarantined_sorted = None
+        flagged = (
+            state is NodeHealthState.SUSPECT
+            or state is NodeHealthState.PROBATION
+        )
+        if flagged != (node_id in self._flagged):
+            self._flagged ^= {node_id}
+            self._flagged_sorted = None
+        armed = _deadline_of(record)
+        if armed is not None and armed != deadline:
+            heapq.heappush(self._deadlines, (armed, node_id))
+
+    # ------------------------------------------------------------------ #
+    # Transitions
 
     def _advance(self, record: _NodeRecord, now: float) -> None:
         """Apply every deadline-anchored transition due by ``now``."""
