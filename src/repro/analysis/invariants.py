@@ -24,7 +24,13 @@ laws the evaluation rests on:
   de-prioritized lists equal a from-scratch recomputation of every
   record's state at ``now`` (:meth:`NodeHealthTracker.states_at`, which
   mutates nothing), and no deadline- or strike-index entry that was due
-  at the tracker's last drained ``now`` is still armed.
+  at the tracker's last drained ``now`` is still armed;
+* **IV009** — lazy completion timers: every running GPU/CPU job's armed
+  completion handle is live and fires no later than the record's
+  authoritative ``completion_time``.  Repricing may leave a timer armed
+  early (it fires stale and re-arms), never late — validate-on-pop is
+  only sound in that direction.  Checked only when attached to a
+  :class:`~repro.experiments.runner.SimulationRunner`.
 
 Sweeps run on the first event of every ``interval_s``-aligned window of
 simulated time, a pure function of the fired event times, so a run
@@ -89,6 +95,7 @@ class InvariantAuditor:
         self._engine: Optional[Engine] = None
         self._cluster: Optional[Cluster] = None
         self._scheduler: Optional[Scheduler] = None
+        self._runner: Optional["SimulationRunner"] = None
         #: Time of the last event observed (None: none yet, so the next
         #: event opens a window and sweeps).
         self._last_time: Optional[float] = None
@@ -104,6 +111,7 @@ class InvariantAuditor:
             scheduler=runner.scheduler,
             stats=runner.collector.audit,
         )
+        self._runner = runner
 
     def attach_engine(
         self,
@@ -133,6 +141,7 @@ class InvariantAuditor:
         never stopped.
         """
         self.stats = runner.collector.audit
+        self._runner = runner
         self._sync_clock()
 
     def _sync_clock(self) -> None:
@@ -183,6 +192,8 @@ class InvariantAuditor:
         self._check_throttle_states(self._cluster)
         self._check_quarantine_residency(self._cluster)
         self._check_health_index(self._cluster)
+        if self._runner is not None:
+            self._check_completion_timers(self._runner)
         if isinstance(self._scheduler, DrfScheduler):
             self._check_drf_shares(self._scheduler, self._cluster)
         return self.stats.violation_count - before
@@ -471,6 +482,27 @@ class InvariantAuditor:
                 f"last drain (t={health.drained_now})"
             ),
         )
+
+    # -- IV009 ---------------------------------------------------------- #
+
+    def _check_completion_timers(self, runner: "SimulationRunner") -> None:
+        """No armed completion timer fires after its record's
+        authoritative completion time (nor is it missing or cancelled)."""
+        for running in (runner._running_gpu, runner._running_cpu):
+            for job_id in sorted(running):
+                record = running[job_id]
+                handle = record.completion
+                self._assert(
+                    handle is not None
+                    and not handle.cancelled
+                    and handle.time <= record.completion_time,
+                    "IV009",
+                    lambda job_id=job_id, record=record: (
+                        f"job {job_id}'s completion timer "
+                        f"{record.completion!r} is not armed at or before "
+                        f"its completion time {record.completion_time}"
+                    ),
+                )
 
     # ------------------------------------------------------------------ #
 

@@ -52,13 +52,6 @@ class BandwidthMonitor:
         # there instead of being re-summed on every pressure reading.
         self._total_granted = 0.0
         self._cpu_job_count = 0
-        #: Bumped every arbitration — the only place grants (and therefore
-        #: every grant_ratio and the node pressure) can change.  Consumers
-        #: that derive values from grants may compare epochs instead of
-        #: re-reading them; note the cluster-wide GenerationCounter does
-        #: *not* cover grant changes (throttles re-arbitrate without
-        #: touching capacity), which is why this counter exists.
-        self.epoch = 0
 
     # ------------------------------------------------------------------ #
     # Telemetry health (fault injection)
@@ -134,22 +127,10 @@ class BandwidthMonitor:
         self._arbitrate()
 
     def update_demand(self, job_id: str, demand_gbps: float) -> None:
-        """Change a registered job's demand (e.g., the model changed phase).
-
-        An update to the *identical* demand is observably a no-op: grants
-        are a pure function of (membership, demands, caps), so water-
-        filling would land on the same vector bit-for-bit.  Returning
-        early keeps the epoch unmoved, which is what lets downstream
-        epoch-keyed repricing memos survive the allocator's steady-state
-        demand re-pushes instead of being invalidated by them.
-        """
+        """Change a registered job's demand (e.g., the model changed phase)."""
         if demand_gbps < 0:
             raise ValueError(f"negative bandwidth demand for {job_id}: {demand_gbps}")
-        usage = self._usages[job_id]
-        demand = float(demand_gbps)
-        if usage.demand == demand:
-            return
-        usage.demand = demand
+        self._usages[job_id].demand = float(demand_gbps)
         self._arbitrate()
 
     def unregister(self, job_id: str) -> None:
@@ -269,9 +250,6 @@ class BandwidthMonitor:
         )
         self._total_granted = float(state["total_granted"])
         self._cpu_job_count = int(state["cpu_job_count"])
-        # Restore replaces grants wholesale; treat it as an arbitration so
-        # any epoch-keyed memo built against the old state goes stale.
-        self.epoch += 1
 
     # ------------------------------------------------------------------ #
     # Arbitration
@@ -304,7 +282,6 @@ class BandwidthMonitor:
                     )
                 total += usage.granted
             self._total_granted = total
-            self.epoch += 1
             return
         pending = [u for u in usages if u.effective_demand > 0]
         for usage in usages:
@@ -331,4 +308,3 @@ class BandwidthMonitor:
                 raise ArithmeticError(f"NaN bandwidth grant for {usage.job_id}")
             total += usage.granted
         self._total_granted = total
-        self.epoch += 1

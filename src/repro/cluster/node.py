@@ -128,13 +128,6 @@ class Node:
         #: Bumped on every capacity mutation; the cluster replaces it with
         #: one counter shared across all of its nodes.
         self.generation = GenerationCounter()
-        #: Bumped whenever this node's LLC occupancy or PCIe demand set
-        #: changes (the two contention inputs not guarded by the bandwidth
-        #: monitor's own :attr:`BandwidthMonitor.epoch`).  Together the two
-        #: epochs fingerprint everything ``iteration_time`` reads from a
-        #: node, which is what lets the runner's reprice memo skip the
-        #: recompute (see docs/scheduler-internals.md).
-        self.contention_epoch = 0
 
     # ------------------------------------------------------------------ #
     # Availability (fault injection)
@@ -255,7 +248,6 @@ class Node:
         self.bandwidth.unregister(job_id)
         self.pcie.unregister(job_id)
         self.llc_occupancy_mb.pop(job_id, None)
-        self.contention_epoch += 1
         self.generation.bump_node(self.node_id, freed=True)
         return share
 
@@ -323,7 +315,6 @@ class Node:
             self.llc_occupancy_mb[job_id] = llc_mb
         if pcie_gbps > 0:
             self.pcie.register(job_id, pcie_gbps)
-        self.contention_epoch += 1
 
     @property
     def llc_pressure(self) -> float:
@@ -397,7 +388,6 @@ class Node:
             job_id: float(gbps)
             for job_id, gbps in state["pcie_demands"].items()
         }
-        self.contention_epoch += 1
         self.generation.bump()
 
     def __repr__(self) -> str:

@@ -53,6 +53,7 @@ from repro.schedulers.base import (
     SchedulerContext,
     StartDecision,
 )
+from repro.schedulers.dirty import reference_mode
 from repro.sim.engine import Engine
 from repro.sim.events import EventHandle, EventPriority
 from repro.experiments.auditlog import AuditLog
@@ -90,16 +91,12 @@ class _RunningGpu:
     #: fire detects ``completion_time > now`` and re-arms (validate-on-pop,
     #: the ShareHeap idiom).  Invariant: armed time <= completion_time.
     completion_time: float = 0.0
-    #: Contention-epoch fingerprint of the last full reprice — matching
-    #: epochs prove nothing feeding ``iteration_time`` changed, so speed
-    #: and utilization can be reused verbatim ([[cache]] contract in
-    #: contracts.toml; bit-identical because iteration_time is pure).
-    reprice_memo: Optional[Tuple[Any, ...]] = None
     #: (cores_per_node, contention effect key) of the last
-    #: ``iteration_time`` call — the fallback memo when epochs moved but
-    #: the values the speed model actually reads (grant ratio, post-knee
-    #: bandwidth/LLC excess, PCIe ratio — see ``contention.effect_key``)
-    #: landed unchanged ([[cache]] contract).
+    #: ``iteration_time`` call.  An equal key proves the values the speed
+    #: model reads (grant ratio, post-knee bandwidth/LLC excess, PCIe
+    #: ratio — see ``contention.effect_key``) are unchanged, so speed and
+    #: utilization are reused verbatim ([[cache]] contract in
+    #: contracts.toml; bit-identical because iteration_time is pure).
     state_memo: Optional[Tuple[Any, ...]] = None
     #: The job's allocation, interconnect, and participating Node objects,
     #: all fixed for the record's lifetime (a restarted job gets a fresh
@@ -122,9 +119,6 @@ class _RunningCpu:
     straggle_factor: float = 1.0
     #: See _RunningGpu.completion_time.
     completion_time: float = 0.0
-    #: (cores, straggle_factor, bandwidth epoch) of the last reprice —
-    #: the three inputs the CPU speed model reads ([[cache]] contract).
-    reprice_memo: Optional[Tuple[Any, ...]] = None
     #: The home Node object, fixed for the record's lifetime; pinned so
     #: repricing skips the per-call cluster lookup.
     node: Any = None
@@ -156,8 +150,9 @@ class RunResult:
     flap_suppressions: int = 0
     #: Lazy completion timers that fired before their job's authoritative
     #: completion time and were re-armed (zero under
-    #: ``REPRO_EAGER_RESCHEDULE=1``).  ``events_fired`` minus this count
-    #: is comparable across the lazy and eager timer engines.
+    #: ``REPRO_REFERENCE=1``, whose timers are always authoritative).
+    #: ``events_fired`` minus this count equals the reference run's
+    #: ``events_fired``.
     stale_timer_fires: int = 0
 
 
@@ -216,11 +211,11 @@ class SimulationRunner(SchedulerContext):
         #: incarnation) never touch a successor of the record they slowed.
         self._cpu_incarnation: Dict[str, int] = {}
         self._straggle_count = 0
-        #: Escape hatch: re-price and cancel+reschedule completions on
-        #: every node touch and tick every node, the pre-lazy reference
-        #: behaviour.  Read once at construction (parity tests flip the
-        #: env var per runner, never mid-run).
-        self._eager_resched = bool(os.environ.get("REPRO_EAGER_RESCHEDULE"))
+        #: Reference mode (``REPRO_REFERENCE=1``): re-price from scratch
+        #: and cancel+reschedule completions on every node touch and tick
+        #: every node, the pre-lazy behaviour.  Read once at construction
+        #: (parity tests set the env var per runner, never mid-run).
+        self._reference = reference_mode()
         self._stale_timer_fires = 0
         #: Nodes the eliminator must tick: hosts of CPU jobs or live
         #: throttles, plus telemetry-outage nodes until a successful
@@ -440,12 +435,12 @@ class SimulationRunner(SchedulerContext):
     # reconstructs whenever the invariant is about to stop holding.
 
     def monitor_active_node_ids(self) -> Sequence[int]:
-        if self._eager_resched:
+        if self._reference:
             return range(len(self.cluster.nodes))
         return sorted(self._monitor_active)
 
     def monitor_deactivate_node(self, node_id: int) -> None:
-        if not self._eager_resched:
+        if not self._reference:
             self._monitor_active.discard(node_id)
 
     def monitor_note_tick(self, now: float) -> None:
@@ -462,7 +457,7 @@ class SimulationRunner(SchedulerContext):
         back-fill — eager ticks skip unobservable nodes too, leaving
         their stamp frozen.
         """
-        if self._eager_resched or node_id in self._monitor_active:
+        if self._reference or node_id in self._monitor_active:
             return
         last_tick = self._monitor_last_tick
         if last_tick is not None and last_tick >= self._observable_since.get(
@@ -472,7 +467,7 @@ class SimulationRunner(SchedulerContext):
 
     def _monitor_activate(self, node_id: int) -> None:
         """Add a node to the active set (back-filling its sample stamp)."""
-        if self._eager_resched or node_id in self._monitor_active:
+        if self._reference or node_id in self._monitor_active:
             return
         self._monitor_backfill(node_id)
         self._monitor_active.add(node_id)
@@ -649,20 +644,11 @@ class SimulationRunner(SchedulerContext):
     def _reprice_gpu(self, record: _RunningGpu) -> None:
         """Re-price a training job's speed and re-aim its completion.
 
-        Two memo layers keep repeated touches cheap without changing a
-        single computed value (``iteration_time`` is a pure function of
-        the fingerprinted state, so reuse is bit-identical):
-
-        * ``reprice_memo`` — the contention epochs of every node the job
-          spans.  Matching epochs prove no grant, LLC occupancy or PCIe
-          demand the job can see has changed, so speed and utilization
-          are reused verbatim; within the same event instant the armed
-          completion target is provably unchanged too and the call
-          returns outright.
-        * ``state_memo`` — epochs moved but the derived
-          :class:`ContentionState` landed on the same value, so the
-          ``iteration_time`` call (and the idempotent utilization
-          re-writes) are skipped.
+        ``state_memo`` keeps repeated touches cheap without changing a
+        single computed value: when the derived :class:`ContentionState`
+        lands on the same effect key as last time, the ``iteration_time``
+        call (a pure function of that key) and the idempotent utilization
+        re-writes are skipped.
         """
         now = self.engine.now
         job_id = record.job.job_id
@@ -681,20 +667,6 @@ class SimulationRunner(SchedulerContext):
                 for share in allocation.shares
             ]
         nodes = record.nodes
-        eager = self._eager_resched
-        fingerprint: Optional[Tuple[Any, ...]] = None
-        if not eager:
-            parts: List[Any] = [record.cores_per_node]
-            for node in nodes:
-                parts.append(node.bandwidth.epoch)
-                parts.append(node.contention_epoch)
-            fingerprint = tuple(parts)
-            if fingerprint == record.reprice_memo:
-                if record.last_update == now and record.completion is not None:
-                    return  # same instant, same epochs: armed target holds
-                self._accrue(record, now)
-                self._aim_gpu_completion(record, now)
-                return
         self._accrue(record, now)
         # Worst-case contention across the job's nodes (iterations are
         # paced by the slowest participant), inlined over the pinned
@@ -713,7 +685,7 @@ class SimulationRunner(SchedulerContext):
             pcie_grant_ratio=pcie,
         )
         state_key = (record.cores_per_node,) + effect_key(contention)
-        if eager or state_key != record.state_memo:
+        if self._reference or state_key != record.state_memo:
             breakdown = iteration_time(
                 record.profile,
                 record.job.setup,
@@ -726,7 +698,6 @@ class SimulationRunner(SchedulerContext):
             for node in nodes:
                 node.set_gpu_utilization(job_id, record.utilization)
             record.state_memo = state_key
-        record.reprice_memo = fingerprint
         self._aim_gpu_completion(record, now)
 
     def _aim_gpu_completion(self, record: _RunningGpu, now: float) -> None:
@@ -736,7 +707,7 @@ class SimulationRunner(SchedulerContext):
         record.completion_time = target
         completion = record.completion
         if completion is not None:
-            if not self._eager_resched and target >= completion.time:
+            if not self._reference and target >= completion.time:
                 # Completion moved later (or held): leave the armed timer
                 # alone.  It fires stale, detects that completion_time is
                 # still ahead, and re-arms itself (validate-on-pop) —
@@ -757,22 +728,6 @@ class SimulationRunner(SchedulerContext):
             # First reprice of this record (fresh start or checkpoint
             # restore): pin the home node, fixed for its lifetime.
             node = record.node = self.cluster.node(record.node_id)
-        eager = self._eager_resched
-        fingerprint: Optional[Tuple[Any, ...]] = None
-        if not eager:
-            # Everything the speed model reads: core count, fault factor,
-            # and the bandwidth grant (covered by the monitor epoch).
-            fingerprint = (
-                record.cores,
-                record.straggle_factor,
-                node.bandwidth.epoch,
-            )
-            if fingerprint == record.reprice_memo:
-                if record.last_update == now and record.completion is not None:
-                    return
-                self._accrue(record, now)
-                self._aim_cpu_completion(record, now)
-                return
         self._accrue(record, now)
         core_factor = record.cores / record.job.cores
         # HEAT-like jobs are pure bandwidth streamers and slow in direct
@@ -786,7 +741,6 @@ class SimulationRunner(SchedulerContext):
         record.speed = max(
             1e-9, core_factor * bw_factor * record.straggle_factor
         )
-        record.reprice_memo = fingerprint
         self._aim_cpu_completion(record, now)
 
     def _aim_cpu_completion(self, record: _RunningCpu, now: float) -> None:
@@ -796,7 +750,7 @@ class SimulationRunner(SchedulerContext):
         record.completion_time = target
         completion = record.completion
         if completion is not None:
-            if not self._eager_resched and target >= completion.time:
+            if not self._reference and target >= completion.time:
                 return  # later-moving completion: fire stale, re-arm then
             completion.cancel()
         record.completion = self.engine.schedule(
@@ -847,8 +801,8 @@ class SimulationRunner(SchedulerContext):
         record's authoritative ``completion_time`` is still ahead, so the
         fire is stale: re-arm at the authoritative time, count it, and
         book the (tiny) cost under the ``completion-stale`` profiler
-        category so completion accounting stays honest.  Under the eager
-        hatch armed time always equals ``completion_time`` and this never
+        category so completion accounting stays honest.  In reference
+        mode armed time always equals ``completion_time`` and this never
         triggers.
         """
         job_id = record.job.job_id

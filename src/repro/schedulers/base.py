@@ -263,7 +263,7 @@ class Scheduler(abc.ABC):
 
         The default is the always-safe False; incremental policies
         override this with their :class:`repro.schedulers.dirty.PassGate`
-        verdict.  Must stay False under ``REPRO_FULL_RESCAN=1`` (the
+        verdict.  Must stay False under ``REPRO_REFERENCE=1`` (the
         gates handle that themselves)."""
         return False
 

@@ -25,9 +25,10 @@ The soundness argument (docs/scheduler-internals.md) rests on two facts:
 A clean group therefore re-derives exactly its previous answer — zero
 decisions — and skipping it is byte-identical to re-scanning it.
 
-``REPRO_FULL_RESCAN=1`` disables the whole machinery (gates report every
-group dirty, the snapshot cache is bypassed); the parity property test
-runs each policy both ways and asserts identical decision streams.
+``REPRO_REFERENCE=1`` (:func:`reference_mode`) disables the whole
+machinery (gates report every group dirty, the snapshot cache is
+bypassed); the parity property test runs each policy both ways and
+asserts identical decision streams.
 """
 
 from __future__ import annotations
@@ -39,10 +40,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
 
 
-def full_rescan_enabled() -> bool:
-    """True when ``REPRO_FULL_RESCAN`` asks for the reference behaviour:
-    no pass skipping, no partial snapshot refresh, no share heaps."""
-    return bool(os.environ.get("REPRO_FULL_RESCAN"))
+def reference_mode() -> bool:
+    """True when ``REPRO_REFERENCE`` asks for the reference behaviour.
+
+    The one A/B switch for every incremental and lazy layer: no pass
+    skipping, no partial snapshot refresh, no share heaps or census
+    cache, and in the runner no lazy completion timers, no skipped
+    monitor ticks and no reprice memo.  Each reader samples it once at
+    construction (``FreeState.of`` per call)."""
+    return bool(os.environ.get("REPRO_REFERENCE"))
 
 
 class PassGate:
@@ -64,7 +70,7 @@ class PassGate:
         #: ``capacity_freed`` at the end of the last completed pass; -1
         #: means "no pass yet", which never equals a real counter value.
         self._freed_seen = -1
-        self._enabled = not full_rescan_enabled()
+        self._enabled = not reference_mode()
 
     @property
     def enabled(self) -> bool:

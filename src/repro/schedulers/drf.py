@@ -43,7 +43,7 @@ class DrfScheduler(Scheduler):
     changes (a job finishing) alter tenant *order* only — with every
     head still blocked, selection order is irrelevant and the pass still
     returns zero decisions, so they update the heap without dirtying the
-    gate.  Under ``REPRO_FULL_RESCAN=1`` the original linear scan runs
+    gate.  Under ``REPRO_REFERENCE=1`` the original linear scan runs
     as the parity reference.
     """
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.schedulers.dirty import full_rescan_enabled
+from repro.schedulers.dirty import reference_mode
 from repro.workload.job import CpuJob, GpuJob
 
 Placement = Tuple[int, int, int]  # (node_id, cpus, gpus)
@@ -84,8 +84,8 @@ class FreeState:
 
         The whole-cluster snapshot (``among=None``) is memoized on
         ``cluster.free_snapshot_cache`` as ``(version, health, qset,
-        dset, free)`` where qset/dset are the quarantined/de-prioritized
-        node sets at ``now``.  Incremental maintenance:
+        free)`` where qset is the quarantined node set at ``now``.
+        Incremental maintenance:
 
         * cache empty, foreign health tracker, or a *coarse* (unattributed)
           mutation → full rebuild, one read per node;
@@ -93,37 +93,39 @@ class FreeState:
           re-reading only ``touched | (qset ^ cached_qset)`` nodes (free
           capacity is time-independent; quarantine zeroing is derived
           from qset, so every other entry is still exact);
-        * only the de-prioritized set moved → swap dset, zero node reads;
         * otherwise → pure hit.
 
-        ``REPRO_FULL_RESCAN=1`` bypasses the memo entirely — every call
+        The de-prioritized set only orders candidates and never changes
+        a free entry, so it is not cached: every returned snapshot takes
+        the current one.
+
+        ``REPRO_REFERENCE=1`` bypasses the memo entirely — every call
         is an uncached scan, the reference behaviour the parity test
         compares against.
         """
-        if among is not None or full_rescan_enabled():
+        if among is not None or reference_mode():
             return cls._build(
                 cluster,
                 range(len(cluster.nodes)) if among is None else among,
                 now,
             )
         health = cluster.health
-        if now is None:
-            qset: frozenset = frozenset()
-            dset: frozenset = frozenset()
-        else:
+        qset: frozenset = frozenset()
+        dset: Iterable[int] = ()
+        if now is not None:
             qset = frozenset(health.quarantined_nodes(now))
-            dset = frozenset(health.deprioritized_nodes(now))
+            dset = health.deprioritized_nodes(now)
         version = cluster.version
         cached = cluster.free_snapshot_cache
         coarse, touched = cluster.dirty_capacity()
         if cached is None or cached[1] is not health or coarse:
             state = cls._build(cluster, range(len(cluster.nodes)), now)
             cluster.free_snapshot_cache = (
-                version, health, qset, dset, dict(state._free),
+                version, health, qset, dict(state._free),
             )
             cluster.clear_dirty_capacity()
             return state
-        _, _, c_qset, c_dset, free = cached
+        _, _, c_qset, free = cached
         if version != cached[0] or qset != c_qset:
             cls.refreshes += 1
             nodes = cluster.nodes
@@ -133,10 +135,8 @@ class FreeState:
                     if node_id in qset
                     else (nodes[node_id].free_cpus, nodes[node_id].free_gpus)
                 )
-            cluster.free_snapshot_cache = (version, health, qset, dset, free)
+            cluster.free_snapshot_cache = (version, health, qset, free)
             cluster.clear_dirty_capacity()
-        elif dset != c_dset:
-            cluster.free_snapshot_cache = (version, health, qset, dset, free)
         return cls(free, deprioritized=dset)
 
     @classmethod

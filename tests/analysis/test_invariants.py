@@ -7,12 +7,15 @@ import pytest
 from repro.analysis.invariants import InvariantAuditor, InvariantViolationError
 from repro.cluster.cluster import Cluster
 from repro.config import small_cluster
+from repro.experiments.runner import SimulationRunner
 from repro.experiments.scenarios import run_scenario, small_scenario
 from repro.faults import FaultConfig
 from repro.metrics.audit import AuditStats
 from repro.schedulers.drf import DrfScheduler
 from repro.schedulers.fifo import FifoScheduler
+from repro.perfmodel.stages import TrainSetup
 from repro.sim.engine import Engine
+from repro.workload.job import CpuJob, GpuJob
 
 SHORT = {"duration_days": 0.05, "seed": 0}
 
@@ -139,6 +142,47 @@ class TestCorruptionDetection:
         auditor.check_now()
         assert not auditor.stats.ok
         assert not result.collector.audit.ok
+
+    @pytest.mark.parametrize("kind", ("gpu", "cpu"))
+    def test_timer_armed_past_completion_time(self, kind):
+        """A completion timer armed after its record's authoritative
+        completion time would finish the job late: IV009."""
+        runner = SimulationRunner(
+            Cluster(small_cluster(nodes=1)),
+            FifoScheduler(),
+            sample_interval_s=1e9,
+            auditor=InvariantAuditor(60.0),
+        )
+        if kind == "gpu":
+            job = GpuJob(
+                job_id="j",
+                tenant_id=1,
+                submit_time=0.0,
+                model_name="resnet50",
+                setup=TrainSetup(1, 1),
+                requested_cpus=3,
+                total_iterations=10**6,
+            )
+        else:
+            job = CpuJob(
+                job_id="j",
+                tenant_id=1,
+                submit_time=0.0,
+                cores=4,
+                duration_s=1000.0,
+                bw_demand_gbps=1.0,
+            )
+        runner.submit_at(0.0, job)
+        runner.engine.run(until=10.0)
+        auditor = runner.auditor
+        assert auditor.check_now() == 0
+        record = (runner._running_gpu or runner._running_cpu)["j"]
+        record.completion.cancel()
+        record.completion = runner.engine.schedule(
+            record.completion_time + 1.0, lambda: None
+        )
+        assert auditor.check_now() == 1
+        assert set(auditor.stats.by_code()) == {"IV009"}
 
 
 class TestWiring:

@@ -1,10 +1,10 @@
-"""Unit tests for the lazy completion-timer engine and reprice memos.
+"""Unit tests for the lazy completion-timer engine and the reprice memo.
 
-The parity sweep (tests/schedulers/test_lazy_reprice_parity.py) proves
-lazy == eager over whole simulations; these tests pin the individual
-mechanisms — stale fire + re-arm, earlier-move cancel + re-arm, the
-epoch-fingerprint memo, and the activity-indexed monitor surface — with
-hand-computable numbers.
+The parity suites (tests/schedulers/test_*_parity.py) prove the lazy
+runner equals ``REPRO_REFERENCE=1`` over whole simulations; these
+tests pin the individual mechanisms — stale fire + re-arm, earlier-move
+cancel + re-arm, the effect-keyed ``state_memo``, and the
+activity-indexed monitor surface — with hand-computable numbers.
 """
 
 import pytest
@@ -102,7 +102,7 @@ class TestLazyCompletionTimers:
         assert runner.collector.records["c"].finish_time == 370.0
 
     def test_eager_hatch_never_fires_stale(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EAGER_RESCHEDULE", "1")
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
         runner = self._straggled_runner(heal_after_s=1e6)
         record = runner._running_cpu["c"]
         # Eager cancel+reschedule keeps the armed timer authoritative.
@@ -128,30 +128,35 @@ class TestRepriceMemo:
         runner.engine.run(until=10.0)
         return runner, calls
 
-    def test_unchanged_epochs_skip_iteration_time(self, monkeypatch):
+    def test_unchanged_effect_key_skips_iteration_time(self, monkeypatch):
         runner, calls = self._counting_runner(monkeypatch)
         node_id = runner.cluster.allocation_of("j").node_ids[0]
         baseline = len(calls)
+        # Re-pushing the same demand re-arbitrates grants onto the same
+        # vector; the effect key is unchanged, so the model is not
+        # re-evaluated...
+        node = runner.cluster.node(node_id)
+        node.bandwidth.update_demand("j", node.bandwidth.usage_of("j").demand)
         runner._refresh_nodes({node_id})
-        # Nothing on the node changed since the start-time reprice: the
-        # epoch fingerprint hits and the model is not re-evaluated...
         assert len(calls) == baseline
         # ...but progress accrual still happened.
         assert runner._running_gpu["j"].last_update == 10.0
 
-    def test_epoch_bump_invalidates_memo(self, monkeypatch):
+    def test_grant_ratio_change_recomputes(self, monkeypatch):
         runner, calls = self._counting_runner(monkeypatch)
         node_id = runner.cluster.allocation_of("j").node_ids[0]
         baseline = len(calls)
-        # A bandwidth-demand change re-arbitrates grants, bumping the
-        # node's monitor epoch: the fingerprint must miss.
         node = runner.cluster.node(node_id)
-        node.bandwidth.update_demand("j", 99.0)
+        assert node.bandwidth.grant_ratio("j") == 1.0
+        # A demand past the node's capacity cuts the job's grant ratio:
+        # the effect key moves and the memo must miss.
+        node.bandwidth.update_demand("j", 2 * node.bandwidth.capacity_gbps)
+        assert node.bandwidth.grant_ratio("j") < 1.0
         runner._refresh_nodes({node_id})
         assert len(calls) == baseline + 1
 
     def test_eager_hatch_always_recomputes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EAGER_RESCHEDULE", "1")
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
         runner, calls = self._counting_runner(monkeypatch)
         node_id = runner.cluster.allocation_of("j").node_ids[0]
         baseline = len(calls)
@@ -201,7 +206,7 @@ class TestActivityIndexedMonitor:
         )
 
     def test_eager_hatch_ticks_every_node(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EAGER_RESCHEDULE", "1")
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
         runner = _runner(nodes=3)
         assert list(runner.monitor_active_node_ids()) == [0, 1, 2]
         runner.monitor_deactivate_node(1)
@@ -216,6 +221,7 @@ class TestStaleFiresInRunResult:
         runner.apply_cpu_straggler("c", factor=0.25, duration_s=1e6)
         result = runner.run(until=500.0)
         assert result.stale_timer_fires == 1
-        # Stale fires are the only event-count difference vs eager, so
-        # this identity is what the parity sweep compares across modes.
+        # Stale fires are the only event-count difference vs the
+        # reference mode, so this identity is what the parity sweep
+        # compares across modes.
         assert result.events_fired > result.stale_timer_fires

@@ -68,7 +68,7 @@ class TestPassGate:
         assert not gate.can_skip_pass(cluster)
 
     def test_full_rescan_env_disables_the_gate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL_RESCAN", "1")
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
         cluster = _FakeCluster()
         gate = PassGate(("a",))
         gate.pass_done(cluster)

@@ -1,150 +1,39 @@
-"""Property test: incremental scheduling is byte-identical to full rescan.
+"""Property test: incremental scheduling is byte-identical to the
+reference mode (``REPRO_REFERENCE=1``) under crash and GPU faults.
 
-Each (policy, seed, fault setting) scenario runs twice — once with the
-dirty-set machinery active (pass skipping, share heaps, partial snapshot
-refresh) and once under ``REPRO_FULL_RESCAN=1``, the reference behaviour
-that linearly rescans everything on every pass.  The two runs must agree
-on:
-
-* the **decision stream** — every pass that produced decisions, as
-  ``(time, serialized decisions)`` in order.  Passes producing zero
-  decisions are excluded from the comparison: skipping them outright is
-  exactly what the incremental run is allowed (and supposed) to do;
-* every scalar outcome of the run, including ``events_fired`` — a
-  skipped pass still fires its event, so the event sequence (and with it
-  every tie-break downstream) is untouched.
-
-See docs/scheduler-internals.md for the argument of *why* these must be
-equal; this test is the empirical check that the argument holds over the
-full simulator, faults and health tracking included.
+The harness and the compared quantities are in
+:mod:`tests.schedulers.parity`; this suite's faulted leg uses
+:data:`~tests.schedulers.parity.CRASH_FAULTS` (node crashes, GPU
+failures, quarantines) — the events the dirty-set gates, share heaps and
+snapshot caches must notice.
 """
-
-import os
 
 import pytest
 
-from repro.config import small_cluster
-from repro.experiments.scenarios import (
-    Scenario,
-    default_schedulers,
-    run_scenario,
-    small_scenario,
+from tests.schedulers.parity import (
+    CRASH_FAULTS,
+    POLICIES,
+    SEEDS,
+    assert_parity,
+    check_congested,
+    run,
 )
-from repro.faults import FaultConfig
-from repro.workload.tracegen import TraceConfig
-
-POLICIES = ("fifo", "drf", "coda")
-SEEDS = (0, 1, 2)
-
-#: Aggressive enough that a 0.2-day / 6-node run sees several node
-#: crashes, GPU failures and (via repeated strikes) quarantines.
-_FAULTS = FaultConfig(
-    seed=5,
-    node_mtbf_s=4 * 3600.0,
-    node_mttr_s=900.0,
-    gpu_mtbf_s=8 * 3600.0,
-)
-
-_SCALARS = (
-    "finished_gpu_jobs",
-    "finished_cpu_jobs",
-    "preemptions",
-    "events_fired",
-    "restarts",
-    "node_downtime_s",
-    "quarantines",
-    "quarantine_s",
-    "dead_jobs",
-    "flap_suppressions",
-)
-
-
-def _serialize(decision):
-    if hasattr(decision, "placements"):
-        return ("start", decision.job.job_id, tuple(decision.placements))
-    return (
-        "preempt",
-        decision.job_id,
-        decision.reason,
-        decision.preserve_progress,
-    )
-
-
-def _storm_scenario(seed):
-    """A flooded 4-node cluster: queues stay deep, so most passes are
-    skippable and the share heaps / placement memos do real work —
-    the regime where an incremental bug would actually show."""
-    return Scenario(
-        cluster_config=small_cluster(nodes=4),
-        trace_config=TraceConfig(
-            duration_days=0.05,
-            gpu_jobs_per_day=1200.0,
-            cpu_jobs_per_day=300.0,
-            seed=seed,
-        ),
-        drain_s=3600.0,
-    )
-
-
-def _run(policy, seed, faulted, full_rescan, *, storm=False):
-    """One complete run; returns (non-empty decision stream, scalars)."""
-    if storm:
-        scenario = _storm_scenario(seed)
-    else:
-        scenario = small_scenario(duration_days=0.2, seed=seed, nodes=6)
-    if faulted:
-        scenario = scenario.with_faults(_FAULTS)
-    # The env var must be decided *before* the scheduler is built: gates
-    # and heaps read it at construction time.
-    os.environ.pop("REPRO_FULL_RESCAN", None)
-    if full_rescan:
-        os.environ["REPRO_FULL_RESCAN"] = "1"
-    try:
-        scheduler = default_schedulers()[policy]()
-        decisions = []
-        inner = scheduler.schedule
-
-        def recording_schedule(cluster, now):
-            batch = inner(cluster, now)
-            if batch:
-                decisions.append(
-                    (now, tuple(_serialize(d) for d in batch))
-                )
-            return batch
-
-        scheduler.schedule = recording_schedule  # type: ignore[method-assign]
-        result = run_scenario(scenario, scheduler, sample_interval_s=1800.0)
-    finally:
-        os.environ.pop("REPRO_FULL_RESCAN", None)
-    return decisions, {name: getattr(result, name) for name in _SCALARS}
 
 
 @pytest.mark.parametrize("faulted", (False, True), ids=("clean", "faulted"))
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("policy", POLICIES)
-def test_incremental_matches_full_rescan(policy, seed, faulted):
-    incremental, inc_scalars = _run(policy, seed, faulted, full_rescan=False)
-    reference, ref_scalars = _run(policy, seed, faulted, full_rescan=True)
-
-    assert inc_scalars == ref_scalars
-    assert len(incremental) == len(reference)
-    for inc_entry, ref_entry in zip(incremental, reference):
-        assert inc_entry == ref_entry
-    # The runs above did real work; an empty stream would mean the
-    # recorder never saw a decision and the test proved nothing.
-    assert incremental, "scenario produced no scheduling decisions"
+def test_incremental_matches_full_rescan(monkeypatch, policy, seed, faulted):
+    faults = CRASH_FAULTS if faulted else None
+    assert_parity(
+        run(monkeypatch, policy, seed, faults, reference=False),
+        run(monkeypatch, policy, seed, faults, reference=True),
+    )
 
 
 @pytest.mark.parametrize("faulted", (False, True), ids=("clean", "faulted"))
 @pytest.mark.parametrize("policy", POLICIES)
-def test_incremental_matches_full_rescan_under_congestion(policy, faulted):
-    incremental, inc_scalars = _run(
-        policy, 0, faulted, full_rescan=False, storm=True
-    )
-    reference, ref_scalars = _run(
-        policy, 0, faulted, full_rescan=True, storm=True
-    )
-
-    assert inc_scalars == ref_scalars
-    assert incremental == reference
-    assert incremental, "storm scenario produced no scheduling decisions"
+def test_incremental_matches_full_rescan_under_congestion(
+    monkeypatch, policy, faulted
+):
+    check_congested(monkeypatch, policy, CRASH_FAULTS if faulted else None)

@@ -1,174 +1,46 @@
-"""Property test: lazy repricing and timers are byte-identical to eager.
+"""Property test: lazy repricing and completion timers are byte-identical
+to the reference mode (``REPRO_REFERENCE=1``) under the full fault set.
 
-Each (policy, seed, fault setting) scenario runs twice — once with the
-lazy machinery active (validate-on-pop completion timers, epoch-keyed
-reprice memos, the activity-indexed monitor tick) and once under
-``REPRO_EAGER_RESCHEDULE=1``, the reference behaviour that re-prices
-every touched job from scratch, cancel+reschedules its completion on
-every touch, and ticks every node on every monitor pass.  The two runs
-must agree on:
-
-* the **decision stream** — every pass that produced decisions, as
-  ``(time, serialized decisions)`` in order;
-* every scalar outcome.  ``events_fired`` is compared modulo stale
-  timer fires: a lazy run fires extra ``completion-stale`` events (old
-  timers surfacing after their completion moved later), each of which
-  only re-arms and returns, so
-  ``lazy.events_fired - lazy.stale_timer_fires == eager.events_fired``.
-
-The faulted leg turns on telemetry dropouts and CPU stragglers on top of
-crashes and GPU failures: stragglers are the main source of later-moving
-completions (stale fires), and dropouts exercise the activity-index
-back-fill of MBM sample timestamps.  See docs/scheduler-internals.md
-("Lazy completion timers") for the argument of *why* these must be
-equal; this test is the empirical check over the full simulator.
+The harness and the compared quantities are in
+:mod:`tests.schedulers.parity`; this suite's faulted leg uses
+:data:`~tests.schedulers.parity.FAULTS`, which adds telemetry dropouts
+and CPU stragglers to crashes and GPU failures, so completions move
+later mid-flight and lazy runs fire stale timers.
 """
-
-import os
 
 import pytest
 
-from repro.experiments.scenarios import (
-    Scenario,
-    default_schedulers,
-    run_scenario,
-    small_scenario,
+from tests.schedulers.parity import (
+    FAULTS,
+    POLICIES,
+    SEEDS,
+    assert_parity,
+    check_congested,
+    run,
 )
-from repro.config import small_cluster
-from repro.faults import FaultConfig
-from repro.workload.tracegen import TraceConfig
-
-POLICIES = ("fifo", "drf", "coda")
-SEEDS = (0, 1, 2)
-
-#: Aggressive enough that a 0.2-day / 6-node run sees node crashes, GPU
-#: failures, quarantines, telemetry blackouts and straggler episodes.
-_FAULTS = FaultConfig(
-    seed=5,
-    node_mtbf_s=4 * 3600.0,
-    node_mttr_s=900.0,
-    gpu_mtbf_s=8 * 3600.0,
-    telemetry_mtbf_s=2 * 3600.0,
-    telemetry_outage_s=600.0,
-    straggler_interval_s=1800.0,
-    straggler_duration_s=900.0,
-)
-
-_SCALARS = (
-    "finished_gpu_jobs",
-    "finished_cpu_jobs",
-    "preemptions",
-    "restarts",
-    "node_downtime_s",
-    "quarantines",
-    "quarantine_s",
-    "dead_jobs",
-    "flap_suppressions",
-)
-
-
-def _serialize(decision):
-    if hasattr(decision, "placements"):
-        return ("start", decision.job.job_id, tuple(decision.placements))
-    return (
-        "preempt",
-        decision.job_id,
-        decision.reason,
-        decision.preserve_progress,
-    )
-
-
-def _storm_scenario(seed):
-    """A flooded 4-node cluster: co-location stays dense, so throttles,
-    repricing fan-out and eliminator work are constant — the regime where
-    a memo or stale-timer bug would actually show."""
-    return Scenario(
-        cluster_config=small_cluster(nodes=4),
-        trace_config=TraceConfig(
-            duration_days=0.05,
-            gpu_jobs_per_day=1200.0,
-            cpu_jobs_per_day=300.0,
-            seed=seed,
-        ),
-        drain_s=3600.0,
-    )
-
-
-def _run(policy, seed, faulted, eager, *, storm=False):
-    """One complete run; returns (non-empty decision stream, scalars,
-    events_fired, stale_timer_fires)."""
-    if storm:
-        scenario = _storm_scenario(seed)
-    else:
-        scenario = small_scenario(duration_days=0.2, seed=seed, nodes=6)
-    if faulted:
-        scenario = scenario.with_faults(_FAULTS)
-    # The env var must be decided *before* the runner is built: the lazy
-    # machinery reads it once at construction time.
-    os.environ.pop("REPRO_EAGER_RESCHEDULE", None)
-    if eager:
-        os.environ["REPRO_EAGER_RESCHEDULE"] = "1"
-    try:
-        scheduler = default_schedulers()[policy]()
-        decisions = []
-        inner = scheduler.schedule
-
-        def recording_schedule(cluster, now):
-            batch = inner(cluster, now)
-            if batch:
-                decisions.append((now, tuple(_serialize(d) for d in batch)))
-            return batch
-
-        scheduler.schedule = recording_schedule  # type: ignore[method-assign]
-        result = run_scenario(scenario, scheduler, sample_interval_s=1800.0)
-    finally:
-        os.environ.pop("REPRO_EAGER_RESCHEDULE", None)
-    return (
-        decisions,
-        {name: getattr(result, name) for name in _SCALARS},
-        result.events_fired,
-        result.stale_timer_fires,
-    )
-
-
-def _assert_parity(lazy_run, eager_run):
-    lazy, lazy_scalars, lazy_events, lazy_stale = lazy_run
-    eager, eager_scalars, eager_events, eager_stale = eager_run
-
-    assert eager_stale == 0, "eager timers must never fire stale"
-    assert lazy_events - lazy_stale == eager_events
-    assert lazy_scalars == eager_scalars
-    assert len(lazy) == len(eager)
-    for lazy_entry, eager_entry in zip(lazy, eager):
-        assert lazy_entry == eager_entry
-    # The runs above did real work; an empty stream would mean the
-    # recorder never saw a decision and the test proved nothing.
-    assert lazy, "scenario produced no scheduling decisions"
 
 
 @pytest.mark.parametrize("faulted", (False, True), ids=("clean", "faulted"))
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("policy", POLICIES)
-def test_lazy_matches_eager(policy, seed, faulted):
-    _assert_parity(
-        _run(policy, seed, faulted, eager=False),
-        _run(policy, seed, faulted, eager=True),
+def test_lazy_matches_eager(monkeypatch, policy, seed, faulted):
+    faults = FAULTS if faulted else None
+    assert_parity(
+        run(monkeypatch, policy, seed, faults, reference=False),
+        run(monkeypatch, policy, seed, faults, reference=True),
     )
 
 
 @pytest.mark.parametrize("faulted", (False, True), ids=("clean", "faulted"))
 @pytest.mark.parametrize("policy", POLICIES)
-def test_lazy_matches_eager_under_congestion(policy, faulted):
-    _assert_parity(
-        _run(policy, 0, faulted, eager=False, storm=True),
-        _run(policy, 0, faulted, eager=True, storm=True),
-    )
+def test_lazy_matches_eager_under_congestion(monkeypatch, policy, faulted):
+    check_congested(monkeypatch, policy, FAULTS if faulted else None)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_faulted_runs_actually_fire_stale_timers(policy):
+def test_faulted_runs_actually_fire_stale_timers(monkeypatch, policy):
     """The parity above is vacuous for the stale-timer path unless lazy
     runs really leave later-moving completions behind; stragglers slow
     CPU jobs mid-flight, which is exactly that."""
-    _, _, _, stale = _run(policy, 0, True, eager=False)
+    stale = run(monkeypatch, policy, 0, FAULTS, reference=False)[3]
     assert stale > 0, "faulted scenario never fired a stale timer"

@@ -177,8 +177,9 @@ class TestHealthAwarePlacement:
 class TestFreeStateMemo:
     """The whole-cluster snapshot is memoized incrementally: full
     rebuilds only for unattributed (coarse) changes, a partial refresh
-    of just the dirtied nodes for attributed mutations, a set swap for
-    pure health-ordering changes, and byte-for-byte reuse otherwise."""
+    of just the dirtied nodes for attributed mutations, and byte-for-byte
+    reuse otherwise — pure health-ordering changes included, since the
+    de-prioritized set is read fresh on every call."""
 
     def test_repeat_snapshot_reuses_scan(self, tiny_cluster):
         FreeState.of(tiny_cluster, now=0.0)
@@ -217,7 +218,7 @@ class TestFreeStateMemo:
         tiny_cluster.health.record_failure(0, 0.0, kind="crash")
         flagged = FreeState.of(tiny_cluster, now=0.0)
         # A SUSPECT transition changes best-fit ordering, not capacity:
-        # the cache swaps the de-prioritized set and reads no node.
+        # the cached free map is reused and no node is read.
         assert FreeState.rebuilds == rebuilds
         assert FreeState.refreshes == refreshes
         assert flagged.placement_penalty(0) == 1
@@ -252,7 +253,7 @@ class TestFreeStateMemo:
         assert restricted.node_ids() == [1]
 
     def test_full_rescan_env_bypasses_cache(self, tiny_cluster, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL_RESCAN", "1")
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
         FreeState.of(tiny_cluster, now=0.0)
         before = FreeState.rebuilds
         fresh = FreeState.of(tiny_cluster, now=0.0)

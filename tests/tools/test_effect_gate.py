@@ -87,15 +87,11 @@ def test_deleting_one_bump_blames_exactly_that_function(
     assert blamed == {EXPECTED_BLAME[func_name]}
 
 
-#: The lazy-reprice memos on the runner's running-job records.  EF002
-#: must keep *detecting* them: dropping any one [[cache]] declaration
-#: from the manifest has to surface as findings against runner.py, or
-#: the clean-tree test above proves nothing about these attributes.
-RUNNER_MEMOS = (
-    ("_RunningGpu", "reprice_memo"),
-    ("_RunningGpu", "state_memo"),
-    ("_RunningCpu", "reprice_memo"),
-)
+#: The reprice memo on the runner's running-job records.  EF002 must
+#: keep *detecting* it: dropping its [[cache]] declaration from the
+#: manifest has to surface as findings against runner.py, or the
+#: clean-tree test above proves nothing about the attribute.
+RUNNER_MEMOS = (("_RunningGpu", "state_memo"),)
 
 
 @pytest.mark.parametrize(
