@@ -2,60 +2,11 @@
 
 from __future__ import annotations
 
-import resource
-import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, TypeVar
-
-if TYPE_CHECKING:
-    from repro.experiments.runner import RunResult
-    from repro.parallel import ResultCache, RunSpec
-    from repro.sweep import SupervisorConfig
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-T = TypeVar("T")
 
 
 def once(benchmark, fn):
     """Run an expensive experiment exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-def timed(fn: Callable[[], T]) -> Tuple[T, float]:
-    """Run ``fn`` once and return ``(result, wall_seconds)``."""
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
-def fanout_timed(
-    specs: Sequence["RunSpec"],
-    *,
-    jobs: int,
-    cache: Optional["ResultCache"] = None,
-    supervisor: Optional["SupervisorConfig"] = None,
-) -> Tuple[List["RunResult"], float]:
-    """Time a :class:`~repro.parallel.SimPool` execution of ``specs``.
-
-    ``cache=None`` (the default) measures pure compute; pass a cache to
-    measure warm-replay behaviour instead.  ``supervisor`` routes the
-    multi-process path through the fault-tolerant worker supervisor, so
-    the benchmark exercises (and times) the production sweep path.
-    """
-    from repro.parallel import SimPool
-
-    pool = SimPool(jobs=jobs, cache=cache, supervisor=supervisor)
-    return timed(lambda: pool.map(specs))
-
-
-def peak_rss_kb() -> int:
-    """Process-wide peak resident set size so far, in kilobytes.
-
-    ``ru_maxrss`` is a high-water mark for the whole process, so readings
-    taken after several scenarios reflect the largest of them, not the
-    last one.  On Linux the unit is KB (macOS reports bytes; the benchmark
-    suite runs on Linux CI, so no conversion is attempted).
-    """
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)

@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro import profiling
 from repro.analysis.invariants import DEFAULT_AUDIT_INTERVAL_S, InvariantAuditor
 from repro.core.coda import CodaConfig
 from repro.core.eliminator import CHAOS_FLAP_COOLDOWN_S, EliminatorConfig
@@ -55,6 +54,7 @@ from repro.perfmodel.bandwidth import memory_bandwidth_demand
 from repro.perfmodel.catalog import ALL_MODEL_NAMES, get_model
 from repro.perfmodel.stages import TrainSetup
 from repro.perfmodel.utilization import optimal_cores, utilization_curve
+from repro.profiling import Profiler
 from repro.workload.job import JobKind
 from repro.workload.tracegen import TraceConfig, generate_trace
 from repro.workload.traceio import save_trace
@@ -149,8 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--profile", action="store_true",
-        help="measure per-subsystem wall-clock time shares during the run "
-        "and print them after the summary (the run's outputs are "
+        help="book host time and event counts per event category during "
+        "the run and print them after the summary (the run's outputs are "
         "unchanged)",
     )
     run.add_argument(
@@ -339,49 +339,49 @@ def _cmd_run(args: argparse.Namespace) -> int:
     pool = SimPool(
         cache=None if observed or checkpointing else _cache_from_args(args)
     )
-    profiler = profiling.enable() if args.profile else None
-    try:
-        if observed:
-            scheduler = build_scheduler(
-                args.policy,
-                coda_config=coda_config,
-                restart_policy=restart_policy,
-            )
-            result = run_scenario(
-                scenario, scheduler, auditor=auditor, health_config=health_config
-            )
-        elif checkpointing:
-            from repro.checkpoint import CheckpointError, execute_with_checkpoints
+    profiler = Profiler() if args.profile else None
+    if observed:
+        scheduler = build_scheduler(
+            args.policy,
+            coda_config=coda_config,
+            restart_policy=restart_policy,
+        )
+        result = run_scenario(
+            scenario,
+            scheduler,
+            auditor=auditor,
+            health_config=health_config,
+            profiler=profiler,
+        )
+    elif checkpointing:
+        from repro.checkpoint import CheckpointError, execute_with_checkpoints
 
-            spec = RunSpec(
-                scenario=scenario,
-                scheduler=args.policy,
-                coda_config=coda_config,
-                restart_policy=restart_policy,
-                health_config=health_config,
+        spec = RunSpec(
+            scenario=scenario,
+            scheduler=args.policy,
+            coda_config=coda_config,
+            restart_policy=restart_policy,
+            health_config=health_config,
+        )
+        try:
+            result = execute_with_checkpoints(
+                spec,
+                checkpoint_dir=args.checkpoint_dir,
+                checkpoint_every_events=args.checkpoint_interval,
+                restore_from=args.restore,
             )
-            try:
-                result = execute_with_checkpoints(
-                    spec,
-                    checkpoint_dir=args.checkpoint_dir,
-                    checkpoint_every_events=args.checkpoint_interval,
-                    restore_from=args.restore,
-                )
-            except CheckpointError as error:
-                print(f"checkpoint error: {error}", file=sys.stderr)
-                return 1
-        else:
-            spec = RunSpec(
-                scenario=scenario,
-                scheduler=args.policy,
-                coda_config=coda_config,
-                restart_policy=restart_policy,
-                health_config=health_config,
-            )
-            result = pool.map([spec])[0]
-    finally:
-        if profiler is not None:
-            profiling.disable()
+        except CheckpointError as error:
+            print(f"checkpoint error: {error}", file=sys.stderr)
+            return 1
+    else:
+        spec = RunSpec(
+            scenario=scenario,
+            scheduler=args.policy,
+            coda_config=coda_config,
+            restart_policy=restart_policy,
+            health_config=health_config,
+        )
+        result = pool.map([spec])[0]
     collector = result.collector
     gpu_queue = collector.queueing_times(
         JobKind.GPU, include_unstarted_until=result.horizon_s
@@ -451,15 +451,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"\ncache: {pool.stats.render()}" if pool.cache is not None
               else "\ncache: disabled")
     if profiler is not None:
-        total = profiler.total_timed_s()
         print(
             render_table(
-                ["section", "seconds", "share"],
+                ["category", "events", "seconds", "share"],
                 [
-                    (name, f"{seconds:.3f}", f"{share:6.1%}")
-                    for name, seconds, share in profiler.time_shares(total)
+                    (name, profiler.counters[name], f"{seconds:.3f}",
+                     f"{share:6.1%}")
+                    for name, seconds, share in profiler.time_shares()
                 ],
-                title="\nTime shares (of instrumented event time):",
+                title="\nTime shares (host time per event category):",
             )
         )
     if auditor is not None:

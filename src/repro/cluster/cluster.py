@@ -8,6 +8,7 @@ pick and *when* belongs to :mod:`repro.schedulers` and :mod:`repro.core`.
 from __future__ import annotations
 
 import logging
+import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.allocation import Allocation, NodeShare
@@ -223,7 +224,9 @@ class Cluster:
                     utils.append(gpu.utilization)
         if not utils:
             return 0.0
-        return sum(utils) / len(utils)
+        # fsum is exactly rounded, so the mean is the same bytes on every
+        # Python (3.12's sum() compensates, older ones do not).
+        return math.fsum(utils) / len(utils)
 
     def nodes_with_free(
         self, cpus: int, gpus: int, *, among: Optional[Iterable[int]] = None

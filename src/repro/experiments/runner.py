@@ -31,7 +31,6 @@ from typing import (
     Union,
 )
 
-from repro import profiling
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
 from repro.health.config import HealthConfig
@@ -63,6 +62,7 @@ from repro.workload.tracegen import Trace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.invariants import InvariantAuditor
     from repro.faults.injector import FaultInjector
+    from repro.profiling import Profiler
 
 #: LLC footprint a training job's CPU-side workers occupy (MB per node).
 GPU_JOB_LLC_MB = 2.0
@@ -186,6 +186,7 @@ class SimulationRunner(SchedulerContext):
         fault_injector: Optional["FaultInjector"] = None,
         auditor: Optional["InvariantAuditor"] = None,
         health_config: Optional[HealthConfig] = None,
+        profiler: Optional["Profiler"] = None,
     ) -> None:
         if sample_interval_s <= 0:
             raise ValueError(f"non-positive sample interval: {sample_interval_s}")
@@ -226,14 +227,13 @@ class SimulationRunner(SchedulerContext):
         #: When each node last became observable (up, unquarantined);
         #: +inf while it is not.  Missing means observable since t=0.
         self._observable_since: Dict[int, float] = {}
-        active_profiler = profiling.active()
-        if active_profiler is not None:
-            self.engine.set_profiler(active_profiler)
         scheduler.attach(self)
         if fault_injector is not None:
             fault_injector.attach(self)
         if self.auditor is not None:
             self.auditor.attach(self)
+        if profiler is not None:
+            profiler.attach(self.engine)
         if trace is not None:
             self.load_trace(trace)
 
@@ -503,7 +503,6 @@ class SimulationRunner(SchedulerContext):
             # ordering stay byte-identical); only its cost is booked
             # under a distinct profiling category.
             self.engine.recategorize_current_event("schedule-skip")
-            profiling.count("schedule-skips")
             return
         decisions = self.scheduler.schedule(self.cluster, self.engine.now)
         for decision in decisions:
@@ -816,7 +815,6 @@ class SimulationRunner(SchedulerContext):
         )
         self._stale_timer_fires += 1
         self.engine.recategorize_current_event("completion-stale")
-        profiling.count("completion-stale")
         return True
 
     def _on_gpu_complete(self, job_id: str) -> None:

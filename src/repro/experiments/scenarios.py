@@ -25,6 +25,7 @@ from repro.core.coda import CodaConfig, CodaScheduler
 from repro.experiments.runner import RunResult, SimulationRunner
 from repro.faults import FaultConfig, FaultInjector
 from repro.health.config import HealthConfig
+from repro.profiling import Profiler
 from repro.schedulers.base import Scheduler
 from repro.schedulers.drf import DrfScheduler
 from repro.schedulers.fifo import FifoScheduler
@@ -177,12 +178,14 @@ def run_scenario(
     sample_interval_s: float = 300.0,
     auditor: Optional[InvariantAuditor] = None,
     health_config: Optional[HealthConfig] = None,
+    profiler: Optional[Profiler] = None,
 ) -> RunResult:
     """Execute one (scenario, policy) run to its horizon.
 
     ``auditor`` (an :class:`~repro.analysis.invariants.InvariantAuditor`)
-    rides along as an engine observer; because it fires no events, the
-    result is byte-identical with or without it.  ``health_config``
+    and ``profiler`` (a :class:`~repro.profiling.Profiler`) ride along as
+    engine observers; because they fire no events, the result is
+    byte-identical with or without them.  ``health_config``
     replaces the cluster's default node-health tracker — only meaningful
     under fault injection, since without failures no node ever collects a
     strike.
@@ -195,6 +198,7 @@ def run_scenario(
         fault_injector=scenario.build_fault_injector(),
         auditor=auditor,
         health_config=health_config,
+        profiler=profiler,
     )
     return runner.run(until=scenario.horizon_s)
 

@@ -42,6 +42,7 @@ compares it against a from-scratch recomputation
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -175,7 +176,9 @@ class NodeHealthTracker:
 
     def total_quarantine_s(self, now: float) -> float:
         """Quarantine time accumulated through ``now`` across all nodes."""
-        return sum(
+        # fsum, not sum: exactly rounded on every Python (see
+        # Cluster.mean_gpu_utilization).
+        return math.fsum(
             max(0.0, min(span.end, now) - span.start) for span in self.spans
         )
 

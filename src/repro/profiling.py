@@ -1,115 +1,83 @@
-"""Lightweight wall-clock profiling for the simulator's hot paths.
+"""Per-category wall-clock time shares for ``repro-sim run --profile``.
 
-The benchmark harness (``benchmarks/bench_speed.py``) and the CLI's
-``--profile`` flag need per-subsystem *time shares* — how much of a run's
-wall time went to scheduling passes, repricing, the eliminator, metrics
-sampling, and so on.  This module provides the minimal machinery:
-
-* :class:`Profiler` — named section timers (context managers) plus named
-  counters, accumulated in plain dicts;
-* a module-global *active* profiler that instrumented call sites consult.
-  When no profiler is active (the default), :func:`section` hands back a
-  shared no-op context manager and :func:`count` returns immediately, so
-  an uninstrumented run pays one ``None`` check per call site and nothing
-  else.
+:class:`Profiler` is an engine observer.  After each fired event it books
+the host time since its previous call, and one event, under the event's
+*category*: the tag's prefix (``"gpu-done:j17"`` -> ``"gpu-done"``), or the
+category the action chose with
+:meth:`~repro.sim.engine.Engine.recategorize_current_event` (a skipped
+scheduling pass books as ``schedule-skip``, a stale completion timer as
+``completion-stale``).  The interval covers the action, the event loop's
+pop, and any observer registered before the profiler.
 
 The profiler reads the *host* clock — that is the whole point — so it is
 the one simulator module exempt from the codalint CL001 wall-clock rule.
-Profiling never feeds back into simulation decisions: enabling it cannot
-change a run's outputs, only measure them.
+Like every observer it fires no events and never feeds back into the
+simulation: a profiled run is byte-identical to an unprofiled one.  For a
+split of host time by simulator layer rather than by event, use the
+repository benchmark (``perfbench/run.py --trace 1``).
 
-Example (doctest uses counters only, so it is deterministic)::
+Example (doctest reads counters only, so it is deterministic)::
 
+    >>> from repro.sim.engine import Engine
+    >>> engine = Engine()
     >>> profiler = Profiler()
-    >>> profiler.count("events")
-    >>> profiler.count("events", 2)
-    >>> profiler.counters["events"]
+    >>> profiler.attach(engine)
+    >>> _ = engine.schedule(1.0, lambda: None, tag="arrival:j1")
+    >>> _ = engine.schedule(2.0, lambda: None, tag="arrival:j2")
+    >>> _ = engine.schedule(3.0, lambda: engine.recategorize_current_event("skip"))
+    >>> engine.run()
     3
+    >>> profiler.counters
+    {'arrival': 2, 'skip': 1}
 """
 
 from __future__ import annotations
 
 import time
-from types import TracebackType
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple
 
-#: The host clock, bound once at import.  Timed regions fire hundreds of
-#: thousands of times per run, and ``time.perf_counter`` is an attribute
-#: lookup on every call; binding the function object here removes it.  The
-#: engine imports this binding rather than ``time`` directly, keeping all
-#: wall-clock reads routed through the one CL001-exempt module.
+from repro.sim.engine import Engine
+from repro.sim.events import Event
+
+#: The host clock, bound once at import: the observer reads it after every
+#: event, and binding the function object saves an attribute lookup.
 perf_counter = time.perf_counter
 
 
-class _NullSection:
-    """Shared do-nothing context manager for the disabled path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSection":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        return None
-
-
-_NULL_SECTION = _NullSection()
-
-
-class _Section:
-    """One timed ``with`` block; accumulates into its profiler on exit."""
-
-    __slots__ = ("_profiler", "_name", "_t0")
-
-    def __init__(self, profiler: "Profiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_Section":
-        self._t0 = perf_counter()  # codalint: disable=CL001
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        elapsed = perf_counter() - self._t0  # codalint: disable=CL001
-        self._profiler.add_time(self._name, elapsed)
-
-    def rename(self, name: str) -> None:
-        """Re-attribute this section before it closes — used by the engine
-        when an action turns out to be a fast-path variant of its tag
-        category (e.g. a skipped scheduling pass)."""
-        self._name = name
-
-
 class Profiler:
-    """Accumulates named wall-clock timers and counters.
-
-    One instance per measured run.  Sections may nest (an inner section's
-    time is *also* counted in the outer one); the engine-level wiring in
-    :meth:`repro.sim.engine.Engine.set_profiler` keys sections by event
-    tag category, which are disjoint by construction.
-    """
+    """Accumulates host seconds and event counts per event category."""
 
     def __init__(self) -> None:
         self.timers: Dict[str, float] = {}
         self.counters: Dict[str, int] = {}
+        self._engine: Optional[Engine] = None
+        self._last = 0.0
 
     # ------------------------------------------------------------------ #
     # Recording
 
-    def section(self, name: str) -> _Section:
-        """A context manager that adds its elapsed wall time to ``name``."""
-        return _Section(self, name)
+    def attach(self, engine: Engine) -> None:
+        """Register as a post-event observer of ``engine``; the first
+        event's interval starts now."""
+        if self._engine is not None:
+            raise RuntimeError("profiler already attached")
+        self._engine = engine
+        engine.event_category = None
+        engine.add_observer(self._on_event)
+        self._last = perf_counter()  # codalint: disable=CL001
+
+    def _on_event(self, event: Event) -> None:
+        now = perf_counter()  # codalint: disable=CL001
+        engine = self._engine
+        assert engine is not None
+        category = engine.event_category
+        if category is None:
+            category = event.tag.partition(":")[0] or "untagged"
+        else:
+            engine.event_category = None
+        self.add_time(category, now - self._last)
+        self.count(category)
+        self._last = now
 
     def add_time(self, name: str, seconds: float) -> None:
         self.timers[name] = self.timers.get(name, 0.0) + seconds
@@ -129,9 +97,8 @@ class Profiler:
         """``(name, seconds, share)`` rows, largest first.
 
         ``total_s`` (e.g. the run's full wall time) is the denominator;
-        when omitted, the sum of all timed sections is used.  With an
-        explicit total the shares need not add to 1 — the remainder is
-        un-instrumented time (the event loop itself, mostly).
+        when omitted, the sum of all timed categories is used.  With an
+        explicit total the shares need not add to 1.
         """
         denominator = total_s if total_s is not None else self.total_timed_s()
         rows = [
@@ -147,41 +114,3 @@ class Profiler:
             "timers_s": dict(self.timers),
             "counters": {name: float(n) for name, n in self.counters.items()},
         }
-
-
-#: The module-global active profiler; ``None`` means profiling is off.
-_active: Optional[Profiler] = None
-
-
-def enable() -> Profiler:
-    """Install (and return) a fresh active profiler."""
-    global _active
-    _active = Profiler()
-    return _active
-
-
-def disable() -> None:
-    """Deactivate profiling; instrumented call sites go back to no-ops."""
-    global _active
-    _active = None
-
-
-def active() -> Optional[Profiler]:
-    """The active profiler, or ``None`` when profiling is off."""
-    return _active
-
-
-def section(name: str) -> object:
-    """Context manager timing ``name`` on the active profiler (no-op when
-    profiling is off)."""
-    profiler = _active
-    if profiler is None:
-        return _NULL_SECTION
-    return profiler.section(name)
-
-
-def count(name: str, n: int = 1) -> None:
-    """Bump a counter on the active profiler (no-op when profiling is off)."""
-    profiler = _active
-    if profiler is not None:
-        profiler.count(name, n)

@@ -24,14 +24,10 @@ head of the queue::
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.profiling import perf_counter as _perf_counter
 from repro.sim.clock import Clock
 from repro.sim.events import Event, EventHandle, EventPriority
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.profiling import Profiler
 
 #: An engine observer: called after each fired event with the event record.
 Observer = Callable[[Event], None]
@@ -59,10 +55,10 @@ class Engine:
         self._live = 0
         self._running = False
         self._observers: list[Observer] = []
-        self._profiler: Optional["Profiler"] = None
-        # The profiler category of the event currently executing, so the
-        # action can re-attribute itself (see recategorize_current_event).
-        self._current_category: Optional[str] = None
+        #: The category the executing action gave itself through
+        #: recategorize_current_event; an observer that books by category
+        #: reads it after the event and resets it to None.
+        self.event_category: Optional[str] = None
         # Checkpoint-restore bookkeeping: tag -> (time, priority, seq) of
         # snapshotted live events awaiting a rearm() claim.  None outside
         # a begin_restore()/finish_restore() window.
@@ -158,51 +154,22 @@ class Engine:
         self.clock.advance_to(event.time)
         self.now = event.time
         self._fired += 1
-        profiler = self._profiler
-        if profiler is None:
-            # Zero-cost-when-off, literally: no section object, no host
-            # clock read, nothing but this None check.
-            event.action()
-        else:
-            # Time each event under its tag category ("gpu-done:j17" ->
-            # "gpu-done"), giving disjoint per-subsystem wall-time shares.
-            # The category string (not a per-event section object — that
-            # allocation showed up in profiles) is the mutable handle
-            # recategorize_current_event renames.
-            self._current_category = event.tag.partition(":")[0] or "untagged"
-            t0 = _perf_counter()
-            try:
-                event.action()
-            finally:
-                elapsed = _perf_counter() - t0
-                profiler.add_time(self._current_category, elapsed)
-                self._current_category = None
-            profiler.count("events")
+        event.action()
         if self._observers:
             for observer in tuple(self._observers):
                 observer(event)
 
     def recategorize_current_event(self, category: str) -> None:
-        """Re-attribute the currently executing event's profiler time.
+        """Re-attribute the currently executing event to ``category``.
 
         Called from *inside* an event action when it resolves to a
-        distinct fast path (the runner books a skipped scheduling pass
+        distinct fast path: the runner books a skipped scheduling pass
         under ``schedule-skip`` instead of ``schedule-pass``, and a stale
-        completion timer under ``completion-stale``, keeping the reported
-        time shares honest).  A no-op when profiling is off.
+        completion timer under ``completion-stale``.  The category is for
+        observers (:class:`repro.profiling.Profiler`); the run itself is
+        unchanged.
         """
-        if self._current_category is not None:
-            self._current_category = category
-
-    def set_profiler(self, profiler: Optional["Profiler"]) -> None:
-        """Attach (or with ``None``, detach) a wall-clock profiler.
-
-        When attached, each event's action is timed under its tag category
-        and an ``events`` counter is kept.  Profiling reads the host clock
-        only — it never advances simulation time or fires events, so a
-        profiled run is byte-identical to an unprofiled one.
-        """
-        self._profiler = profiler
+        self.event_category = category
 
     def add_observer(self, observer: Observer) -> None:
         """Register a post-event callback (e.g. the invariant auditor).

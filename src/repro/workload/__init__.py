@@ -12,7 +12,7 @@ from repro.workload.tenants import TenantKind, TenantProfile, paper_tenants
 from repro.workload.arrivals import DiurnalRate, poisson_arrivals
 from repro.workload.tracegen import Trace, TraceConfig, generate_trace
 from repro.workload.heat import heat_job
-from repro.workload.traceio import load_trace, save_trace
+from repro.workload.traceio import TraceFormatError, load_trace, save_trace
 
 __all__ = [
     "CpuJob",
@@ -25,6 +25,7 @@ __all__ = [
     "TenantProfile",
     "Trace",
     "TraceConfig",
+    "TraceFormatError",
     "generate_trace",
     "heat_job",
     "load_trace",

@@ -2,14 +2,16 @@
 
 The first line is a header with the trace config; every following line is
 one job.  The format is line-oriented so multi-gigabyte traces can be
-streamed, diffed, and sampled with standard tools.
+streamed, diffed, and sampled with standard tools.  A malformed file
+fails with a :class:`TraceFormatError` naming the file and line.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Union
+from typing import Any, Dict, Iterator, List, Union
 
 from repro.perfmodel.stages import TrainSetup
 from repro.workload.job import CpuJob, GpuJob, Job, JobHints
@@ -17,6 +19,16 @@ from repro.workload.tenants import paper_tenants
 from repro.workload.tracegen import Trace, TraceConfig
 
 _FORMAT_VERSION = 1
+
+
+class TraceFormatError(ValueError):
+    """A trace file :func:`load_trace` cannot read, located by file and
+    1-based line."""
+
+    def __init__(self, path: Path, line: int, reason: str) -> None:
+        super().__init__(f"{path}:{line}: {reason}")
+        self.path = path
+        self.line = line
 
 
 def _job_to_dict(job: Job) -> dict:
@@ -113,20 +125,54 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
             handle.write(json.dumps(_job_to_dict(job)) + "\n")
 
 
+@contextmanager
+def _located(path: Path, line: int) -> Iterator[None]:
+    """Re-raise a malformed line's error as a :class:`TraceFormatError`."""
+    try:
+        yield
+    except json.JSONDecodeError as error:
+        reason = f"invalid JSON: {error.msg} (column {error.colno})"
+        raise TraceFormatError(path, line, reason) from error
+    except KeyError as error:
+        raise TraceFormatError(
+            path, line, f"missing field {error.args[0]!r}"
+        ) from error
+    except (TypeError, ValueError) as error:
+        raise TraceFormatError(path, line, str(error)) from error
+
+
+def _object(text: str) -> Dict[str, Any]:
+    record = json.loads(text)
+    if not isinstance(record, dict):
+        raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+    return record
+
+
 def load_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace written by :func:`save_trace`."""
+    """Read a trace written by :func:`save_trace`.
+
+    Raises:
+        TraceFormatError: when a line is not the JSON object its position
+            calls for (an empty file fails on line 1).
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
         header_line = handle.readline()
         if not header_line:
-            raise ValueError(f"empty trace file: {path}")
-        header = json.loads(header_line)
+            raise TraceFormatError(path, 1, "empty trace file")
+        with _located(path, 1):
+            header = _object(header_line)
         version = header.get("format_version")
         if version != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported trace format version {version!r} in {path}"
+            raise TraceFormatError(
+                path, 1, f"unsupported trace format version {version!r}"
             )
-        config = TraceConfig(**header["config"])
-        jobs = [_job_from_dict(json.loads(line)) for line in handle if line.strip()]
+        with _located(path, 1):
+            config = TraceConfig(**header["config"])
+        jobs: List[Job] = []
+        for number, line in enumerate(handle, start=2):
+            if line.strip():
+                with _located(path, number):
+                    jobs.append(_job_from_dict(_object(line)))
     jobs.sort(key=lambda job: (job.submit_time, job.job_id))
     return Trace(config=config, tenants=paper_tenants(), jobs=jobs)

@@ -9,12 +9,12 @@ activity-indexed monitor surface — with hand-computable numbers.
 
 import pytest
 
-from repro import profiling
 from repro.cluster.cluster import Cluster
 from repro.config import small_cluster
 from repro.experiments.runner import SimulationRunner
 from repro.perfmodel.speed import iteration_time
 from repro.perfmodel.stages import TrainSetup
+from repro.profiling import Profiler
 from repro.schedulers.fifo import FifoScheduler
 from repro.workload.job import CpuJob, GpuJob
 
@@ -91,13 +91,17 @@ class TestLazyCompletionTimers:
         assert runner._stale_timer_fires == 1
 
     def test_stale_fires_book_under_their_own_category(self):
-        profiler = profiling.enable()
-        try:
-            runner = self._straggled_runner(heal_after_s=1e6)
-            runner.engine.run(until=500.0)
-        finally:
-            profiling.disable()
-        assert profiler.counters["completion-stale"] == 1
+        runner = self._straggled_runner(heal_after_s=1e6)
+        profiler = Profiler()
+        profiler.attach(runner.engine)
+        runner.engine.run(until=500.0)
+        # The stale fire at t=100 books under its own category; only the
+        # real completion at t=370 books under its tag's, ``cpu-done``.
+        assert profiler.counters == {
+            "completion-stale": 1,
+            "cpu-done": 1,
+            "schedule-pass": 1,
+        }
         assert "completion-stale" in profiler.timers
         assert runner.collector.records["c"].finish_time == 370.0
 

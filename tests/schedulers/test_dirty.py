@@ -5,13 +5,13 @@ from collections import deque
 
 import pytest
 
-from repro import profiling
 from repro.config import small_cluster
 from repro.experiments.scenarios import (
     Scenario,
     default_schedulers,
     run_scenario,
 )
+from repro.profiling import Profiler
 from repro.schedulers.base import ShareHeap, UsageLedger
 from repro.schedulers.dirty import PassGate
 from repro.workload.tracegen import TraceConfig
@@ -156,8 +156,8 @@ class TestShareHeapEquivalence:
 
 @pytest.mark.parametrize("policy", ("fifo", "drf", "coda"))
 def test_skipped_passes_book_under_schedule_skip(policy):
-    """A skipped pass must not inflate ``schedule-pass``: it books under
-    its own ``schedule-skip`` timer and the ``schedule-skips`` counter.
+    """A skipped pass must not inflate ``schedule-pass``: the profiler
+    observer books it, time and count, under ``schedule-skip``.
 
     Needs a congested cluster — on an idle one every pass is triggered by
     a submit-to-empty-queue or a completion, so nothing is skippable."""
@@ -171,16 +171,14 @@ def test_skipped_passes_book_under_schedule_skip(policy):
         ),
         drain_s=3600.0,
     )
-    profiler = profiling.enable()
-    try:
-        result = run_scenario(
-            scenario,
-            default_schedulers()[policy](),
-            sample_interval_s=3600.0,
-        )
-    finally:
-        profiling.disable()
-    assert result.events_fired > 0
-    assert profiler.counters.get("schedule-skips", 0) > 0
-    assert "schedule-skip" in profiler.timers
-    assert "schedule-pass" in profiler.timers
+    profiler = Profiler()
+    result = run_scenario(
+        scenario,
+        default_schedulers()[policy](),
+        sample_interval_s=3600.0,
+        profiler=profiler,
+    )
+    assert result.events_fired == sum(profiler.counters.values())
+    assert profiler.counters["schedule-skip"] > 0
+    assert profiler.counters["schedule-pass"] > 0
+    assert set(profiler.timers) == set(profiler.counters)

@@ -1,11 +1,11 @@
-"""The profiling module and its engine wiring.
+"""The ``--profile`` observer: host time and event counts per category.
 
-Profiling must be observational only: enabling it may never change what a
-run computes, and the disabled path must stay allocation-free (a shared
-no-op section object).
+Profiling must be observational only: attaching a profiler may never
+change what a run computes.
 """
 
-from repro import profiling
+import pytest
+
 from repro.profiling import Profiler
 from repro.sim.engine import Engine
 
@@ -18,13 +18,16 @@ class TestProfiler:
         assert profiler.counters["events"] == 5
 
     def test_section_accumulates_time(self):
+        # Two events of one category book into one timer.
+        engine = Engine()
         profiler = Profiler()
-        with profiler.section("work"):
-            pass
-        with profiler.section("work"):
-            pass
-        assert profiler.timers["work"] >= 0.0
+        profiler.attach(engine)
+        engine.schedule(1.0, lambda: None, tag="work:a")
+        engine.schedule(2.0, lambda: None, tag="work:b")
+        engine.run()
         assert set(profiler.timers) == {"work"}
+        assert profiler.timers["work"] >= 0.0
+        assert profiler.counters == {"work": 2}
 
     def test_add_time_and_total(self):
         profiler = Profiler()
@@ -62,60 +65,40 @@ class TestProfiler:
         assert profiler.timers["a"] == 1.5
 
 
-class TestModuleGlobal:
-    def test_disabled_by_default_and_noop(self):
-        profiling.disable()
-        assert profiling.active() is None
-        with profiling.section("anything"):
-            pass
-        profiling.count("anything")  # silently dropped
-
-    def test_disabled_section_is_shared_singleton(self):
-        profiling.disable()
-        assert profiling.section("a") is profiling.section("b")
-
-    def test_enable_installs_fresh_profiler(self):
-        try:
-            first = profiling.enable()
-            profiling.count("n")
-            second = profiling.enable()
-            assert second is profiling.active()
-            assert second is not first
-            assert "n" not in second.counters
-        finally:
-            profiling.disable()
-
-    def test_active_profiler_records(self):
-        try:
-            profiler = profiling.enable()
-            with profiling.section("tick"):
-                pass
-            profiling.count("ticks")
-            assert profiler.counters["ticks"] == 1
-            assert "tick" in profiler.timers
-        finally:
-            profiling.disable()
-
-
 class TestEngineWiring:
     def test_events_grouped_by_tag_category(self):
         engine = Engine()
         profiler = Profiler()
-        engine.set_profiler(profiler)
+        profiler.attach(engine)
         fired = []
         engine.schedule(1.0, lambda: fired.append("a"), tag="arrival:j1")
         engine.schedule(2.0, lambda: fired.append("b"), tag="sample")
         engine.schedule(3.0, lambda: fired.append("c"))
+        engine.schedule(4.0, lambda: fired.append("d"), tag="arrival:j2")
         engine.run()
-        assert fired == ["a", "b", "c"]
-        assert profiler.counters["events"] == 3
+        assert fired == ["a", "b", "c", "d"]
+        assert profiler.counters == {"arrival": 2, "sample": 1, "untagged": 1}
         assert set(profiler.timers) == {"arrival", "sample", "untagged"}
+
+    def test_recategorized_event_books_under_its_new_category(self):
+        engine = Engine()
+        profiler = Profiler()
+        profiler.attach(engine)
+        engine.schedule(
+            1.0,
+            lambda: engine.recategorize_current_event("schedule-skip"),
+            tag="schedule-pass",
+        )
+        engine.schedule(2.0, lambda: None, tag="schedule-pass")
+        engine.run()
+        # The rename covers only the event that asked for it.
+        assert profiler.counters == {"schedule-skip": 1, "schedule-pass": 1}
 
     def test_profiler_does_not_change_event_order(self):
         def run(profiler):
             engine = Engine()
             if profiler is not None:
-                engine.set_profiler(profiler)
+                profiler.attach(engine)
             order = []
             engine.schedule(2.0, lambda: order.append("late"), tag="a")
             engine.schedule(1.0, lambda: order.append("early"), tag="b")
@@ -123,3 +106,9 @@ class TestEngineWiring:
             return order, engine.fired
 
         assert run(None) == run(Profiler())
+
+    def test_attaching_twice_is_rejected(self):
+        profiler = Profiler()
+        profiler.attach(Engine())
+        with pytest.raises(RuntimeError):
+            profiler.attach(Engine())

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.workload.tracegen import TraceConfig, generate_trace
-from repro.workload.traceio import load_trace, save_trace
+from repro.workload.traceio import TraceFormatError, load_trace, save_trace
 
 
 @pytest.fixture
@@ -64,3 +64,52 @@ class TestErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             load_trace(path)
+
+
+def _drop_tenant(lines):
+    record = json.loads(lines[1])
+    del record["tenant_id"]
+    lines[1] = json.dumps(record)
+    return 2, "missing field 'tenant_id'"
+
+
+def _truncate_json(lines):
+    lines[1] = lines[1][:-5]
+    return 2, "invalid JSON"
+
+
+def _null_hints(lines):
+    index = next(i for i, line in enumerate(lines) if '"kind": "gpu"' in line)
+    record = json.loads(lines[index])
+    record["hints"] = None
+    lines[index] = json.dumps(record)
+    return index + 1, "mapping"
+
+
+def _empty(lines):
+    lines.clear()
+    return 1, "empty trace file"
+
+
+def _bad_version(lines):
+    lines[0] = json.dumps({"format_version": 99, "config": {}})
+    return 1, "format version 99"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_tenant, _truncate_json, _null_hints, _empty, _bad_version],
+    ids=["missing-field", "bad-json", "null-hints", "empty", "bad-version"],
+)
+def test_malformed_trace_names_file_and_line(corrupt, small_trace, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    save_trace(small_trace, path)
+    lines = path.read_text().splitlines()
+    line, fragment = corrupt(lines)
+    path.write_text("".join(text + "\n" for text in lines))
+    with pytest.raises(TraceFormatError) as caught:
+        load_trace(path)
+    assert caught.value.path == path
+    assert caught.value.line == line
+    assert str(caught.value).startswith(f"{path}:{line}: ")
+    assert fragment in str(caught.value)
