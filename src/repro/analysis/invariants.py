@@ -31,6 +31,15 @@ laws the evaluation rests on:
   early (it fires stale and re-arms), never late — validate-on-pop is
   only sound in that direction.  Checked only when attached to a
   :class:`~repro.experiments.runner.SimulationRunner`.
+* **IV011** — activity-indexed monitor: every observable (up,
+  unquarantined) node outside the runner's monitor active set is
+  telemetry-up, holds no MBA throttle, and hosts no CPU job or sits
+  below the eliminator's bandwidth threshold — the only nodes whose
+  eager monitor check would refresh a sample stamp and nothing else.
+  Checked only while the eliminator's pressure watch is installed.
+* **IV012** — queue depths: the scheduler's O(1) ``queue_depths()``
+  equals a walk of its queues, so a pass skipped for empty queues
+  really had nothing queued.
 
 Sweeps run on the first event of every ``interval_s``-aligned window of
 simulated time, a pure function of the fired event times, so a run
@@ -53,7 +62,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.mba import MBA_LEVELS
 from repro.health.tracker import NodeHealthState
 from repro.metrics.audit import AuditStats, InvariantViolation
-from repro.schedulers.base import Scheduler
+from repro.schedulers.base import Scheduler, depths_of
 from repro.schedulers.drf import DrfScheduler
 from repro.sim.engine import Engine
 from repro.sim.events import Event
@@ -194,6 +203,9 @@ class InvariantAuditor:
         self._check_health_index(self._cluster)
         if self._runner is not None:
             self._check_completion_timers(self._runner)
+            self._check_monitor_index(self._runner)
+        if self._scheduler is not None:
+            self._check_queue_depths(self._scheduler)
         if isinstance(self._scheduler, DrfScheduler):
             self._check_drf_shares(self._scheduler, self._cluster)
         return self.stats.violation_count - before
@@ -503,6 +515,53 @@ class InvariantAuditor:
                         f"its completion time {record.completion_time}"
                     ),
                 )
+
+    # -- IV011 ---------------------------------------------------------- #
+
+    def _check_monitor_index(self, runner: "SimulationRunner") -> None:
+        """A node the monitor skips is one its tick could not act on."""
+        threshold = runner._monitor_threshold
+        if threshold is None:
+            return
+        now = self._engine.now if self._engine is not None else 0.0
+        cluster = runner.cluster
+        skipped = set(range(len(cluster.nodes))) - runner._monitor_active
+        skipped.difference_update(cluster.health.quarantined_nodes(now))
+        for node_id in sorted(skipped):
+            node = cluster.node(node_id)
+            if not node.is_up:
+                continue
+            bandwidth = node.bandwidth
+            self._assert(
+                bandwidth.telemetry_up(now)
+                and not node.mba.has_throttles()
+                and (
+                    not bandwidth.has_cpu_jobs()
+                    or bandwidth.pressure < threshold
+                ),
+                "IV011",
+                lambda node=node, bandwidth=bandwidth: (
+                    f"node {node.node_id} is outside the monitor's active "
+                    f"set but telemetry_up={bandwidth.telemetry_up(now)}, "
+                    f"throttles={node.mba.has_throttles()}, "
+                    f"cpu_jobs={bandwidth.has_cpu_jobs()}, pressure "
+                    f"{bandwidth.pressure} vs threshold {threshold}"
+                ),
+            )
+
+    # -- IV012 ---------------------------------------------------------- #
+
+    def _check_queue_depths(self, scheduler: Scheduler) -> None:
+        depths = scheduler.queue_depths()
+        walked = depths_of(scheduler.pending_jobs())
+        self._assert(
+            depths == walked,
+            "IV012",
+            lambda: (
+                f"{scheduler.name} reports queue depths (gpu, cpu) = "
+                f"{depths}, a walk of its queues gives {walked}"
+            ),
+        )
 
     # ------------------------------------------------------------------ #
 

@@ -212,21 +212,29 @@ class Cluster:
         devices (Sec. III-A1); passing ``active_only=False`` averages over
         every GPU, idle ones counting as zero.
         """
+        active, overall = self.gpu_utilization_means()
+        return active if active_only else overall
+
+    def gpu_utilization_means(self) -> Tuple[float, float]:
+        """``(active-only mean, overall mean)`` from one cluster walk.
+
+        Idle GPUs add only 0.0 terms to the overall sum, and ``fsum`` is
+        exactly rounded (the same bytes on every Python), so the overall
+        mean is the active sum over every GPU.  Failed GPUs read 0.0.
+        """
         utils: List[float] = []
+        gpus = 0
         for node in self.nodes:
-            if active_only and node.used_gpus == 0:
+            gpus += len(node.gpus)
+            if node.used_gpus == 0:
                 continue  # no owned GPUs: nothing would be appended
             for gpu in node.gpus:
-                if gpu.is_free:
-                    if not active_only:
-                        utils.append(0.0)
-                else:
+                if not gpu.is_free:
                     utils.append(gpu.utilization)
         if not utils:
-            return 0.0
-        # fsum is exactly rounded, so the mean is the same bytes on every
-        # Python (3.12's sum() compensates, older ones do not).
-        return math.fsum(utils) / len(utils)
+            return 0.0, 0.0
+        total = math.fsum(utils)
+        return total / len(utils), total / gpus
 
     def nodes_with_free(
         self, cpus: int, gpus: int, *, among: Optional[Iterable[int]] = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 
 @dataclass
@@ -52,6 +52,8 @@ class BandwidthMonitor:
         # there instead of being re-summed on every pressure reading.
         self._total_granted = 0.0
         self._cpu_job_count = 0
+        #: ``(threshold, wake)`` installed by :meth:`watch_pressure`.
+        self._watch: Optional[Tuple[float, Callable[[], None]]] = None
 
     # ------------------------------------------------------------------ #
     # Telemetry health (fault injection)
@@ -99,6 +101,28 @@ class BandwidthMonitor:
         """
         if self._last_sample_time is None or when > self._last_sample_time:
             self._last_sample_time = when
+
+    def watch_pressure(self, threshold: float, wake: Callable[[], None]) -> None:
+        """Call ``wake`` whenever this node hosts a CPU job at a pressure
+        of at least ``threshold``: now, if that holds already, and after
+        every arbitration that leaves it so.
+
+        Every grant change runs :meth:`_arbitrate`, so no pressure change
+        escapes the watch.  The activity-indexed monitor relies on that
+        to let CPU-hosting nodes below the eliminator's threshold drop
+        out of its active set.
+        """
+        self._watch = (threshold, wake)
+        self._check_watch()
+
+    def _check_watch(self) -> None:
+        watch = self._watch
+        if (
+            watch is not None
+            and self._cpu_job_count > 0
+            and self.pressure >= watch[0]
+        ):
+            watch[1]()
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -255,6 +279,11 @@ class BandwidthMonitor:
     # Arbitration
 
     def _arbitrate(self) -> None:
+        """Re-grant every job, then let the pressure watch look."""
+        self._water_fill()
+        self._check_watch()
+
+    def _water_fill(self) -> None:
         """Max-min fair water-filling of capacity over effective demands.
 
         Classic algorithm: repeatedly split the remaining capacity equally

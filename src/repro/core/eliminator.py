@@ -105,6 +105,7 @@ class ContentionEliminator:
         if not self.config.enabled or self._armed:
             return
         self._armed = True
+        context.monitor_watch_pressure(self.config.bandwidth_threshold)
         self._arm(context)
 
     def stop(self) -> None:
@@ -132,13 +133,14 @@ class ContentionEliminator:
         now = context.now
         quarantined = set(context.cluster.health.quarantined_nodes(now))
         nodes = context.cluster.nodes
-        # Activity-indexed: only nodes the context flags as active (CPU
-        # jobs, live throttles, or an open telemetry outage) are examined.
-        # A node outside the set could only ever take the no-CPU-jobs fast
-        # path below, whose sole side effect is the observe() freshness
-        # stamp — which the context back-fills on re-activation — so the
-        # skip is decision-invisible.  The default context returns every
-        # node, reproducing the historical full scan.
+        # Activity-indexed: only nodes the context flags as active (live
+        # throttles, CPU jobs at or above the threshold, or an open
+        # telemetry outage) are examined.  A node outside the set could
+        # only ever take the nothing-to-act-on fast path below, whose sole
+        # side effect is the observe() freshness stamp — which the context
+        # back-fills on re-activation — so the skip is decision-invisible.
+        # The default context returns every node, reproducing the
+        # historical full scan.
         for node_id in context.monitor_active_node_ids():
             node = nodes[node_id]
             if not node.is_up or node_id in quarantined:
@@ -164,16 +166,22 @@ class ContentionEliminator:
                 self.stale_skips += 1
                 return
             pressure = node.bandwidth.pressure
-        if not node.bandwidth.has_cpu_jobs() and not node.mba.has_throttles():
-            # Fast path for the common tick: with no CPU job to throttle
-            # and no throttle to relax, neither branch below can act —
-            # any pressure here is the trainers' own, which Sec. IV-C
-            # deems benign.  (The observe() above still ran, so sample
-            # freshness bookkeeping is identical to the slow path.)
-            # Deactivation needs a *successful* observe: dropping a node
-            # whose telemetry is down would break the back-fill invariant
+        if not node.mba.has_throttles() and (
+            not node.bandwidth.has_cpu_jobs()
+            or pressure < self.config.bandwidth_threshold
+        ):
+            # Fast path for the common tick: with no throttle to relax,
+            # and either no CPU job to throttle or pressure below the
+            # trigger, neither branch below can act — pressure without a
+            # CPU job is the trainers' own, which Sec. IV-C deems benign.
+            # (The observe() above still ran, so sample freshness
+            # bookkeeping is identical to the slow path.)  Deactivation
+            # needs a *successful* observe: dropping a node whose
+            # telemetry is down would break the back-fill invariant
             # ("outside the set implies telemetry up at every skipped
-            # tick") the activity index relies on.
+            # tick") the activity index relies on.  The context's
+            # pressure watch brings the node back once a CPU-hosting
+            # node reaches the threshold.
             if sampled:
                 context.monitor_deactivate_node(node.node_id)
             return

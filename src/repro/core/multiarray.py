@@ -51,6 +51,7 @@ from repro.schedulers.base import (
     ShareHeap,
     StartDecision,
     UsageLedger,
+    depths_of,
 )
 from repro.schedulers.dirty import PassGate
 from repro.schedulers.placement import (
@@ -101,6 +102,11 @@ class MultiArrayScheduler(Scheduler):
         #: User-facing inference jobs outrank everything (Sec. V-A): their
         #: own queues drain first and may use any free cores.
         self._inference_queues: Dict[int, Deque[CpuJob]] = {}
+        #: O(1) queue depths: jobs in both GPU sub-arrays, and in the CPU
+        #: and inference queues.  Moved at every append, appendleft,
+        #: popleft and del on a queue; recomputed on restore.
+        self._gpu_queued = 0
+        self._cpu_queued = 0
         self._gpu_ledger = UsageLedger()
         self._cpu_ledger = UsageLedger()
 
@@ -179,6 +185,7 @@ class MultiArrayScheduler(Scheduler):
             if not queue:
                 self._gpu_heap(group).push(job.tenant_id)
             queue.append(job)
+            self._gpu_queued += 1
         elif isinstance(job, CpuJob):
             if job.is_inference:
                 queues, group, heap = (
@@ -195,6 +202,7 @@ class MultiArrayScheduler(Scheduler):
                 self._gate.mark(group)
                 heap.push(job.tenant_id)
             queue.append(job)
+            self._cpu_queued += 1
         else:
             raise TypeError(f"unknown job type: {type(job).__name__}")
 
@@ -283,14 +291,17 @@ class MultiArrayScheduler(Scheduler):
             self._gate.mark(group)
             self._gpu_heap(group).push(job.tenant_id)
             queue.appendleft(job)
+            self._gpu_queued += 1
         elif job.is_inference:
             self._gate.mark("inference")
             self._heap_inference.push(job.tenant_id)
             self._inference_queues.setdefault(job.tenant_id, deque()).appendleft(job)
+            self._cpu_queued += 1
         else:
             self._gate.mark("cpu")
             self._heap_cpu.push(job.tenant_id)
             self._cpu_queues.setdefault(job.tenant_id, deque()).appendleft(job)
+            self._cpu_queued += 1
 
     def _forget(self, job_id: str) -> None:
         self._running.pop(job_id, None)
@@ -338,10 +349,11 @@ class MultiArrayScheduler(Scheduler):
         pending.sort(key=lambda job: (job.submit_time, job.job_id))
         return pending
 
+    def queue_depths(self) -> Tuple[int, int]:
+        return self._gpu_queued, self._cpu_queued
+
     def gpu_queue_empty(self) -> bool:
-        return all(
-            not queue for queue in self._gpu_queues_big.values()
-        ) and all(not queue for queue in self._gpu_queues_small.values())
+        return not self._gpu_queued
 
     # ------------------------------------------------------------------ #
     # The scheduling pass
@@ -403,9 +415,21 @@ class MultiArrayScheduler(Scheduler):
         return decisions
 
     def can_skip_pass(self, cluster: Cluster) -> bool:
+        """The gate's verdict, clean groups or empty queues.
+
+        An empty-queue skip leaves the post-pass couplings where the pass
+        would have left them.  GPU jobs leave the queues only inside a
+        pass, so GPU queues empty now were empty when the last pass
+        ended, and ``_gpu_idle_prev`` is already True.  The pending
+        borrow sets empty as soon as the runner executes a pass's
+        starts.  The gate keeps its older dirty set and capacity
+        reading, which can only make the next pass scan more groups.
+        """
         if self._layout is None:
             return False  # the first pass must build the layout
-        return self._gate.can_skip_pass(cluster)
+        return self._gate.can_skip_pass(
+            cluster, self._gpu_queued + self._cpu_queued
+        )
 
     # -------------------------- GPU array ----------------------------- #
 
@@ -424,7 +448,10 @@ class MultiArrayScheduler(Scheduler):
                 self._gpu_queues_big, cluster, free, decisions, preempted,
                 heap=self._heap_gpu_big if self._gate.enabled else None,
             )
-        if self._gate.should_scan("gpu_small", cluster):
+        # A reclaim returns a victim's share to ``free`` mid-pass, which
+        # can unblock a clean group scanned after it: once this pass has
+        # planned a preemption, every later group is scanned.
+        if preempted or self._gate.should_scan("gpu_small", cluster):
             self._schedule_gpu_subarray(
                 self._gpu_queues_small, cluster, free, decisions, preempted,
                 heap=self._heap_gpu_small if self._gate.enabled else None,
@@ -482,6 +509,7 @@ class MultiArrayScheduler(Scheduler):
             job = queue[placed_index]
             free.commit(placements)
             del queue[placed_index]
+            self._gpu_queued -= 1
             # DRF inside the GPU array goes "according to the usage of GPU"
             # (Sec. V-C), so cores are not counted against the share.
             self._gpu_ledger.start(
@@ -848,13 +876,15 @@ class MultiArrayScheduler(Scheduler):
         layout = self._layout
         assert layout is not None
         incremental = self._gate.enabled
-        scan_inference = self._gate.should_scan("inference", cluster)
-        scan_cpu = self._gate.should_scan("cpu", cluster)
+        # Reclaims earlier in this pass returned capacity to ``free``
+        # (see _schedule_gpu_array).
+        scan_inference = bool(preempted) or self._gate.should_scan(
+            "inference", cluster
+        )
+        scan_cpu = bool(preempted) or self._gate.should_scan("cpu", cluster)
         if not scan_inference and not scan_cpu:
             return
-        if not any(self._inference_queues.values()) and not any(
-            self._cpu_queues.values()
-        ):
+        if not self._cpu_queued:
             # Nothing queued in either CPU class: both tenant loops below
             # would spin zero iterations, so skip the headroom census too.
             return
@@ -886,6 +916,7 @@ class MultiArrayScheduler(Scheduler):
                 continue
             free.commit(placement)
             queue.popleft()
+            self._cpu_queued -= 1
             self._cpu_ledger.start(job.job_id, job.tenant_id, job.cores, 0)
             if heap is not None:
                 self._push_cpu_tenant(job.tenant_id)
@@ -934,6 +965,7 @@ class MultiArrayScheduler(Scheduler):
             else:
                 normal_used[node_id] = normal_used.get(node_id, 0) + job.cores
             queue.popleft()
+            self._cpu_queued -= 1
             self._cpu_ledger.start(job.job_id, job.tenant_id, job.cores, 0)
             if heap is not None:
                 self._push_cpu_tenant(job.tenant_id)
@@ -1057,6 +1089,7 @@ class MultiArrayScheduler(Scheduler):
         self._gpu_queues_big = queues_from(state["gpu_big"])
         self._cpu_queues = queues_from(state["cpu"])
         self._inference_queues = queues_from(state["inference"])
+        self._gpu_queued, self._cpu_queued = depths_of(self.pending_jobs())
         self._gpu_ledger.restore(state["gpu_ledger"])
         self._cpu_ledger.restore(state["cpu_ledger"])
         self._running = {

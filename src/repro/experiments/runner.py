@@ -218,11 +218,15 @@ class SimulationRunner(SchedulerContext):
         #: (parity tests set the env var per runner, never mid-run).
         self._reference = reference_mode()
         self._stale_timer_fires = 0
-        #: Nodes the eliminator must tick: hosts of CPU jobs or live
-        #: throttles, plus telemetry-outage nodes until a successful
-        #: observe clears them.  See the "Activity-indexed monitoring"
-        #: section for the skip-soundness invariant.
+        #: Nodes the eliminator must tick: hosts of live throttles or of
+        #: CPU jobs at or above the eliminator's bandwidth threshold, plus
+        #: telemetry-outage nodes until a successful observe clears them.
+        #: See the "Activity-indexed monitoring" section for the
+        #: skip-soundness invariant.
         self._monitor_active: Set[int] = set()
+        #: The threshold the pressure watch wakes nodes at; None until
+        #: the eliminator installs it (and always under reference mode).
+        self._monitor_threshold: Optional[float] = None
         self._monitor_last_tick: Optional[float] = None
         #: When each node last became observable (up, unquarantined);
         #: +inf while it is not.  Missing means observable since t=0.
@@ -422,17 +426,20 @@ class SimulationRunner(SchedulerContext):
     # ------------------------------------------------------------------ #
     # Activity-indexed monitoring (the eliminator's tick surface)
     #
-    # The eliminator's per-node work is a no-op unless the node hosts CPU
-    # jobs or live throttles, so its tick iterates an incrementally
-    # maintained active set instead of the whole cluster.  Skip-soundness
-    # invariant: a node outside the set was up, unquarantined,
-    # telemetry-up and CPU-idle at every tick it was skipped for —
-    # membership is granted *before* any of those can stop holding (a CPU
-    # job starts, a telemetry outage begins) and only revoked by the
-    # eliminator itself right after a successful observe found nothing to
-    # do.  The only eager-tick state a skipped node would have gained is
-    # its MBM sample timestamp, which :meth:`_monitor_backfill`
-    # reconstructs whenever the invariant is about to stop holding.
+    # The eliminator's per-node work is a no-op unless the node holds
+    # live throttles or hosts CPU jobs at or above its bandwidth
+    # threshold, so its tick iterates an incrementally maintained active
+    # set instead of the whole cluster.  Skip-soundness invariant (IV011):
+    # a node outside the set was up, unquarantined, telemetry-up,
+    # throttle-free, and CPU-idle or below the threshold at every tick it
+    # was skipped for — membership is granted *before* any of those can
+    # stop holding (a telemetry outage begins, the pressure watch of
+    # :meth:`monitor_watch_pressure` sees a CPU-hosting node reach the
+    # threshold) and only revoked by the eliminator itself right after a
+    # successful observe found nothing to do.  The only eager-tick state
+    # a skipped node would have gained is its MBM sample timestamp, which
+    # :meth:`_monitor_backfill` reconstructs whenever the invariant is
+    # about to stop holding.
 
     def monitor_active_node_ids(self) -> Sequence[int]:
         if self._reference:
@@ -445,6 +452,16 @@ class SimulationRunner(SchedulerContext):
 
     def monitor_note_tick(self, now: float) -> None:
         self._monitor_last_tick = now
+
+    def monitor_watch_pressure(self, threshold: float) -> None:
+        if self._reference:
+            return
+        self._monitor_threshold = threshold
+        for node in self.cluster.nodes:
+            node.bandwidth.watch_pressure(
+                threshold,
+                lambda node_id=node.node_id: self._monitor_activate(node_id),
+            )
 
     def _monitor_backfill(self, node_id: int) -> None:
         """Reconstruct the MBM sample stamp eager ticks would have left.
@@ -601,7 +618,6 @@ class SimulationRunner(SchedulerContext):
             completion=None,  # type: ignore[arg-type]
         )
         self._running_cpu[job.job_id] = record
-        self._monitor_activate(share.node_id)
         self._cpu_incarnation[job.job_id] = (
             self._cpu_incarnation.get(job.job_id, 0) + 1
         )
@@ -1089,9 +1105,10 @@ class SimulationRunner(SchedulerContext):
     # Sampling
 
     def _on_sample(self) -> None:
-        pending = self.scheduler.pending_jobs()
-        gpu_depth = sum(1 for job in pending if job.kind is JobKind.GPU)
-        cpu_depth = len(pending) - gpu_depth
+        gpu_depth, cpu_depth = self.scheduler.queue_depths()
+        gpu_utilization, gpu_utilization_overall = (
+            self.cluster.gpu_utilization_means()
+        )
         total_gpus = self.cluster.total.gpus
         free_fraction = (
             (total_gpus - self.cluster.gpu_active_count()) / total_gpus
@@ -1107,10 +1124,8 @@ class SimulationRunner(SchedulerContext):
         self.collector.sample_cluster(
             self.engine.now,
             gpu_active_rate=self.cluster.gpu_active_rate(),
-            gpu_utilization=self.cluster.mean_gpu_utilization(active_only=True),
-            gpu_utilization_overall=self.cluster.mean_gpu_utilization(
-                active_only=False
-            ),
+            gpu_utilization=gpu_utilization,
+            gpu_utilization_overall=gpu_utilization_overall,
             cpu_active_rate=self.cluster.cpu_active_rate(),
             gpu_queue_depth=gpu_depth,
             cpu_queue_depth=cpu_depth,

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.cluster.cluster import Cluster
 from repro.health.restarts import DeadJob, RestartPolicy
 from repro.sim.events import EventHandle
-from repro.workload.job import Job
+from repro.workload.job import GpuJob, Job
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,9 @@ class SchedulerContext(abc.ABC):
     # examining.  The defaults preserve the historical full-cluster scan,
     # so context implementations that do not maintain an active set (test
     # fakes, minimal drivers) keep working unchanged; SimulationRunner
-    # overrides all three with an incrementally maintained set (nodes with
-    # CPU jobs, live throttles, or an open telemetry outage).
+    # overrides all four with an incrementally maintained set (nodes with
+    # live throttles, an open telemetry outage, or CPU jobs at or above
+    # the eliminator's bandwidth threshold).
 
     def monitor_active_node_ids(self) -> Sequence[int]:
         """Node ids the periodic monitor should examine this tick, in
@@ -136,6 +137,12 @@ class SchedulerContext(abc.ABC):
     def monitor_deactivate_node(self, node_id: int) -> None:
         """The monitor observed ``node_id`` (telemetry up) and found
         nothing to police — the context may drop it from the active set."""
+
+    def monitor_watch_pressure(self, threshold: float) -> None:
+        """The monitor acts on a CPU-hosting node only at a bandwidth
+        pressure of at least ``threshold``: a context that drops nodes
+        from its active set must bring a node back whenever its pressure
+        reaches ``threshold`` while it hosts CPU jobs."""
 
     def monitor_note_tick(self, now: float) -> None:
         """A monitor tick finished at ``now`` (freshness bookkeeping)."""
@@ -271,8 +278,14 @@ class Scheduler(abc.ABC):
     def pending_jobs(self) -> List[Job]:
         """Jobs currently queued (for metrics and debugging)."""
 
+    def queue_depths(self) -> Tuple[int, int]:
+        """``(queued GPU jobs, queued CPU jobs)``.  The default walks
+        :meth:`pending_jobs`; the shipped policies answer from O(1)
+        counts (IV012 checks them against the walk)."""
+        return depths_of(self.pending_jobs())
+
     def queue_depth(self) -> int:
-        return len(self.pending_jobs())
+        return sum(self.queue_depths())
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
@@ -338,6 +351,12 @@ class Scheduler(abc.ABC):
                 )
             job = jobs_by_id[tag.partition(":")[2]]
             engine.rearm(tag, self._make_requeue_action(job, context))
+
+
+def depths_of(jobs: Sequence[Job]) -> Tuple[int, int]:
+    """``(GPU jobs, CPU jobs)`` among ``jobs``, by walking them."""
+    gpu = sum(1 for job in jobs if isinstance(job, GpuJob))
+    return gpu, len(jobs) - gpu
 
 
 @dataclass

@@ -34,7 +34,7 @@ asserts identical decision streams.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterable, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
@@ -95,12 +95,19 @@ class PassGate:
             return True
         return group in self._dirty or self.fresh_capacity(cluster)
 
-    def can_skip_pass(self, cluster: "Cluster") -> bool:
-        """True when every group is clean — the whole pass would produce
-        zero decisions and mutate nothing."""
+    def can_skip_pass(
+        self, cluster: "Cluster", queued: Optional[int] = None
+    ) -> bool:
+        """True when the whole pass would produce zero decisions and
+        mutate nothing: every group is clean, or ``queued`` (the
+        policy's count of queued jobs, when it keeps one) is 0.  Every
+        start, reclaim and preempt decision is made for a queued job, so
+        a pass over empty queues has nothing to decide."""
         if not self._enabled:
             return False
-        return not self._dirty and not self.fresh_capacity(cluster)
+        return queued == 0 or (
+            not self._dirty and not self.fresh_capacity(cluster)
+        )
 
     def pass_done(self, cluster: "Cluster") -> None:
         """A full evaluation of every dirty group just finished."""

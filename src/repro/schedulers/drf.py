@@ -17,7 +17,7 @@ that GPU-starved nodes are missing.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.health.restarts import RestartPolicy
@@ -27,6 +27,7 @@ from repro.schedulers.base import (
     ShareHeap,
     StartDecision,
     UsageLedger,
+    depths_of,
 )
 from repro.schedulers.dirty import PassGate
 from repro.schedulers.placement import FreeState, place_cpu_job, place_gpu_job
@@ -54,6 +55,9 @@ class DrfScheduler(Scheduler):
     ) -> None:
         super().__init__(restart_policy=restart_policy)
         self._queues: Dict[int, Deque[Job]] = {}
+        #: O(1) queue depths ``[gpu, cpu]``, moved at every append,
+        #: appendleft and popleft on a tenant queue.
+        self._queued = [0, 0]
         self._ledger = UsageLedger()
         self._gate = PassGate(("drf",))
         self._share_heap = ShareHeap(self._ledger)
@@ -67,6 +71,7 @@ class DrfScheduler(Scheduler):
             self._gate.mark("drf")
             self._share_heap.push(job.tenant_id)
         queue.append(job)
+        self._queued[_kind(job)] += 1
 
     def job_finished(self, job: Job, now: float) -> None:
         if self._ledger.finish(job.job_id) is not None:
@@ -79,13 +84,14 @@ class DrfScheduler(Scheduler):
         self._ledger.finish(job.job_id)
         self._gate.mark("drf")
         self._queues.setdefault(job.tenant_id, deque()).appendleft(job)
+        self._queued[_kind(job)] += 1
         self._share_heap.push(job.tenant_id)
 
     # ------------------------------------------------------------------ #
     # Progressive filling
 
     def can_skip_pass(self, cluster: Cluster) -> bool:
-        return self._gate.can_skip_pass(cluster)
+        return self._gate.can_skip_pass(cluster, sum(self._queued))
 
     def schedule(self, cluster: Cluster, now: float) -> List[Decision]:
         decisions: List[Decision] = []
@@ -137,6 +143,7 @@ class DrfScheduler(Scheduler):
             return False
         free.commit(placements)
         queue.popleft()
+        self._queued[_kind(head)] -= 1
         requested = head.requested
         self._ledger.start(
             head.job_id, tenant_id, requested.cpus, requested.gpus
@@ -171,6 +178,10 @@ class DrfScheduler(Scheduler):
         pending.sort(key=lambda job: (job.submit_time, job.job_id))
         return pending
 
+    def queue_depths(self) -> Tuple[int, int]:
+        gpu, cpu = self._queued
+        return gpu, cpu
+
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
@@ -190,6 +201,12 @@ class DrfScheduler(Scheduler):
             int(tenant_id): deque(jobs_by_id[job_id] for job_id in job_ids)
             for tenant_id, job_ids in state["tenants"].items()
         }
+        self._queued = list(depths_of(self.pending_jobs()))
         self._ledger.restore(state["ledger"])
         self._gate.mark_all()
         self._share_heap.invalidate()
+
+
+def _kind(job: Job) -> int:
+    """Index of ``job``'s kind in :attr:`DrfScheduler._queued`."""
+    return 0 if isinstance(job, GpuJob) else 1

@@ -20,7 +20,7 @@ fragmentation mechanism of Sec. VI-C.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.health.restarts import RestartPolicy
@@ -77,7 +77,7 @@ class FifoScheduler(Scheduler):
             self._cpu_queue.appendleft(job)
 
     def can_skip_pass(self, cluster: Cluster) -> bool:
-        return self._gate.can_skip_pass(cluster)
+        return self._gate.can_skip_pass(cluster, sum(self.queue_depths()))
 
     def schedule(self, cluster: Cluster, now: float) -> List[Decision]:
         decisions: List[Decision] = []
@@ -112,6 +112,10 @@ class FifoScheduler(Scheduler):
 
     def pending_jobs(self) -> List[Job]:
         return list(self._gpu_queue) + list(self._cpu_queue)
+
+    def queue_depths(self) -> Tuple[int, int]:
+        # One queue per kind: the deque lengths are the O(1) counts.
+        return len(self._gpu_queue), len(self._cpu_queue)
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.config import small_cluster
+from repro.core.coda import CodaScheduler
 from repro.experiments.runner import SimulationRunner
 from repro.perfmodel.speed import iteration_time
 from repro.perfmodel.stages import TrainSetup
@@ -31,14 +32,14 @@ def _gpu(job_id, cpus=3, iters=100, submit=0.0):
     )
 
 
-def _cpu(job_id, cores=4, duration=100.0, submit=0.0):
+def _cpu(job_id, cores=4, duration=100.0, submit=0.0, bw=1.0):
     return CpuJob(
         job_id=job_id,
         tenant_id=2,
         submit_time=submit,
         cores=cores,
         duration_s=duration,
-        bw_demand_gbps=1.0,
+        bw_demand_gbps=bw,
     )
 
 
@@ -97,10 +98,12 @@ class TestLazyCompletionTimers:
         runner.engine.run(until=500.0)
         # The stale fire at t=100 books under its own category; only the
         # real completion at t=370 books under its tag's, ``cpu-done``.
+        # The pass the completion requests finds every queue empty, so
+        # it books as a skip.
         assert profiler.counters == {
             "completion-stale": 1,
             "cpu-done": 1,
-            "schedule-pass": 1,
+            "schedule-skip": 1,
         }
         assert "completion-stale" in profiler.timers
         assert runner.collector.records["c"].finish_time == 370.0
@@ -171,8 +174,11 @@ class TestRepriceMemo:
 class TestActivityIndexedMonitor:
     def test_active_set_tracks_cpu_hosts(self):
         runner = _runner()
+        # What the eliminator installs when it starts (FIFO has none).
+        runner.monitor_watch_pressure(0.75)
         assert list(runner.monitor_active_node_ids()) == []
-        runner.submit_at(0.0, _cpu("c", duration=50.0))
+        # A CPU job streaming past the threshold wakes its node.
+        runner.submit_at(0.0, _cpu("c", duration=50.0, bw=120.0))
         runner.engine.run(until=1.0)
         node_id = runner._running_cpu["c"].node_id
         assert list(runner.monitor_active_node_ids()) == [node_id]
@@ -215,6 +221,51 @@ class TestActivityIndexedMonitor:
         assert list(runner.monitor_active_node_ids()) == [0, 1, 2]
         runner.monitor_deactivate_node(1)
         assert list(runner.monitor_active_node_ids()) == [0, 1, 2]
+
+    def _coda_cpu_host(self):
+        """A CODA runner whose one CPU job streams 120 GB/s, past the
+        eliminator's 75 % threshold of 128 GB/s, until t=10 and 1 GB/s
+        after; the eliminator ticks every 30 s."""
+        runner = SimulationRunner(
+            Cluster(small_cluster(nodes=2)),
+            CodaScheduler(),
+            sample_interval_s=1e9,
+        )
+        runner.submit_at(0.0, _cpu("c", duration=1000.0, bw=120.0))
+        runner.engine.run(until=1.0)
+        node = runner.cluster.node(runner._running_cpu["c"].node_id)
+        runner.engine.run(until=10.0)
+        node.bandwidth.update_demand("c", 1.0)
+        return runner, node
+
+    def test_low_pressure_cpu_host_leaves_the_active_set(self):
+        runner, node = self._coda_cpu_host()
+        assert list(runner.monitor_active_node_ids()) == [node.node_id]
+        runner.engine.run(until=31.0)
+        # The t=30 check read pressure below the threshold with no
+        # throttle to relax: the node drops out, CPU job and all.
+        assert node.bandwidth.has_cpu_jobs()
+        assert node.bandwidth.pressure < runner._monitor_threshold
+        assert list(runner.monitor_active_node_ids()) == []
+
+    def test_pressure_crossing_wakes_node_with_backfilled_stamp(self):
+        runner, node = self._coda_cpu_host()
+        runner.engine.run(until=65.0)  # the t=60 tick skipped the node
+        assert list(runner.monitor_active_node_ids()) == []
+        node.bandwidth.update_demand("c", node.bandwidth.capacity_gbps)
+        assert node.bandwidth.pressure >= runner._monitor_threshold
+        # The arbitration woke the node, and its stamp reads as the
+        # t=60 observe an eager tick would have made.
+        assert list(runner.monitor_active_node_ids()) == [node.node_id]
+        assert node.bandwidth.sample_age(65.0) == 5.0
+
+    def test_eager_hatch_drops_no_cpu_host(self, monkeypatch):
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
+        runner, node = self._coda_cpu_host()
+        runner.engine.run(until=65.0)
+        assert runner._monitor_threshold is None
+        assert list(runner.monitor_active_node_ids()) == [0, 1]
+        assert node.bandwidth.sample_age(65.0) == 5.0  # observed at t=60
 
 
 class TestStaleFiresInRunResult:

@@ -13,7 +13,8 @@ two runs to agree on:
   ``(time, serialized decisions)`` in order.  Passes producing zero
   decisions are excluded: skipping them outright is exactly what the
   incremental run is allowed (and supposed) to do;
-* every scalar outcome.  ``events_fired`` is compared modulo stale timer
+* every scalar outcome, plus the collector's MBA throttle count.
+  ``events_fired`` is compared modulo stale timer
   fires: a lazy run fires extra ``completion-stale`` events (old timers
   surfacing after their completion moved later), each of which only
   re-arms and returns, so
@@ -26,6 +27,11 @@ dirty-set gates and snapshot caches key on.  ``test_lazy_reprice_parity.py``
 adds telemetry dropouts and CPU stragglers (:data:`FAULTS`): stragglers
 are the main source of later-moving completions (stale fires), and
 dropouts exercise the activity-index back-fill of MBM sample timestamps.
+Its knee leg (:func:`knee_scenario`) floods the nodes with
+bandwidth-streaming CPU jobs, so pressure crosses the eliminator's 75 %
+threshold both ways: nodes leave the monitor's active set and the
+pressure watch brings them back, and GPU reprices see grant ratios
+below 1 and a bandwidth excess above the knee.
 See docs/scheduler-internals.md for the argument of *why* the runs must
 be equal; the suites are the empirical check over the full simulator,
 faults and health tracking included.
@@ -33,7 +39,7 @@ faults and health tracking included.
 
 import dataclasses
 
-from repro.config import small_cluster
+from repro.config import ClusterConfig, NodeConfig, small_cluster
 from repro.experiments.scenarios import (
     Scenario,
     default_schedulers,
@@ -106,14 +112,43 @@ def storm_scenario(seed):
     )
 
 
-def run(monkeypatch, policy, seed, faults, reference, *, storm=False):
-    """One complete run under ``faults`` (``None`` for a clean run);
-    returns (non-empty decision stream, scalars, events_fired,
-    stale_timer_fires, passes skipped)."""
-    if storm:
-        scenario = storm_scenario(seed)
-    else:
-        scenario = small_scenario(duration_days=0.2, seed=seed, nodes=6)
+def knee_scenario(seed):
+    """Half the CPU jobs are HEAT-like bandwidth streamers, on six nodes:
+    four at the default 128 GB/s, where CPU jobs push pressure past the
+    75 % knee and back (the eliminator throttles and releases, the
+    monitor drops nodes and the pressure watch wakes them), and two
+    starved at 24 GB/s, where trainers' grant ratios fall below 1."""
+    return Scenario(
+        cluster_config=ClusterConfig(
+            node_groups=(
+                (4, NodeConfig()),
+                (2, NodeConfig(mem_bandwidth_gbps=24.0)),
+            )
+        ),
+        trace_config=TraceConfig(
+            duration_days=0.1,
+            gpu_jobs_per_day=400.0,
+            cpu_jobs_per_day=2000.0,
+            heat_fraction=0.5,
+            inference_fraction=0.1,
+            seed=seed,
+        ),
+        drain_s=3600.0,
+    )
+
+
+LEGS = {
+    "calm": lambda seed: small_scenario(duration_days=0.2, seed=seed, nodes=6),
+    "storm": storm_scenario,
+    "knee": knee_scenario,
+}
+
+
+def run(monkeypatch, policy, seed, faults, reference, *, leg="calm"):
+    """One complete run of ``leg``'s scenario under ``faults`` (``None``
+    for a clean run); returns (non-empty decision stream, scalars,
+    events_fired, stale_timer_fires, passes skipped)."""
+    scenario = LEGS[leg](seed)
     if faults is not None:
         scenario = scenario.with_faults(faults)
     # The env var must be decided *before* the scheduler and runner are
@@ -143,9 +178,13 @@ def run(monkeypatch, policy, seed, faults, reference, *, storm=False):
     scheduler.schedule = recording_schedule  # type: ignore[method-assign]
     scheduler.can_skip_pass = counting_can_skip  # type: ignore[method-assign]
     result = run_scenario(scenario, scheduler, sample_interval_s=1800.0)
+    scalars = {name: getattr(result, name) for name in SCALARS}
+    # MBA throttles are the first thing a monitor skip that hides a
+    # crossing would change.
+    scalars["throttle_events"] = result.collector.throttle_events
     return (
         decisions,
-        {name: getattr(result, name) for name in SCALARS},
+        scalars,
         result.events_fired,
         result.stale_timer_fires,
         len(skips),
@@ -172,9 +211,9 @@ def check_congested(monkeypatch, policy, faults):
     """Parity on the storm scenario, plus proof that the optimized run
     really skipped passes the reference ran — without that the parity
     is vacuous for the dirty-set side."""
-    opt_run = run(monkeypatch, policy, 0, faults, reference=False, storm=True)
+    opt_run = run(monkeypatch, policy, 0, faults, reference=False, leg="storm")
     assert_parity(
         opt_run,
-        run(monkeypatch, policy, 0, faults, reference=True, storm=True),
+        run(monkeypatch, policy, 0, faults, reference=True, leg="storm"),
     )
     assert opt_run[4] > 0, "congested run never skipped a pass"

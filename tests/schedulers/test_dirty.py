@@ -1,19 +1,27 @@
-"""PassGate windows, ShareHeap/linear-scan equivalence, skip accounting."""
+"""PassGate windows, ShareHeap/linear-scan equivalence, skip accounting,
+and the empty-queue skip with its O(1) queue depths."""
 
+import json
 import random
 from collections import deque
 
 import pytest
 
+from repro.checkpoint import build_runner, restore_run, snapshot_run
+from repro.cluster.cluster import Cluster
 from repro.config import small_cluster
+from repro.experiments.runner import SimulationRunner
 from repro.experiments.scenarios import (
     Scenario,
     default_schedulers,
     run_scenario,
+    small_scenario,
 )
+from repro.parallel.spec import RunSpec
 from repro.profiling import Profiler
-from repro.schedulers.base import ShareHeap, UsageLedger
+from repro.schedulers.base import ShareHeap, UsageLedger, depths_of
 from repro.schedulers.dirty import PassGate
+from repro.workload.job import CpuJob
 from repro.workload.tracegen import TraceConfig
 
 
@@ -182,3 +190,76 @@ def test_skipped_passes_book_under_schedule_skip(policy):
     assert profiler.counters["schedule-skip"] > 0
     assert profiler.counters["schedule-pass"] > 0
     assert set(profiler.timers) == set(profiler.counters)
+
+
+def _cpu_job(job_id, submit=0.0):
+    return CpuJob(
+        job_id=job_id,
+        tenant_id=2,
+        submit_time=submit,
+        cores=4,
+        duration_s=50.0,
+        bw_demand_gbps=1.0,
+    )
+
+
+@pytest.mark.parametrize("policy", ("fifo", "drf", "coda"))
+def test_empty_queues_skip_the_pass_freed_capacity_requests(policy):
+    """A completion frees capacity and requests a pass; with every queue
+    empty that pass has nothing to decide, so it books as a skip even
+    though the gate alone would rescan."""
+    runner = SimulationRunner(
+        Cluster(small_cluster(nodes=2)),
+        default_schedulers()[policy](),
+        sample_interval_s=1e9,
+    )
+    profiler = Profiler()
+    profiler.attach(runner.engine)
+    runner.submit_at(0.0, _cpu_job("c"))
+    runner.engine.run(until=100.0)
+    scheduler = runner.scheduler
+    assert runner.collector.records["c"].finish_time == 50.0
+    assert scheduler.queue_depths() == (0, 0)
+    assert scheduler._gate.fresh_capacity(runner.cluster)
+    assert scheduler.can_skip_pass(runner.cluster)
+    assert profiler.counters["schedule-pass"] == 1  # the arrival's pass
+    assert profiler.counters["schedule-skip"] == 1  # the completion's
+
+
+@pytest.mark.parametrize("policy", ("fifo", "drf", "coda"))
+def test_reference_mode_never_skips_empty_queues(monkeypatch, policy):
+    monkeypatch.setenv("REPRO_REFERENCE", "1")
+    runner = SimulationRunner(
+        Cluster(small_cluster(nodes=2)),
+        default_schedulers()[policy](),
+        sample_interval_s=1e9,
+    )
+    runner.submit_at(0.0, _cpu_job("c"))
+    runner.engine.run(until=100.0)
+    assert runner.scheduler.queue_depths() == (0, 0)
+    assert not runner.scheduler.can_skip_pass(runner.cluster)
+
+
+@pytest.mark.parametrize("policy", ("fifo", "drf", "coda"))
+def test_queue_depths_survive_checkpoint_restore(policy):
+    """Counts are recomputed from the restored queues, so a resumed run
+    keeps answering depth queries (and empty-queue skips) exactly."""
+    scenario = small_scenario(duration_days=0.05, seed=0, nodes=2)
+    spec = RunSpec(scenario=scenario, scheduler=policy)
+    runner = build_runner(spec)
+    runner.enable_sampling()
+    deepest = (0, 0)
+    while runner.engine.fired < 400 and sum(deepest) == 0:
+        runner.engine.step()
+        deepest = runner.scheduler.queue_depths()
+    assert sum(deepest) > 0, "the run never queued a job"
+    restored = restore_run(
+        spec, json.loads(json.dumps(snapshot_run(runner, spec)))
+    )
+    scheduler = restored.scheduler
+    assert scheduler.queue_depths() == deepest
+    for _ in range(300):
+        assert scheduler.queue_depths() == depths_of(scheduler.pending_jobs())
+        if restored.engine.peek_time() is None:
+            break
+        restored.engine.step()
