@@ -40,6 +40,12 @@ laws the evaluation rests on:
 * **IV012** — queue depths: the scheduler's O(1) ``queue_depths()``
   equals a walk of its queues, so a pass skipped for empty queues
   really had nothing queued.
+* **IV014** — priced-speed soundness: every running GPU job's speed and
+  utilization, and every running CPU job's speed, equal a fresh
+  recomputation from current cluster state (the runner's pure
+  ``fresh_gpu_price``/``fresh_cpu_speed``).  The runner reprices only
+  jobs whose speed inputs moved; a job this check catches was skipped
+  although an input moved.  Checked only when attached to a runner.
 
 Sweeps run on the first event of every ``interval_s``-aligned window of
 simulated time, a pure function of the fired event times, so a run
@@ -204,6 +210,7 @@ class InvariantAuditor:
         if self._runner is not None:
             self._check_completion_timers(self._runner)
             self._check_monitor_index(self._runner)
+            self._check_priced_speeds(self._runner)
         if self._scheduler is not None:
             self._check_queue_depths(self._scheduler)
         if isinstance(self._scheduler, DrfScheduler):
@@ -562,6 +569,34 @@ class InvariantAuditor:
                 f"{depths}, a walk of its queues gives {walked}"
             ),
         )
+
+    # -- IV014 ---------------------------------------------------------- #
+
+    def _check_priced_speeds(self, runner: "SimulationRunner") -> None:
+        """Every running job's priced speed is what its inputs give now."""
+        for job_id in sorted(runner._running_gpu):
+            record = runner._running_gpu[job_id]
+            priced = (record.speed, record.utilization)
+            fresh = runner.fresh_gpu_price(job_id)
+            self._assert(
+                priced == fresh,
+                "IV014",
+                lambda job_id=job_id, priced=priced, fresh=fresh: (
+                    f"GPU job {job_id} is priced at (speed, utilization) "
+                    f"{priced}; current cluster state gives {fresh}"
+                ),
+            )
+        for job_id in sorted(runner._running_cpu):
+            record = runner._running_cpu[job_id]
+            speed = runner.fresh_cpu_speed(job_id)
+            self._assert(
+                speed == record.speed,
+                "IV014",
+                lambda job_id=job_id, record=record, speed=speed: (
+                    f"CPU job {job_id} is priced at speed {record.speed}; "
+                    f"current cluster state gives {speed}"
+                ),
+            )
 
     # ------------------------------------------------------------------ #
 

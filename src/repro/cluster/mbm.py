@@ -9,14 +9,16 @@ bandwidth by max-min fair water-filling over the node's capacity.
 
 A job whose grant is below its demand runs its memory-bound work slower by
 the ratio ``granted / demand`` — that is how contention reaches the
-performance model.
+performance model.  Every arbitration records the jobs whose ratio moved
+(see :meth:`BandwidthMonitor.drain_changed`), so the runner re-prices
+only those instead of every resident.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 
 @dataclass
@@ -29,6 +31,8 @@ class BandwidthUsage:
     is_inference: bool = False
     cap: Optional[float] = None
     granted: float = 0.0
+    #: ``granted / demand`` (1.0 at zero demand), set by every arbitration.
+    ratio: float = 1.0
 
     @property
     def effective_demand(self) -> float:
@@ -54,6 +58,9 @@ class BandwidthMonitor:
         self._cpu_job_count = 0
         #: ``(threshold, wake)`` installed by :meth:`watch_pressure`.
         self._watch: Optional[Tuple[float, Callable[[], None]]] = None
+        #: Jobs whose grant ratio moved (or that registered) since the
+        #: last :meth:`drain_changed`.
+        self._changed: Set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Telemetry health (fault injection)
@@ -148,6 +155,7 @@ class BandwidthMonitor:
         )
         if is_cpu_job:
             self._cpu_job_count += 1
+        self._changed.add(job_id)
         self._arbitrate()
 
     def update_demand(self, job_id: str, demand_gbps: float) -> None:
@@ -164,6 +172,7 @@ class BandwidthMonitor:
         if usage is not None:
             if usage.is_cpu_job:
                 self._cpu_job_count -= 1
+            self._changed.discard(job_id)
             self._arbitrate()
 
     # ------------------------------------------------------------------ #
@@ -222,10 +231,21 @@ class BandwidthMonitor:
 
         Jobs with zero demand are by definition uncontended.
         """
-        usage = self._usages[job_id]
-        if usage.demand <= 0:
-            return 1.0
-        return usage.granted / usage.demand
+        return self._usages[job_id].ratio
+
+    def drain_changed(self) -> Set[str]:
+        """The jobs whose grant ratio moved since the last drain, plus
+        jobs registered since then; empties the record.
+
+        Every write to a grant or a demand runs :meth:`_water_fill`,
+        which compares each job's new ratio with the one it last
+        recorded, so a job missing here reads the same ratio it did at
+        the last drain.
+        """
+        changed = self._changed
+        if changed:
+            self._changed = set()
+        return changed
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
@@ -259,7 +279,7 @@ class BandwidthMonitor:
     def restore(self, state: Dict[str, Any]) -> None:
         self._usages = {}
         for job_id, demand, is_cpu, is_inf, cap, granted in state["usages"]:
-            self._usages[job_id] = BandwidthUsage(
+            usage = self._usages[job_id] = BandwidthUsage(
                 job_id=job_id,
                 demand=float(demand),
                 is_cpu_job=bool(is_cpu),
@@ -267,6 +287,11 @@ class BandwidthMonitor:
                 cap=None if cap is None else float(cap),
                 granted=float(granted),
             )
+            if usage.demand > 0:
+                usage.ratio = usage.granted / usage.demand
+        # Snapshots are taken between events, when the runner has drained
+        # every node it touched.
+        self._changed = set()
         self._outage_until = float(state["outage_until"])
         raw_sample = state["last_sample_time"]
         self._last_sample_time = (
@@ -288,7 +313,9 @@ class BandwidthMonitor:
 
         Classic algorithm: repeatedly split the remaining capacity equally
         among unsatisfied jobs; jobs whose demand is below the equal share
-        are granted their demand exactly and leave the pool.
+        are granted their demand exactly and leave the pool.  Afterwards
+        each job's grant ratio is refreshed, and a job whose ratio moved
+        joins the changed-set.
         """
         usages = list(self._usages.values())
         demands = [u.effective_demand for u in usages]
@@ -303,37 +330,42 @@ class BandwidthMonitor:
             # grant vector directly.
             for usage, demand in zip(usages, demands):
                 usage.granted = demand if demand > 0 else 0.0
-            total = 0.0
+        else:
+            pending = [u for u in usages if u.effective_demand > 0]
             for usage in usages:
-                if math.isnan(usage.granted):
-                    raise ArithmeticError(
-                        f"NaN bandwidth grant for {usage.job_id}"
-                    )
-                total += usage.granted
-            self._total_granted = total
-            return
-        pending = [u for u in usages if u.effective_demand > 0]
-        for usage in usages:
-            usage.granted = 0.0
-        remaining = self.capacity_gbps
-        while pending and remaining > 1e-12:
-            fair_share = remaining / len(pending)
-            satisfied = [u for u in pending if u.effective_demand <= fair_share]
-            if satisfied:
-                for usage in satisfied:
-                    usage.granted = usage.effective_demand
-                    remaining -= usage.effective_demand
-                pending = [u for u in pending if u.effective_demand > fair_share]
-            else:
-                for usage in pending:
-                    usage.granted = fair_share
-                remaining = 0.0
-                pending = []
-        # Guard against float drift producing grants epsilon above demand.
+                usage.granted = 0.0
+            remaining = self.capacity_gbps
+            while pending and remaining > 1e-12:
+                fair_share = remaining / len(pending)
+                satisfied = [
+                    u for u in pending if u.effective_demand <= fair_share
+                ]
+                if satisfied:
+                    for usage in satisfied:
+                        usage.granted = usage.effective_demand
+                        remaining -= usage.effective_demand
+                    pending = [
+                        u for u in pending if u.effective_demand > fair_share
+                    ]
+                else:
+                    for usage in pending:
+                        usage.granted = fair_share
+                    remaining = 0.0
+                    pending = []
+            # Guard against float drift producing grants epsilon above
+            # demand.
+            for usage, demand in zip(usages, demands):
+                usage.granted = min(usage.granted, demand)
+        changed = self._changed
         total = 0.0
-        for usage in self._usages.values():
-            usage.granted = min(usage.granted, usage.effective_demand)
-            if math.isnan(usage.granted):
+        for usage in usages:
+            granted = usage.granted
+            if math.isnan(granted):
                 raise ArithmeticError(f"NaN bandwidth grant for {usage.job_id}")
-            total += usage.granted
+            total += granted
+            demand = usage.demand
+            ratio = granted / demand if demand > 0 else 1.0
+            if ratio != usage.ratio:
+                usage.ratio = ratio
+                changed.add(usage.job_id)
         self._total_granted = total

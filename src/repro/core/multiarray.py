@@ -129,7 +129,8 @@ class MultiArrayScheduler(Scheduler):
         #: Static per-cluster placement inputs, filled when the layout is
         #: first built (node totals never change after construction).
         self._biggest_node_cores: int = 0
-        self._cpu_capacity: Dict[int, int] = {}
+        #: (node_id, CPU-array cores) per node, in node order.
+        self._cpu_capacity: List[Tuple[int, int]] = []
         #: CPU jobs sitting on reserved (GPU-array) cores: job_id -> node_id.
         self._borrowed_cpu: Dict[str, int] = {}
         #: Small GPU jobs sitting on 4-GPU sub-array nodes: job_id -> node_id.
@@ -369,14 +370,19 @@ class MultiArrayScheduler(Scheduler):
             self._biggest_node_cores = max(
                 node.total_cpus for node in cluster.nodes
             )
-            self._cpu_capacity = {
-                node.node_id: self._layout.cpu_array_capacity(
-                    node.total_cpus, node.total_gpus
+            self._cpu_capacity = [
+                (
+                    node.node_id,
+                    self._layout.cpu_array_capacity(
+                        node.total_cpus, node.total_gpus
+                    ),
                 )
                 for node in cluster.nodes
-            }
+            ]
         decisions: List[Decision] = []
-        free = FreeState.of(cluster, now=now)
+        free = FreeState.of(
+            cluster, now=now, reference=not self._gate.enabled
+        )
         preempted: Set[str] = set()
         self._place_memo = {}
         if self._gate.enabled:
@@ -948,7 +954,7 @@ class MultiArrayScheduler(Scheduler):
                 return
             queue = self._cpu_queues[tenant_id]
             job = queue[0]
-            placement = self._place_cpu_normal(job, cluster, free, normal_used)
+            placement = self._place_cpu_normal(job, free, normal_used)
             borrowed = False
             if placement is None and gpu_idle:
                 placement = place_cpu_job(job, free)
@@ -1021,31 +1027,30 @@ class MultiArrayScheduler(Scheduler):
     def _place_cpu_normal(
         self,
         job: CpuJob,
-        cluster: Cluster,
         free: FreeState,
         normal_used: Dict[int, int],
     ) -> Optional[List[Placement]]:
-        """Best-fit within the CPU array's unreserved per-node capacity."""
-        layout = self._layout
-        assert layout is not None
+        """Best-fit within the CPU array's unreserved per-node capacity.
+
+        The hot loop of a CPU-heavy pass: it reads the snapshot's free
+        map and de-prioritized set directly rather than through
+        ``free_of``/``placement_penalty`` once per node.  The key is the
+        same ``(penalty, headroom, node_id)``.
+        """
+        cores = job.cores
+        free_cpus = free._free
+        flagged = free._deprioritized
         best: Optional[Tuple[int, int, int]] = None  # (penalty, headroom, node_id)
-        capacities = self._cpu_capacity
-        for node in cluster.nodes:
-            capacity = capacities[node.node_id]
-            headroom = capacity - normal_used.get(node.node_id, 0)
-            free_cpus, _ = free.free_of(node.node_id)
-            if headroom < job.cores or free_cpus < job.cores:
+        for node_id, capacity in self._cpu_capacity:
+            headroom = capacity - normal_used.get(node_id, 0)
+            if headroom < cores or free_cpus[node_id][0] < cores:
                 continue
-            key = (
-                free.placement_penalty(node.node_id),
-                headroom,
-                node.node_id,
-            )
+            key = (1 if node_id in flagged else 0, headroom, node_id)
             if best is None or key < best:
                 best = key
         if best is None:
             return None
-        return [(best[2], job.cores, 0)]
+        return [(best[2], cores, 0)]
 
     # ---------------------- checkpoint / restore ----------------------- #
 

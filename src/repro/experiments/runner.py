@@ -4,12 +4,14 @@
 a simulated cluster:
 
 * arrivals and completions are discrete events;
-* every running DNN training job carries (work_done, speed); *any* change
-  of conditions on its nodes — a CPU job starting or finishing, a throttle,
-  a core retune, a new co-located trainer — re-prices its speed from the
-  performance model and reschedules its completion event.  This
-  progress-based execution is what lets contention and adaptive allocation
-  show up in end-to-end latencies;
+* every running job carries (work_done, speed, last_update), and its
+  progress at ``now`` is ``work_done + speed * (now - last_update)``.  A
+  change of the inputs its speed reads — its own cores or grant ratio, or
+  its nodes' post-knee bandwidth, LLC or PCIe contention — re-prices it
+  from the performance model; only a speed that actually moved accrues
+  progress and re-aims the completion event.  This progress-based
+  execution is what lets contention and adaptive allocation show up in
+  end-to-end latencies;
 * the runner implements :class:`~repro.schedulers.base.SchedulerContext`,
   the runtime-control surface CODA's allocator and eliminator act through.
 """
@@ -33,6 +35,7 @@ from typing import (
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
+from repro.cluster.node import Node
 from repro.health.config import HealthConfig
 from repro.health.tracker import NodeHealthTracker
 from repro.metrics.collector import MetricsCollector
@@ -42,6 +45,7 @@ from repro.perfmodel.contention import (
     BANDWIDTH_PRESSURE_THRESHOLD,
     ContentionState,
     effect_key,
+    node_effect_key,
 )
 from repro.perfmodel.pcie import pcie_peak_demand
 from repro.perfmodel.speed import iteration_time
@@ -91,19 +95,11 @@ class _RunningGpu:
     #: fire detects ``completion_time > now`` and re-arms (validate-on-pop,
     #: the ShareHeap idiom).  Invariant: armed time <= completion_time.
     completion_time: float = 0.0
-    #: (cores_per_node, contention effect key) of the last
-    #: ``iteration_time`` call.  An equal key proves the values the speed
-    #: model reads (grant ratio, post-knee bandwidth/LLC excess, PCIe
-    #: ratio — see ``contention.effect_key``) are unchanged, so speed and
-    #: utilization are reused verbatim ([[cache]] contract in
-    #: contracts.toml; bit-identical because iteration_time is pure).
-    state_memo: Optional[Tuple[Any, ...]] = None
-    #: The job's allocation, interconnect, and participating Node objects,
-    #: all fixed for the record's lifetime (a restarted job gets a fresh
-    #: record); cached to keep per-reprice dict lookups off the hot path.
-    allocation: Optional[Allocation] = None
+    #: The job's interconnect and participating Node objects, both fixed
+    #: for the record's lifetime (a restarted job gets a fresh record);
+    #: pinned to keep per-reprice dict lookups off the hot path.
     interconnect: Any = None
-    nodes: Optional[List[Any]] = None
+    nodes: Optional[List[Node]] = None
 
 
 @dataclass
@@ -170,6 +166,46 @@ def _env_auditor() -> Optional["InvariantAuditor"]:
     return InvariantAuditor(strict=True)
 
 
+def _worst_contention(job_id: str, nodes: Sequence[Node]) -> ContentionState:
+    """Worst-case contention across a job's nodes: iterations are paced
+    by the slowest participant."""
+    grant, pressure, llc, pcie = 1.0, 0.0, 0.0, 1.0
+    for node in nodes:
+        bandwidth = node.bandwidth
+        grant = min(grant, bandwidth.grant_ratio(job_id))
+        pressure = max(pressure, bandwidth.pressure)
+        llc = max(llc, node.llc_pressure)
+        pcie = min(pcie, node.pcie.grant_ratio())
+    return ContentionState(
+        bw_grant_ratio=max(grant, 1e-6),
+        node_bw_pressure=pressure,
+        llc_pressure=llc,
+        pcie_grant_ratio=pcie,
+    )
+
+
+def _node_effect_key(node: Node) -> Tuple[float, ...]:
+    """The node's part of every resident trainer's effect key."""
+    return node_effect_key(
+        node.bandwidth.pressure, node.llc_pressure, node.pcie.grant_ratio()
+    )
+
+
+def _cpu_speed(record: _RunningCpu, grant: float) -> float:
+    """A CPU job's speed at bandwidth grant ratio ``grant``.
+
+    HEAT-like jobs are pure bandwidth streamers and slow in direct
+    proportion to their grant; ordinary CPU jobs are mostly compute-bound
+    and only a small fraction of their work stalls.
+    """
+    if record.job.is_heat:
+        bw_factor = grant
+    else:
+        bw_factor = (1.0 - ORDINARY_CPU_BW_BOUND) + ORDINARY_CPU_BW_BOUND * grant
+    core_factor = record.cores / record.job.cores
+    return max(1e-9, core_factor * bw_factor * record.straggle_factor)
+
+
 class SimulationRunner(SchedulerContext):
     """Drives one (trace, scheduler, cluster) simulation."""
 
@@ -212,12 +248,22 @@ class SimulationRunner(SchedulerContext):
         #: incarnation) never touch a successor of the record they slowed.
         self._cpu_incarnation: Dict[str, int] = {}
         self._straggle_count = 0
-        #: Reference mode (``REPRO_REFERENCE=1``): re-price from scratch
-        #: and cancel+reschedule completions on every node touch and tick
-        #: every node, the pre-lazy behaviour.  Read once at construction
-        #: (parity tests set the env var per runner, never mid-run).
+        #: Reference mode (``REPRO_REFERENCE=1``): re-price every resident
+        #: of a touched node from scratch, cancel+reschedule a completion
+        #: whenever its speed moves, and tick every node — the pre-lazy
+        #: behaviour.  Read once at construction (parity tests set the env
+        #: var per runner, never mid-run).
         self._reference = reference_mode()
         self._stale_timer_fires = 0
+        #: Run-scoped ``iteration_time`` memo: (model name, setup, cores
+        #: per node, contention effect key, interconnect) -> (speed,
+        #: utilization).  Every key part is a frozen value and the model
+        #: is pure, so entries never go stale.  Emptied when run() returns;
+        #: unused in reference mode.
+        self._speed_memo: Dict[Tuple[Any, ...], Tuple[float, float]] = {}
+        #: Each node's (bandwidth excess, LLC excess, PCIe grant ratio) at
+        #: its last refresh; see :meth:`_refresh_nodes`.
+        self._node_key_memo: Dict[int, Tuple[float, ...]] = {}
         #: Nodes the eliminator must tick: hosts of live throttles or of
         #: CPU jobs at or above the eliminator's bandwidth threshold, plus
         #: telemetry-outage nodes until a successful observe clears them.
@@ -275,6 +321,10 @@ class SimulationRunner(SchedulerContext):
         self.engine.run(until=until)
         if self.auditor is not None:
             self.auditor.check_now()
+        # A finished runner can linger as cyclic garbage until the next
+        # full collection; it need not hold the memo meanwhile.  A later
+        # run() call refills it (the memo only saves model calls).
+        self._speed_memo.clear()
         return RunResult(
             scheduler_name=self.scheduler.name,
             collector=self.collector,
@@ -350,7 +400,8 @@ class SimulationRunner(SchedulerContext):
                 job_id, demand
             )
             touched.add(share.node_id)
-        self._refresh_nodes(touched)
+        # Cores are a speed input the grant ratio does not carry.
+        self._refresh_nodes(touched, moved=job_id)
         return True
 
     def gpu_job_utilization(self, job_id: str) -> float:
@@ -410,7 +461,9 @@ class SimulationRunner(SchedulerContext):
         self.collector.core_halving_events += 1
         self.scheduler.cpu_job_resized(job_id, new_cores, self.engine.now)
         self._audit("halved", record.job, cores=new_cores)
-        self._refresh_nodes({record.node_id})
+        # Halving scales demand with cores, so an uncontended job keeps a
+        # grant ratio of 1.0: name it, or the refresh would not see it.
+        self._refresh_nodes({record.node_id}, moved=job_id)
         self.request_schedule()
 
     def preempt_job(
@@ -593,7 +646,8 @@ class SimulationRunner(SchedulerContext):
             nodes=list(allocation.node_ids),
             model=job.model_name,
         )
-        self._reprice_gpu(record)
+        # Registration put the job in each node's changed-set, so the
+        # refresh prices it.
         self._refresh_nodes(set(allocation.node_ids))
 
     def _start_cpu_job(
@@ -623,30 +677,44 @@ class SimulationRunner(SchedulerContext):
         )
         self.collector.job_started(job.job_id, now, share.cpus)
         self._audit("started", job, cores=share.cpus, nodes=[share.node_id])
-        self._reprice_cpu(record)
         self._refresh_nodes({share.node_id})
 
     # ------------------------------------------------------------------ #
     # Progress-based execution
+    #
+    # A job's speed is a pure function of its own cores, grant ratio and
+    # (CPU jobs) straggle factor, and of its nodes' contention effect key
+    # (bandwidth excess past the 75 % knee, LLC excess past 1.0, PCIe
+    # grant ratio).  Progress accrues, and the completion timer moves,
+    # only when a reprice finds a new speed: an unchanged speed leaves
+    # ``work_done + speed * (now - last_update)`` and the completion time
+    # exactly where they were.  So a reprice that cannot move the speed
+    # can be skipped without changing a bit, and :meth:`_refresh_nodes`
+    # reprices only jobs whose inputs moved (IV014 checks every priced
+    # speed against a fresh recomputation).
 
-    def _gpu_contention(self, job_id: str) -> ContentionState:
-        """Worst-case contention across the job's nodes: iterations are
-        paced by the slowest participant."""
+    def fresh_gpu_price(self, job_id: str) -> Tuple[float, float]:
+        """(speed, utilization) of a running GPU job, recomputed from
+        current cluster state without memos or writes (IV014)."""
+        record = self._running_gpu[job_id]
         allocation = self.cluster.allocation_of(job_id)
-        grant, pressure, llc, pcie = 1.0, 0.0, 0.0, 1.0
-        for share in allocation.shares:
-            node = self.cluster.node(share.node_id)
-            grant = min(grant, node.bandwidth.grant_ratio(job_id))
-            pressure = max(pressure, node.bandwidth.pressure)
-            llc = max(llc, node.llc_pressure)
-            pcie = min(pcie, node.pcie.grant_ratio())
-        grant = max(grant, 1e-6)
-        return ContentionState(
-            bw_grant_ratio=grant,
-            node_bw_pressure=pressure,
-            llc_pressure=llc,
-            pcie_grant_ratio=pcie,
+        breakdown = iteration_time(
+            record.profile,
+            record.job.setup,
+            record.cores_per_node,
+            _worst_contention(
+                job_id, [self.cluster.node(n) for n in allocation.node_ids]
+            ),
+            interconnect=self.cluster.fabric.for_nodes(allocation.node_ids),
         )
+        return 1.0 / breakdown.total_s, breakdown.utilization
+
+    def fresh_cpu_speed(self, job_id: str) -> float:
+        """A running CPU job's speed, recomputed from current cluster
+        state without writes (IV014)."""
+        record = self._running_cpu[job_id]
+        node = self.cluster.node(record.node_id)
+        return _cpu_speed(record, node.bandwidth.grant_ratio(job_id))
 
     def _accrue(
         self, record: "Union[_RunningGpu, _RunningCpu]", now: float
@@ -657,50 +725,42 @@ class SimulationRunner(SchedulerContext):
         record.last_update = now
 
     def _reprice_gpu(self, record: _RunningGpu) -> None:
-        """Re-price a training job's speed and re-aim its completion.
+        """Re-price a training job; accrue and re-aim its completion only
+        if its speed moved.
 
-        ``state_memo`` keeps repeated touches cheap without changing a
-        single computed value: when the derived :class:`ContentionState`
-        lands on the same effect key as last time, the ``iteration_time``
-        call (a pure function of that key) and the idempotent utilization
-        re-writes are skipped.
+        ``_speed_memo`` returns the (speed, utilization) of an earlier
+        ``iteration_time`` call with the same model, setup, cores,
+        contention effect key and interconnect — bit-identical, because
+        the model is pure.
         """
-        now = self.engine.now
         job_id = record.job.job_id
-        allocation = record.allocation
-        if allocation is None:
+        nodes = record.nodes
+        fresh = nodes is None
+        if nodes is None:
             # First reprice of this record (fresh start or checkpoint
-            # restore): pin the allocation, its interconnect, and the
-            # participating Node objects, all fixed for the record's
-            # lifetime.
-            allocation = record.allocation = self.cluster.allocation_of(job_id)
+            # restore): pin the interconnect and the participating Node
+            # objects, both fixed for the record's lifetime.
+            allocation = self.cluster.allocation_of(job_id)
             record.interconnect = self.cluster.fabric.for_nodes(
                 allocation.node_ids
             )
-            record.nodes = [
+            nodes = record.nodes = [
                 self.cluster.node(share.node_id)
                 for share in allocation.shares
             ]
-        nodes = record.nodes
-        self._accrue(record, now)
-        # Worst-case contention across the job's nodes (iterations are
-        # paced by the slowest participant), inlined over the pinned
-        # Node list.
-        grant, pressure, llc, pcie = 1.0, 0.0, 0.0, 1.0
-        for node in nodes:
-            bandwidth = node.bandwidth
-            grant = min(grant, bandwidth.grant_ratio(job_id))
-            pressure = max(pressure, bandwidth.pressure)
-            llc = max(llc, node.llc_pressure)
-            pcie = min(pcie, node.pcie.grant_ratio())
-        contention = ContentionState(
-            bw_grant_ratio=max(grant, 1e-6),
-            node_bw_pressure=pressure,
-            llc_pressure=llc,
-            pcie_grant_ratio=pcie,
-        )
-        state_key = (record.cores_per_node,) + effect_key(contention)
-        if self._reference or state_key != record.state_memo:
+        contention = _worst_contention(job_id, nodes)
+        key: Optional[Tuple[Any, ...]] = None
+        priced: Optional[Tuple[float, float]] = None
+        if not self._reference:
+            key = (
+                record.job.model_name,
+                record.job.setup,
+                record.cores_per_node,
+                effect_key(contention),
+                record.interconnect,
+            )
+            priced = self._speed_memo.get(key)
+        if priced is None:
             breakdown = iteration_time(
                 record.profile,
                 record.job.setup,
@@ -708,12 +768,19 @@ class SimulationRunner(SchedulerContext):
                 contention,
                 interconnect=record.interconnect,
             )
-            record.speed = 1.0 / breakdown.total_s
-            record.utilization = breakdown.utilization
+            priced = (1.0 / breakdown.total_s, breakdown.utilization)
+            if key is not None:
+                self._speed_memo[key] = priced
+        speed, utilization = priced
+        if fresh or utilization != record.utilization:
+            record.utilization = utilization
             for node in nodes:
-                node.set_gpu_utilization(job_id, record.utilization)
-            record.state_memo = state_key
-        self._aim_gpu_completion(record, now)
+                node.set_gpu_utilization(job_id, utilization)
+        if speed != record.speed:
+            now = self.engine.now
+            self._accrue(record, now)
+            record.speed = speed
+            self._aim_gpu_completion(record, now)
 
     def _aim_gpu_completion(self, record: _RunningGpu, now: float) -> None:
         job_id = record.job.job_id
@@ -726,7 +793,7 @@ class SimulationRunner(SchedulerContext):
                 # Completion moved later (or held): leave the armed timer
                 # alone.  It fires stale, detects that completion_time is
                 # still ahead, and re-arms itself (validate-on-pop) —
-                # cheaper than a cancel+push on every node touch.
+                # cheaper than a cancel+push on every speed change.
                 return
             completion.cancel()
         record.completion = self.engine.schedule(
@@ -737,26 +804,18 @@ class SimulationRunner(SchedulerContext):
         )
 
     def _reprice_cpu(self, record: _RunningCpu) -> None:
-        now = self.engine.now
+        """Re-price a CPU job; accrue and re-aim only if its speed moved."""
         node = record.node
         if node is None:
             # First reprice of this record (fresh start or checkpoint
             # restore): pin the home node, fixed for its lifetime.
             node = record.node = self.cluster.node(record.node_id)
-        self._accrue(record, now)
-        core_factor = record.cores / record.job.cores
-        # HEAT-like jobs are pure bandwidth streamers and slow in direct
-        # proportion to their grant; ordinary CPU jobs are mostly
-        # compute-bound and only a small fraction of their work stalls.
-        grant = node.bandwidth.grant_ratio(record.job.job_id)
-        if record.job.is_heat:
-            bw_factor = grant
-        else:
-            bw_factor = (1.0 - ORDINARY_CPU_BW_BOUND) + ORDINARY_CPU_BW_BOUND * grant
-        record.speed = max(
-            1e-9, core_factor * bw_factor * record.straggle_factor
-        )
-        self._aim_cpu_completion(record, now)
+        speed = _cpu_speed(record, node.bandwidth.grant_ratio(record.job.job_id))
+        if speed != record.speed:
+            now = self.engine.now
+            self._accrue(record, now)
+            record.speed = speed
+            self._aim_cpu_completion(record, now)
 
     def _aim_cpu_completion(self, record: _RunningCpu, now: float) -> None:
         job_id = record.job.job_id
@@ -775,29 +834,54 @@ class SimulationRunner(SchedulerContext):
             tag=f"cpu-done:{job_id}",
         )
 
-    def _refresh_nodes(self, node_ids: Set[int]) -> None:
-        """Re-price every job touching the given nodes.
+    def _refresh_nodes(
+        self, node_ids: Set[int], moved: Optional[str] = None
+    ) -> None:
+        """Re-price the jobs on the given nodes whose speed inputs moved.
+
+        Per node, the candidates are the jobs in its monitor's changed-set
+        (grant ratio moved, or newly registered), plus every GPU resident
+        when the node's contention key moved since its last refresh.  CPU
+        speed reads no node-level contention, so a moved key leaves CPU
+        residents alone.  Cores and straggle factors are not inputs the
+        node sees: a resize names its job as ``moved``, and stragglers
+        reprice directly.  Reference mode reprices every resident.
 
         Job ids land in lists (the ``seen`` set only guards against a
         multi-node gang appearing under several of its nodes; CPU jobs
-        are single-node) and each list is sorted once — repricing keeps
-        the sorted-job-id order the decision stream depends on without
-        the build-a-set-then-``sorted()`` double sort this loop used to
-        pay on every event.
+        are single-node) and each list is sorted once, so repricing runs
+        in sorted-job-id order.
         """
         gpu_ids: List[str] = []
         cpu_ids: List[str] = []
         seen: Set[str] = set()
         running_gpu = self._running_gpu
         running_cpu = self._running_cpu
+        reference = self._reference
+        key_memo = self._node_key_memo
+        nodes = self.cluster.nodes
         for node_id in sorted(node_ids):
-            for job_id in self.cluster.node(node_id).jobs_here():
+            node = nodes[node_id]
+            changed = node.bandwidth.drain_changed()
+            every_gpu = reference
+            if not reference:
+                key = _node_effect_key(node)
+                if key != key_memo.get(node_id):
+                    key_memo[node_id] = key
+                    every_gpu = True
+            for job_id in node.jobs_here() if every_gpu else changed:
                 if job_id in running_gpu:
                     if job_id not in seen:
                         seen.add(job_id)
                         gpu_ids.append(job_id)
-                elif job_id in running_cpu:
+                elif job_id in running_cpu and (reference or job_id in changed):
                     cpu_ids.append(job_id)
+        if moved is not None:
+            if moved in running_gpu:
+                if moved not in seen:
+                    gpu_ids.append(moved)
+            elif moved in running_cpu and moved not in cpu_ids:
+                cpu_ids.append(moved)
         gpu_ids.sort()
         cpu_ids.sort()
         for job_id in gpu_ids:
@@ -1201,9 +1285,9 @@ class SimulationRunner(SchedulerContext):
             ) = fields
             job = jobs_by_id[job_id]
             assert isinstance(job, GpuJob)
-            # Memos start cold: the first reprice recomputes everything
-            # from restored cluster state, which is bit-identical because
-            # iteration_time is pure.
+            # The first reprice after restore recomputes the speed from
+            # restored cluster state; it equals the snapshotted speed
+            # (IV014), so it accrues nothing and moves no timer.
             self._running_gpu[job_id] = _RunningGpu(
                 job=job,
                 profile=get_model(job.model_name),
@@ -1253,6 +1337,9 @@ class SimulationRunner(SchedulerContext):
         self._straggle_count = int(state["straggle_count"])
         self._stale_timer_fires = int(state["stale_timer_fires"])
         self._monitor_active = {int(n) for n in state["monitor_active"]}
+        # A missing node key counts as moved: each node's first refresh
+        # reprices its GPU residents, which finds their snapshotted speeds.
+        self._node_key_memo = {}
         raw_tick = state["monitor_last_tick"]
         self._monitor_last_tick = None if raw_tick is None else float(raw_tick)
         self._observable_since = {

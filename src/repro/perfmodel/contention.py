@@ -55,10 +55,15 @@ def bandwidth_excess(state: ContentionState) -> float:
     0.0 at or below the 75 % threshold, 1.0 at full capacity, and beyond 1.0
     when demand exceeds what the memory system can serve.
     """
+    return excess_past_knee(state.node_bw_pressure)
+
+
+def excess_past_knee(node_bw_pressure: float) -> float:
+    """:func:`bandwidth_excess` of a raw node pressure reading."""
     threshold = BANDWIDTH_PRESSURE_THRESHOLD
-    if state.node_bw_pressure <= threshold:
+    if node_bw_pressure <= threshold:
         return 0.0
-    return (state.node_bw_pressure - threshold) / (1.0 - threshold)
+    return (node_bw_pressure - threshold) / (1.0 - threshold)
 
 
 def effect_key(state: ContentionState) -> tuple:
@@ -75,11 +80,27 @@ def effect_key(state: ContentionState) -> tuple:
     Repricing memos keyed on this tuple stay byte-identical while hitting
     far more often than ones keyed on the raw snapshot.
     """
+    return (state.bw_grant_ratio,) + node_effect_key(
+        state.node_bw_pressure, state.llc_pressure, state.pcie_grant_ratio
+    )
+
+
+def node_effect_key(
+    node_bw_pressure: float, llc_pressure: float, pcie_grant_ratio: float
+) -> tuple:
+    """The node-level part of :func:`effect_key`: bandwidth excess past
+    the knee, LLC excess past capacity, PCIe grant ratio.
+
+    A job spanning several nodes sees the worst case of each raw reading
+    over its nodes; each key value is monotone in the reading it derives
+    from, so the job's key is the worst case of its nodes' keys.  While
+    a node's key holds still, it can move a resident's price only
+    through that resident's grant ratio.
+    """
     return (
-        state.bw_grant_ratio,
-        bandwidth_excess(state),
-        max(0.0, state.llc_pressure - 1.0),
-        state.pcie_grant_ratio,
+        excess_past_knee(node_bw_pressure),
+        max(0.0, llc_pressure - 1.0),
+        pcie_grant_ratio,
     )
 
 

@@ -46,8 +46,10 @@ def reference_mode() -> bool:
     The one A/B switch for every incremental and lazy layer: no pass
     skipping, no partial snapshot refresh, no share heaps or census
     cache, and in the runner no lazy completion timers, no skipped
-    monitor ticks and no reprice memo.  Each reader samples it once at
-    construction (``FreeState.of`` per call)."""
+    monitor ticks, no changed-set repricing and no reprice memo.  Each
+    reader samples it once at construction: every policy through its
+    :class:`PassGate` (which also tells ``FreeState.of`` whether to
+    bypass its cache), the runner in its constructor."""
     return bool(os.environ.get("REPRO_REFERENCE"))
 
 

@@ -95,7 +95,9 @@ class DrfScheduler(Scheduler):
 
     def schedule(self, cluster: Cluster, now: float) -> List[Decision]:
         decisions: List[Decision] = []
-        free = FreeState.of(cluster, now=now)
+        free = FreeState.of(
+            cluster, now=now, reference=not self._gate.enabled
+        )
         total = cluster.total
         blocked: Set[int] = set()
 

@@ -81,7 +81,9 @@ class FifoScheduler(Scheduler):
 
     def schedule(self, cluster: Cluster, now: float) -> List[Decision]:
         decisions: List[Decision] = []
-        free = FreeState.of(cluster, now=now)
+        free = FreeState.of(
+            cluster, now=now, reference=not self._gate.enabled
+        )
 
         if self._gate.should_scan("gpu", cluster):
             while self._gpu_queue:

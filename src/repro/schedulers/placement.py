@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.schedulers.dirty import reference_mode
 from repro.workload.job import CpuJob, GpuJob
 
 Placement = Tuple[int, int, int]  # (node_id, cpus, gpus)
@@ -74,6 +73,7 @@ class FreeState:
         *,
         among: Optional[Iterable[int]] = None,
         now: Optional[float] = None,
+        reference: bool = False,
     ) -> "FreeState":
         """Snapshot free capacity; with ``now``, health-filtered.
 
@@ -99,11 +99,12 @@ class FreeState:
         a free entry, so it is not cached: every returned snapshot takes
         the current one.
 
-        ``REPRO_REFERENCE=1`` bypasses the memo entirely — every call
-        is an uncached scan, the reference behaviour the parity test
-        compares against.
+        ``reference=True`` bypasses the memo entirely — every call is an
+        uncached scan, the reference behaviour the parity test compares
+        against.  Policies pass ``not PassGate.enabled``, which samples
+        ``REPRO_REFERENCE`` once, when the gate is built.
         """
-        if among is not None or reference_mode():
+        if among is not None or reference:
             return cls._build(
                 cluster,
                 range(len(cluster.nodes)) if among is None else among,

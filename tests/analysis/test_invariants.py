@@ -185,6 +185,74 @@ class TestCorruptionDetection:
         assert set(auditor.stats.by_code()) == {"IV009"}
 
 
+class TestPricedSpeeds:
+    """IV014: every running job's speed is what its inputs give now."""
+
+    @staticmethod
+    def _runner(job):
+        runner = SimulationRunner(
+            Cluster(small_cluster(nodes=1)),
+            FifoScheduler(),
+            sample_interval_s=1e9,
+            auditor=InvariantAuditor(60.0),
+        )
+        runner.submit_at(0.0, job)
+        runner.engine.run(until=10.0)
+        assert runner.auditor.check_now() == 0
+        return runner
+
+    @staticmethod
+    def _trainer():
+        return GpuJob(
+            job_id="g",
+            tenant_id=1,
+            submit_time=0.0,
+            model_name="resnet50",
+            setup=TrainSetup(1, 1),
+            requested_cpus=3,
+            total_iterations=10**6,
+        )
+
+    @staticmethod
+    def _cpu_job(bw=1.0):
+        return CpuJob(
+            job_id="c",
+            tenant_id=1,
+            submit_time=0.0,
+            cores=4,
+            duration_s=1000.0,
+            bw_demand_gbps=bw,
+        )
+
+    @pytest.mark.parametrize("field", ("speed", "utilization"))
+    def test_stale_gpu_price_flagged(self, field):
+        runner = self._runner(self._trainer())
+        record = runner._running_gpu["g"]
+        setattr(record, field, getattr(record, field) * 0.5)
+        assert runner.auditor.check_now() == 1
+        assert set(runner.auditor.stats.by_code()) == {"IV014"}
+
+    def test_stale_cpu_speed_flagged(self):
+        runner = self._runner(self._cpu_job())
+        runner._running_cpu["c"].cores = 2  # a resize nobody repriced
+        assert runner.auditor.check_now() == 1
+        assert set(runner.auditor.stats.by_code()) == {"IV014"}
+
+    def test_halving_keeps_prices_fresh(self):
+        runner = self._runner(self._cpu_job())
+        runner.halve_cpu_job_cores("c")
+        assert runner.auditor.check_now() == 0
+
+    def test_throttle_and_release_keep_prices_fresh(self):
+        runner = self._runner(self._cpu_job(bw=60.0))
+        node_id = runner._running_cpu["c"].node_id
+        assert runner.throttle_cpu_job("c", node_id)
+        assert runner._running_cpu["c"].speed < 1.0
+        assert runner.auditor.check_now() == 0
+        runner.release_cpu_throttle("c", node_id)
+        assert runner.auditor.check_now() == 0
+
+
 class TestWiring:
     def test_double_attach_rejected(self):
         cluster = Cluster(small_cluster(nodes=1))

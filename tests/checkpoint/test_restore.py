@@ -91,6 +91,30 @@ class TestByteIdenticalResume:
             state = _snapshot_at(spec, kill_at)
             assert _dumps(_resume_to_completion(spec, state)) == baseline
 
+    def test_resume_carries_unaccrued_progress(self):
+        """Progress accrues only when a job's speed changes, so a
+        mid-run snapshot holds jobs whose ``last_update`` lies in the
+        past; the restored run must leave them unaccrued, exactly as
+        the uninterrupted run does."""
+        spec = _faulted_spec()
+        state = _snapshot_at(spec, kill_at=110)
+        now = state["engine"]["now"]
+        running = state["runner"]["running_cpu"]
+        assert any(fields[4] < now for fields in running.values())
+        runner = restore_run(spec, state)
+
+        def progress():
+            return {
+                job_id: (record.work_done, record.last_update)
+                for job_id, record in runner._running_cpu.items()
+            }
+
+        before = progress()
+        runner._refresh_nodes(set(range(len(runner.cluster.nodes))))
+        assert progress() == before
+        result = runner.run(until=spec.resolved_scenario().horizon_s)
+        assert _dumps(result) == _dumps(spec.execute())
+
     def test_periodic_checkpoints_do_not_perturb_the_run(self, tmp_path):
         spec = _faulted_spec()
         observed = execute_with_checkpoints(

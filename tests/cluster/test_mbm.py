@@ -186,3 +186,100 @@ class TestUncontendedFastPath:
                 for i in range(n)
             }
             self._check(capacity, specs)
+
+
+class TestChangedSet:
+    """``drain_changed`` names exactly the jobs whose grant ratio moved
+    (plus new registrations): the runner reprices only those."""
+
+    def test_uncontended_register_names_only_the_new_job(self):
+        monitor = BandwidthMonitor(100.0)
+        monitor.register("a", 10.0, is_cpu_job=True)
+        assert monitor.drain_changed() == {"a"}
+        monitor.register("b", 20.0, is_cpu_job=False)
+        assert monitor.drain_changed() == {"b"}
+        assert monitor.drain_changed() == set()
+
+    def test_uncontended_update_keeps_ratio_and_names_nobody(self):
+        monitor = BandwidthMonitor(100.0)
+        monitor.register("a", 10.0, is_cpu_job=True)
+        monitor.register("b", 20.0, is_cpu_job=True)
+        monitor.drain_changed()
+        # The grant follows the demand, so the ratio stays 1.0: callers
+        # that change a speed input along with the demand reprice
+        # directly.
+        monitor.update_demand("a", 30.0)
+        assert monitor.drain_changed() == set()
+
+    def test_uncontended_update_of_a_capped_job_names_it(self):
+        monitor = BandwidthMonitor(100.0)
+        monitor.register("a", 40.0, is_cpu_job=True)
+        monitor.register("b", 20.0, is_cpu_job=True)
+        monitor.drain_changed()
+        monitor.set_cap("a", 20.0)
+        assert monitor.drain_changed() == {"a"}
+        monitor.update_demand("a", 80.0)  # cap 20 of 80: ratio 0.5 -> 0.25
+        assert monitor.drain_changed() == {"a"}
+
+    def test_uncontended_cap_names_only_the_capped_job(self):
+        monitor = BandwidthMonitor(100.0)
+        monitor.register("a", 40.0, is_cpu_job=True)
+        monitor.register("b", 20.0, is_cpu_job=True)
+        monitor.drain_changed()
+        monitor.set_cap("a", 10.0)
+        assert monitor.drain_changed() == {"a"}
+        monitor.set_cap("a", None)
+        assert monitor.drain_changed() == {"a"}
+
+    def test_contended_names_every_job_whose_ratio_moved(self):
+        monitor = BandwidthMonitor(100.0)
+        monitor.register("small", 10.0, is_cpu_job=True)
+        monitor.register("a", 40.0, is_cpu_job=True)
+        monitor.register("b", 40.0, is_cpu_job=True)
+        monitor.drain_changed()
+        # 10 + 40 + 80 > 100: "small" keeps its whole demand, "a" and
+        # "b" split the remaining 90 equally.
+        monitor.update_demand("b", 80.0)
+        assert monitor.grant_ratio("small") == 1.0
+        assert monitor.grant_ratio("a") == 1.0
+        assert monitor.grant_ratio("b") < 1.0
+        assert monitor.drain_changed() == {"b"}
+        monitor.update_demand("a", 60.0)
+        assert monitor.grant_ratio("a") < 1.0
+        assert monitor.drain_changed() == {"a", "b"}
+
+    def test_unregister_names_the_jobs_it_relieves(self):
+        monitor = BandwidthMonitor(100.0)
+        monitor.register("a", 80.0, is_cpu_job=True)
+        monitor.register("b", 80.0, is_cpu_job=True)
+        monitor.register("c", 1.0, is_cpu_job=True)
+        monitor.drain_changed()
+        monitor.unregister("a")
+        assert monitor.drain_changed() == {"b"}
+        # A job that leaves before the drain is not named either.
+        monitor.register("d", 1.0, is_cpu_job=True)
+        monitor.unregister("d")
+        assert monitor.drain_changed() == set()
+
+    def test_ratio_matches_granted_over_demand(self):
+        monitor = BandwidthMonitor(90.0)
+        monitor.register("small", 10.0, is_cpu_job=True)
+        monitor.register("mid", 40.0, is_cpu_job=True)
+        monitor.register("big", 100.0, is_cpu_job=True)
+        monitor.register("idle", 0.0, is_cpu_job=True)
+        for job in ("small", "mid", "big"):
+            usage = monitor.usage_of(job)
+            assert monitor.grant_ratio(job) == usage.granted / usage.demand
+        assert monitor.grant_ratio("idle") == 1.0
+
+    def test_restore_starts_with_an_empty_set(self):
+        monitor = BandwidthMonitor(100.0)
+        monitor.register("a", 80.0, is_cpu_job=True)
+        monitor.register("b", 80.0, is_cpu_job=True)
+        state = monitor.snapshot()
+        restored = BandwidthMonitor(100.0)
+        restored.register("ghost", 1.0, is_cpu_job=True)
+        restored.restore(state)
+        assert restored.drain_changed() == set()
+        for job in ("a", "b"):
+            assert restored.grant_ratio(job) == monitor.grant_ratio(job)

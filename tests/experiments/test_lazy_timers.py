@@ -3,8 +3,9 @@
 The parity suites (tests/schedulers/test_*_parity.py) prove the lazy
 runner equals ``REPRO_REFERENCE=1`` over whole simulations; these
 tests pin the individual mechanisms — stale fire + re-arm, earlier-move
-cancel + re-arm, the effect-keyed ``state_memo``, and the
-activity-indexed monitor surface — with hand-computable numbers.
+cancel + re-arm, the run-scoped ``_speed_memo``, change-driven
+repricing, and the activity-indexed monitor surface — with
+hand-computable numbers.
 """
 
 import pytest
@@ -120,7 +121,11 @@ class TestLazyCompletionTimers:
 
 
 class TestRepriceMemo:
-    def _counting_runner(self, monkeypatch):
+    """The run-scoped ``_speed_memo`` shares one ``iteration_time`` call
+    among every reprice with the same model, setup, cores, contention
+    effect key and interconnect."""
+
+    def _counting_runner(self, monkeypatch, jobs=("j",)):
         calls = []
 
         def counting(*args, **kwargs):
@@ -131,36 +136,45 @@ class TestRepriceMemo:
             "repro.experiments.runner.iteration_time", counting
         )
         runner = _runner()
-        runner.submit_at(0.0, _gpu("j", iters=10**9))
+        for job_id in jobs:
+            runner.submit_at(0.0, _gpu(job_id, iters=10**9))
         runner.engine.run(until=10.0)
         return runner, calls
 
     def test_unchanged_effect_key_skips_iteration_time(self, monkeypatch):
-        runner, calls = self._counting_runner(monkeypatch)
-        node_id = runner.cluster.allocation_of("j").node_ids[0]
-        baseline = len(calls)
-        # Re-pushing the same demand re-arbitrates grants onto the same
-        # vector; the effect key is unchanged, so the model is not
-        # re-evaluated...
-        node = runner.cluster.node(node_id)
-        node.bandwidth.update_demand("j", node.bandwidth.usage_of("j").demand)
-        runner._refresh_nodes({node_id})
-        assert len(calls) == baseline
-        # ...but progress accrual still happened.
-        assert runner._running_gpu["j"].last_update == 10.0
+        # Two identical trainers on a quiet node land on one memo key:
+        # the second start is priced without calling the model.
+        runner, calls = self._counting_runner(monkeypatch, jobs=("j", "k"))
+        nodes = {
+            runner.cluster.allocation_of(job_id).node_ids[0]
+            for job_id in ("j", "k")
+        }
+        assert len(calls) == 1
+        assert runner._running_gpu["j"].speed == runner._running_gpu["k"].speed
+        # A refresh with no speed input moved reprices nothing: no model
+        # call and no accrual point.
+        runner._refresh_nodes(nodes)
+        assert len(calls) == 1
+        assert runner._running_gpu["j"].last_update == 0.0
 
     def test_grant_ratio_change_recomputes(self, monkeypatch):
         runner, calls = self._counting_runner(monkeypatch)
         node_id = runner.cluster.allocation_of("j").node_ids[0]
         baseline = len(calls)
+        record = runner._running_gpu["j"]
         node = runner.cluster.node(node_id)
         assert node.bandwidth.grant_ratio("j") == 1.0
         # A demand past the node's capacity cuts the job's grant ratio:
         # the effect key moves and the memo must miss.
         node.bandwidth.update_demand("j", 2 * node.bandwidth.capacity_gbps)
         assert node.bandwidth.grant_ratio("j") < 1.0
+        speed = record.speed
         runner._refresh_nodes({node_id})
         assert len(calls) == baseline + 1
+        # The speed moved, so progress accrued at the old speed.
+        assert record.speed < speed
+        assert record.last_update == 10.0
+        assert record.work_done == speed * 10.0
 
     def test_eager_hatch_always_recomputes(self, monkeypatch):
         monkeypatch.setenv("REPRO_REFERENCE", "1")
@@ -169,6 +183,64 @@ class TestRepriceMemo:
         baseline = len(calls)
         runner._refresh_nodes({node_id})
         assert len(calls) == baseline + 1
+        # Same speed, so still no accrual point.
+        assert runner._running_gpu["j"].last_update == 0.0
+
+
+class TestChangeDrivenRepricing:
+    """A refresh reprices only jobs whose speed inputs moved."""
+
+    @staticmethod
+    def _count_reprices(monkeypatch, runner):
+        repriced = []
+        for name in ("_reprice_gpu", "_reprice_cpu"):
+            inner = getattr(runner, name)
+
+            def counting(record, inner=inner):
+                repriced.append(record.job.job_id)
+                inner(record)
+
+            monkeypatch.setattr(runner, name, counting)
+        return repriced
+
+    def test_cpu_start_on_an_uncontended_node_reprices_only_it(
+        self, monkeypatch
+    ):
+        runner = _runner(nodes=1)
+        runner.submit_at(0.0, _gpu("g", iters=10**9))
+        runner.submit_at(0.0, _cpu("c1", duration=1000.0))
+        runner.engine.run(until=10.0)
+        repriced = self._count_reprices(monkeypatch, runner)
+        runner.submit_at(20.0, _cpu("c2", duration=1000.0))
+        runner.engine.run(until=30.0)
+        assert repriced == ["c2"]
+        assert runner._running_cpu["c1"].last_update == 0.0
+        assert runner._running_gpu["g"].last_update == 0.0
+
+    def test_halving_reprices_an_uncontended_job_directly(self):
+        runner = _runner(nodes=1)
+        runner.submit_at(0.0, _cpu("c", cores=4, duration=100.0))
+        runner.engine.run(until=10.0)
+        record = runner._running_cpu["c"]
+        node = runner.cluster.node(record.node_id)
+        runner.halve_cpu_job_cores("c")
+        # The grant follows the halved demand, so the ratio stays 1.0;
+        # the core count alone halves the speed.
+        assert node.bandwidth.grant_ratio("c") == 1.0
+        assert record.speed == 0.5
+        assert record.work_done == 10.0
+        assert record.completion_time == 10.0 + 90.0 / 0.5
+
+    def test_resize_reprices_the_trainer_directly(self):
+        runner = _runner(nodes=1)
+        runner.submit_at(0.0, _gpu("g", cpus=1, iters=10**9))
+        runner.engine.run(until=10.0)
+        record = runner._running_gpu["g"]
+        speed = record.speed
+        assert runner.resize_gpu_job_cores("g", 3)
+        assert record.speed > speed
+        assert (record.speed, record.utilization) == runner.fresh_gpu_price("g")
+        assert record.last_update == 10.0
 
 
 class TestActivityIndexedMonitor:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.perfmodel.stages import TrainSetup
+from repro.schedulers.dirty import PassGate
 from repro.schedulers.placement import FreeState, place_cpu_job, place_gpu_job
 from repro.workload.job import CpuJob, GpuJob
 
@@ -254,8 +255,18 @@ class TestFreeStateMemo:
 
     def test_full_rescan_env_bypasses_cache(self, tiny_cluster, monkeypatch):
         monkeypatch.setenv("REPRO_REFERENCE", "1")
-        FreeState.of(tiny_cluster, now=0.0)
+        # Policies sample the env var once, in their pass gate, and hand
+        # the answer to every FreeState.of call.
+        reference = not PassGate(("any",)).enabled
+        FreeState.of(tiny_cluster, now=0.0, reference=reference)
         before = FreeState.rebuilds
-        fresh = FreeState.of(tiny_cluster, now=0.0)
+        fresh = FreeState.of(tiny_cluster, now=0.0, reference=reference)
         assert FreeState.rebuilds == before + 1
         assert fresh.free_of(0) == (28, 4)
+
+    def test_snapshot_does_not_read_the_env(self, tiny_cluster, monkeypatch):
+        FreeState.of(tiny_cluster, now=0.0)
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
+        before = FreeState.rebuilds
+        FreeState.of(tiny_cluster, now=0.0)
+        assert FreeState.rebuilds == before

@@ -87,11 +87,14 @@ def test_deleting_one_bump_blames_exactly_that_function(
     assert blamed == {EXPECTED_BLAME[func_name]}
 
 
-#: The reprice memo on the runner's running-job records.  EF002 must
-#: keep *detecting* it: dropping its [[cache]] declaration from the
-#: manifest has to surface as findings against runner.py, or the
-#: clean-tree test above proves nothing about the attribute.
-RUNNER_MEMOS = (("_RunningGpu", "state_memo"),)
+#: The runner's reprice memos.  EF002 must keep *detecting* them:
+#: dropping a [[cache]] declaration from the manifest has to surface as
+#: findings against runner.py, or the clean-tree test above proves
+#: nothing about the attribute.
+RUNNER_MEMOS = (
+    ("SimulationRunner", "_speed_memo"),
+    ("SimulationRunner", "_node_key_memo"),
+)
 
 
 @pytest.mark.parametrize(
