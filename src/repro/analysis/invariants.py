@@ -31,6 +31,12 @@ laws the evaluation rests on:
   early (it fires stale and re-arms), never late — validate-on-pop is
   only sound in that direction.  Checked only when attached to a
   :class:`~repro.experiments.runner.SimulationRunner`.
+* **IV010** — CPU census: the multi-array scheduler's maintained
+  per-node ``_cpu_used`` map equals a fresh walk of its tracked CPU
+  jobs (``_cpu_census_build``).  Checked while the pass gate is
+  enabled (the census is walked, not served, under
+  ``REPRO_REFERENCE=1``); a census a restore left dirty holds
+  vacuously until the next pass rebuilds it.
 * **IV011** — activity-indexed monitor: every observable (up,
   unquarantined) node outside the runner's monitor active set is
   telemetry-up, holds no MBA throttle, and hosts no CPU job or sits
@@ -40,6 +46,11 @@ laws the evaluation rests on:
 * **IV012** — queue depths: the scheduler's O(1) ``queue_depths()``
   equals a walk of its queues, so a pass skipped for empty queues
   really had nothing queued.
+* **IV013** — share heaps: in every incremental
+  :class:`~repro.schedulers.base.TenantQueues` family whose heap is
+  built, each tenant with a nonempty queue has a heap entry carrying
+  its current dominant share, so the heap's pick (its least entry that
+  is still current) equals :meth:`TenantQueues.linear_min`.
 * **IV014** — priced-speed soundness: every running GPU job's speed and
   utilization, and every running CPU job's speed, equal a fresh
   recomputation from current cluster state (the runner's pure
@@ -62,13 +73,14 @@ fails fast on a conservation bug.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Set
+from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.mba import MBA_LEVELS
+from repro.core.multiarray import MultiArrayScheduler
 from repro.health.tracker import NodeHealthState
 from repro.metrics.audit import AuditStats, InvariantViolation
-from repro.schedulers.base import Scheduler, depths_of
+from repro.schedulers.base import Scheduler, TenantQueues, depths_of
 from repro.schedulers.drf import DrfScheduler
 from repro.sim.engine import Engine
 from repro.sim.events import Event
@@ -213,6 +225,9 @@ class InvariantAuditor:
             self._check_priced_speeds(self._runner)
         if self._scheduler is not None:
             self._check_queue_depths(self._scheduler)
+            self._check_share_heaps(self._scheduler)
+        if isinstance(self._scheduler, MultiArrayScheduler):
+            self._check_cpu_census(self._scheduler, self._cluster)
         if isinstance(self._scheduler, DrfScheduler):
             self._check_drf_shares(self._scheduler, self._cluster)
         return self.stats.violation_count - before
@@ -523,6 +538,28 @@ class InvariantAuditor:
                     ),
                 )
 
+    # -- IV010 ---------------------------------------------------------- #
+
+    def _check_cpu_census(
+        self, scheduler: MultiArrayScheduler, cluster: Cluster
+    ) -> None:
+        """The maintained CPU census is what a walk would serve.  A dirty
+        census (after a restore) is rebuilt before it is next served, so
+        it holds vacuously: a resumed audit counts the assertions the
+        uninterrupted one does."""
+        if not scheduler._gate.enabled:
+            return
+        maintained = scheduler._cpu_used
+        walked = scheduler._cpu_census_build(cluster, set())
+        self._assert(
+            scheduler._census_dirty or maintained == walked,
+            "IV010",
+            lambda: (
+                f"maintained CPU census {sorted(maintained.items())} != "
+                f"walked census {sorted(walked.items())}"
+            ),
+        )
+
     # -- IV011 ---------------------------------------------------------- #
 
     def _check_monitor_index(self, runner: "SimulationRunner") -> None:
@@ -569,6 +606,48 @@ class InvariantAuditor:
                 f"{depths}, a walk of its queues gives {walked}"
             ),
         )
+
+    # -- IV013 ---------------------------------------------------------- #
+
+    def _check_share_heaps(self, scheduler: Scheduler) -> None:
+        """Every queued tenant has a current heap entry, so the heap
+        picks what the linear scan picks.  A heap awaiting its rebuild
+        (before the first pass, after a restore) is rebuilt from the
+        queues before it is next read, so it holds vacuously: a resumed
+        audit counts the assertions the uninterrupted one does."""
+        for family in scheduler.families:
+            if not family._incremental:
+                continue
+            heap = family._heap
+            missing: List[Tuple[float, int]] = []
+            pick: Optional[Tuple[float, int]] = None
+            expected: Optional[Tuple[float, int]] = None
+            if not heap.needs_rebuild:
+                ledger, queues = family._ledger, family._queues
+                total_cpus, total_gpus = family._totals
+                entries = set(heap._entries).union(heap._stash)
+                current = {
+                    (
+                        ledger.dominant_share(tenant_id, total_cpus, total_gpus),
+                        tenant_id,
+                    )
+                    for tenant_id, queue in queues.items()
+                    if queue
+                }
+                missing = sorted(current - entries)
+                pick = min(current & entries, default=None)
+                expected = TenantQueues.linear_min(
+                    ledger, queues, (), total_cpus, total_gpus
+                )
+            self._assert(
+                not missing and pick == expected,
+                "IV013",
+                lambda: (
+                    f"{scheduler.name} family {family.group!r}: queued "
+                    f"tenants without a current heap entry {missing}; the "
+                    f"heap picks {pick}, the linear scan {expected}"
+                ),
+            )
 
     # -- IV014 ---------------------------------------------------------- #
 

@@ -30,8 +30,7 @@ the queues.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.core.allocator import AdaptiveCpuAllocator
@@ -48,10 +47,9 @@ from repro.schedulers.base import (
     PreemptDecision,
     Scheduler,
     SchedulerContext,
-    ShareHeap,
     StartDecision,
+    TenantQueues,
     UsageLedger,
-    depths_of,
 )
 from repro.schedulers.dirty import PassGate
 from repro.schedulers.placement import (
@@ -94,21 +92,42 @@ class MultiArrayScheduler(Scheduler):
         self._layout: Optional[ArrayLayout] = None
         self._context: Optional[SchedulerContext] = None
 
-        #: Separate sub-array queues (Fig. 9): a blocked 4-GPU job must not
-        #: head-of-line block its tenant's 1-GPU jobs, and vice versa.
-        self._gpu_queues_small: Dict[int, Deque[GpuJob]] = {}
-        self._gpu_queues_big: Dict[int, Deque[GpuJob]] = {}
-        self._cpu_queues: Dict[int, Deque[CpuJob]] = {}
-        #: User-facing inference jobs outrank everything (Sec. V-A): their
-        #: own queues drain first and may use any free cores.
-        self._inference_queues: Dict[int, Deque[CpuJob]] = {}
-        #: O(1) queue depths: jobs in both GPU sub-arrays, and in the CPU
-        #: and inference queues.  Moved at every append, appendleft,
-        #: popleft and del on a queue; recomputed on restore.
-        self._gpu_queued = 0
-        self._cpu_queued = 0
         self._gpu_ledger = UsageLedger()
         self._cpu_ledger = UsageLedger()
+        #: Incremental-pass state (see docs/scheduler-internals.md): one
+        #: gate group per queue family.
+        self._gate = PassGate(("gpu_big", "gpu_small", "inference", "cpu"))
+        #: Queued ``[gpu, cpu]`` jobs, moved by the families.
+        self._depths = [0, 0]
+        #: Separate sub-array queues (Fig. 9): a blocked 4-GPU job must not
+        #: head-of-line block its tenant's 1-GPU jobs, and vice versa.
+        self._gpu_big: TenantQueues[GpuJob] = TenantQueues(
+            "gpu_big",
+            self._gpu_ledger,
+            self._gate,
+            self._depths,
+            window=self.BACKFILL_DEPTH,
+        )
+        self._gpu_small: TenantQueues[GpuJob] = TenantQueues(
+            "gpu_small",
+            self._gpu_ledger,
+            self._gate,
+            self._depths,
+            window=self.BACKFILL_DEPTH,
+        )
+        #: User-facing inference jobs outrank everything (Sec. V-A): their
+        #: own queues drain first and may use any free cores.
+        self._inference: TenantQueues[CpuJob] = TenantQueues(
+            "inference", self._cpu_ledger, self._gate, self._depths
+        )
+        self._cpu: TenantQueues[CpuJob] = TenantQueues(
+            "cpu", self._cpu_ledger, self._gate, self._depths
+        )
+        #: The families on each ledger: a share change re-keys the tenant
+        #: in both (see :meth:`_rekey`).
+        self._gpu_families = (self._gpu_big, self._gpu_small)
+        self._cpu_families = (self._inference, self._cpu)
+        self.families = self._gpu_families + self._cpu_families
 
         self._running: Dict[str, Job] = {}
         #: Non-borrowing, non-inference CPU jobs: job_id -> home node_id.
@@ -142,15 +161,6 @@ class MultiArrayScheduler(Scheduler):
         self._cpu_borrow_index: Dict[int, Set[str]] = {}
         self._gpu_borrow_index: Dict[int, Set[str]] = {}
 
-        #: Incremental-pass state (see docs/scheduler-internals.md): one
-        #: gate group per queue family, one share heap per family (the
-        #: two GPU heaps share the GPU ledger, the two CPU heaps the CPU
-        #: ledger, so a share change re-keys the tenant in both).
-        self._gate = PassGate(("gpu_big", "gpu_small", "inference", "cpu"))
-        self._heap_gpu_big = ShareHeap(self._gpu_ledger)
-        self._heap_gpu_small = ShareHeap(self._gpu_ledger)
-        self._heap_inference = ShareHeap(self._cpu_ledger)
-        self._heap_cpu = ShareHeap(self._cpu_ledger)
         #: ``gpu_queue_empty()`` at the end of the last pass; a flip to
         #: idle gives blocked CPU jobs new borrow options without any
         #: capacity being freed, so it must dirty the "cpu" group.
@@ -177,45 +187,16 @@ class MultiArrayScheduler(Scheduler):
         return self._layout
 
     def submit(self, job: Job, now: float) -> None:
+        self._family_of(job).submit(job)
+
+    def _family_of(self, job: Job) -> TenantQueues[Any]:
         if isinstance(job, GpuJob):
-            group, queue = self._gpu_group_queue(job)
-            # GPU sub-arrays look BACKFILL_DEPTH deep per tenant, so a
-            # submit is only visible when it lands inside that window.
-            if len(queue) < self.BACKFILL_DEPTH:
-                self._gate.mark(group)
-            if not queue:
-                self._gpu_heap(group).push(job.tenant_id)
-            queue.append(job)
-            self._gpu_queued += 1
-        elif isinstance(job, CpuJob):
-            if job.is_inference:
-                queues, group, heap = (
-                    self._inference_queues, "inference", self._heap_inference
-                )
-            else:
-                queues, group, heap = (
-                    self._cpu_queues, "cpu", self._heap_cpu
-                )
-            queue = queues.setdefault(job.tenant_id, deque())
-            # CPU classes are head-only: a submit behind a blocked head
-            # cannot be examined until the head moves.
-            if not queue:
-                self._gate.mark(group)
-                heap.push(job.tenant_id)
-            queue.append(job)
-            self._cpu_queued += 1
-        else:
-            raise TypeError(f"unknown job type: {type(job).__name__}")
-
-    def _gpu_group_queue(self, job: GpuJob) -> Tuple[str, Deque[GpuJob]]:
-        if job.setup.total_gpus >= FOUR_GPU_THRESHOLD:
-            group, queues = "gpu_big", self._gpu_queues_big
-        else:
-            group, queues = "gpu_small", self._gpu_queues_small
-        return group, queues.setdefault(job.tenant_id, deque())
-
-    def _gpu_heap(self, group: str) -> ShareHeap:
-        return self._heap_gpu_big if group == "gpu_big" else self._heap_gpu_small
+            if job.setup.total_gpus >= FOUR_GPU_THRESHOLD:
+                return self._gpu_big
+            return self._gpu_small
+        if isinstance(job, CpuJob):
+            return self._inference if job.is_inference else self._cpu
+        raise TypeError(f"unknown job type: {type(job).__name__}")
 
     def job_started(
         self, job: Job, placements: Sequence[Tuple[int, int, int]], now: float
@@ -287,31 +268,16 @@ class MultiArrayScheduler(Scheduler):
 
     def job_preempted(self, job: Job, now: float, *, preserve_progress: bool) -> None:
         self._forget(job.job_id)
-        if isinstance(job, GpuJob):
-            group, queue = self._gpu_group_queue(job)
-            self._gate.mark(group)
-            self._gpu_heap(group).push(job.tenant_id)
-            queue.appendleft(job)
-            self._gpu_queued += 1
-        elif job.is_inference:
-            self._gate.mark("inference")
-            self._heap_inference.push(job.tenant_id)
-            self._inference_queues.setdefault(job.tenant_id, deque()).appendleft(job)
-            self._cpu_queued += 1
-        else:
-            self._gate.mark("cpu")
-            self._heap_cpu.push(job.tenant_id)
-            self._cpu_queues.setdefault(job.tenant_id, deque()).appendleft(job)
-            self._cpu_queued += 1
+        self._family_of(job).requeue(job)
 
     def _forget(self, job_id: str) -> None:
         self._running.pop(job_id, None)
         gpu_footprint = self._gpu_ledger.finish(job_id)
         if gpu_footprint is not None:
-            self._push_gpu_tenant(gpu_footprint[0])
+            self._rekey(self._gpu_families, gpu_footprint[0])
         cpu_footprint = self._cpu_ledger.finish(job_id)
         if cpu_footprint is not None:
-            self._push_cpu_tenant(cpu_footprint[0])
+            self._rekey(self._cpu_families, cpu_footprint[0])
         self._census_forget(job_id)
         node_id = self._borrowed_cpu.pop(job_id, None)
         if node_id is not None:
@@ -322,39 +288,24 @@ class MultiArrayScheduler(Scheduler):
         self._pending_borrow_cpu.discard(job_id)
         self._pending_borrow_gpu.discard(job_id)
 
-    def _push_gpu_tenant(self, tenant_id: int) -> None:
-        """The tenant's GPU-ledger share changed: re-key it in both
-        sub-array heaps (the ledger is shared across them)."""
-        if self._gpu_queues_big.get(tenant_id):
-            self._heap_gpu_big.push(tenant_id)
-        if self._gpu_queues_small.get(tenant_id):
-            self._heap_gpu_small.push(tenant_id)
-
-    def _push_cpu_tenant(self, tenant_id: int) -> None:
-        """Same as :meth:`_push_gpu_tenant` for the CPU-side heaps."""
-        if self._inference_queues.get(tenant_id):
-            self._heap_inference.push(tenant_id)
-        if self._cpu_queues.get(tenant_id):
-            self._heap_cpu.push(tenant_id)
+    @staticmethod
+    def _rekey(families: Tuple[TenantQueues[Any], ...], tenant_id: int) -> None:
+        """A ledger start/finish moved the tenant's share: re-key it in
+        every family on that ledger."""
+        for family in families:
+            family.share_changed(tenant_id)
 
     def pending_jobs(self) -> List[Job]:
-        pending: List[Job] = []
-        for queues in (
-            self._gpu_queues_big,
-            self._gpu_queues_small,
-            self._inference_queues,
-            self._cpu_queues,
-        ):
-            for queue in queues.values():
-                pending.extend(queue)
+        pending = [job for family in self.families for job in family.jobs()]
         pending.sort(key=lambda job: (job.submit_time, job.job_id))
         return pending
 
     def queue_depths(self) -> Tuple[int, int]:
-        return self._gpu_queued, self._cpu_queued
+        gpu, cpu = self._depths
+        return gpu, cpu
 
     def gpu_queue_empty(self) -> bool:
-        return not self._gpu_queued
+        return not self._depths[0]
 
     # ------------------------------------------------------------------ #
     # The scheduling pass
@@ -385,28 +336,10 @@ class MultiArrayScheduler(Scheduler):
         )
         preempted: Set[str] = set()
         self._place_memo = {}
-        if self._gate.enabled:
-            total = cluster.total
-            for heap, queues in (
-                (self._heap_gpu_big, self._gpu_queues_big),
-                (self._heap_gpu_small, self._gpu_queues_small),
-                (self._heap_inference, self._inference_queues),
-                (self._heap_cpu, self._cpu_queues),
-            ):
-                heap.configure(total.cpus, total.gpus)
-                if heap.needs_rebuild:
-                    heap.rebuild(queues)
         self._schedule_gpu_array(cluster, free, decisions, preempted)
         self._schedule_cpu_array(cluster, free, decisions, preempted)
         self._gate.pass_done(cluster)
         if self._gate.enabled:
-            for heap in (
-                self._heap_gpu_big,
-                self._heap_gpu_small,
-                self._heap_inference,
-                self._heap_cpu,
-            ):
-                heap.flush_stash()
             # Cross-group coupling that no capacity-freed bump covers:
             # the GPU queues draining gives blocked CPU jobs new borrow
             # options, and freshly-planned borrowers give blocked GPU
@@ -433,9 +366,7 @@ class MultiArrayScheduler(Scheduler):
         """
         if self._layout is None:
             return False  # the first pass must build the layout
-        return self._gate.can_skip_pass(
-            cluster, self._gpu_queued + self._cpu_queued
-        )
+        return self._gate.can_skip_pass(cluster, sum(self._depths))
 
     # -------------------------- GPU array ----------------------------- #
 
@@ -451,16 +382,14 @@ class MultiArrayScheduler(Scheduler):
         # still judged on each tenant's total GPU usage.
         if self._gate.should_scan("gpu_big", cluster):
             self._schedule_gpu_subarray(
-                self._gpu_queues_big, cluster, free, decisions, preempted,
-                heap=self._heap_gpu_big if self._gate.enabled else None,
+                self._gpu_big, cluster, free, decisions, preempted
             )
         # A reclaim returns a victim's share to ``free`` mid-pass, which
         # can unblock a clean group scanned after it: once this pass has
         # planned a preemption, every later group is scanned.
         if preempted or self._gate.should_scan("gpu_small", cluster):
             self._schedule_gpu_subarray(
-                self._gpu_queues_small, cluster, free, decisions, preempted,
-                heap=self._heap_gpu_small if self._gate.enabled else None,
+                self._gpu_small, cluster, free, decisions, preempted
             )
 
     #: How far past a tenant's blocked queue head the scheduler may look
@@ -470,34 +399,16 @@ class MultiArrayScheduler(Scheduler):
 
     def _schedule_gpu_subarray(
         self,
-        queues: Dict[int, Deque[GpuJob]],
+        family: TenantQueues[GpuJob],
         cluster: Cluster,
         free: FreeState,
         decisions: List[Decision],
         preempted: Set[str],
-        *,
-        heap: Optional[ShareHeap] = None,
     ) -> None:
-        total = cluster.total
         biggest_node = self._biggest_node_cores
-        blocked: Set[int] = set()
-        while True:
-            if heap is None:
-                entry = None
-                tenant_id = self._next_tenant(
-                    queues, self._gpu_ledger, total.cpus, total.gpus, blocked
-                )
-            else:
-                entry = heap.pop_min(queues, blocked)
-                tenant_id = None if entry is None else entry[1]
-            if tenant_id is None:
-                return
-            queue = queues[tenant_id]
-            placed_index = None
-            placements = None
-            for index, job in enumerate(queue):
-                if index >= self.BACKFILL_DEPTH:
-                    break
+        for tenant_id in family.drf_order(cluster.total):
+            placed: Optional[Tuple[int, List[Placement]]] = None
+            for index, job in enumerate(family.window_of(tenant_id)):
                 cores = self.allocator.initial_cores(
                     job, node_cores=biggest_node
                 )
@@ -505,24 +416,20 @@ class MultiArrayScheduler(Scheduler):
                     job, cores, cluster, free, decisions, preempted
                 )
                 if placements is not None:
-                    placed_index = index
+                    placed = (index, placements)
                     break
-            if placed_index is None:
-                blocked.add(tenant_id)
-                if heap is not None and entry is not None:
-                    heap.stash(entry)
+            if placed is None:
+                family.block(tenant_id)
                 continue
-            job = queue[placed_index]
+            index, placements = placed
             free.commit(placements)
-            del queue[placed_index]
-            self._gpu_queued -= 1
+            job = family.take(tenant_id, index)
             # DRF inside the GPU array goes "according to the usage of GPU"
             # (Sec. V-C), so cores are not counted against the share.
             self._gpu_ledger.start(
                 job.job_id, job.tenant_id, 0, job.setup.total_gpus
             )
-            if heap is not None:
-                self._push_gpu_tenant(job.tenant_id)
+            self._rekey(self._gpu_families, job.tenant_id)
             decisions.append(StartDecision(job=job, placements=tuple(placements)))
 
     def _try_place_gpu(
@@ -879,9 +786,6 @@ class MultiArrayScheduler(Scheduler):
         decisions: List[Decision],
         preempted: Set[str],
     ) -> None:
-        layout = self._layout
-        assert layout is not None
-        incremental = self._gate.enabled
         # Reclaims earlier in this pass returned capacity to ``free``
         # (see _schedule_gpu_array).
         scan_inference = bool(preempted) or self._gate.should_scan(
@@ -890,43 +794,28 @@ class MultiArrayScheduler(Scheduler):
         scan_cpu = bool(preempted) or self._gate.should_scan("cpu", cluster)
         if not scan_inference and not scan_cpu:
             return
-        if not self._cpu_queued:
+        if not self._depths[1]:
             # Nothing queued in either CPU class: both tenant loops below
             # would spin zero iterations, so skip the headroom census too.
             return
-        total = cluster.total
 
         # User-facing inference first: it outranks training, so it may use
         # any free cores (reserved or not) and is never a borrower.
-        heap = self._heap_inference if incremental else None
-        blocked: Set[int] = set()
-        while scan_inference:
-            if heap is None:
-                entry = None
-                tenant_id = self._next_tenant(
-                    self._inference_queues, self._cpu_ledger, total.cpus,
-                    total.gpus, blocked,
+        inference = self._inference
+        if scan_inference:
+            for tenant_id in inference.drf_order(cluster.total):
+                job = inference.head(tenant_id)
+                placement = place_cpu_job(job, free)
+                if placement is None:
+                    inference.block(tenant_id)
+                    continue
+                free.commit(placement)
+                inference.take(tenant_id)
+                self._cpu_ledger.start(job.job_id, job.tenant_id, job.cores, 0)
+                self._rekey(self._cpu_families, job.tenant_id)
+                decisions.append(
+                    StartDecision(job=job, placements=tuple(placement))
                 )
-            else:
-                entry = heap.pop_min(self._inference_queues, blocked)
-                tenant_id = None if entry is None else entry[1]
-            if tenant_id is None:
-                break
-            queue = self._inference_queues[tenant_id]
-            job = queue[0]
-            placement = place_cpu_job(job, free)
-            if placement is None:
-                blocked.add(tenant_id)
-                if heap is not None and entry is not None:
-                    heap.stash(entry)
-                continue
-            free.commit(placement)
-            queue.popleft()
-            self._cpu_queued -= 1
-            self._cpu_ledger.start(job.job_id, job.tenant_id, job.cores, 0)
-            if heap is not None:
-                self._push_cpu_tenant(job.tenant_id)
-            decisions.append(StartDecision(job=job, placements=tuple(placement)))
 
         if not scan_cpu:
             return
@@ -938,31 +827,16 @@ class MultiArrayScheduler(Scheduler):
         normal_used = self._cpu_census(cluster, preempted)
 
         gpu_idle = self.gpu_queue_empty()
-        heap = self._heap_cpu if incremental else None
-        blocked = set()
-        while True:
-            if heap is None:
-                entry = None
-                tenant_id = self._next_tenant(
-                    self._cpu_queues, self._cpu_ledger, total.cpus,
-                    total.gpus, blocked,
-                )
-            else:
-                entry = heap.pop_min(self._cpu_queues, blocked)
-                tenant_id = None if entry is None else entry[1]
-            if tenant_id is None:
-                return
-            queue = self._cpu_queues[tenant_id]
-            job = queue[0]
+        cpu = self._cpu
+        for tenant_id in cpu.drf_order(cluster.total):
+            job = cpu.head(tenant_id)
             placement = self._place_cpu_normal(job, free, normal_used)
             borrowed = False
             if placement is None and gpu_idle:
                 placement = place_cpu_job(job, free)
                 borrowed = placement is not None
             if placement is None:
-                blocked.add(tenant_id)
-                if heap is not None and entry is not None:
-                    heap.stash(entry)
+                cpu.block(tenant_id)
                 continue
             free.commit(placement)
             node_id = placement[0][0]
@@ -970,11 +844,9 @@ class MultiArrayScheduler(Scheduler):
                 self._pending_borrow_cpu.add(job.job_id)
             else:
                 normal_used[node_id] = normal_used.get(node_id, 0) + job.cores
-            queue.popleft()
-            self._cpu_queued -= 1
+            cpu.take(tenant_id)
             self._cpu_ledger.start(job.job_id, job.tenant_id, job.cores, 0)
-            if heap is not None:
-                self._push_cpu_tenant(job.tenant_id)
+            self._rekey(self._cpu_families, job.tenant_id)
             decisions.append(StartDecision(job=job, placements=tuple(placement)))
 
     def _cpu_census_build(
@@ -1055,22 +927,14 @@ class MultiArrayScheduler(Scheduler):
     # ---------------------- checkpoint / restore ----------------------- #
 
     def _snapshot_queues(self) -> Dict[str, Any]:
-        def queues_state(
-            queues: Dict[int, Deque],
-        ) -> Dict[str, List[str]]:
-            return {
-                str(tenant_id): [job.job_id for job in queue]
-                for tenant_id, queue in queues.items()
-            }
-
         # The lazily-built layout fields (_layout, _topology, _cpu_capacity)
         # are pure functions of the cluster config and rebuild on the first
         # post-restore pass, so they are deliberately not snapshotted.
         return {
-            "gpu_small": queues_state(self._gpu_queues_small),
-            "gpu_big": queues_state(self._gpu_queues_big),
-            "cpu": queues_state(self._cpu_queues),
-            "inference": queues_state(self._inference_queues),
+            "gpu_small": self._gpu_small.snapshot(),
+            "gpu_big": self._gpu_big.snapshot(),
+            "cpu": self._cpu.snapshot(),
+            "inference": self._inference.snapshot(),
             "gpu_ledger": self._gpu_ledger.snapshot(),
             "cpu_ledger": self._cpu_ledger.snapshot(),
             "running": sorted(self._running),
@@ -1084,17 +948,8 @@ class MultiArrayScheduler(Scheduler):
     def _restore_queues(
         self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]
     ) -> None:
-        def queues_from(raw: Dict[str, List[str]]) -> Dict[int, Deque]:
-            return {
-                int(tenant_id): deque(jobs_by_id[job_id] for job_id in job_ids)
-                for tenant_id, job_ids in raw.items()
-            }
-
-        self._gpu_queues_small = queues_from(state["gpu_small"])
-        self._gpu_queues_big = queues_from(state["gpu_big"])
-        self._cpu_queues = queues_from(state["cpu"])
-        self._inference_queues = queues_from(state["inference"])
-        self._gpu_queued, self._cpu_queued = depths_of(self.pending_jobs())
+        for family in self.families:
+            family.restore(state[family.group], jobs_by_id)
         self._gpu_ledger.restore(state["gpu_ledger"])
         self._cpu_ledger.restore(state["cpu_ledger"])
         self._running = {
@@ -1127,33 +982,8 @@ class MultiArrayScheduler(Scheduler):
         for job_id, node_id in self._borrowed_gpu.items():
             self._gpu_borrow_index.setdefault(node_id, set()).add(job_id)
         # Restored state may differ arbitrarily from the last pass this
-        # process saw: re-arm every gate group and rebuild the heaps.
+        # process saw: re-arm every gate group (the families rebuild
+        # their heaps at the next pass).
         self._gate.mark_all()
-        for heap in (
-            self._heap_gpu_big,
-            self._heap_gpu_small,
-            self._heap_inference,
-            self._heap_cpu,
-        ):
-            heap.invalidate()
         self._gpu_idle_prev = self.gpu_queue_empty()
         self._place_memo = {}
-
-    # --------------------------- shared ------------------------------- #
-
-    @staticmethod
-    def _next_tenant(
-        queues: Dict[int, Deque],
-        ledger: UsageLedger,
-        total_cpus: int,
-        total_gpus: int,
-        blocked: Set[int],
-    ) -> Optional[int]:
-        best_id, best_share = None, None
-        for tenant_id, queue in queues.items():
-            if not queue or tenant_id in blocked:
-                continue
-            share = ledger.dominant_share(tenant_id, total_cpus, total_gpus)
-            if best_share is None or (share, tenant_id) < (best_share, best_id):
-                best_id, best_share = tenant_id, share
-        return best_id

@@ -16,11 +16,30 @@ from __future__ import annotations
 
 import abc
 import heapq
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Deque,
+    Dict,
+    Generic,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.resources import ResourceVector
 from repro.health.restarts import DeadJob, RestartPolicy
+from repro.schedulers.dirty import PassGate
 from repro.sim.events import EventHandle
 from repro.workload.job import GpuJob, Job
 
@@ -159,6 +178,10 @@ class Scheduler(abc.ABC):
 
     #: Human-readable policy name used in reports.
     name: str = "base"
+
+    #: The policy's DRF-ordered queue families (none for FIFO); the
+    #: auditor holds each one's share heap to its linear scan (IV013).
+    families: Tuple["TenantQueues[Any]", ...] = ()
 
     def __init__(
         self, *, restart_policy: Optional[RestartPolicy] = None
@@ -547,3 +570,214 @@ class ShareHeap:
         for entry in self._stash:
             heapq.heappush(self._entries, entry)
         self._stash.clear()
+
+
+JobT = TypeVar("JobT", bound=Job)
+
+
+class TenantQueues(Generic[JobT]):
+    """One family of per-tenant FIFO queues, served in DRF order.
+
+    A family is one :class:`PassGate` group: DRF's one queue set, or one
+    of the multi-array scheduler's four (``gpu_big``, ``gpu_small``,
+    ``inference``, ``cpu``).  It owns how the family's jobs wait: the
+    per-tenant deques, the O(1) ``[gpu, cpu]`` depth counts, the
+    examination window and the gate marks it implies, the DRF-order
+    tenant pick with its per-pass stash, and snapshot/restore.  The
+    policy places the jobs it is handed, charges its ledger, and
+    decides whether a group is scanned at all.
+
+    **Depths.**  ``depths`` is the policy's ``[gpu, cpu]`` count of
+    queued jobs, one list shared by all its families, so reading it
+    costs no call.  Only the families move it: ``submit``, ``requeue``
+    and ``take`` by one job, ``restore`` by the jobs it drops and
+    loads.  IV012 checks it against a walk of the queues.
+
+    **Window.**  A pass examines the first ``window`` jobs of each
+    tenant queue: 1 for head-only families, ``BACKFILL_DEPTH`` for the
+    GPU sub-arrays' bounded backfill.  A submit marks the group only
+    when the job lands inside the window; a head re-queue always does.
+
+    **Pick.**  :meth:`drf_order` yields tenants by ascending
+    ``(dominant_share, tenant_id)`` over the nonempty queues not blocked
+    this pass: from the family's :class:`ShareHeap` while the gate is
+    enabled, by :meth:`linear_min` under ``REPRO_REFERENCE=1``.  The
+    heap needs a push whenever a queued tenant's share moves, so the
+    policy reports every ledger ``start``/``finish`` through
+    :meth:`share_changed` on each family sharing that ledger.
+    """
+
+    __slots__ = (
+        "group",
+        "window",
+        "_gate",
+        "_incremental",
+        "_ledger",
+        "_queues",
+        "_depths",
+        "_heap",
+        "_totals",
+        "_blocked",
+    )
+
+    def __init__(
+        self,
+        group: str,
+        ledger: UsageLedger,
+        gate: PassGate,
+        depths: List[int],
+        *,
+        window: int = 1,
+    ) -> None:
+        self.group = group
+        self.window = window
+        self._gate = gate
+        #: The gate's verdict, fixed at construction like the gate's own.
+        self._incremental = gate.enabled
+        self._ledger = ledger
+        self._queues: Dict[int, Deque[JobT]] = {}
+        self._depths = depths
+        self._heap = ShareHeap(ledger)
+        #: Cluster ``(cpus, gpus)`` the last pass computed shares over.
+        self._totals = (0, 0)
+        #: Tenants whose window held nothing placeable this pass.
+        self._blocked: Set[int] = set()
+
+    # -- queue mutations ------------------------------------------------ #
+
+    def submit(self, job: JobT) -> None:
+        """Append ``job`` at its tenant's tail."""
+        queue = self._queues.setdefault(job.tenant_id, deque())
+        if len(queue) < self.window:
+            self._gate.mark(self.group)
+        if not queue:
+            self._heap.push(job.tenant_id)
+        queue.append(job)
+        self._depths[_kind(job)] += 1
+
+    def requeue(self, job: JobT) -> None:
+        """Put ``job`` back at its tenant's head."""
+        self._gate.mark(self.group)
+        self._heap.push(job.tenant_id)
+        self._queues.setdefault(job.tenant_id, deque()).appendleft(job)
+        self._depths[_kind(job)] += 1
+
+    def share_changed(self, tenant_id: int) -> None:
+        """The tenant's share on this family's ledger moved: re-key it.
+        An order-only change, so the gate stays clean."""
+        if self._queues.get(tenant_id):
+            self._heap.push(tenant_id)
+
+    def take(self, tenant_id: int, index: int = 0) -> JobT:
+        """Remove and return the tenant's ``index``-th queued job."""
+        queue = self._queues[tenant_id]
+        job = queue[index]
+        del queue[index]
+        self._depths[_kind(job)] -= 1
+        return job
+
+    # -- the pass ------------------------------------------------------- #
+
+    def drf_order(self, total: ResourceVector) -> Iterator[int]:
+        """One pass's tenants by ascending ``(share, tenant_id)`` over
+        ``total``, among nonempty queues not blocked this pass.
+
+        The caller must :meth:`take` from or :meth:`block` each yielded
+        tenant before drawing the next, and must exhaust the iterator:
+        a blocked tenant's heap entry is stashed when the next tenant is
+        drawn, and the stash is re-pushed when the pass runs dry."""
+        self._totals = (total.cpus, total.gpus)
+        blocked = self._blocked
+        blocked.clear()
+        if not self._incremental:
+            while True:
+                best = self.linear_min(
+                    self._ledger, self._queues, blocked, *self._totals
+                )
+                if best is None:
+                    return
+                yield best[1]
+        heap = self._heap
+        heap.configure(total.cpus, total.gpus)
+        if heap.needs_rebuild:
+            heap.rebuild(self._queues)
+        while True:
+            entry = heap.pop_min(self._queues, blocked)
+            if entry is None:
+                heap.flush_stash()
+                return
+            yield entry[1]
+            if entry[1] in blocked:
+                # A blocked tenant starts nothing, so its share cannot
+                # move this pass: the entry is re-pushed as it is.
+                heap.stash(entry)
+
+    def block(self, tenant_id: int) -> None:
+        """Nothing in the tenant's window fits: skip it for the rest of
+        the pass."""
+        self._blocked.add(tenant_id)
+
+    @staticmethod
+    def linear_min(
+        ledger: UsageLedger,
+        queues: Dict[int, Any],
+        blocked: Collection[int],
+        total_cpus: int,
+        total_gpus: int,
+    ) -> Optional[Tuple[float, int]]:
+        """Minimum ``(share, tenant_id)`` over the nonempty, unblocked
+        ``queues`` by a linear scan: the reference pick, and what IV013
+        holds the heap to."""
+        best: Optional[Tuple[float, int]] = None
+        for tenant_id, queue in queues.items():
+            if not queue or tenant_id in blocked:
+                continue
+            key = (
+                ledger.dominant_share(tenant_id, total_cpus, total_gpus),
+                tenant_id,
+            )
+            if best is None or key < best:
+                best = key
+        return best
+
+    # -- reads ---------------------------------------------------------- #
+
+    def head(self, tenant_id: int) -> JobT:
+        return self._queues[tenant_id][0]
+
+    def window_of(self, tenant_id: int) -> Iterator[JobT]:
+        """The tenant's jobs a pass may examine, head first."""
+        return islice(self._queues[tenant_id], self.window)
+
+    def jobs(self) -> Iterator[JobT]:
+        for queue in self._queues.values():
+            yield from queue
+
+    # -- checkpoint / restore ------------------------------------------- #
+
+    def snapshot(self) -> Dict[str, List[str]]:
+        return {
+            str(tenant_id): [job.job_id for job in queue]
+            for tenant_id, queue in self._queues.items()
+        }
+
+    def restore(
+        self, state: Dict[str, List[str]], jobs_by_id: Dict[str, Any]
+    ) -> None:
+        """Replace the queues with :meth:`snapshot` output.  The heap
+        rebuilds at the next pass; re-arming the gate is the policy's (it
+        resets every group at once)."""
+        for job in self.jobs():
+            self._depths[_kind(job)] -= 1
+        self._queues = {
+            int(tenant_id): deque(jobs_by_id[job_id] for job_id in job_ids)
+            for tenant_id, job_ids in state.items()
+        }
+        for job in self.jobs():
+            self._depths[_kind(job)] += 1
+        self._heap.invalidate()
+
+
+def _kind(job: Job) -> int:
+    """Index of ``job``'s kind in ``[gpu, cpu]`` depth counts."""
+    return 0 if isinstance(job, GpuJob) else 1

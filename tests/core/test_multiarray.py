@@ -236,7 +236,7 @@ class TestFairnessAndBackfill:
         scheduler = _scheduler()
         big = _gpu("big", gpus=4)
         scheduler.job_preempted(big, 0.0, preserve_progress=True)
-        assert scheduler._gpu_queues_big[1][0].job_id == "big"
+        assert scheduler._gpu_big.head(1).job_id == "big"
 
 
 class TestSlimming:
@@ -300,7 +300,7 @@ class TestBorrowerAbortRecovery:
         scheduler.submit(_cpu("late", cores=14), 1.0)
         scheduler.submit(_gpu("train", gpus=1, model="alexnet"), 1.0)
         apply(scheduler, cluster, scheduler.schedule(cluster, 1.0))
-        queue = scheduler._cpu_queues[18]
+        queue = scheduler._cpu._queues[18]
         assert queue[0].job_id == borrower
         assert [j.job_id for j in queue if j.job_id == "late"] == ["late"]
 

@@ -279,7 +279,7 @@ class TestSchedulerRecovery:
         scheduler.submit(_gpu("second", iters=10_000, submit=1.0), 1.0)
         cluster.release("first")
         scheduler.job_failed(first, 2.0)
-        _, queue = scheduler._gpu_group_queue(first)
+        queue = scheduler._family_of(first)._queues[first.tenant_id]
         assert [job.job_id for job in queue] == ["first", "second"]
         assert "first" not in scheduler.allocator._active
 

@@ -1,5 +1,6 @@
-"""PassGate windows, ShareHeap/linear-scan equivalence, skip accounting,
-and the empty-queue skip with its O(1) queue depths."""
+"""PassGate windows, ShareHeap/linear-scan equivalence, the TenantQueues
+family (windows, depths, snapshots, picks), skip accounting, and the
+empty-queue skip with its O(1) queue depths."""
 
 import json
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from repro.checkpoint import build_runner, restore_run, snapshot_run
 from repro.cluster.cluster import Cluster
+from repro.cluster.resources import ResourceVector
 from repro.config import small_cluster
 from repro.experiments.runner import SimulationRunner
 from repro.experiments.scenarios import (
@@ -18,10 +20,16 @@ from repro.experiments.scenarios import (
     small_scenario,
 )
 from repro.parallel.spec import RunSpec
+from repro.perfmodel.stages import TrainSetup
 from repro.profiling import Profiler
-from repro.schedulers.base import ShareHeap, UsageLedger, depths_of
+from repro.schedulers.base import (
+    ShareHeap,
+    TenantQueues,
+    UsageLedger,
+    depths_of,
+)
 from repro.schedulers.dirty import PassGate
-from repro.workload.job import CpuJob
+from repro.workload.job import CpuJob, GpuJob
 from repro.workload.tracegen import TraceConfig
 
 
@@ -85,19 +93,8 @@ class TestPassGate:
         assert not gate.can_skip_pass(cluster)
 
 
-def _linear_min(ledger, queues, blocked, total_cpus, total_gpus):
-    """The reference selection ShareHeap must reproduce exactly."""
-    best = None
-    for tenant_id, queue in queues.items():
-        if not queue or tenant_id in blocked:
-            continue
-        key = (
-            ledger.dominant_share(tenant_id, total_cpus, total_gpus),
-            tenant_id,
-        )
-        if best is None or key < best:
-            best = key
-    return best
+#: The reference selection ShareHeap must reproduce exactly.
+_linear_min = TenantQueues.linear_min
 
 
 class TestShareHeapEquivalence:
@@ -160,6 +157,148 @@ class TestShareHeapEquivalence:
                     blocked.add(tenant_id)
                     heap.stash(entry)
             heap.flush_stash()
+
+
+def _tenant_cpu_job(job_id, tenant, cores=4):
+    return CpuJob(job_id=job_id, tenant_id=tenant, submit_time=0.0, cores=cores)
+
+
+def _tenant_gpu_job(job_id, tenant, gpus=1):
+    return GpuJob(
+        job_id=job_id,
+        tenant_id=tenant,
+        submit_time=0.0,
+        model_name="resnet50",
+        setup=TrainSetup(1, gpus),
+        requested_cpus=2,
+        total_iterations=100,
+    )
+
+
+def _clean_family(window=1):
+    """A family whose gate has just finished a pass (every group clean)."""
+    cluster = _FakeCluster()
+    gate = PassGate(("f",))
+    family = TenantQueues("f", UsageLedger(), gate, [0, 0], window=window)
+    gate.pass_done(cluster)
+    return family, gate, cluster
+
+
+class TestTenantQueues:
+    """The one queue type behind DRF and the multi-array families."""
+
+    TOTAL = ResourceVector(cpus=64, gpus=16)
+
+    def test_head_only_window_marks_on_an_empty_queue_only(self):
+        family, gate, cluster = _clean_family()
+        family.submit(_tenant_cpu_job("a0", tenant=1))
+        assert gate.should_scan("f", cluster)
+        gate.pass_done(cluster)
+        family.submit(_tenant_cpu_job("a1", tenant=1))
+        assert not gate.should_scan("f", cluster)
+        family.submit(_tenant_cpu_job("b0", tenant=2))
+        assert gate.should_scan("f", cluster)
+
+    def test_backfill_window_marks_until_it_is_full(self):
+        family, gate, cluster = _clean_family(window=4)
+        for index in range(4):
+            family.submit(_tenant_gpu_job(f"g{index}", tenant=1))
+            assert gate.should_scan("f", cluster)
+            gate.pass_done(cluster)
+        family.submit(_tenant_gpu_job("g4", tenant=1))
+        assert not gate.should_scan("f", cluster)
+        assert [job.job_id for job in family.window_of(1)] == [
+            "g0", "g1", "g2", "g3"
+        ]
+
+    def test_head_requeue_always_marks(self):
+        family, gate, cluster = _clean_family()
+        for index in range(3):
+            family.submit(_tenant_cpu_job(f"a{index}", tenant=1))
+        gate.pass_done(cluster)
+        family.requeue(_tenant_cpu_job("back", tenant=1))
+        assert gate.should_scan("f", cluster)
+        assert family.head(1).job_id == "back"
+
+    def test_depths_follow_submit_take_requeue_and_restore(self):
+        gate = PassGate(("a", "b"))
+        depths = [0, 0]
+        family = TenantQueues("a", UsageLedger(), gate, depths, window=4)
+        sibling = TenantQueues("b", UsageLedger(), gate, depths)
+        family.submit(_tenant_gpu_job("g0", tenant=1))
+        family.submit(_tenant_gpu_job("g1", tenant=1))
+        family.submit(_tenant_cpu_job("c0", tenant=2))
+        sibling.submit(_tenant_cpu_job("s0", tenant=1))
+        assert depths == [2, 2]
+        taken = family.take(1, index=1)
+        assert taken.job_id == "g1"
+        assert depths == [1, 2]
+        family.requeue(taken)
+        assert depths == [2, 2]
+        # A restore moves the shared counts by what the family drops and
+        # what it loads; the sibling's share is untouched.
+        jobs_by_id = {job.job_id: job for job in family.jobs()}
+        family.restore({"1": ["g1"]}, jobs_by_id)
+        assert depths == [1, 1]
+        family.restore({"1": ["g1", "g0"], "2": ["c0"]}, jobs_by_id)
+        assert depths == [2, 2]
+        walked = depths_of(list(family.jobs()) + list(sibling.jobs()))
+        assert tuple(depths) == walked
+
+    def test_snapshot_restore_round_trip(self):
+        family, _, _ = _clean_family()
+        for job_id, tenant in (("a0", 3), ("b0", 1), ("a1", 3), ("b1", 1)):
+            family.submit(_tenant_cpu_job(job_id, tenant=tenant))
+        family.requeue(_tenant_cpu_job("front", tenant=1))
+        state = json.loads(json.dumps(family.snapshot()))
+        assert state == {"3": ["a0", "a1"], "1": ["front", "b0", "b1"]}
+        jobs_by_id = {job.job_id: job for job in family.jobs()}
+        restored, _, _ = _clean_family()
+        restored.restore(state, jobs_by_id)
+        assert restored.snapshot() == state
+        assert [job.job_id for job in restored.jobs()] == [
+            job.job_id for job in family.jobs()
+        ]
+        assert restored._depths == family._depths == [0, 5]
+
+    @staticmethod
+    def _pick_sequence(seed):
+        """Randomized passes (submits, finishes, starts and blocked
+        tenants) through one family; returns every tenant it picked."""
+        rng = random.Random(seed)
+        ledger = UsageLedger()
+        family = TenantQueues("f", ledger, PassGate(("f",)), [0, 0])
+        running, picks, seq = [], [], 0
+        for _ in range(40):
+            for _ in range(rng.randrange(4)):
+                tenant = rng.randrange(5)
+                cores = rng.randrange(1, 9)
+                family.submit(_tenant_cpu_job(f"j{seq}", tenant, cores))
+                seq += 1
+            for _ in range(rng.randrange(3)):
+                if running:
+                    job = running.pop(rng.randrange(len(running)))
+                    ledger.finish(job.job_id)
+                    family.share_changed(job.tenant_id)
+            for tenant_id in family.drf_order(TestTenantQueues.TOTAL):
+                picks.append(tenant_id)
+                if rng.random() < 0.5:
+                    family.block(tenant_id)
+                    continue
+                job = family.take(tenant_id)
+                ledger.start(job.job_id, tenant_id, job.cores, 0)
+                family.share_changed(tenant_id)
+                running.append(job)
+        return picks
+
+    def test_gate_enabled_and_disabled_pick_the_same_sequence(
+        self, monkeypatch
+    ):
+        incremental = self._pick_sequence(7)
+        monkeypatch.setenv("REPRO_REFERENCE", "1")
+        reference = self._pick_sequence(7)
+        assert len(incremental) > 50
+        assert incremental == reference
 
 
 @pytest.mark.parametrize("policy", ("fifo", "drf", "coda"))

@@ -241,7 +241,9 @@ class TestWorkerLifecycle:
     ):
         outcomes = run_supervised(four_specs, jobs=2)
         assert len(launches) == 2
-        assert [conn.assignments >= 2 for conn in launches] == [True, True]
+        # Dispatch goes to whichever worker is free, so the two workers
+        # share the four specs but need not split them evenly.
+        assert sum(conn.assignments for conn in launches) == 4
         assert [o.attempts for o in outcomes] == [1, 1, 1, 1]
         for outcome, result in zip(outcomes, serial_map(four_specs)):
             assert _payload_dumps(outcome.payload) == _dumps(result)
