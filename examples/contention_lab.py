@@ -49,7 +49,7 @@ def run_scene(eliminator_enabled: bool):
     timeline = []
     for checkpoint in (60, 150, 240, 600, 1800, 3600):
         runner.engine.run(until=checkpoint)
-        trainer_running = "trainer" in runner._running_gpu
+        trainer_running = node.holds("trainer")
         timeline.append(
             (
                 f"{checkpoint}s",

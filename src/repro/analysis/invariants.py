@@ -73,20 +73,18 @@ fails fast on a conservation bug.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.mba import MBA_LEVELS
 from repro.core.multiarray import MultiArrayScheduler
+from repro.experiments.runner import SimulationRunner, _RunningGpu
 from repro.health.tracker import NodeHealthState
 from repro.metrics.audit import AuditStats, InvariantViolation
 from repro.schedulers.base import Scheduler, TenantQueues, depths_of
 from repro.schedulers.drf import DrfScheduler
 from repro.sim.engine import Engine
 from repro.sim.events import Event
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.runner import SimulationRunner
 
 #: Default sweep cadence (simulated seconds) — matches the runner's
 #: cluster-sampling default so week-long runs stay cheap.
@@ -522,21 +520,20 @@ class InvariantAuditor:
     def _check_completion_timers(self, runner: "SimulationRunner") -> None:
         """No armed completion timer fires after its record's
         authoritative completion time (nor is it missing or cancelled)."""
-        for running in (runner._running_gpu, runner._running_cpu):
-            for job_id in sorted(running):
-                record = running[job_id]
-                handle = record.completion
-                self._assert(
-                    handle is not None
-                    and not handle.cancelled
-                    and handle.time <= record.completion_time,
-                    "IV009",
-                    lambda job_id=job_id, record=record: (
-                        f"job {job_id}'s completion timer "
-                        f"{record.completion!r} is not armed at or before "
-                        f"its completion time {record.completion_time}"
-                    ),
-                )
+        for job_id in sorted(runner._running):
+            record = runner._running[job_id]
+            handle = record.completion
+            self._assert(
+                handle is not None
+                and not handle.cancelled
+                and handle.time <= record.completion_time,
+                "IV009",
+                lambda job_id=job_id, record=record: (
+                    f"job {job_id}'s completion timer "
+                    f"{record.completion!r} is not armed at or before "
+                    f"its completion time {record.completion_time}"
+                ),
+            )
 
     # -- IV010 ---------------------------------------------------------- #
 
@@ -653,27 +650,19 @@ class InvariantAuditor:
 
     def _check_priced_speeds(self, runner: "SimulationRunner") -> None:
         """Every running job's priced speed is what its inputs give now."""
-        for job_id in sorted(runner._running_gpu):
-            record = runner._running_gpu[job_id]
-            priced = (record.speed, record.utilization)
-            fresh = runner.fresh_gpu_price(job_id)
+        for job_id in sorted(runner._running):
+            record = runner._running[job_id]
+            if isinstance(record, _RunningGpu):
+                priced: object = (record.speed, record.utilization)
+                fresh: object = runner.fresh_gpu_price(job_id)
+            else:
+                priced, fresh = record.speed, runner.fresh_cpu_speed(job_id)
             self._assert(
                 priced == fresh,
                 "IV014",
                 lambda job_id=job_id, priced=priced, fresh=fresh: (
-                    f"GPU job {job_id} is priced at (speed, utilization) "
-                    f"{priced}; current cluster state gives {fresh}"
-                ),
-            )
-        for job_id in sorted(runner._running_cpu):
-            record = runner._running_cpu[job_id]
-            speed = runner.fresh_cpu_speed(job_id)
-            self._assert(
-                speed == record.speed,
-                "IV014",
-                lambda job_id=job_id, record=record, speed=speed: (
-                    f"CPU job {job_id} is priced at speed {record.speed}; "
-                    f"current cluster state gives {speed}"
+                    f"job {job_id} is priced at {priced}; current cluster "
+                    f"state gives {fresh}"
                 ),
             )
 

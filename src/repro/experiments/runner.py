@@ -4,14 +4,18 @@
 a simulated cluster:
 
 * arrivals and completions are discrete events;
-* every running job carries (work_done, speed, last_update), and its
-  progress at ``now`` is ``work_done + speed * (now - last_update)``.  A
-  change of the inputs its speed reads — its own cores or grant ratio, or
-  its nodes' post-knee bandwidth, LLC or PCIe contention — re-prices it
-  from the performance model; only a speed that actually moved accrues
-  progress and re-aims the completion event.  This progress-based
-  execution is what lets contention and adaptive allocation show up in
-  end-to-end latencies;
+* every running job, trainer or CPU job, is one record in one table.  It
+  carries (work_done, speed, last_update) toward its ``total_work``, and
+  its progress at ``now`` is ``work_done + speed * (now - last_update)``.
+  A change of the inputs its speed reads — its own cores or grant ratio,
+  or its nodes' post-knee bandwidth, LLC or PCIe contention — re-prices
+  it; only pricing differs by kind (the pipeline model for trainers,
+  grant ratio and straggling for CPU jobs).  Only a speed that actually
+  moved accrues progress and re-aims the completion event.  One path
+  aims, fires and validates completion timers for both kinds, and one
+  stop path takes a job off the cluster on completion, preemption or
+  failure.  This progress-based execution is what lets contention and
+  adaptive allocation show up in end-to-end latencies;
 * the runner implements :class:`~repro.schedulers.base.SchedulerContext`,
   the runtime-control surface CODA's allocator and eliminator act through.
 """
@@ -19,18 +23,18 @@ a simulated cluster:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    ClassVar,
     Dict,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.cluster.allocation import Allocation
@@ -81,20 +85,39 @@ DEFAULT_SAMPLE_INTERVAL_S = 300.0
 
 
 @dataclass
-class _RunningGpu:
-    job: GpuJob
-    profile: ModelProfile
-    cores_per_node: int
+class _Running:
+    """A running job's progress toward ``total_work`` (iterations for a
+    trainer, seconds of full-speed work for a CPU job): at ``now`` it has
+    done ``work_done + speed * (now - last_update)``."""
+
+    #: Tag family of the job's completion event.
+    done_tag: ClassVar[str]
+    #: Audit-log key its cores are reported under.
+    cores_key: ClassVar[str]
+    job: Job
+    #: Cores on each of its nodes (a CPU job has one node).
+    cores: int
     work_done: float
     speed: float
-    utilization: float
     last_update: float
-    completion: EventHandle
+    total_work: float
     #: Authoritative completion time.  The armed heap event may lag behind
     #: (fire earlier) when repricing moved the completion later: the stale
     #: fire detects ``completion_time > now`` and re-arms (validate-on-pop,
     #: the ShareHeap idiom).  Invariant: armed time <= completion_time.
-    completion_time: float = 0.0
+    completion_time: float
+    #: The armed completion event; None until the first pricing arms it
+    #: (after a checkpoint restore, until ``SimulationRunner.rearm``).
+    completion: Optional[EventHandle] = field(init=False, default=None)
+
+
+@dataclass
+class _RunningGpu(_Running):
+    done_tag = "gpu-done"
+    cores_key = "cores_per_node"
+    job: GpuJob
+    profile: ModelProfile
+    utilization: float
     #: The job's interconnect and participating Node objects, both fixed
     #: for the record's lifetime (a restarted job gets a fresh record);
     #: pinned to keep per-reprice dict lookups off the hot path.
@@ -103,18 +126,13 @@ class _RunningGpu:
 
 
 @dataclass
-class _RunningCpu:
+class _RunningCpu(_Running):
+    done_tag = "cpu-done"
+    cores_key = "cores"
     job: CpuJob
     node_id: int
-    cores: int
-    work_done: float
-    speed: float
-    last_update: float
-    completion: EventHandle
     #: Fault-injected slowdown (1.0 = healthy); multiplies the speed.
     straggle_factor: float = 1.0
-    #: See _RunningGpu.completion_time.
-    completion_time: float = 0.0
     #: The home Node object, fixed for the record's lifetime; pinned so
     #: repricing skips the per-call cluster lookup.
     node: Any = None
@@ -237,8 +255,7 @@ class SimulationRunner(SchedulerContext):
         self.fault_injector = fault_injector
         self.auditor = auditor if auditor is not None else _env_auditor()
         self._sample_interval_s = sample_interval_s
-        self._running_gpu: Dict[str, _RunningGpu] = {}
-        self._running_cpu: Dict[str, _RunningCpu] = {}
+        self._running: Dict[str, _Running] = {}
         self._stashed_progress: Dict[str, float] = {}
         self._pass_pending = False
         self._preemptions = 0
@@ -375,8 +392,8 @@ class SimulationRunner(SchedulerContext):
         )
 
     def resize_gpu_job_cores(self, job_id: str, cpus_per_node: int) -> bool:
-        record = self._running_gpu.get(job_id)
-        if record is None:
+        record = self._running.get(job_id)
+        if not isinstance(record, _RunningGpu):
             return False
         if cpus_per_node < 1:
             raise ValueError(f"{job_id}: need at least one core per node")
@@ -388,7 +405,7 @@ class SimulationRunner(SchedulerContext):
         self.cluster.resize_cpus(
             job_id, {share.node_id: cpus_per_node for share in allocation.shares}
         )
-        record.cores_per_node = cpus_per_node
+        record.cores = cpus_per_node
         self.collector.job_resized(job_id, cpus_per_node)
         self._audit("resized", record.job, cores_per_node=cpus_per_node)
         demand = memory_bandwidth_demand(
@@ -405,20 +422,15 @@ class SimulationRunner(SchedulerContext):
         return True
 
     def gpu_job_utilization(self, job_id: str) -> float:
-        record = self._running_gpu.get(job_id)
-        if record is None:
-            raise KeyError(f"job {job_id} is not a running GPU job")
-        return record.utilization
+        return self._gpu_record(job_id).utilization
 
     def gpu_job_expected_utilization(self, job_id: str) -> float:
-        record = self._running_gpu.get(job_id)
-        if record is None:
-            raise KeyError(f"job {job_id} is not a running GPU job")
+        record = self._gpu_record(job_id)
         allocation = self.cluster.allocation_of(job_id)
         quiet = iteration_time(
             record.profile,
             record.job.setup,
-            record.cores_per_node,
+            record.cores,
             interconnect=self.cluster.fabric.for_nodes(allocation.node_ids),
         )
         return quiet.utilization
@@ -429,8 +441,8 @@ class SimulationRunner(SchedulerContext):
             return False
         node.mba.throttle_down(job_id)
         self.collector.throttle_events += 1
-        record = self._running_cpu.get(job_id)
-        if record is not None:
+        record = self._running.get(job_id)
+        if isinstance(record, _RunningCpu):
             self._audit(
                 "throttled",
                 record.job,
@@ -446,9 +458,7 @@ class SimulationRunner(SchedulerContext):
         self._refresh_nodes({node_id})
 
     def halve_cpu_job_cores(self, job_id: str) -> None:
-        record = self._running_cpu.get(job_id)
-        if record is None:
-            raise KeyError(f"job {job_id} is not a running CPU job")
+        record = self._cpu_record(job_id)
         new_cores = max(1, record.cores // 2)
         if new_cores == record.cores:
             return
@@ -604,16 +614,21 @@ class SimulationRunner(SchedulerContext):
         )
         now = self.engine.now
         if isinstance(job, GpuJob):
-            self._start_gpu_job(job, allocation, now)
+            record = self._start_gpu_job(job, allocation, now)
         elif isinstance(job, CpuJob):
-            self._start_cpu_job(job, allocation, now)
+            record = self._start_cpu_job(job, allocation, now)
         else:
             raise TypeError(f"unknown job type: {type(job).__name__}")
+        self._running[job.job_id] = record
+        self.collector.job_started(job.job_id, now, allocation.shares[0].cpus)
+        # Registration put the job in each node's changed-set, so the
+        # refresh prices it.
+        self._refresh_nodes(set(allocation.node_ids))
         self.scheduler.job_started(job, placements, now)
 
     def _start_gpu_job(
         self, job: GpuJob, allocation: Allocation, now: float
-    ) -> None:
+    ) -> _Running:
         profile = get_model(job.model_name)
         cores = allocation.shares[0].cpus
         demand = memory_bandwidth_demand(profile, job.setup, cores)
@@ -626,19 +641,6 @@ class SimulationRunner(SchedulerContext):
                 llc_mb=GPU_JOB_LLC_MB,
                 pcie_gbps=pcie,
             )
-        work_done = self._stashed_progress.pop(job.job_id, 0.0)
-        record = _RunningGpu(
-            job=job,
-            profile=profile,
-            cores_per_node=cores,
-            work_done=work_done,
-            speed=0.0,
-            utilization=0.0,
-            last_update=now,
-            completion=None,  # type: ignore[arg-type]
-        )
-        self._running_gpu[job.job_id] = record
-        self.collector.job_started(job.job_id, now, cores)
         self._audit(
             "started",
             job,
@@ -646,38 +648,43 @@ class SimulationRunner(SchedulerContext):
             nodes=list(allocation.node_ids),
             model=job.model_name,
         )
-        # Registration put the job in each node's changed-set, so the
-        # refresh prices it.
-        self._refresh_nodes(set(allocation.node_ids))
+        return _RunningGpu(
+            job=job,
+            cores=cores,
+            work_done=self._stashed_progress.pop(job.job_id, 0.0),
+            speed=0.0,
+            last_update=now,
+            total_work=job.total_iterations,
+            completion_time=0.0,
+            profile=profile,
+            utilization=0.0,
+        )
 
     def _start_cpu_job(
         self, job: CpuJob, allocation: Allocation, now: float
-    ) -> None:
+    ) -> _Running:
         share = allocation.shares[0]
-        node = self.cluster.node(share.node_id)
-        node.register_memory_traffic(
+        self.cluster.node(share.node_id).register_memory_traffic(
             job.job_id,
             job.bw_demand_gbps,
             is_cpu_job=True,
             is_inference=job.is_inference,
             llc_mb=job.llc_mb,
         )
-        record = _RunningCpu(
+        self._cpu_incarnation[job.job_id] = (
+            self._cpu_incarnation.get(job.job_id, 0) + 1
+        )
+        self._audit("started", job, cores=share.cpus, nodes=[share.node_id])
+        return _RunningCpu(
             job=job,
-            node_id=share.node_id,
             cores=share.cpus,
             work_done=0.0,
             speed=0.0,
             last_update=now,
-            completion=None,  # type: ignore[arg-type]
+            total_work=job.duration_s,
+            completion_time=0.0,
+            node_id=share.node_id,
         )
-        self._running_cpu[job.job_id] = record
-        self._cpu_incarnation[job.job_id] = (
-            self._cpu_incarnation.get(job.job_id, 0) + 1
-        )
-        self.collector.job_started(job.job_id, now, share.cpus)
-        self._audit("started", job, cores=share.cpus, nodes=[share.node_id])
-        self._refresh_nodes({share.node_id})
 
     # ------------------------------------------------------------------ #
     # Progress-based execution
@@ -693,15 +700,27 @@ class SimulationRunner(SchedulerContext):
     # reprices only jobs whose inputs moved (IV014 checks every priced
     # speed against a fresh recomputation).
 
+    def _gpu_record(self, job_id: str) -> _RunningGpu:
+        record = self._running.get(job_id)
+        if not isinstance(record, _RunningGpu):
+            raise KeyError(f"job {job_id} is not a running GPU job")
+        return record
+
+    def _cpu_record(self, job_id: str) -> _RunningCpu:
+        record = self._running.get(job_id)
+        if not isinstance(record, _RunningCpu):
+            raise KeyError(f"job {job_id} is not a running CPU job")
+        return record
+
     def fresh_gpu_price(self, job_id: str) -> Tuple[float, float]:
         """(speed, utilization) of a running GPU job, recomputed from
         current cluster state without memos or writes (IV014)."""
-        record = self._running_gpu[job_id]
+        record = self._gpu_record(job_id)
         allocation = self.cluster.allocation_of(job_id)
         breakdown = iteration_time(
             record.profile,
             record.job.setup,
-            record.cores_per_node,
+            record.cores,
             _worst_contention(
                 job_id, [self.cluster.node(n) for n in allocation.node_ids]
             ),
@@ -712,13 +731,11 @@ class SimulationRunner(SchedulerContext):
     def fresh_cpu_speed(self, job_id: str) -> float:
         """A running CPU job's speed, recomputed from current cluster
         state without writes (IV014)."""
-        record = self._running_cpu[job_id]
+        record = self._cpu_record(job_id)
         node = self.cluster.node(record.node_id)
         return _cpu_speed(record, node.bandwidth.grant_ratio(job_id))
 
-    def _accrue(
-        self, record: "Union[_RunningGpu, _RunningCpu]", now: float
-    ) -> None:
+    def _accrue(self, record: _Running, now: float) -> None:
         span = now - record.last_update
         if span > 0:
             record.work_done += record.speed * span
@@ -755,7 +772,7 @@ class SimulationRunner(SchedulerContext):
             key = (
                 record.job.model_name,
                 record.job.setup,
-                record.cores_per_node,
+                record.cores,
                 effect_key(contention),
                 record.interconnect,
             )
@@ -764,7 +781,7 @@ class SimulationRunner(SchedulerContext):
             breakdown = iteration_time(
                 record.profile,
                 record.job.setup,
-                record.cores_per_node,
+                record.cores,
                 contention,
                 interconnect=record.interconnect,
             )
@@ -777,31 +794,7 @@ class SimulationRunner(SchedulerContext):
             for node in nodes:
                 node.set_gpu_utilization(job_id, utilization)
         if speed != record.speed:
-            now = self.engine.now
-            self._accrue(record, now)
-            record.speed = speed
-            self._aim_gpu_completion(record, now)
-
-    def _aim_gpu_completion(self, record: _RunningGpu, now: float) -> None:
-        job_id = record.job.job_id
-        remaining = record.job.total_iterations - record.work_done
-        target = now + max(0.0, remaining / record.speed)
-        record.completion_time = target
-        completion = record.completion
-        if completion is not None:
-            if not self._reference and target >= completion.time:
-                # Completion moved later (or held): leave the armed timer
-                # alone.  It fires stale, detects that completion_time is
-                # still ahead, and re-arms itself (validate-on-pop) —
-                # cheaper than a cancel+push on every speed change.
-                return
-            completion.cancel()
-        record.completion = self.engine.schedule(
-            target,
-            lambda job_id=job_id: self._on_gpu_complete(job_id),
-            priority=EventPriority.COMPLETION,
-            tag=f"gpu-done:{job_id}",
-        )
+            self._aim_completion(record, speed)
 
     def _reprice_cpu(self, record: _RunningCpu) -> None:
         """Re-price a CPU job; accrue and re-aim only if its speed moved."""
@@ -812,26 +805,34 @@ class SimulationRunner(SchedulerContext):
             node = record.node = self.cluster.node(record.node_id)
         speed = _cpu_speed(record, node.bandwidth.grant_ratio(record.job.job_id))
         if speed != record.speed:
-            now = self.engine.now
-            self._accrue(record, now)
-            record.speed = speed
-            self._aim_cpu_completion(record, now)
+            self._aim_completion(record, speed)
 
-    def _aim_cpu_completion(self, record: _RunningCpu, now: float) -> None:
-        job_id = record.job.job_id
-        remaining = record.job.duration_s - record.work_done
+    def _aim_completion(self, record: _Running, speed: float) -> None:
+        """Accrue progress at the old speed, adopt ``speed``, and move the
+        completion to where it puts it."""
+        now = self.engine.now
+        self._accrue(record, now)
+        record.speed = speed
+        remaining = record.total_work - record.work_done
         target = now + max(0.0, remaining / record.speed)
         record.completion_time = target
         completion = record.completion
         if completion is not None:
             if not self._reference and target >= completion.time:
-                return  # later-moving completion: fire stale, re-arm then
+                # Completion moved later (or held): leave the armed timer
+                # alone.  It fires stale and re-arms in _on_complete —
+                # cheaper than a cancel+push on every speed change.
+                return
             completion.cancel()
+        self._arm_completion(record, target)
+
+    def _arm_completion(self, record: _Running, when: float) -> None:
+        job_id = record.job.job_id
         record.completion = self.engine.schedule(
-            target,
-            lambda job_id=job_id: self._on_cpu_complete(job_id),
+            when,
+            lambda job_id=job_id: self._on_complete(job_id),
             priority=EventPriority.COMPLETION,
-            tag=f"cpu-done:{job_id}",
+            tag=f"{record.done_tag}:{job_id}",
         )
 
     def _refresh_nodes(
@@ -847,16 +848,13 @@ class SimulationRunner(SchedulerContext):
         node sees: a resize names its job as ``moved``, and stragglers
         reprice directly.  Reference mode reprices every resident.
 
-        Job ids land in lists (the ``seen`` set only guards against a
-        multi-node gang appearing under several of its nodes; CPU jobs
-        are single-node) and each list is sorted once, so repricing runs
-        in sorted-job-id order.
+        Candidates are keyed by job id (a multi-node gang appears under
+        several of its nodes) and repriced GPU first, each kind in
+        sorted-job-id order.
         """
-        gpu_ids: List[str] = []
-        cpu_ids: List[str] = []
-        seen: Set[str] = set()
-        running_gpu = self._running_gpu
-        running_cpu = self._running_cpu
+        gpu: Dict[str, _RunningGpu] = {}
+        cpu: Dict[str, _RunningCpu] = {}
+        running = self._running
         reference = self._reference
         key_memo = self._node_key_memo
         nodes = self.cluster.nodes
@@ -870,128 +868,113 @@ class SimulationRunner(SchedulerContext):
                     key_memo[node_id] = key
                     every_gpu = True
             for job_id in node.jobs_here() if every_gpu else changed:
-                if job_id in running_gpu:
-                    if job_id not in seen:
-                        seen.add(job_id)
-                        gpu_ids.append(job_id)
-                elif job_id in running_cpu and (reference or job_id in changed):
-                    cpu_ids.append(job_id)
+                record = running.get(job_id)
+                if isinstance(record, _RunningGpu):
+                    gpu[job_id] = record
+                elif isinstance(record, _RunningCpu) and (
+                    reference or job_id in changed
+                ):
+                    cpu[job_id] = record
         if moved is not None:
-            if moved in running_gpu:
-                if moved not in seen:
-                    gpu_ids.append(moved)
-            elif moved in running_cpu and moved not in cpu_ids:
-                cpu_ids.append(moved)
-        gpu_ids.sort()
-        cpu_ids.sort()
-        for job_id in gpu_ids:
-            self._reprice_gpu(running_gpu[job_id])
-        for job_id in cpu_ids:
-            self._reprice_cpu(running_cpu[job_id])
+            record = running.get(moved)
+            if isinstance(record, _RunningGpu):
+                gpu[moved] = record
+            elif isinstance(record, _RunningCpu):
+                cpu[moved] = record
+        for job_id in sorted(gpu):
+            self._reprice_gpu(gpu[job_id])
+        for job_id in sorted(cpu):
+            self._reprice_cpu(cpu[job_id])
 
     # ------------------------------------------------------------------ #
-    # Completions and preemptions
+    # Completions, preemptions and failures
 
-    def _stale_completion_fire(self, record, tag_family: str, rearm) -> bool:
-        """Validate-on-pop for lazy completion timers.
-
-        Repricing that moves a completion *later* leaves the armed event
-        in place (see ``_aim_*_completion``); when that event fires the
-        record's authoritative ``completion_time`` is still ahead, so the
-        fire is stale: re-arm at the authoritative time, count it, and
-        book the (tiny) cost under the ``completion-stale`` profiler
-        category so completion accounting stays honest.  In reference
-        mode armed time always equals ``completion_time`` and this never
-        triggers.
-        """
+    def _stop(self, record: _Running, now: float) -> Set[int]:
+        """Take a running job off the cluster: accrue its progress to
+        ``now``, drop its completion timer and free its allocation.
+        Returns the nodes it held."""
         job_id = record.job.job_id
-        if record.completion_time <= self.engine.now:
-            return False
-        record.completion = self.engine.schedule(
-            record.completion_time,
-            rearm,
-            priority=EventPriority.COMPLETION,
-            tag=f"{tag_family}:{job_id}",
-        )
-        self._stale_timer_fires += 1
-        self.engine.recategorize_current_event("completion-stale")
-        return True
+        del self._running[job_id]
+        self._accrue(record, now)
+        if record.completion is not None:
+            record.completion.cancel()
+        return set(self.cluster.release(job_id).node_ids)
 
-    def _on_gpu_complete(self, job_id: str) -> None:
-        record = self._running_gpu[job_id]
-        if self._stale_completion_fire(
-            record,
-            "gpu-done",
-            lambda job_id=job_id: self._on_gpu_complete(job_id),
-        ):
-            return
-        del self._running_gpu[job_id]
+    def _on_complete(self, job_id: str) -> None:
+        """A completion timer fired.
+
+        Validate-on-pop: repricing that moves a completion *later* leaves
+        the armed event in place (see :meth:`_aim_completion`), so the
+        record's authoritative ``completion_time`` may still be ahead.
+        Such a fire is stale: re-arm at the authoritative time, count it,
+        and book its cost under the ``completion-stale`` profiler
+        category so completion accounting stays honest.  In reference
+        mode the armed time always equals ``completion_time`` and no fire
+        is stale.
+        """
+        record = self._running[job_id]
         now = self.engine.now
-        allocation = self.cluster.release(job_id)
+        if record.completion_time > now:
+            self._arm_completion(record, record.completion_time)
+            self._stale_timer_fires += 1
+            self.engine.recategorize_current_event("completion-stale")
+            return
+        touched = self._stop(record, now)
         self.collector.job_finished(job_id, now)
         self._audit(
             "finished",
             record.job,
-            cores_per_node=record.cores_per_node,
+            **{record.cores_key: record.cores},
             queueing_s=self.collector.records[job_id].queueing_time,
         )
         self.scheduler.job_finished(record.job, now)
-        self._refresh_nodes(set(allocation.node_ids))
-        self.request_schedule()
-
-    def _on_cpu_complete(self, job_id: str) -> None:
-        record = self._running_cpu[job_id]
-        if self._stale_completion_fire(
-            record,
-            "cpu-done",
-            lambda job_id=job_id: self._on_cpu_complete(job_id),
-        ):
-            return
-        del self._running_cpu[job_id]
-        now = self.engine.now
-        self.cluster.release(job_id)
-        self.collector.job_finished(job_id, now)
-        self._audit(
-            "finished",
-            record.job,
-            cores=record.cores,
-            queueing_s=self.collector.records[job_id].queueing_time,
-        )
-        self.scheduler.job_finished(record.job, now)
-        self._refresh_nodes({record.node_id})
+        self._refresh_nodes(touched)
         self.request_schedule()
 
     def _execute_preempt(self, decision: PreemptDecision) -> None:
         job_id = decision.job_id
-        now = self.engine.now
-        if job_id in self._running_gpu:
-            gpu_record = self._running_gpu.pop(job_id)
-            self._accrue(gpu_record, now)
-            gpu_record.completion.cancel()
-            if decision.preserve_progress:
-                self._stashed_progress[job_id] = gpu_record.work_done
-            allocation = self.cluster.release(job_id)
-            touched = set(allocation.node_ids)
-            job: Job = gpu_record.job
-            preserve = decision.preserve_progress
-        elif job_id in self._running_cpu:
-            cpu_record = self._running_cpu.pop(job_id)
-            cpu_record.completion.cancel()
-            allocation = self.cluster.release(job_id)
-            touched = set(allocation.node_ids)
-            job = cpu_record.job
-            preserve = False  # aborted CPU jobs restart from scratch
-        else:
+        record = self._running.get(job_id)
+        if record is None:
             raise RuntimeError(f"cannot preempt {job_id}: not running")
+        now = self.engine.now
+        touched = self._stop(record, now)
+        # Aborted CPU jobs restart from scratch.
+        preserve = decision.preserve_progress and isinstance(record, _RunningGpu)
+        if preserve:
+            self._stashed_progress[job_id] = record.work_done
         self._preemptions += 1
         self.collector.job_preempted(job_id, now)
         self._audit(
             "preempted",
-            job,
+            record.job,
             reason=decision.reason,
             progress_preserved=preserve,
         )
-        self.scheduler.job_preempted(job, now, preserve_progress=preserve)
+        self.scheduler.job_preempted(record.job, now, preserve_progress=preserve)
+        self._refresh_nodes(touched)
+
+    def _execute_failure(self, job_id: str, *, reason: str) -> None:
+        """Kill one running job because its hardware failed."""
+        record = self._running.get(job_id)
+        if record is None:
+            return  # already gone (e.g., completed at this same instant)
+        now = self.engine.now
+        touched = self._stop(record, now)
+        if isinstance(record, _RunningGpu):
+            checkpoint = record.job.checkpointed_iterations(record.work_done)
+            self.collector.faults.lost_gpu_iterations += max(
+                0.0, record.work_done - checkpoint
+            )
+            if checkpoint > 0:
+                self._stashed_progress[job_id] = checkpoint
+            else:
+                self._stashed_progress.pop(job_id, None)
+        else:
+            self.collector.faults.lost_cpu_seconds += record.work_done
+        self.collector.faults.restarts += 1
+        self.collector.job_failed(job_id, now)
+        self._audit("failed", record.job, reason=reason)
+        self.scheduler.job_failed(record.job, now)
         self._refresh_nodes(touched)
 
     # ------------------------------------------------------------------ #
@@ -1065,14 +1048,15 @@ class SimulationRunner(SchedulerContext):
         self._record_node_strike(node_id, kind="telemetry")
 
     def running_cpu_job_ids(self) -> List[str]:
-        return list(self._running_cpu)
+        running = self._running
+        return [j for j in running if isinstance(running[j], _RunningCpu)]
 
     def apply_cpu_straggler(
         self, job_id: str, *, factor: float, duration_s: float
     ) -> None:
         """Slow a running CPU job to ``factor`` of its speed for a while."""
-        record = self._running_cpu.get(job_id)
-        if record is None:
+        record = self._running.get(job_id)
+        if not isinstance(record, _RunningCpu):
             return
         record.straggle_factor = factor
         self.collector.faults.stragglers += 1
@@ -1096,11 +1080,12 @@ class SimulationRunner(SchedulerContext):
     def _end_straggler(self, job_id: str, incarnation: int) -> None:
         # Only heal the same incarnation: if the job finished or restarted
         # meanwhile, the stale timer must not touch the new record.
-        record = self._running_cpu.get(job_id)
-        if record is None or self._cpu_incarnation.get(job_id) != incarnation:
-            return
-        record.straggle_factor = 1.0
-        self._reprice_cpu(record)
+        record = self._running.get(job_id)
+        if self._cpu_incarnation.get(job_id) == incarnation and isinstance(
+            record, _RunningCpu
+        ):
+            record.straggle_factor = 1.0
+            self._reprice_cpu(record)
 
     def _record_node_strike(self, node_id: int, *, kind: str) -> None:
         """Charge one failure strike against a node's health record.
@@ -1148,42 +1133,6 @@ class SimulationRunner(SchedulerContext):
             # until recover_node readmits it).
             self._observable_since[node_id] = self.engine.now
         self.request_schedule()
-
-    def _execute_failure(self, job_id: str, *, reason: str) -> None:
-        """Kill one running job because its hardware failed."""
-        now = self.engine.now
-        if job_id in self._running_gpu:
-            gpu_record = self._running_gpu.pop(job_id)
-            self._accrue(gpu_record, now)
-            gpu_record.completion.cancel()
-            checkpoint = gpu_record.job.checkpointed_iterations(
-                gpu_record.work_done
-            )
-            self.collector.faults.lost_gpu_iterations += max(
-                0.0, gpu_record.work_done - checkpoint
-            )
-            if checkpoint > 0:
-                self._stashed_progress[job_id] = checkpoint
-            else:
-                self._stashed_progress.pop(job_id, None)
-            allocation = self.cluster.release(job_id)
-            touched = set(allocation.node_ids)
-            job: Job = gpu_record.job
-        elif job_id in self._running_cpu:
-            cpu_record = self._running_cpu.pop(job_id)
-            self._accrue(cpu_record, now)
-            cpu_record.completion.cancel()
-            self.collector.faults.lost_cpu_seconds += cpu_record.work_done
-            allocation = self.cluster.release(job_id)
-            touched = set(allocation.node_ids)
-            job = cpu_record.job
-        else:
-            return  # already gone (e.g., completed at this same instant)
-        self.collector.faults.restarts += 1
-        self.collector.job_failed(job_id, now)
-        self._audit("failed", job, reason=reason)
-        self.scheduler.job_failed(job, now)
-        self._refresh_nodes(touched)
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -1235,14 +1184,15 @@ class SimulationRunner(SchedulerContext):
         return {
             "running_gpu": {
                 job_id: [
-                    r.cores_per_node,
+                    r.cores,
                     r.work_done,
                     r.speed,
                     r.utilization,
                     r.last_update,
                     r.completion_time,
                 ]
-                for job_id, r in self._running_gpu.items()
+                for job_id, r in self._running.items()
+                if isinstance(r, _RunningGpu)
             },
             "running_cpu": {
                 job_id: [
@@ -1254,7 +1204,8 @@ class SimulationRunner(SchedulerContext):
                     r.straggle_factor,
                     r.completion_time,
                 ]
-                for job_id, r in self._running_cpu.items()
+                for job_id, r in self._running.items()
+                if isinstance(r, _RunningCpu)
             },
             "stashed_progress": dict(self._stashed_progress),
             "pass_pending": self._pass_pending,
@@ -1273,55 +1224,39 @@ class SimulationRunner(SchedulerContext):
         }
 
     def restore(self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]) -> None:
-        self._running_gpu = {}
+        # The first reprice after restore recomputes each speed from
+        # restored cluster state; it equals the snapshotted speed (IV014),
+        # so it accrues nothing and moves no timer.
+        self._running = {}
         for job_id, fields in state["running_gpu"].items():
-            (
-                cores,
-                work_done,
-                speed,
-                utilization,
-                last_update,
-                completion_time,
-            ) = fields
+            cores, work_done, speed, utilization, last_update, done_at = fields
             job = jobs_by_id[job_id]
             assert isinstance(job, GpuJob)
-            # The first reprice after restore recomputes the speed from
-            # restored cluster state; it equals the snapshotted speed
-            # (IV014), so it accrues nothing and moves no timer.
-            self._running_gpu[job_id] = _RunningGpu(
+            self._running[job_id] = _RunningGpu(
                 job=job,
-                profile=get_model(job.model_name),
-                cores_per_node=int(cores),
-                work_done=float(work_done),
-                speed=float(speed),
-                utilization=float(utilization),
-                last_update=float(last_update),
-                completion=None,  # type: ignore[arg-type]
-                completion_time=float(completion_time),
-            )
-        self._running_cpu = {}
-        for job_id, fields in state["running_cpu"].items():
-            (
-                node_id,
-                cores,
-                work_done,
-                speed,
-                last_update,
-                straggle,
-                completion_time,
-            ) = fields
-            job = jobs_by_id[job_id]
-            assert isinstance(job, CpuJob)
-            self._running_cpu[job_id] = _RunningCpu(
-                job=job,
-                node_id=int(node_id),
                 cores=int(cores),
                 work_done=float(work_done),
                 speed=float(speed),
                 last_update=float(last_update),
-                completion=None,  # type: ignore[arg-type]
+                total_work=job.total_iterations,
+                completion_time=float(done_at),
+                profile=get_model(job.model_name),
+                utilization=float(utilization),
+            )
+        for job_id, fields in state["running_cpu"].items():
+            node_id, cores, work_done, speed, last_update, straggle, done_at = fields
+            job = jobs_by_id[job_id]
+            assert isinstance(job, CpuJob)
+            self._running[job_id] = _RunningCpu(
+                job=job,
+                cores=int(cores),
+                work_done=float(work_done),
+                speed=float(speed),
+                last_update=float(last_update),
+                total_work=job.duration_s,
+                completion_time=float(done_at),
+                node_id=int(node_id),
                 straggle_factor=float(straggle),
-                completion_time=float(completion_time),
             )
         self._stashed_progress = {
             job_id: float(progress)
@@ -1364,15 +1299,10 @@ class SimulationRunner(SchedulerContext):
                 engine.rearm(tag, self._on_sample)
             elif tag == "schedule-pass":
                 engine.rearm(tag, self._run_pass)
-            elif family == "gpu-done":
+            elif family in ("gpu-done", "cpu-done"):
                 job_id = tag.partition(":")[2]
-                self._running_gpu[job_id].completion = engine.rearm(
-                    tag, lambda job_id=job_id: self._on_gpu_complete(job_id)
-                )
-            elif family == "cpu-done":
-                job_id = tag.partition(":")[2]
-                self._running_cpu[job_id].completion = engine.rearm(
-                    tag, lambda job_id=job_id: self._on_cpu_complete(job_id)
+                self._running[job_id].completion = engine.rearm(
+                    tag, lambda job_id=job_id: self._on_complete(job_id)
                 )
             elif family == "straggler-end":
                 _, job_id, incarnation, _count = tag.split(":")
@@ -1388,15 +1318,9 @@ class SimulationRunner(SchedulerContext):
                     tag,
                     lambda node_id=node_id: self._on_quarantine_end(node_id),
                 )
-        for job_id, gpu_record in self._running_gpu.items():
-            if gpu_record.completion is None:
+        for job_id, record in self._running.items():
+            if record.completion is None:
                 raise RuntimeError(
-                    f"restore left running GPU job {job_id} without a "
-                    "completion event"
-                )
-        for job_id, cpu_record in self._running_cpu.items():
-            if cpu_record.completion is None:
-                raise RuntimeError(
-                    f"restore left running CPU job {job_id} without a "
-                    "completion event"
+                    f"restore left running {record.job.kind.name} job "
+                    f"{job_id} without a completion event"
                 )

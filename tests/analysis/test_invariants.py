@@ -176,7 +176,7 @@ class TestCorruptionDetection:
         runner.engine.run(until=10.0)
         auditor = runner.auditor
         assert auditor.check_now() == 0
-        record = (runner._running_gpu or runner._running_cpu)["j"]
+        record = runner._running["j"]
         record.completion.cancel()
         record.completion = runner.engine.schedule(
             record.completion_time + 1.0, lambda: None
@@ -227,14 +227,14 @@ class TestPricedSpeeds:
     @pytest.mark.parametrize("field", ("speed", "utilization"))
     def test_stale_gpu_price_flagged(self, field):
         runner = self._runner(self._trainer())
-        record = runner._running_gpu["g"]
+        record = runner._running["g"]
         setattr(record, field, getattr(record, field) * 0.5)
         assert runner.auditor.check_now() == 1
         assert set(runner.auditor.stats.by_code()) == {"IV014"}
 
     def test_stale_cpu_speed_flagged(self):
         runner = self._runner(self._cpu_job())
-        runner._running_cpu["c"].cores = 2  # a resize nobody repriced
+        runner._running["c"].cores = 2  # a resize nobody repriced
         assert runner.auditor.check_now() == 1
         assert set(runner.auditor.stats.by_code()) == {"IV014"}
 
@@ -245,9 +245,9 @@ class TestPricedSpeeds:
 
     def test_throttle_and_release_keep_prices_fresh(self):
         runner = self._runner(self._cpu_job(bw=60.0))
-        node_id = runner._running_cpu["c"].node_id
+        node_id = runner._running["c"].node_id
         assert runner.throttle_cpu_job("c", node_id)
-        assert runner._running_cpu["c"].speed < 1.0
+        assert runner._running["c"].speed < 1.0
         assert runner.auditor.check_now() == 0
         runner.release_cpu_throttle("c", node_id)
         assert runner.auditor.check_now() == 0

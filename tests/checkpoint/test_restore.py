@@ -106,7 +106,7 @@ class TestByteIdenticalResume:
         def progress():
             return {
                 job_id: (record.work_done, record.last_update)
-                for job_id, record in runner._running_cpu.items()
+                for job_id, record in runner._running.items()
             }
 
         before = progress()
@@ -159,6 +159,18 @@ class TestLoudFailures:
         assert "faults" not in state
         with pytest.raises(CheckpointError):
             restore_run(_faulted_spec(), state)
+
+    @pytest.mark.parametrize("family", ["gpu-done", "cpu-done"])
+    def test_running_job_without_a_completion_event_raises(self, family):
+        state = _snapshot_at(_plain_spec(), kill_at=110)
+        live = state["engine"]["live"]
+        dropped = next(e for e in live if e[3].startswith(f"{family}:"))
+        live.remove(dropped)
+        job_id = dropped[3].partition(":")[2]
+        with pytest.raises(
+            CheckpointError, match=f"job {job_id} without a completion event"
+        ):
+            restore_run(_plain_spec(), state)
 
     def test_writer_rejects_non_positive_interval(self, tmp_path):
         runner = build_runner(_plain_spec())

@@ -65,14 +65,14 @@ class TestLazyCompletionTimers:
 
     def test_later_moving_completion_fires_stale_and_rearms(self):
         runner = self._straggled_runner(heal_after_s=1e6)
-        record = runner._running_cpu["c"]
+        record = runner._running["c"]
         # The old timer (armed at t=100) is deliberately left in place.
         assert record.completion_time == 370.0
         assert record.completion.time == 100.0
         runner.engine.run(until=120.0)
         # It fired stale at t=100 and re-armed at the authoritative time.
         assert runner._stale_timer_fires == 1
-        assert "c" in runner._running_cpu
+        assert "c" in runner._running
         assert record.completion.time == 370.0
         runner.engine.run(until=500.0)
         assert runner.collector.records["c"].finish_time == 370.0
@@ -81,7 +81,7 @@ class TestLazyCompletionTimers:
     def test_earlier_moving_completion_cancels_and_rearms(self):
         runner = self._straggled_runner(heal_after_s=140.0)
         runner.engine.run(until=120.0)  # past the stale fire at t=100
-        record = runner._running_cpu["c"]
+        record = runner._running["c"]
         assert record.completion.time == 370.0
         # Heal at t=150: work = 10 + 0.25*140 = 45, so the completion
         # moves earlier (150 + 55 = 205 < 370) and must re-arm eagerly.
@@ -112,7 +112,7 @@ class TestLazyCompletionTimers:
     def test_eager_hatch_never_fires_stale(self, monkeypatch):
         monkeypatch.setenv("REPRO_REFERENCE", "1")
         runner = self._straggled_runner(heal_after_s=1e6)
-        record = runner._running_cpu["c"]
+        record = runner._running["c"]
         # Eager cancel+reschedule keeps the armed timer authoritative.
         assert record.completion.time == 370.0
         runner.engine.run(until=500.0)
@@ -150,18 +150,18 @@ class TestRepriceMemo:
             for job_id in ("j", "k")
         }
         assert len(calls) == 1
-        assert runner._running_gpu["j"].speed == runner._running_gpu["k"].speed
+        assert runner._running["j"].speed == runner._running["k"].speed
         # A refresh with no speed input moved reprices nothing: no model
         # call and no accrual point.
         runner._refresh_nodes(nodes)
         assert len(calls) == 1
-        assert runner._running_gpu["j"].last_update == 0.0
+        assert runner._running["j"].last_update == 0.0
 
     def test_grant_ratio_change_recomputes(self, monkeypatch):
         runner, calls = self._counting_runner(monkeypatch)
         node_id = runner.cluster.allocation_of("j").node_ids[0]
         baseline = len(calls)
-        record = runner._running_gpu["j"]
+        record = runner._running["j"]
         node = runner.cluster.node(node_id)
         assert node.bandwidth.grant_ratio("j") == 1.0
         # A demand past the node's capacity cuts the job's grant ratio:
@@ -184,7 +184,7 @@ class TestRepriceMemo:
         runner._refresh_nodes({node_id})
         assert len(calls) == baseline + 1
         # Same speed, so still no accrual point.
-        assert runner._running_gpu["j"].last_update == 0.0
+        assert runner._running["j"].last_update == 0.0
 
 
 class TestChangeDrivenRepricing:
@@ -214,14 +214,14 @@ class TestChangeDrivenRepricing:
         runner.submit_at(20.0, _cpu("c2", duration=1000.0))
         runner.engine.run(until=30.0)
         assert repriced == ["c2"]
-        assert runner._running_cpu["c1"].last_update == 0.0
-        assert runner._running_gpu["g"].last_update == 0.0
+        assert runner._running["c1"].last_update == 0.0
+        assert runner._running["g"].last_update == 0.0
 
     def test_halving_reprices_an_uncontended_job_directly(self):
         runner = _runner(nodes=1)
         runner.submit_at(0.0, _cpu("c", cores=4, duration=100.0))
         runner.engine.run(until=10.0)
-        record = runner._running_cpu["c"]
+        record = runner._running["c"]
         node = runner.cluster.node(record.node_id)
         runner.halve_cpu_job_cores("c")
         # The grant follows the halved demand, so the ratio stays 1.0;
@@ -235,7 +235,7 @@ class TestChangeDrivenRepricing:
         runner = _runner(nodes=1)
         runner.submit_at(0.0, _gpu("g", cpus=1, iters=10**9))
         runner.engine.run(until=10.0)
-        record = runner._running_gpu["g"]
+        record = runner._running["g"]
         speed = record.speed
         assert runner.resize_gpu_job_cores("g", 3)
         assert record.speed > speed
@@ -252,13 +252,13 @@ class TestActivityIndexedMonitor:
         # A CPU job streaming past the threshold wakes its node.
         runner.submit_at(0.0, _cpu("c", duration=50.0, bw=120.0))
         runner.engine.run(until=1.0)
-        node_id = runner._running_cpu["c"].node_id
+        node_id = runner._running["c"].node_id
         assert list(runner.monitor_active_node_ids()) == [node_id]
         # Only the eliminator revokes membership (after a successful
         # observe found nothing to do); job completion alone keeps the
         # node listed until then.
         runner.engine.run(until=60.0)
-        assert "c" not in runner._running_cpu
+        assert "c" not in runner._running
         assert list(runner.monitor_active_node_ids()) == [node_id]
         runner.monitor_deactivate_node(node_id)
         assert list(runner.monitor_active_node_ids()) == []
@@ -305,7 +305,7 @@ class TestActivityIndexedMonitor:
         )
         runner.submit_at(0.0, _cpu("c", duration=1000.0, bw=120.0))
         runner.engine.run(until=1.0)
-        node = runner.cluster.node(runner._running_cpu["c"].node_id)
+        node = runner.cluster.node(runner._running["c"].node_id)
         runner.engine.run(until=10.0)
         node.bandwidth.update_demand("c", 1.0)
         return runner, node

@@ -235,7 +235,7 @@ class TestStraggler:
         runner.fail_node(node_id)
         runner.recover_node(node_id)
         runner.engine.run(until=100.0)
-        record = runner._running_cpu["c"]
+        record = runner._running["c"]
         assert record.straggle_factor == 1.0
 
 

@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from tools.codalint.contracts import (
     CacheContract,
     Contracts,
@@ -233,6 +235,24 @@ class TestEF003:
         )
         violations, _ = analyze_paths([pkg], contracts)
         assert violations == []
+
+    @pytest.mark.parametrize(
+        "declared_on,receiver",
+        [("Cluster", "BigCluster"), ("BigCluster", "Cluster")],
+    )
+    def test_readonly_entry_covers_the_class_hierarchy(
+        self, tmp_path, declared_on, receiver
+    ):
+        source = self.FIXTURE.replace('"Cluster"', f'"{receiver}"')
+        source += "\n    class BigCluster(Cluster):\n        pass\n"
+        pkg = _write_pkg(tmp_path, {"m.py": source})
+        contracts = Contracts(
+            observer_roots=("pkg.m:Auditor.on_event",),
+            readonly=(ReadonlyState(declared_on, ("used",)),),
+        )
+        violations, _ = analyze_paths([pkg], contracts)
+        assert [v.code for v in violations] == ["EF003"]
+        assert f"writes {receiver}.used" in violations[0].message
 
 
 class TestEF004:

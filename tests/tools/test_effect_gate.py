@@ -118,6 +118,32 @@ def test_undeclaring_a_runner_memo_fails_ef002(owner, attr):
     assert all(v.path.endswith("runner.py") for v in violations)
 
 
+#: IV014's record lookups must stay concretely typed, or a write to the
+#: record slips past the [[readonly]] entries on the record classes.
+@pytest.mark.parametrize("method", ["fresh_gpu_price", "fresh_cpu_speed"])
+def test_observer_write_to_a_running_record_fails_ef003(tmp_path, method):
+    mutated = tmp_path / "repro"
+    shutil.copytree(SRC, mutated)
+    runner_py = mutated / "experiments" / "runner.py"
+    source, hits = re.subn(
+        rf"(def {method}\(.*?\n        record = .*?\n)",
+        r"\1        record.speed = 0.0\n",
+        runner_py.read_text(),
+        count=1,
+        flags=re.S,
+    )
+    assert hits == 1
+    runner_py.write_text(source)
+
+    violations, _ = analyze_paths([mutated], load_contracts(MANIFEST))
+
+    assert violations, f"a record write in {method} went undetected"
+    assert all(v.code == "EF003" for v in violations)
+    assert {v.symbol.split(":")[-1] for v in violations} == {
+        f"SimulationRunner.{method}"
+    }
+
+
 def test_full_analysis_is_fast_enough_for_ci():
     contracts = load_contracts(MANIFEST)
     start = time.monotonic()

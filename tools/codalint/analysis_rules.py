@@ -288,7 +288,7 @@ def check_ef003(
                 message=f"declared observer root {name!r} not found",
             )
         )
-    readonly = contracts.readonly_attrs()
+    readonly = _readonly_across_hierarchy(program, contracts)
     if not roots or not readonly:
         return violations
     root_names = sorted(
@@ -297,19 +297,43 @@ def check_ef003(
     for func_id in sorted(analysis.reachable_from(roots)):
         effects = analysis.effects[func_id]
         for class_name, attr in sorted(effects.writes):
-            if (class_name, attr) not in readonly:
+            declared_on = readonly.get((class_name, attr))
+            if declared_on is None:
                 continue
+            where = "" if declared_on == class_name else f" on {declared_on}"
             violations.append(
                 _violation(
                     program,
                     func_id,
                     "EF003",
                     f"writes {class_name}.{attr} (declared read-only for "
-                    "observers) while reachable from observer root(s) "
-                    f"{', '.join(root_names)}",
+                    f"observers{where}) while reachable from observer "
+                    f"root(s) {', '.join(root_names)}",
                 )
             )
     return violations
+
+
+def _readonly_across_hierarchy(
+    program: Program, contracts: Contracts
+) -> Dict[Tuple[str, str], str]:
+    """(class, attr) -> declaring class, for every write EF003 forbids.
+
+    An entry on class C also covers writes through receivers typed as
+    C's ancestors or descendants, since either may be the very object
+    the entry protects: a write typed ``_RunningCpu.speed`` writes the
+    field a ``_Running`` entry declares.
+    """
+    declared = sorted(contracts.readonly_attrs())
+    table = {(class_name, attr): class_name for class_name, attr in declared}
+    for class_name, attr in declared:
+        for info in program.classes_named(class_name):
+            kin = program.ancestors.get(info.class_id, []) + sorted(
+                program.descendants.get(info.class_id, ())
+            )
+            for related in kin:
+                table.setdefault((program.classes[related].name, attr), class_name)
+    return table
 
 
 # --------------------------------------------------------------------- #
