@@ -35,8 +35,7 @@ laws the evaluation rests on:
   per-node ``_cpu_used`` map equals a fresh walk of its tracked CPU
   jobs (``_cpu_census_build``).  Checked while the pass gate is
   enabled (the census is walked, not served, under
-  ``REPRO_REFERENCE=1``); a census a restore left dirty holds
-  vacuously until the next pass rebuilds it.
+  ``REPRO_REFERENCE=1``).
 * **IV011** — activity-indexed monitor: every observable (up,
   unquarantined) node outside the runner's monitor active set is
   telemetry-up, holds no MBA throttle, and hosts no CPU job or sits
@@ -57,6 +56,12 @@ laws the evaluation rests on:
   ``fresh_gpu_price``/``fresh_cpu_speed``).  The runner reprices only
   jobs whose speed inputs moved; a job this check catches was skipped
   although an input moved.  Checked only when attached to a runner.
+* **IV015** — borrow table: the multi-array scheduler's per-node
+  ``_borrow_index`` is exactly the inverse of ``_borrowed``, its GPU
+  flag set exactly for borrowers holding a GPU-ledger share, and no
+  borrower is a tracked CPU job.  The last part is why
+  the CPU census needs no correction for a pass's preempted victims:
+  every victim is a borrower.
 
 Sweeps run on the first event of every ``interval_s``-aligned window of
 simulated time, a pure function of the fired event times, so a run
@@ -73,7 +78,7 @@ fails fast on a conservation bug.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.mba import MBA_LEVELS
@@ -226,6 +231,7 @@ class InvariantAuditor:
             self._check_share_heaps(self._scheduler)
         if isinstance(self._scheduler, MultiArrayScheduler):
             self._check_cpu_census(self._scheduler, self._cluster)
+            self._check_borrow_table(self._scheduler)
         if isinstance(self._scheduler, DrfScheduler):
             self._check_drf_shares(self._scheduler, self._cluster)
         return self.stats.violation_count - before
@@ -540,16 +546,15 @@ class InvariantAuditor:
     def _check_cpu_census(
         self, scheduler: MultiArrayScheduler, cluster: Cluster
     ) -> None:
-        """The maintained CPU census is what a walk would serve.  A dirty
-        census (after a restore) is rebuilt before it is next served, so
-        it holds vacuously: a resumed audit counts the assertions the
-        uninterrupted one does."""
+        """The maintained CPU census is what a walk would serve, from
+        the first sweep after a restore on (the restore rebuilds it from
+        the restored tracked jobs)."""
         if not scheduler._gate.enabled:
             return
         maintained = scheduler._cpu_used
         walked = scheduler._cpu_census_build(cluster, set())
         self._assert(
-            scheduler._census_dirty or maintained == walked,
+            maintained == walked,
             "IV010",
             lambda: (
                 f"maintained CPU census {sorted(maintained.items())} != "
@@ -665,6 +670,32 @@ class InvariantAuditor:
                     f"state gives {fresh}"
                 ),
             )
+
+    # -- IV015 ---------------------------------------------------------- #
+
+    def _check_borrow_table(self, scheduler: MultiArrayScheduler) -> None:
+        """The borrow index is the borrow map inverted, flagged by each
+        borrower's ledger, and borrowers and tracked CPU jobs stay apart."""
+        borrowed = scheduler._borrowed
+        gpu_charged = scheduler._gpu_ledger._job_footprint
+        expected: Dict[int, Dict[str, bool]] = {}
+        for job_id, node_id in borrowed.items():
+            expected.setdefault(node_id, {})[job_id] = job_id in gpu_charged
+        index = scheduler._borrow_index
+        self._assert(
+            index == expected,
+            "IV015",
+            lambda: (
+                f"borrow index {sorted(index.items())} is not the borrow "
+                f"map inverted and GPU-flagged: {sorted(expected.items())}"
+            ),
+        )
+        both = sorted(borrowed.keys() & scheduler._tracked.keys())
+        self._assert(
+            not both,
+            "IV015",
+            lambda: f"jobs {both} are both borrowers and tracked CPU jobs",
+        )
 
     # ------------------------------------------------------------------ #
 

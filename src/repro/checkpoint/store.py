@@ -29,7 +29,9 @@ from repro.checkpoint.errors import CheckpointError
 #: the restore rather than mis-reading old state into new code.
 #: v2: runner records carry ``completion_time`` (lazy timers) and the
 #: activity-indexed monitor state (active set, last tick, observability).
-CHECKPOINT_SCHEMA_VERSION = 2
+#: v3: the multi-array scheduler stores ``tracked``, ``borrowed`` and
+#: ``pending_borrow`` in place of its twin GPU/CPU borrow keys.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: Checkpoint files are named by the event count at which they were taken,
 #: zero-padded so lexicographic order is numeric order.

@@ -41,15 +41,16 @@ class Allocation:
 
     Mutable on purpose: the adaptive CPU allocator retunes the core count of
     a running job in place (via :meth:`Cluster.resize_cpus`), which swaps the
-    relevant :class:`NodeShare`.
+    relevant :class:`NodeShare` for one on the same node, so ``node_ids`` is
+    fixed at construction.
     """
 
     job_id: str
     shares: List[NodeShare] = field(default_factory=list)
+    node_ids: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def node_ids(self) -> List[int]:
-        return [share.node_id for share in self.shares]
+    def __post_init__(self) -> None:
+        self.node_ids = tuple(share.node_id for share in self.shares)
 
     @property
     def total(self) -> ResourceVector:

@@ -129,37 +129,26 @@ class MultiArrayScheduler(Scheduler):
         self._cpu_families = (self._inference, self._cpu)
         self.families = self._gpu_families + self._cpu_families
 
-        self._running: Dict[str, Job] = {}
-        #: Non-borrowing, non-inference CPU jobs: job_id -> home node_id.
-        #: Maintained so the CPU-array pass can total per-node usage from
-        #: the handful of tracked jobs instead of scanning every resident
-        #: of every node.
-        self._cpu_node: Dict[str, int] = {}
-        #: Incrementally maintained CPU-array census (see ``_cpu_census``):
-        #: per-node cores held by tracked jobs, and each tracked job's
-        #: current core count.  Membership moves through ``job_started`` /
-        #: ``_forget``; core counts move through :meth:`cpu_job_resized`
-        #: (the eliminator's halvings, relayed by the runner).  A restore
-        #: marks the maps dirty and the next census rebuilds them from the
-        #: cluster walk.
+        #: Non-borrowing, non-inference CPU jobs: job_id -> ``[home
+        #: node_id, cores]``; cores move through :meth:`cpu_job_resized`.
+        #: No key is also in ``_borrowed`` (IV015).
+        self._tracked: Dict[str, List[int]] = {}
+        #: The CPU-array census (see ``_cpu_census``): per-node cores of
+        #: the tracked jobs, moved with every ``_tracked`` change.
         self._cpu_used: Dict[int, int] = {}
-        self._cpu_cores: Dict[str, int] = {}
-        self._census_dirty = False
         #: Static per-cluster placement inputs, filled when the layout is
         #: first built (node totals never change after construction).
         self._biggest_node_cores: int = 0
         #: (node_id, CPU-array cores) per node, in node order.
         self._cpu_capacity: List[Tuple[int, int]] = []
-        #: CPU jobs sitting on reserved (GPU-array) cores: job_id -> node_id.
-        self._borrowed_cpu: Dict[str, int] = {}
-        #: Small GPU jobs sitting on 4-GPU sub-array nodes: job_id -> node_id.
-        self._borrowed_gpu: Dict[str, int] = {}
-        self._pending_borrow_cpu: Set[str] = set()
-        self._pending_borrow_gpu: Set[str] = set()
-        #: Inverse of the borrow maps (node_id -> borrower job ids), so
+        #: Borrowers of either kind (CPU jobs on reserved cores, small GPU
+        #: jobs on 4-GPU sub-array nodes): job_id -> node_id.
+        self._borrowed: Dict[str, int] = {}
+        #: Borrowers a pass planned that have not started yet.
+        self._pending_borrow: Set[str] = set()
+        #: Inverse of ``_borrowed``: node_id -> {job_id: is a GPU job}, so
         #: reclaim scans touch only nodes that actually host borrowers.
-        self._cpu_borrow_index: Dict[int, Set[str]] = {}
-        self._gpu_borrow_index: Dict[int, Set[str]] = {}
+        self._borrow_index: Dict[int, Dict[str, bool]] = {}
 
         #: ``gpu_queue_empty()`` at the end of the last pass; a flip to
         #: idle gives blocked CPU jobs new borrow options without any
@@ -203,34 +192,20 @@ class MultiArrayScheduler(Scheduler):
     ) -> None:
         # DRF shares were charged at decision time (so one pass stays fair
         # across tenants); here only the placement-dependent state lands.
-        self._running[job.job_id] = job
-        if isinstance(job, GpuJob):
-            if job.job_id in self._pending_borrow_gpu:
-                self._pending_borrow_gpu.discard(job.job_id)
-                node_id = placements[0][0]
-                self._borrowed_gpu[job.job_id] = node_id
-                self._gpu_borrow_index.setdefault(node_id, set()).add(
-                    job.job_id
-                )
-        else:
-            if job.job_id in self._pending_borrow_cpu:
-                self._pending_borrow_cpu.discard(job.job_id)
-                node_id = placements[0][0]
-                self._borrowed_cpu[job.job_id] = node_id
-                self._cpu_borrow_index.setdefault(node_id, set()).add(
-                    job.job_id
-                )
-            elif isinstance(job, CpuJob) and not job.is_inference:
-                node_id = placements[0][0]
-                self._cpu_node[job.job_id] = node_id
-                # While dirty (post-restore) the census maps are stale and
-                # the next _cpu_census rebuilds them wholesale, so
-                # incremental updates are suspended until then.
-                if not self._census_dirty:
-                    self._cpu_cores[job.job_id] = job.cores
-                    self._cpu_used[node_id] = (
-                        self._cpu_used.get(node_id, 0) + job.cores
-                    )
+        job_id = job.job_id
+        if job_id in self._pending_borrow:
+            self._pending_borrow.discard(job_id)
+            self._borrow(job_id, placements[0][0], isinstance(job, GpuJob))
+        elif isinstance(job, CpuJob) and not job.is_inference:
+            self._track(job_id, placements[0][0], job.cores)
+
+    def _borrow(self, job_id: str, node_id: int, is_gpu: bool) -> None:
+        self._borrowed[job_id] = node_id
+        self._borrow_index.setdefault(node_id, {})[job_id] = is_gpu
+
+    def _track(self, job_id: str, node_id: int, cores: int) -> None:
+        self._tracked[job_id] = [node_id, cores]
+        self._cpu_used[node_id] = self._cpu_used.get(node_id, 0) + cores
 
     def job_finished(self, job: Job, now: float) -> None:
         self._forget(job.job_id)
@@ -238,40 +213,35 @@ class MultiArrayScheduler(Scheduler):
     def cpu_job_resized(self, job_id: str, cores: int, now: float) -> None:
         """The eliminator halved a running CPU job's cores (relayed by the
         runner): fold the delta into the incremental census."""
-        node_id = self._cpu_node.get(job_id)
-        if node_id is None or self._census_dirty:
+        entry = self._tracked.get(job_id)
+        if entry is None:
             return
-        old = self._cpu_cores.get(job_id, 0)
-        self._cpu_cores[job_id] = cores
-        self._cpu_used[node_id] = (
-            self._cpu_used.get(node_id, 0) - old + cores
-        )
+        node_id, old = entry
+        entry[1] = cores
+        self._cpu_used[node_id] += cores - old
 
     def job_failed(self, job: Job, now: float) -> None:
         """An infrastructure failure killed the job: its share is already
         gone from the cluster, so drop it from the census tracking before
-        the base class charges the restart budget.  Only the census maps
-        are touched — ledger shares and borrow indexes keep their
-        historical failure semantics (a restart re-keys them)."""
+        the base class charges the restart budget.  Only the census is
+        touched: the ledger share and any borrow entry stay until a
+        re-queue's ``_forget`` drops them."""
         self._census_forget(job.job_id)
         super().job_failed(job, now)
 
     def _census_forget(self, job_id: str) -> None:
-        node_id = self._cpu_node.pop(job_id, None)
-        if node_id is not None and not self._census_dirty:
-            cores = self._cpu_cores.pop(job_id, 0)
-            left = self._cpu_used.get(node_id, 0) - cores
-            if left > 0:
-                self._cpu_used[node_id] = left
-            else:
-                self._cpu_used.pop(node_id, None)
+        entry = self._tracked.pop(job_id, None)
+        if entry is not None:
+            node_id, cores = entry
+            self._cpu_used[node_id] -= cores
+            if not self._cpu_used[node_id]:
+                del self._cpu_used[node_id]
 
     def job_preempted(self, job: Job, now: float, *, preserve_progress: bool) -> None:
         self._forget(job.job_id)
         self._family_of(job).requeue(job)
 
     def _forget(self, job_id: str) -> None:
-        self._running.pop(job_id, None)
         gpu_footprint = self._gpu_ledger.finish(job_id)
         if gpu_footprint is not None:
             self._rekey(self._gpu_families, gpu_footprint[0])
@@ -279,14 +249,13 @@ class MultiArrayScheduler(Scheduler):
         if cpu_footprint is not None:
             self._rekey(self._cpu_families, cpu_footprint[0])
         self._census_forget(job_id)
-        node_id = self._borrowed_cpu.pop(job_id, None)
+        node_id = self._borrowed.pop(job_id, None)
         if node_id is not None:
-            self._cpu_borrow_index[node_id].discard(job_id)
-        node_id = self._borrowed_gpu.pop(job_id, None)
-        if node_id is not None:
-            self._gpu_borrow_index[node_id].discard(job_id)
-        self._pending_borrow_cpu.discard(job_id)
-        self._pending_borrow_gpu.discard(job_id)
+            borrowers = self._borrow_index[node_id]
+            del borrowers[job_id]
+            if not borrowers:
+                del self._borrow_index[node_id]
+        self._pending_borrow.discard(job_id)
 
     @staticmethod
     def _rekey(families: Tuple[TenantQueues[Any], ...], tenant_id: int) -> None:
@@ -348,7 +317,7 @@ class MultiArrayScheduler(Scheduler):
             if gpu_idle and not self._gpu_idle_prev:
                 self._gate.mark("cpu")
             self._gpu_idle_prev = gpu_idle
-            if self._pending_borrow_cpu or self._pending_borrow_gpu:
+            if self._pending_borrow:
                 self._gate.mark("gpu_big")
                 self._gate.mark("gpu_small")
         return decisions
@@ -360,7 +329,7 @@ class MultiArrayScheduler(Scheduler):
         would have left them.  GPU jobs leave the queues only inside a
         pass, so GPU queues empty now were empty when the last pass
         ended, and ``_gpu_idle_prev`` is already True.  The pending
-        borrow sets empty as soon as the runner executes a pass's
+        borrow set empties as soon as the runner executes a pass's
         starts.  The gate keeps its older dirty set and capacity
         reading, which can only make the next pass scan more groups.
         """
@@ -598,7 +567,7 @@ class MultiArrayScheduler(Scheduler):
         )
         if placements is not None:
             if total_gpus < FOUR_GPU_THRESHOLD:
-                self._pending_borrow_gpu.add(job.job_id)
+                self._pending_borrow.add(job.job_id)
             return placements
         if job.setup.num_nodes > 1:
             # A multi-node gang may have to straddle both sub-arrays when
@@ -621,7 +590,7 @@ class MultiArrayScheduler(Scheduler):
         """Placement by reclaiming borrowed resources: big jobs may migrate
         small GPU borrowers off their own sub-array; every GPU job may
         abort CPU borrowers sitting on reserved cores."""
-        if not self._borrowed_cpu and not self._borrowed_gpu:
+        if not self._borrowed:
             # With zero reclaimable capacity every attempt below reduces
             # to plain feasibility over a subset of the nodes the plain
             # cascade just failed on (the multi-node straddle attempt was
@@ -653,7 +622,7 @@ class MultiArrayScheduler(Scheduler):
             )
             if placements is not None:
                 if small and is_fallback:
-                    self._pending_borrow_gpu.add(job.job_id)
+                    self._pending_borrow.add(job.job_id)
                 return placements
         return None
 
@@ -673,15 +642,8 @@ class MultiArrayScheduler(Scheduler):
         candidates: List[Tuple[int, int, int, int, List[str], List[str]]] = []
         for node_id in node_set:
             free_cpus, free_gpus = free.free_of(node_id)
-            cpu_borrowers = self._borrowers_on(
-                cluster, node_id, self._cpu_borrow_index, preempted
-            )
-            gpu_borrowers = (
-                self._borrowers_on(
-                    cluster, node_id, self._gpu_borrow_index, preempted
-                )
-                if allow_gpu_reclaim
-                else []
+            cpu_borrowers, gpu_borrowers = self._borrowers_on(
+                cluster, node_id, preempted, allow_gpu_reclaim
             )
             if cpu_borrowers or gpu_borrowers:
                 reclaim_cpus = sum(c for _, c, _ in cpu_borrowers) + sum(
@@ -755,27 +717,32 @@ class MultiArrayScheduler(Scheduler):
         self,
         cluster: Cluster,
         node_id: int,
-        borrow_index: Dict[int, Set[str]],
         preempted: Set[str],
-    ) -> List[Tuple[str, int, int]]:
-        """Live (job_id, cores, gpus) of borrowers on a node, largest first.
+        with_gpu: bool,
+    ) -> Tuple[List[Tuple[str, int, int]], List[Tuple[str, int, int]]]:
+        """Live (job_id, cores, gpus) of the CPU and the GPU borrowers on a
+        node, each list largest first; GPU borrowers only ``with_gpu``.
 
         Reads the per-node inverse index rather than scanning the whole
         borrow map; the ``(-cores, job_id)`` sort is a total order, so
-        the set's iteration order cannot leak into the result.
+        the index's iteration order cannot leak into the result.
         """
-        borrowers = borrow_index.get(node_id)
+        cpu: List[Tuple[str, int, int]] = []
+        gpu: List[Tuple[str, int, int]] = []
+        borrowers = self._borrow_index.get(node_id)
         if not borrowers:
-            return []
+            return cpu, gpu
         node = cluster.node(node_id)
-        found: List[Tuple[str, int, int]] = []
-        for job_id in borrowers:
-            if job_id in preempted or not node.holds(job_id):
+        for job_id, is_gpu in borrowers.items():
+            if (is_gpu and not with_gpu) or job_id in preempted:
                 continue
-            share = node.share_of(job_id)
-            found.append((job_id, share.cpus, share.gpus))
-        found.sort(key=lambda item: (-item[1], item[0]))
-        return found
+            if node.holds(job_id):
+                share = node.share_of(job_id)
+                (gpu if is_gpu else cpu).append((job_id, share.cpus, share.gpus))
+        for found in (cpu, gpu):
+            if len(found) > 1:
+                found.sort(key=lambda item: (-item[1], item[0]))
+        return cpu, gpu
 
     # -------------------------- CPU array ----------------------------- #
 
@@ -841,7 +808,7 @@ class MultiArrayScheduler(Scheduler):
             free.commit(placement)
             node_id = placement[0][0]
             if borrowed:
-                self._pending_borrow_cpu.add(job.job_id)
+                self._pending_borrow.add(job.job_id)
             else:
                 normal_used[node_id] = normal_used.get(node_id, 0) + job.cores
             cpu.take(tenant_id)
@@ -853,7 +820,7 @@ class MultiArrayScheduler(Scheduler):
         self, cluster: Cluster, preempted: Set[str]
     ) -> Dict[int, int]:
         normal_used: Dict[int, int] = {}  # sparse: absent node == 0 used
-        for job_id, node_id in self._cpu_node.items():
+        for job_id, (node_id, _) in self._tracked.items():
             if job_id in preempted:
                 continue
             node = cluster.node(node_id)
@@ -872,26 +839,13 @@ class MultiArrayScheduler(Scheduler):
         membership adds ride ``job_started``, removals ride ``_forget``,
         and core counts move through :meth:`cpu_job_resized` — every
         mutation a walk over the cluster would see reaches one of those
-        hooks, so the map equals a fresh walk entry-for-entry.  Preempted
-        jobs are borrowers and borrowers are never tracked in
-        ``_cpu_node``; should that invariant ever break, the overlap
-        check below drops to an uncached walk rather than serving a
-        census the incremental path cannot see.
+        hooks, so the map equals a fresh walk entry-for-entry (IV010).
+        The walk would skip ``preempted`` jobs, but those are borrowers,
+        and no borrower is tracked (IV015), so the map needs no
+        correction for them.
         """
         if not self._gate.enabled:
             return self._cpu_census_build(cluster, preempted)
-        if preempted and not preempted.isdisjoint(self._cpu_node):
-            return self._cpu_census_build(cluster, preempted)
-        if self._census_dirty:
-            # Post-restore: reconstruct both maps from the live cluster
-            # (the walk is authoritative for membership *and* cores).
-            self._cpu_used = self._cpu_census_build(cluster, preempted)
-            self._cpu_cores = {
-                job_id: cluster.node(node_id).share_of(job_id).cpus
-                for job_id, node_id in self._cpu_node.items()
-                if cluster.node(node_id).holds(job_id)
-            }
-            self._census_dirty = False
         # Callers mutate their census as they commit placements; hand out
         # a copy so the maintained map stays pristine.
         return dict(self._cpu_used)
@@ -937,12 +891,11 @@ class MultiArrayScheduler(Scheduler):
             "inference": self._inference.snapshot(),
             "gpu_ledger": self._gpu_ledger.snapshot(),
             "cpu_ledger": self._cpu_ledger.snapshot(),
-            "running": sorted(self._running),
-            "cpu_node": dict(self._cpu_node),
-            "borrowed_cpu": dict(self._borrowed_cpu),
-            "borrowed_gpu": dict(self._borrowed_gpu),
-            "pending_borrow_cpu": sorted(self._pending_borrow_cpu),
-            "pending_borrow_gpu": sorted(self._pending_borrow_gpu),
+            "tracked": {
+                job_id: list(entry) for job_id, entry in self._tracked.items()
+            },
+            "borrowed": dict(self._borrowed),
+            "pending_borrow": sorted(self._pending_borrow),
         }
 
     def _restore_queues(
@@ -952,35 +905,14 @@ class MultiArrayScheduler(Scheduler):
             family.restore(state[family.group], jobs_by_id)
         self._gpu_ledger.restore(state["gpu_ledger"])
         self._cpu_ledger.restore(state["cpu_ledger"])
-        self._running = {
-            job_id: jobs_by_id[job_id] for job_id in state["running"]
-        }
-        self._cpu_node = {
-            job_id: int(node_id)
-            for job_id, node_id in state["cpu_node"].items()
-        }
-        # The restored tracked-job map invalidates the incremental census;
-        # mark it dirty so the next pass rebuilds both maps from a cluster
-        # walk instead of trusting counters across a restore boundary.
-        self._cpu_used = {}
-        self._cpu_cores = {}
-        self._census_dirty = True
-        self._borrowed_cpu = {
-            job_id: int(node_id)
-            for job_id, node_id in state["borrowed_cpu"].items()
-        }
-        self._borrowed_gpu = {
-            job_id: int(node_id)
-            for job_id, node_id in state["borrowed_gpu"].items()
-        }
-        self._pending_borrow_cpu = set(state["pending_borrow_cpu"])
-        self._pending_borrow_gpu = set(state["pending_borrow_gpu"])
-        self._cpu_borrow_index = {}
-        for job_id, node_id in self._borrowed_cpu.items():
-            self._cpu_borrow_index.setdefault(node_id, set()).add(job_id)
-        self._gpu_borrow_index = {}
-        for job_id, node_id in self._borrowed_gpu.items():
-            self._gpu_borrow_index.setdefault(node_id, set()).add(job_id)
+        self._tracked, self._cpu_used = {}, {}
+        for job_id, (node_id, cores) in state["tracked"].items():
+            self._track(job_id, int(node_id), int(cores))
+        self._borrowed, self._borrow_index = {}, {}
+        for job_id, node_id in state["borrowed"].items():
+            is_gpu = isinstance(jobs_by_id[job_id], GpuJob)
+            self._borrow(job_id, int(node_id), is_gpu)
+        self._pending_borrow = set(state["pending_borrow"])
         # Restored state may differ arbitrarily from the last pass this
         # process saw: re-arm every gate group (the families rebuild
         # their heaps at the next pass).

@@ -6,7 +6,8 @@ import pytest
 
 from repro.analysis.invariants import InvariantAuditor, InvariantViolationError
 from repro.cluster.cluster import Cluster
-from repro.config import small_cluster
+from repro.config import ClusterConfig, NodeConfig, small_cluster
+from repro.core.coda import CodaConfig, CodaScheduler
 from repro.experiments.runner import SimulationRunner
 from repro.experiments.scenarios import run_scenario, small_scenario
 from repro.faults import FaultConfig
@@ -251,6 +252,59 @@ class TestPricedSpeeds:
         assert runner.auditor.check_now() == 0
         runner.release_cpu_throttle("c", node_id)
         assert runner.auditor.check_now() == 0
+
+
+class TestBorrowTable:
+    """IV015: the borrow index mirrors the borrow map and each
+    borrower's kind, and no borrower is a tracked CPU job."""
+
+    @staticmethod
+    def _runner():
+        """A CPU job too big for the CPU array borrows reserved cores."""
+        cluster = Cluster(
+            ClusterConfig(node_groups=((1, NodeConfig(cores=8, gpus=4)),))
+        )
+        runner = SimulationRunner(
+            cluster,
+            CodaScheduler(CodaConfig(reserved_cores=6)),
+            sample_interval_s=1e9,
+            auditor=InvariantAuditor(60.0),
+        )
+        runner.submit_at(
+            0.0,
+            CpuJob(
+                job_id="batch",
+                tenant_id=9,
+                submit_time=0.0,
+                cores=7,
+                duration_s=2000.0,
+            ),
+        )
+        runner.engine.run(until=1.0)
+        assert runner.scheduler._borrowed == {"batch": 0}
+        assert runner.auditor.check_now() == 0
+        return runner
+
+    @pytest.mark.parametrize("corruption", ("dropped", "gpu flag"))
+    def test_corrupted_index_flagged(self, corruption):
+        runner = self._runner()
+        index = runner.scheduler._borrow_index
+        if corruption == "dropped":
+            del index[0]
+        else:
+            index[0]["batch"] = True
+        assert runner.auditor.check_now() == 1
+        assert set(runner.auditor.stats.by_code()) == {"IV015"}
+
+    def test_tracked_borrower_flagged(self):
+        runner = self._runner()
+        scheduler = runner.scheduler
+        # Track the borrower and count it in the census too, so only the
+        # overlap itself is wrong (IV010 stays quiet).
+        scheduler._tracked["batch"] = [0, 7]
+        scheduler._cpu_used[0] = 7
+        assert runner.auditor.check_now() == 1
+        assert set(runner.auditor.stats.by_code()) == {"IV015"}
 
 
 class TestWiring:

@@ -115,6 +115,23 @@ class TestByteIdenticalResume:
         result = runner.run(until=spec.resolved_scenario().horizon_s)
         assert _dumps(result) == _dumps(spec.execute())
 
+    def test_restore_with_live_borrowers_rebuilds_the_cpu_census(self):
+        """At event 352 a small GPU job borrows a 4-GPU sub-array node
+        that also hosts two tracked CPU jobs.  The restore rebuilds the
+        CPU census from the restored tracked jobs, so the census equals a
+        cluster walk before the first resumed event, and the resumed run
+        is the uninterrupted one."""
+        spec = _faulted_spec()
+        runner = restore_run(spec, _snapshot_at(spec, kill_at=352))
+        scheduler = runner.scheduler
+        assert scheduler._borrowed and scheduler._tracked
+        assert scheduler._cpu_used
+        assert scheduler._cpu_used == scheduler._cpu_census_build(
+            runner.cluster, set()
+        )
+        result = runner.run(until=spec.resolved_scenario().horizon_s)
+        assert _dumps(result) == _dumps(spec.execute())
+
     def test_periodic_checkpoints_do_not_perturb_the_run(self, tmp_path):
         spec = _faulted_spec()
         observed = execute_with_checkpoints(

@@ -63,7 +63,7 @@ class TestAllocation:
     def test_totals(self):
         allocation = self._allocation()
         assert allocation.total == ResourceVector(cpus=8, gpus=3)
-        assert allocation.node_ids == [0, 2]
+        assert allocation.node_ids == (0, 2)
         assert allocation.num_nodes == 2
 
     def test_share_on(self):

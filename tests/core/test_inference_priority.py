@@ -111,7 +111,7 @@ class TestNeverAborted:
         )
         runner.submit_at(0.0, normal)
         runner.engine.run(until=1.0)
-        assert "batch" in scheduler._borrowed_cpu
+        assert "batch" in scheduler._borrowed
         runner.submit_at(2.0, _gpu("train", model="bat", iters=50))
         runner.engine.run(until=100.0)
         assert runner.collector.records["batch"].preempt_count >= 1

@@ -1,5 +1,8 @@
 """Multi-array scheduler behaviour (Sec. V-C)."""
 
+from typing import Dict
+from weakref import WeakKeyDictionary
+
 import pytest
 
 from repro.cluster.cluster import Cluster
@@ -8,7 +11,7 @@ from repro.core.allocator import AdaptiveCpuAllocator
 from repro.core.multiarray import MultiArrayScheduler
 from repro.perfmodel.stages import TrainSetup
 from repro.schedulers.base import PreemptDecision, StartDecision
-from repro.workload.job import CpuJob, GpuJob
+from repro.workload.job import CpuJob, GpuJob, Job
 
 
 def _cluster() -> Cluster:
@@ -42,8 +45,16 @@ def _cpu(job_id, tenant=18, cores=4):
     return CpuJob(job_id=job_id, tenant_id=tenant, submit_time=0.0, cores=cores)
 
 
+#: The jobs each scheduler under test has started, by id: a preemption
+#: hands the scheduler its job back, as the runner's table does.
+_started: "WeakKeyDictionary[MultiArrayScheduler, Dict[str, Job]]" = (
+    WeakKeyDictionary()
+)
+
+
 def apply(scheduler, cluster, decisions, now=0.0):
     """Execute decisions the way the runner would."""
+    started = _started.setdefault(scheduler, {})
     jobs_started = []
     for decision in decisions:
         if isinstance(decision, StartDecision):
@@ -51,9 +62,10 @@ def apply(scheduler, cluster, decisions, now=0.0):
                 decision.job.job_id, list(decision.placements)
             )
             scheduler.job_started(decision.job, list(decision.placements), now)
+            started[decision.job.job_id] = decision.job
             jobs_started.append(decision.job)
         elif isinstance(decision, PreemptDecision):
-            job = scheduler._running[decision.job_id]
+            job = started.pop(decision.job_id)
             cluster.release(decision.job_id)
             scheduler.job_preempted(
                 job, now, preserve_progress=decision.preserve_progress
@@ -95,7 +107,9 @@ class TestSubArrayRouting:
         scheduler.submit(_gpu("borrower", gpus=1), 0.0)
         decisions = scheduler.schedule(cluster, 0.0)
         apply(scheduler, cluster, decisions)
-        assert scheduler._borrowed_gpu["borrower"] in {2, 3}
+        node_id = scheduler._borrowed["borrower"]
+        assert node_id in {2, 3}
+        assert scheduler._borrow_index[node_id] == {"borrower": True}
 
     def test_big_job_overflows_to_one_gpu_array(self):
         cluster, scheduler = _cluster(), _scheduler()
@@ -105,7 +119,7 @@ class TestSubArrayRouting:
         decisions = scheduler.schedule(cluster, 0.0)
         apply(scheduler, cluster, decisions)
         assert decisions[-1].placements[0][0] in {0, 1}
-        assert "big" not in scheduler._borrowed_gpu  # big jobs never borrow
+        assert "big" not in scheduler._borrowed  # big jobs never borrow
 
 
 class TestMigration:
@@ -119,7 +133,7 @@ class TestMigration:
         cluster.allocate("big3", [(3, 1, 6)])
         scheduler.submit(_gpu("borrower", gpus=1), 0.0)
         apply(scheduler, cluster, scheduler.schedule(cluster, 0.0))
-        assert scheduler._borrowed_gpu["borrower"] == 3
+        assert scheduler._borrowed["borrower"] == 3
         # Free node 3's big job so 6 GPUs open; a 8-GPU... use 4-GPU job
         cluster.release("big3")
         cluster.release("wall2")
@@ -169,7 +183,9 @@ class TestCpuArray:
         apply(scheduler, cluster, decisions)
         starts = [d for d in decisions if isinstance(d, StartDecision)]
         assert len(starts) == 5
-        assert len(scheduler._borrowed_cpu) == 1
+        assert len(scheduler._borrowed) == 1
+        (borrowers,) = scheduler._borrow_index.values()
+        assert borrowers == {next(iter(scheduler._borrowed)): False}
 
     def test_gpu_job_aborts_cpu_borrowers(self):
         cluster, scheduler = _cluster(), _scheduler()
@@ -177,7 +193,7 @@ class TestCpuArray:
         for index in range(8):
             scheduler.submit(_cpu(f"c{index}", cores=14), 0.0)
         apply(scheduler, cluster, scheduler.schedule(cluster, 0.0))
-        assert scheduler._borrowed_cpu
+        assert scheduler._borrowed
         scheduler.submit(_gpu("train", gpus=1, model="alexnet"), 1.0)
         decisions = scheduler.schedule(cluster, 1.0)
         preempts = [d for d in decisions if isinstance(d, PreemptDecision)]
@@ -191,7 +207,7 @@ class TestCpuArray:
         for index in range(8):
             scheduler.submit(_cpu(f"c{index}", cores=14), 0.0)
         apply(scheduler, cluster, scheduler.schedule(cluster, 0.0))
-        borrower = next(iter(scheduler._borrowed_cpu))
+        borrower = next(iter(scheduler._borrowed))
         scheduler.submit(_gpu("train", gpus=1, model="alexnet"), 1.0)
         decisions = scheduler.schedule(cluster, 1.0)
         apply(scheduler, cluster, decisions)
@@ -270,7 +286,7 @@ class TestLifecycleBookkeeping:
         apply(scheduler, cluster, scheduler.schedule(cluster, 0.0))
         cluster.release("j")
         scheduler.job_finished(job, 5.0)
-        assert "j" not in scheduler._running
+        assert "j" not in scheduler._gpu_ledger.snapshot()
         assert scheduler._gpu_ledger.usage_of(1).gpus == 0
 
     def test_rejects_unknown_job_type(self):
@@ -294,7 +310,7 @@ class TestBorrowerAbortRecovery:
         for index in range(8):
             scheduler.submit(_cpu(f"c{index}", cores=14), 0.0)
         apply(scheduler, cluster, scheduler.schedule(cluster, 0.0))
-        borrower = next(iter(scheduler._borrowed_cpu))
+        borrower = next(iter(scheduler._borrowed))
         # A same-tenant newcomer queued *before* the abort must end up
         # behind the re-queued borrower, not ahead of it.
         scheduler.submit(_cpu("late", cores=14), 1.0)
@@ -328,8 +344,8 @@ class TestBorrowerAbortRecovery:
                 ),
             )
         runner.engine.run(until=1.0)
-        assert scheduler._borrowed_cpu
-        borrower = next(iter(scheduler._borrowed_cpu))
+        assert scheduler._borrowed
+        borrower = next(iter(scheduler._borrowed))
         started_once = runner.collector.records[borrower].start_count
         assert started_once == 1
         gpu = _gpu("train", gpus=1, model="alexnet")

@@ -43,7 +43,7 @@ class TestMultiNodeReclaim:
         for index in range(2):
             runner.submit_at(0.0, _cpu(f"b{index}", cores=27, bw=1.0))
         runner.engine.run(until=1.0)
-        assert len(scheduler._borrowed_cpu) == 2
+        assert len(scheduler._borrowed) == 2
         runner.submit_at(
             2.0, _gpu("gang", gpus=2, nodes=2, model="transformer")
         )
@@ -93,9 +93,9 @@ class TestLedgerConsistency:
         runner.submit_at(0.0, _gpu("small-b", tenant=2, gpus=2))
         runner.submit_at(0.0, _gpu("small-c", tenant=1, gpus=2))
         runner.engine.run(until=1.0)
-        assert len(scheduler._borrowed_gpu) == 1
-        borrower_id = next(iter(scheduler._borrowed_gpu))
-        borrower_tenant = scheduler._running[borrower_id].tenant_id
+        assert len(scheduler._borrowed) == 1
+        borrower_id = next(iter(scheduler._borrowed))
+        borrower_tenant = runner._running[borrower_id].job.tenant_id
         # An 8-GPU claimer migrates the borrower off the big node.
         runner.submit_at(2.0, _gpu("claimer", tenant=3, gpus=8))
         runner.engine.run(until=3.0)

@@ -1,7 +1,8 @@
 """Incremental CPU-array census: the maintained maps vs a fresh walk.
 
 The census feeding ``_place_cpu_normal`` is maintained incrementally
-(``job_started`` / ``_forget`` / ``job_failed`` / ``cpu_job_resized``)
+(``job_started`` / ``_forget`` / ``job_failed`` / ``cpu_job_resized``,
+and rebuilt from the tracked jobs on restore)
 instead of being rebuilt from the cluster on every pass.  The placement
 decision stream is keyed on these integers, so the maps must equal a
 fresh cluster walk at every single census — including through failures,
@@ -42,16 +43,15 @@ def test_census_matches_walk_throughout_faulted_run(monkeypatch):
 
 def test_cpu_job_resized_folds_the_delta():
     sched = CodaScheduler()
-    sched._cpu_node["j"] = 3
-    sched._cpu_cores["j"] = 8
+    sched._tracked["j"] = [3, 8]
     sched._cpu_used[3] = 8
     sched.cpu_job_resized("j", 4, 0.0)
     assert sched._cpu_used == {3: 4}
-    assert sched._cpu_cores["j"] == 4
+    assert sched._tracked["j"] == [3, 4]
 
 
 def test_cpu_job_resized_ignores_untracked_jobs():
     sched = CodaScheduler()
     sched.cpu_job_resized("ghost", 2, 0.0)
     assert sched._cpu_used == {}
-    assert sched._cpu_cores == {}
+    assert sched._tracked == {}

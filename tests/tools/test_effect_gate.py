@@ -144,6 +144,31 @@ def test_observer_write_to_a_running_record_fails_ef003(tmp_path, method):
     }
 
 
+#: IV010 reads the multi-array scheduler's tracked-job table; clearing it
+#: from the auditor would change the census the next pass serves.
+def test_observer_write_to_the_tracked_table_fails_ef003(tmp_path):
+    mutated = tmp_path / "repro"
+    shutil.copytree(SRC, mutated)
+    invariants_py = mutated / "analysis" / "invariants.py"
+    source, hits = re.subn(
+        r"(def _check_cpu_census\(.*?\n        maintained = .*?\n)",
+        r"\1        scheduler._tracked.clear()\n",
+        invariants_py.read_text(),
+        count=1,
+        flags=re.S,
+    )
+    assert hits == 1
+    invariants_py.write_text(source)
+
+    violations, _ = analyze_paths([mutated], load_contracts(MANIFEST))
+
+    assert violations, "clearing _tracked in IV010 went undetected"
+    assert all(v.code == "EF003" for v in violations)
+    assert {v.symbol.split(":")[-1] for v in violations} == {
+        "InvariantAuditor._check_cpu_census"
+    }
+
+
 def test_full_analysis_is_fast_enough_for_ci():
     contracts = load_contracts(MANIFEST)
     start = time.monotonic()
