@@ -858,7 +858,9 @@ class SimulationRunner(SchedulerContext):
         reference = self._reference
         key_memo = self._node_key_memo
         nodes = self.cluster.nodes
-        for node_id in sorted(node_ids):
+        # Almost every call names at most one node and one job of each
+        # kind; sorting those would only copy them into a list.
+        for node_id in node_ids if len(node_ids) < 2 else sorted(node_ids):
             node = nodes[node_id]
             changed = node.bandwidth.drain_changed()
             every_gpu = reference
@@ -881,9 +883,9 @@ class SimulationRunner(SchedulerContext):
                 gpu[moved] = record
             elif isinstance(record, _RunningCpu):
                 cpu[moved] = record
-        for job_id in sorted(gpu):
+        for job_id in gpu if len(gpu) < 2 else sorted(gpu):
             self._reprice_gpu(gpu[job_id])
-        for job_id in sorted(cpu):
+        for job_id in cpu if len(cpu) < 2 else sorted(cpu):
             self._reprice_cpu(cpu[job_id])
 
     # ------------------------------------------------------------------ #

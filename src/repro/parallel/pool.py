@@ -2,7 +2,8 @@
 
 :class:`SimPool` executes independent :class:`~repro.parallel.RunSpec`
 runs across the sweep supervisor's long-lived ``spawn`` workers (fresh
-interpreters, no inherited state; see :mod:`repro.sweep.supervisor`) and
+interpreters, no inherited state, parked between calls and reused by the
+next; see :mod:`repro.sweep.supervisor`) and
 memoizes them through an optional :class:`~repro.parallel.ResultCache`.
 
 Determinism contract:
@@ -97,8 +98,8 @@ class SimPool:
     parallel, cached — structurally identical.
 
     ``jobs > 1`` always runs through the fault-tolerant worker
-    supervisor (:func:`repro.sweep.run_supervised`: persistent workers,
-    bounded retries, and — with a ``supervisor``
+    supervisor (:func:`repro.sweep.run_supervised`: persistent workers
+    that the next :meth:`map` in this process reuses, bounded retries, and — with a ``supervisor``
     :class:`~repro.sweep.SupervisorConfig` — per-run timeouts and
     heartbeat liveness); ``supervisor=None`` means the default config.
     :meth:`map` promises a result for every spec, so a spec the

@@ -5,8 +5,9 @@ Layers, bottom to top:
 - :mod:`repro.sweep.config` — :class:`SupervisorConfig`, the single
   tuning surface (retries, timeouts, deterministic backoff);
 - :mod:`repro.sweep.ledger` — the crash-safe append-only JSONL journal;
-- :mod:`repro.sweep.supervisor` — per-run worker processes with
-  heartbeat liveness, kill-on-timeout, retry, and poison quarantine;
+- :mod:`repro.sweep.supervisor` — long-lived worker processes, parked
+  between batches, with heartbeat liveness, kill-on-timeout, retry,
+  and poison quarantine;
 - :mod:`repro.sweep.report` — markdown partial-results reports;
 - :mod:`repro.sweep.service` — :func:`run_sweep`, tying cache-aware
   skip, supervised execution, journalling, and reporting together.
@@ -40,6 +41,7 @@ from repro.sweep.supervisor import (
     SupervisorInterrupted,
     cell_checkpoint_dir,
     run_supervised,
+    stop_idle_workers,
 )
 from repro.sweep.report import render_sweep_report
 from repro.sweep.service import (
@@ -88,4 +90,5 @@ __all__ = [
     "render_sweep_report",
     "run_supervised",
     "run_sweep",
+    "stop_idle_workers",
 ]

@@ -2,21 +2,31 @@
 
 :func:`run_supervised` executes a batch of independent
 :class:`~repro.parallel.RunSpec` runs over ``min(jobs, len(specs))``
-long-lived ``spawn`` workers, kept for the length of one call and each
-supervised over a duplex pipe:
+long-lived ``spawn`` workers, each supervised over a duplex pipe:
 
 * a worker pays for spawn and imports once, then serves specs one at a
   time: it receives ``(index, spec)`` and answers with exactly one
   terminal message — ``("ok", payload)`` or ``("error", reason)`` —
-  while a daemon thread streams ``("hb", seq)`` heartbeats for the
-  worker's whole life;
+  while a daemon thread streams ``("hb", seq)`` heartbeats for as long
+  as the spec is in flight;
+* workers outlive the call: at batch end idle workers are **parked**,
+  and the next batch takes parked workers first and launches only the
+  shortfall, so a repeated grid pays spawn and imports once per
+  process, not once per batch.  A parked worker is reused only while
+  everything a fresh spawn would inherit is unchanged (environment,
+  ``sys.path``, working directory, main module, ``sys.argv``, and the
+  :class:`SupervisorConfig`); otherwise it is stopped and a fresh one
+  launched.  :func:`stop_idle_workers` (also run at interpreter exit)
+  stops the parked ones;
 * the supervisor keeps at most one spec in flight per worker, so a
   crash loses only that spec, and detects **crashes** (the process
   exits without a terminal message), **overruns** (wall clock past
   ``run_timeout_s`` since dispatch — the worker is killed), and
   **hangs** (no heartbeat within ``heartbeat_timeout_s`` of dispatch or
   of the last beat — ditto).  A killed worker is replaced only while
-  work is pending; at batch end every worker is told to stop and joined;
+  work is pending; at batch end busy workers are killed and joined, and
+  an interrupted batch stops its idle workers too instead of parking
+  them;
 * every failure is retried with deterministic exponential backoff +
   seeded jitter, at most ``max_retries`` times; past that the spec is
   **quarantined** and the rest of the grid keeps going;
@@ -41,9 +51,13 @@ variables are set) let the failure paths be exercised end-to-end: see
 
 from __future__ import annotations
 
+import atexit
+import gc
 import multiprocessing
+import multiprocessing.spawn
 import os
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -102,6 +116,9 @@ _CHAOS_EXIT_CODE = 13
 
 #: Grace period when joining a stopped, killed or finished worker.
 _REAP_TIMEOUT_S = 5.0
+
+#: Worker message kinds that end a cell.
+_TERMINAL_KINDS = ("ok", "error")
 
 
 def _wall_now() -> float:
@@ -343,12 +360,24 @@ def _supervised_worker(conn: Connection, config: SupervisorConfig) -> None:
     main thread both send.  Checkpoint notices (``restored`` and
     ``checkpoint-fallback``) travel the same pipe as non-terminal
     messages.
+
+    Heartbeats flow only while a cell is in flight.  The main thread
+    sets ``busy`` when an assignment arrives and clears it under the
+    send lock in the same step that sends the terminal message; the
+    heartbeat thread checks it under that lock before each beat.  So no
+    beat ever follows a terminal message, and a worker parked between
+    batches writes nothing to its pipe however long it idles.
     """
     lock = threading.Lock()
+    busy = threading.Event()
     stop = threading.Event()
 
-    def send(message: Tuple[str, Any]) -> None:
+    def send(message: Tuple[str, Any], beat: bool = False) -> None:
         with lock:
+            if beat and not busy.is_set():
+                return  # the cell finished while this beat waited
+            if message[0] in _TERMINAL_KINDS:
+                busy.clear()
             try:
                 conn.send(message)
             except (OSError, ValueError):
@@ -357,11 +386,17 @@ def _supervised_worker(conn: Connection, config: SupervisorConfig) -> None:
                 pass
 
     send(("hb", 0))  # startup heartbeat: spawn + imports succeeded
+    # A finished runner is freed only by a full collection (its engine
+    # closures and back-references form cycles), so a warm worker runs
+    # one after every cell, or its peak memory creeps up hand-off after
+    # hand-off.  Freezing what the imports built keeps each collection
+    # to what the cell left behind: about 1 ms.
+    gc.freeze()
 
     def beat() -> None:
         sequence = 1
-        while not stop.wait(config.heartbeat_interval_s):
-            send(("hb", sequence))
+        while busy.wait() and not stop.wait(config.heartbeat_interval_s):
+            send(("hb", sequence), beat=True)
             sequence += 1
 
     threading.Thread(target=beat, daemon=True, name="sweep-heartbeat").start()
@@ -374,9 +409,12 @@ def _supervised_worker(conn: Connection, config: SupervisorConfig) -> None:
             if assignment is None:
                 break
             _, spec = assignment
+            busy.set()
             _serve(spec, config, send)
+            gc.collect()
     finally:
         stop.set()
+        busy.set()  # wake the heartbeat thread so it sees ``stop``
         with lock:
             conn.close()
 
@@ -414,6 +452,8 @@ def _serve(
 class _Worker:
     process: "multiprocessing.process.BaseProcess"
     conn: Connection
+    #: :func:`_launch_key` at launch: what the process inherited.
+    key: Tuple[Any, ...]
     #: Index of the spec in flight; ``None`` while the worker is idle.
     index: Optional[int] = None
     #: Run-timeout and heartbeat clocks, both restarted at dispatch.
@@ -421,6 +461,70 @@ class _Worker:
     last_heartbeat: float = 0.0
     #: Checkpoint notices drained off the pipe, pending emission.
     notices: List[Tuple[str, str]] = field(default_factory=list)
+
+
+#: Idle workers parked between batches, reused by the next batch whose
+#: :func:`_launch_key` matches theirs.  ``_parked_lock`` guards every
+#: hand-off in and out, should batches run on several threads.
+_parked: List[_Worker] = []
+_parked_lock = threading.Lock()
+
+
+def _launch_key(config: SupervisorConfig) -> Tuple[Any, ...]:
+    """Everything a worker spawned now would inherit from this process.
+
+    A parked worker serves a later batch only while this is unchanged.
+    The worker reads its environment (the ``REPRO_TEST_*`` chaos hooks,
+    ``REPRO_AUDIT``, ``REPRO_REFERENCE``, ``PYTHONHASHSEED``) as it was
+    at spawn, and spawn preparation replays ``sys.path``, the working
+    directory, the main module and ``sys.argv`` in the child.
+    """
+    main = sys.modules.get("__main__")
+    return (
+        sorted(os.environ.items()),
+        list(sys.path),
+        os.getcwd(),
+        getattr(getattr(main, "__spec__", None), "name", None),
+        getattr(main, "__file__", None),
+        list(sys.argv),
+        multiprocessing.spawn.get_executable(),
+        config,
+    )
+
+
+def _adopt(key: Tuple[Any, ...], slots: int) -> List[_Worker]:
+    """Take up to ``slots`` live parked workers launched under ``key``.
+
+    Parked workers launched under any other key are stopped: they would
+    not compute what a fresh worker computes.  Dead ones are reaped.
+    """
+    with _parked_lock:
+        stale = [w for w in _parked if w.key != key]
+        matching = [w for w in _parked if w.key == key]
+        adopted, _parked[:] = matching[:slots], matching[slots:]
+    _shutdown(stale)
+    live: List[_Worker] = []
+    for worker in adopted:
+        if worker.process.is_alive():
+            live.append(worker)
+        else:
+            _reap(worker)
+    return live
+
+
+def stop_idle_workers() -> None:
+    """Stop every parked worker: ask it to exit, then join it (bounded).
+
+    Runs at interpreter exit; call it to release parked workers sooner.
+    A worker whose supervisor dies without it exits on pipe EOF.
+    """
+    with _parked_lock:
+        workers = list(_parked)
+        _parked.clear()
+    _shutdown(workers)
+
+
+atexit.register(stop_idle_workers)
 
 
 def _launch(
@@ -459,7 +563,7 @@ def _reap(worker: _Worker, grace_s: float = 0.0) -> None:
 
 
 def _shutdown(workers: List[_Worker]) -> None:
-    """End of batch: stop idle workers in order, kill busy ones."""
+    """Stop idle workers in order, kill busy ones, and join them all."""
     for worker in workers:
         if worker.index is not None:
             worker.process.kill()
@@ -653,21 +757,31 @@ def _run_spawned(
 
     Returns ``None`` when every outcome settled, or a degradation reason
     — in which case still-unsettled outcomes are left for the serial
-    fallback (any in-flight attempts are un-charged).  However the loop
-    ends, idle workers are stopped and busy ones killed before this
-    returns or raises: a graceful shutdown on SIGINT/SIGTERM leaves the
-    interrupted attempts journalled as attempts, and the caller flushes
-    whatever already settled.
+    fallback (any in-flight attempts are un-charged).  The batch starts
+    on the parked workers whose launch key matches.  When the loop
+    returns, its idle workers are parked for the next batch and busy
+    ones killed; when it raises, idle workers are stopped and busy ones
+    killed before the exception propagates: a graceful shutdown on
+    SIGINT/SIGTERM leaves the interrupted attempts journalled as
+    attempts, and the caller flushes whatever already settled.
     """
     context = multiprocessing.get_context("spawn")
-    workers: List[_Worker] = []
+    slots = min(jobs, len(specs))
+    workers = _adopt(_launch_key(config), slots)
+    idle: List[_Worker] = []
     try:
-        return _spawned_loop(
-            specs, outcomes, min(jobs, len(specs)), config, emit,
-            context, workers,
+        degraded = _spawned_loop(
+            specs, outcomes, slots, config, emit, context, workers
         )
+        # Only a batch that ran to its end parks: an interrupt (or
+        # anything unforeseen) stops every worker it had.
+        idle = [w for w in workers if w.index is None]
+        workers[:] = [w for w in workers if w.index is not None]
+        return degraded
     finally:
         _shutdown(workers)
+        with _parked_lock:
+            _parked.extend(idle)
 
 
 def _spawned_loop(
@@ -722,7 +836,9 @@ def _spawned_loop(
                     pending[0] = (now + config.poll_interval_s, pending[0][1])
                     break
                 spawn_failures = 0
-                worker = _Worker(process=process, conn=conn)
+                worker = _Worker(
+                    process=process, conn=conn, key=_launch_key(config)
+                )
                 workers.append(worker)
             index = pending[0][1]
             try:

@@ -4,6 +4,10 @@ The suite runs with the result cache disabled (``REPRO_NO_CACHE``) so no
 test reads another's — or a previous working-tree run's — cached results;
 cache-specific tests opt back in with explicit ``ResultCache`` roots
 under tmp_path.
+
+The sweep supervisor parks idle workers between batches; every test
+starts with none parked, so its launch counts and chaos environment are
+its own.
 """
 
 from __future__ import annotations
@@ -17,6 +21,12 @@ os.environ.setdefault("REPRO_NO_CACHE", "1")
 from repro.cluster.cluster import Cluster  # noqa: E402
 from repro.config import ClusterConfig, NodeConfig, small_cluster  # noqa: E402
 from repro.sim.engine import Engine  # noqa: E402
+from repro.sweep import stop_idle_workers  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def _no_parked_workers() -> None:
+    stop_idle_workers()
 
 
 @pytest.fixture

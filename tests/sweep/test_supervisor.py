@@ -7,6 +7,11 @@ execution — supervision must never perturb what a run computes.
 """
 
 import json
+import multiprocessing
+import os
+import signal
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +27,7 @@ from repro.sweep import (
     SupervisorInterrupted,
     cell_checkpoint_dir,
     run_supervised,
+    stop_idle_workers,
 )
 from repro.sweep import supervisor as supervisor_module
 
@@ -70,7 +76,12 @@ class _CountingConn:
 
 @pytest.fixture
 def launches(monkeypatch):
-    """Every worker pipe the supervisor launches, counted per worker."""
+    """Every worker pipe the supervisor launches, counted per worker.
+
+    Starts with no parked workers, so every worker of the test is
+    counted.
+    """
+    supervisor_module.stop_idle_workers()
     real = supervisor_module._launch
     conns = []
 
@@ -285,6 +296,90 @@ class TestWorkerLifecycle:
         assert len(launches) == 2
         for outcome, result in zip(outcomes, serial_map(four_specs)):
             assert _payload_dumps(outcome.payload) == _dumps(result)
+
+
+def _parked_processes():
+    return [worker.process for worker in supervisor_module._parked]
+
+
+class TestParkedWorkers:
+    """Idle workers outlive the batch and serve the next one."""
+
+    def test_second_batch_launches_nothing(self, specs, launches):
+        serial = [_dumps(result) for result in serial_map(specs)]
+        first = run_supervised(specs, jobs=2)
+        assert len(launches) == 2
+        second = run_supervised(specs, jobs=2)
+        assert len(launches) == 2
+        assert sum(conn.assignments for conn in launches) == 4
+        for outcomes in (first, second):
+            assert [o.attempts for o in outcomes] == [1, 1]
+            assert [_payload_dumps(o.payload) for o in outcomes] == serial
+
+    @pytest.mark.parametrize(
+        "change", ["environment", "sys.path", "cwd", "config"]
+    )
+    def test_changed_inheritance_forces_fresh_workers(
+        self, specs, launches, monkeypatch, tmp_path, change
+    ):
+        run_supervised(specs, jobs=2)
+        parked = _parked_processes()
+        config = None
+        if change == "environment":
+            # Inert: no cell carries this label.
+            monkeypatch.setenv("REPRO_TEST_RAISE_SPEC", "none:s0")
+        elif change == "sys.path":
+            monkeypatch.setattr(sys, "path", sys.path + [str(tmp_path)])
+        elif change == "cwd":
+            monkeypatch.chdir(tmp_path)
+        else:
+            config = SupervisorConfig(seed=1)
+        outcomes = run_supervised(specs, jobs=2, config=config)
+        assert len(launches) == 4
+        assert not any(process.is_alive() for process in parked)
+        assert [o.attempts for o in outcomes] == [1, 1]
+        for outcome, result in zip(outcomes, serial_map(specs)):
+            assert _payload_dumps(outcome.payload) == _dumps(result)
+
+    def test_worker_killed_while_parked_is_replaced_free(
+        self, specs, launches
+    ):
+        run_supervised(specs, jobs=2)
+        victim = _parked_processes()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5.0)
+        outcomes = run_supervised(specs, jobs=2)
+        assert len(launches) == 3
+        assert [o.attempts for o in outcomes] == [1, 1]
+        for outcome, result in zip(outcomes, serial_map(specs)):
+            assert _payload_dumps(outcome.payload) == _dumps(result)
+
+    def test_parked_worker_is_silent(self, specs):
+        config = SupervisorConfig(heartbeat_interval_s=0.05)
+        run_supervised(specs, jobs=2, config=config)
+        time.sleep(0.5)  # ten heartbeat intervals
+        parked = supervisor_module._parked
+        assert len(parked) == 2
+        assert not any(worker.conn.poll() for worker in parked)
+
+    def test_stop_idle_workers_leaves_no_process(self, specs):
+        run_supervised(specs, jobs=2)
+        parked = _parked_processes()
+        assert len(parked) == 2
+        stop_idle_workers()
+        assert supervisor_module._parked == []
+        assert [process.exitcode for process in parked] == [0, 0]
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_batch_parks_nothing(self, specs):
+        def interrupt(event):
+            if event.kind == "ok":
+                raise KeyboardInterrupt
+
+        with pytest.raises(SupervisorInterrupted):
+            run_supervised(specs, jobs=2, on_event=interrupt)
+        assert supervisor_module._parked == []
+        assert multiprocessing.active_children() == []
 
 
 class TestSimPoolIntegration:
