@@ -8,7 +8,7 @@ user-facing story is in docs/resilience.md.
 from repro.checkpoint.errors import CheckpointError
 from repro.checkpoint.state import (
     CheckpointWriter,
-    build_runner,
+    checkpointed_runner,
     execute_with_checkpoints,
     restore_run,
     snapshot_run,
@@ -26,8 +26,8 @@ __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "CheckpointError",
     "CheckpointWriter",
-    "build_runner",
     "checkpoint_path",
+    "checkpointed_runner",
     "execute_with_checkpoints",
     "latest_checkpoint",
     "read_checkpoint",

@@ -15,6 +15,11 @@ closure from restored state under the event's original ``(time,
 priority, seq)``.  ``finish_restore`` then verifies the re-armed
 inventory covers every snapshotted event — an unclaimed tag means the
 restore would silently drop a timer, and fails loudly instead.
+
+:func:`checkpointed_runner` is the only code that builds or restores a
+spec's runner and attaches the writer: ``repro-sim run --checkpoint-dir``
+and every supervised sweep attempt use it.  Both ways end in
+``RunSpec.build_runner``, the construction ``spec.execute()`` uses.
 """
 
 from __future__ import annotations
@@ -69,22 +74,6 @@ def snapshot_run(
     return state
 
 
-def build_runner(spec: "RunSpec") -> SimulationRunner:
-    """A fresh runner for ``spec`` — the construction ``spec.execute()``
-    performs, with the runner handed back instead of run to completion."""
-    from repro.parallel.spec import build_scheduler
-
-    scenario = spec.resolved_scenario()
-    return SimulationRunner(
-        scenario.build_cluster(),
-        build_scheduler(spec.scheduler, spec.coda_config, spec.restart_policy),
-        scenario.build_trace(),
-        sample_interval_s=spec.sample_interval_s,
-        fault_injector=scenario.build_fault_injector(),
-        health_config=spec.health_config,
-    )
-
-
 def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
     """Rebuild a mid-flight simulation of ``spec`` from snapshot ``state``.
 
@@ -100,10 +89,9 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
             f"it was taken under a different spec (fingerprint "
             f"{stored_digest[:12]}..., expected {spec_digest(spec)[:12]}...)"
         )
-    scenario = spec.resolved_scenario()
-    trace = scenario.build_trace()
+    trace = spec.resolved_scenario().build_trace()
     jobs_by_id = {job.job_id: job for job in trace.jobs}
-    runner = build_runner(spec)
+    runner = spec.build_runner(trace)
     engine = runner.engine
     try:
         # Discards every construction-time event (arrivals, monitor and
@@ -179,6 +167,33 @@ class CheckpointWriter:
         return path
 
 
+def checkpointed_runner(
+    spec: "RunSpec",
+    *,
+    checkpoint_dir: Optional[str] = None,
+    checkpoint_every_events: Optional[int] = None,
+    restore_from: Optional[str] = None,
+) -> SimulationRunner:
+    """``spec``'s runner, ready to run, checkpointing and/or resumed.
+
+    ``restore_from`` resumes from that checkpoint file (raising
+    :class:`CheckpointError` if it is damaged or does not match the
+    spec); otherwise the runner starts from scratch.  With a directory
+    and interval, a :class:`CheckpointWriter` rides along.  With
+    neither, this is exactly ``spec.build_runner()``.
+    """
+    if restore_from is not None:
+        runner = restore_run(spec, read_checkpoint(restore_from))
+    else:
+        runner = spec.build_runner()
+    if checkpoint_dir is not None and checkpoint_every_events:
+        writer = CheckpointWriter(
+            runner, checkpoint_dir, checkpoint_every_events, spec=spec
+        )
+        runner.engine.add_observer(writer)
+    return runner
+
+
 def execute_with_checkpoints(
     spec: "RunSpec",
     *,
@@ -186,21 +201,15 @@ def execute_with_checkpoints(
     checkpoint_every_events: Optional[int] = None,
     restore_from: Optional[str] = None,
 ) -> RunResult:
-    """Run ``spec`` to completion, checkpointing and/or resuming.
+    """Run :func:`checkpointed_runner` to the spec's horizon.
 
-    ``restore_from`` resumes from that checkpoint file (raising
-    :class:`CheckpointError` if it is damaged or does not match the
-    spec); otherwise the run starts from scratch.  With a directory and
-    interval, a :class:`CheckpointWriter` rides along.  With neither,
-    this is exactly ``spec.execute()``.
+    With neither checkpoint directory nor ``restore_from``, this is
+    exactly ``spec.execute()``.
     """
-    if restore_from is not None:
-        runner = restore_run(spec, read_checkpoint(restore_from))
-    else:
-        runner = build_runner(spec)
-    if checkpoint_dir is not None and checkpoint_every_events:
-        writer = CheckpointWriter(
-            runner, checkpoint_dir, checkpoint_every_events, spec=spec
-        )
-        runner.engine.add_observer(writer)
+    runner = checkpointed_runner(
+        spec,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every_events=checkpoint_every_events,
+        restore_from=restore_from,
+    )
     return runner.run(until=spec.resolved_scenario().horizon_s)

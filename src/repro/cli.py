@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, List, Optional, Tuple
 
 from repro.analysis.invariants import DEFAULT_AUDIT_INTERVAL_S, InvariantAuditor
 from repro.core.coda import CodaConfig
@@ -58,6 +59,9 @@ from repro.profiling import Profiler
 from repro.workload.job import JobKind
 from repro.workload.tracegen import TraceConfig, generate_trace
 from repro.workload.traceio import save_trace
+
+#: The ``--scale`` settings (and the values a sweep manifest may pin).
+SCALES = ("small", "paper")
 
 
 def _chaos_coda_config(chaos: bool) -> CodaConfig:
@@ -111,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scheduling policy (default: coda)",
     )
     run.add_argument(
-        "--scale", choices=("small", "paper"), default="small",
+        "--scale", choices=SCALES, default="small",
         help="cluster scale (default: small = 6 nodes)",
     )
     run.add_argument("--days", type=float, default=0.25, help="trace length")
@@ -174,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", help="run FIFO, DRF, and CODA on the same trace"
     )
     compare.add_argument(
-        "--scale", choices=("small", "paper"), default="small"
+        "--scale", choices=SCALES, default="small"
     )
     compare.add_argument("--days", type=float, default=0.25)
     compare.add_argument("--seed", type=int, default=0)
@@ -200,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "the progress ledger and result cache",
     )
     sweep.add_argument(
-        "--scale", choices=("small", "paper"), default="small"
+        "--scale", choices=SCALES, default="small"
     )
     sweep.add_argument("--days", type=float, default=0.05)
     sweep.add_argument(
@@ -340,15 +344,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cache=None if observed or checkpointing else _cache_from_args(args)
     )
     profiler = Profiler() if args.profile else None
+    spec = RunSpec(
+        scenario=scenario,
+        scheduler=args.policy,
+        coda_config=coda_config,
+        restart_policy=restart_policy,
+        health_config=health_config,
+    )
     if observed:
-        scheduler = build_scheduler(
-            args.policy,
-            coda_config=coda_config,
-            restart_policy=restart_policy,
-        )
         result = run_scenario(
             scenario,
-            scheduler,
+            build_scheduler(args.policy, coda_config, restart_policy),
             auditor=auditor,
             health_config=health_config,
             profiler=profiler,
@@ -356,13 +362,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elif checkpointing:
         from repro.checkpoint import CheckpointError, execute_with_checkpoints
 
-        spec = RunSpec(
-            scenario=scenario,
-            scheduler=args.policy,
-            coda_config=coda_config,
-            restart_policy=restart_policy,
-            health_config=health_config,
-        )
         try:
             result = execute_with_checkpoints(
                 spec,
@@ -374,13 +373,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"checkpoint error: {error}", file=sys.stderr)
             return 1
     else:
-        spec = RunSpec(
-            scenario=scenario,
-            scheduler=args.policy,
-            coda_config=coda_config,
-            restart_policy=restart_policy,
-            health_config=health_config,
-        )
         result = pool.map([spec])[0]
     collector = result.collector
     gpu_queue = collector.queueing_times(
@@ -536,6 +528,48 @@ def _csv_list(text: str) -> List[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _read_manifest(path: Path) -> Tuple[str, float, List[str], List[int]]:
+    """The ``(scale, days, policies, seeds)`` a sweep manifest pins.
+
+    Raises:
+        ValueError: naming ``path`` and the field, when the file is not
+            a readable JSON object or a field is missing, mistyped, out
+            of range, or (``policies``/``seeds``) empty.
+    """
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as error:
+        raise ValueError(f"{path}: unreadable manifest ({error})") from error
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
+
+    def listed(value: Any, kind: type) -> bool:
+        return type(value) is list and bool(value) and all(
+            type(item) is kind for item in value
+        )
+
+    for name, valid, expected in (
+        ("scale", lambda v: v in SCALES, f"one of {SCALES}"),
+        ("days", lambda v: type(v) in (int, float) and 0 < v < math.inf,
+         "a positive number"),
+        ("policies", lambda v: listed(v, str) and set(v) <= set(SCHEDULER_NAMES),
+         f"a non-empty list drawn from {SCHEDULER_NAMES}"),
+        ("seeds", lambda v: listed(v, int), "a non-empty list of integers"),
+    ):
+        if name not in manifest or not valid(manifest[name]):
+            found = repr(manifest[name]) if name in manifest else "missing"
+            raise ValueError(
+                f"{path}: manifest field {name!r} is {found}; "
+                f"expected {expected}"
+            )
+    return (
+        manifest["scale"],
+        float(manifest["days"]),
+        manifest["policies"],
+        manifest["seeds"],
+    )
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweep import (
         MANIFEST_NAME,
@@ -571,11 +605,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        scale = manifest["scale"]
-        days = manifest["days"]
-        policies = list(manifest["policies"])
-        seeds = [int(seed) for seed in manifest["seeds"]]
+        try:
+            scale, days, policies, seeds = _read_manifest(manifest_path)
+        except ValueError as error:
+            print(error, file=sys.stderr)
+            return 2
     else:
         if manifest_path.exists():
             print(

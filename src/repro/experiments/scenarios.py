@@ -68,6 +68,30 @@ class Scenario:
             return None
         return FaultInjector(self.fault_config)
 
+    def build_runner(
+        self,
+        scheduler: Scheduler,
+        *,
+        trace: Optional[Trace] = None,
+        sample_interval_s: float = 300.0,
+        auditor: Optional[InvariantAuditor] = None,
+        health_config: Optional[HealthConfig] = None,
+        profiler: Optional[Profiler] = None,
+    ) -> SimulationRunner:
+        """The one place a runner is built: ``scheduler`` on this
+        setting, ready to run to :attr:`horizon_s`.  ``trace`` passes in
+        this scenario's trace if the caller already generated it."""
+        return SimulationRunner(
+            self.build_cluster(),
+            scheduler,
+            trace if trace is not None else self.build_trace(),
+            sample_interval_s=sample_interval_s,
+            fault_injector=self.build_fault_injector(),
+            auditor=auditor,
+            health_config=health_config,
+            profiler=profiler,
+        )
+
     def with_faults(self, fault_config: FaultConfig) -> "Scenario":
         """The same workload on the same cluster, but hardware breaks."""
         return replace(self, fault_config=fault_config)
@@ -190,12 +214,9 @@ def run_scenario(
     under fault injection, since without failures no node ever collects a
     strike.
     """
-    runner = SimulationRunner(
-        scenario.build_cluster(),
+    runner = scenario.build_runner(
         scheduler,
-        scenario.build_trace(),
         sample_interval_s=sample_interval_s,
-        fault_injector=scenario.build_fault_injector(),
         auditor=auditor,
         health_config=health_config,
         profiler=profiler,

@@ -5,11 +5,17 @@ each a bag of *independent, deterministic* (scenario, scheduler, seed)
 runs.  This package gives every multi-run entry point two order-of-
 magnitude levers on top of the single-run hot-path work:
 
-* :class:`SimPool` — process-level fan-out over a ``spawn`` worker pool,
-  byte-identical to serial execution and ordered by spec, not completion;
+* :class:`SimPool` — process-level fan-out, byte-identical to serial
+  execution and ordered by spec, not completion.  ``jobs=1`` runs
+  in-process; with ``jobs > 1`` every batch runs under the sweep
+  supervisor (:func:`repro.sweep.run_supervised`), however few specs
+  missed the cache;
 * :class:`ResultCache` — a content-addressed on-disk store keyed by
   (:class:`RunSpec`, code fingerprint), so unchanged inputs skip the
   simulation entirely on re-runs.
+
+Every run, serial, pooled, supervised or resumed, is built by
+:meth:`RunSpec.build_runner`, which calls ``Scenario.build_runner``.
 
 Quickstart::
 

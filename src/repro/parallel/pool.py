@@ -46,8 +46,8 @@ def clamp_jobs(requested: int) -> int:
     overhead buys nothing there — unless ``REPRO_SWEEP_FORCE_SPAWN``
     insists on the process boundary.  Every entry point that turns a
     *requested* worker count into an *actual* one (``default_jobs``,
-    the sweep service's ``effective_jobs``, ``compare --jobs``) routes
-    through here so the paths cannot disagree.  Programmatic
+    :func:`repro.sweep.run_sweep`, ``compare --jobs``) routes through
+    here so the paths cannot disagree.  Programmatic
     ``SimPool(jobs=...)`` construction is deliberately not clamped.
     """
     if requested <= 1:
@@ -72,15 +72,6 @@ def default_jobs() -> int:
     return clamp_jobs(max(1, int(value)))
 
 
-def _execute_to_dict(spec: RunSpec) -> Dict[str, Any]:
-    """Run one spec in-process and return its serialized result.
-
-    Plain data, so the caller deserializes through the same path the
-    cache and the supervised workers use.
-    """
-    return run_result_to_dict(spec.execute())
-
-
 def serial_map(specs: Sequence[RunSpec]) -> List[RunResult]:
     """Execute specs one after another in this process (no round trip).
 
@@ -97,11 +88,13 @@ class SimPool:
     the serialization round trip, keeping all three paths — serial,
     parallel, cached — structurally identical.
 
-    ``jobs > 1`` always runs through the fault-tolerant worker
-    supervisor (:func:`repro.sweep.run_supervised`: persistent workers
-    that the next :meth:`map` in this process reuses, bounded retries, and — with a ``supervisor``
+    With ``jobs > 1`` every batch runs through the fault-tolerant
+    worker supervisor (:func:`repro.sweep.run_supervised`: persistent
+    workers that the next :meth:`map` in this process reuses, bounded
+    retries, and — with a ``supervisor``
     :class:`~repro.sweep.SupervisorConfig` — per-run timeouts and
-    heartbeat liveness); ``supervisor=None`` means the default config.
+    heartbeat liveness), even when one spec is left after the cache;
+    ``supervisor=None`` means the default config.
     :meth:`map` promises a result for every spec, so a spec the
     supervisor quarantines raises :class:`RuntimeError` — callers that
     want partial results should use :func:`repro.sweep.run_sweep`
@@ -151,15 +144,15 @@ class SimPool:
         return [result for result in results if result is not None]
 
     def _execute(self, todo: List[RunSpec]) -> List[Dict[str, Any]]:
-        if self.jobs == 1 or len(todo) == 1:
-            return [_execute_to_dict(spec) for spec in todo]
+        """Serialized results of ``todo``: in-process for ``jobs=1``,
+        otherwise under the supervisor, however few specs missed."""
+        if self.jobs == 1:
+            return [run_result_to_dict(spec.execute()) for spec in todo]
         # Lazy import: repro.sweep imports repro.parallel at module
         # scope, so the reverse edge must stay function-local.
         from repro.sweep.supervisor import OUTCOME_OK, run_supervised
 
-        outcomes = run_supervised(
-            todo, jobs=min(self.jobs, len(todo)), config=self.supervisor
-        )
+        outcomes = run_supervised(todo, jobs=self.jobs, config=self.supervisor)
         payloads: List[Dict[str, Any]] = []
         for outcome in outcomes:
             if outcome.status != OUTCOME_OK or outcome.payload is None:

@@ -23,13 +23,14 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.coda import CodaConfig, CodaScheduler
-from repro.experiments.runner import RunResult
-from repro.experiments.scenarios import Scenario, run_scenario
+from repro.experiments.runner import RunResult, SimulationRunner
+from repro.experiments.scenarios import Scenario
 from repro.health.config import HealthConfig
 from repro.health.restarts import RestartPolicy
 from repro.schedulers.base import Scheduler
 from repro.schedulers.drf import DrfScheduler
 from repro.schedulers.fifo import FifoScheduler
+from repro.workload.tracegen import Trace
 
 #: The policies a spec may name, in canonical comparison order.
 SCHEDULER_NAMES: Tuple[str, ...] = ("fifo", "drf", "coda")
@@ -107,15 +108,22 @@ class RunSpec:
             trace_config=replace(self.scenario.trace_config, seed=self.seed),
         )
 
-    def execute(self) -> RunResult:
-        """Run this spec to completion (in the calling process)."""
-        return run_scenario(
-            self.resolved_scenario(),
+    def build_runner(self, trace: Optional[Trace] = None) -> SimulationRunner:
+        """A fresh runner for this spec (``trace``: its resolved
+        scenario's trace, if already generated)."""
+        return self.resolved_scenario().build_runner(
             build_scheduler(
                 self.scheduler, self.coda_config, self.restart_policy
             ),
+            trace=trace,
             sample_interval_s=self.sample_interval_s,
             health_config=self.health_config,
+        )
+
+    def execute(self) -> RunResult:
+        """Run this spec to completion (in the calling process)."""
+        return self.build_runner().run(
+            until=self.resolved_scenario().horizon_s
         )
 
     def fingerprint(self) -> Dict[str, Any]:

@@ -12,9 +12,17 @@ Layers, bottom to top:
 - :mod:`repro.sweep.service` — :func:`run_sweep`, tying cache-aware
   skip, supervised execution, journalling, and reporting together.
 
+Every attempt gets its runner from
+:func:`repro.checkpoint.checkpointed_runner`, so a supervised, retried
+or resumed cell is built exactly as ``spec.execute()`` builds it.
+:class:`~repro.parallel.SimPool` with ``jobs > 1`` hands every batch to
+:func:`run_supervised`.
+
 ``repro.parallel`` deliberately does not import this package at module
 scope (only lazily, from inside :class:`~repro.parallel.SimPool`), so
-the import direction stays ``sweep -> parallel``.
+the import direction stays ``sweep -> parallel``; the worker-count rule
+lives there (:func:`repro.parallel.clamp_jobs`,
+:data:`repro.parallel.FORCE_SPAWN_ENV`).
 """
 
 from repro.sweep.config import SupervisorConfig
@@ -46,14 +54,12 @@ from repro.sweep.supervisor import (
 from repro.sweep.report import render_sweep_report
 from repro.sweep.service import (
     CHECKPOINTS_DIR_NAME,
-    FORCE_SPAWN_ENV,
     LEDGER_NAME,
     MANIFEST_NAME,
     REPORT_NAME,
     CellOutcome,
     SweepInterrupted,
     SweepResult,
-    effective_jobs,
     run_sweep,
 )
 
@@ -70,7 +76,6 @@ __all__ = [
     "OUTCOME_OK",
     "OUTCOME_QUARANTINED",
     "CHECKPOINTS_DIR_NAME",
-    "FORCE_SPAWN_ENV",
     "LEDGER_NAME",
     "MANIFEST_NAME",
     "REPORT_NAME",
@@ -86,7 +91,6 @@ __all__ = [
     "SweepLedger",
     "SweepResult",
     "cell_checkpoint_dir",
-    "effective_jobs",
     "render_sweep_report",
     "run_supervised",
     "run_sweep",

@@ -26,10 +26,13 @@ subcommand (and any thousand-run grid script) drives:
    the partial result out (the CLI exits 130).
 
 Degradation: a single-CPU host (or an explicit ``jobs=1``) runs
-in-process serial with a logged reason instead of paying spawn overhead;
-repeated worker spawn failures degrade mid-batch the same way.  Set
-``REPRO_SWEEP_FORCE_SPAWN=1`` to keep the process pool even on one CPU
-(CI chaos tests need the process boundary to inject crashes into).
+in-process serial with a logged reason instead of paying spawn overhead
+(:func:`repro.parallel.clamp_jobs`, the rule ``compare --jobs`` and
+``REPRO_JOBS`` share); repeated worker spawn failures degrade mid-batch
+the same way.  Set ``REPRO_SWEEP_FORCE_SPAWN=1``
+(:data:`repro.parallel.FORCE_SPAWN_ENV`) to keep the process pool even
+on one CPU (CI chaos tests need the process boundary to inject crashes
+into).
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.experiments.runner import RunResult
 from repro.metrics.serialize import run_result_from_dict
 from repro.parallel.cache import ResultCache
-from repro.parallel.pool import FORCE_SPAWN_ENV as _FORCE_SPAWN_ENV
 from repro.parallel.pool import clamp_jobs
 from repro.parallel.spec import RunSpec
 from repro.sweep.config import SupervisorConfig
@@ -72,11 +74,6 @@ MANIFEST_NAME = "manifest.json"
 #: Per-cell checkpoint directories live under this subdirectory when
 #: checkpointing is enabled and no explicit directory was configured.
 CHECKPOINTS_DIR_NAME = "checkpoints"
-
-#: Escape hatch: keep the spawn pool even on a single-CPU host.
-#: (Defined in repro.parallel.pool so every jobs-clamping path shares
-#: one rule; re-exported here for backward compatibility.)
-FORCE_SPAWN_ENV = _FORCE_SPAWN_ENV
 
 Logger = Callable[[str], None]
 
@@ -143,17 +140,6 @@ class SweepResult:
         }
 
 
-def effective_jobs(requested: int) -> int:
-    """The worker count a sweep actually uses on this host.
-
-    A single-CPU host collapses to in-process serial — spawn overhead
-    buys nothing there — unless ``REPRO_SWEEP_FORCE_SPAWN`` insists on
-    the process boundary (CI chaos injection does).  Thin alias for
-    :func:`repro.parallel.pool.clamp_jobs`, the one home of that rule.
-    """
-    return clamp_jobs(requested)
-
-
 def run_sweep(
     specs: Sequence[RunSpec],
     *,
@@ -199,7 +185,7 @@ def run_sweep(
                 "be reloaded and will re-run"
             )
 
-    jobs_used = effective_jobs(jobs)
+    jobs_used = clamp_jobs(jobs)
     degraded_reason: Optional[str] = None
     if jobs_used != jobs:
         degraded_reason = (
@@ -250,74 +236,48 @@ def run_sweep(
                     log(f"degraded: {event.reason}")
                     return
                 index = pending_indices[event.index]
-                if event.kind == "attempt":
-                    ledger.append(
-                        keys[index],
-                        labels[index],
-                        STATUS_RUNNING,
-                        attempt=event.attempt,
-                    )
-                elif event.kind == "failure":
-                    ledger.append(
-                        keys[index],
-                        labels[index],
+                attempt, reason = event.attempt, event.reason
+                # Ledger status, detail and log line of each journalled
+                # kind; ``retry`` is not journalled (its ``failure`` is).
+                # A ``restored`` line names the snapshot, so the ledger
+                # tells the whole recovery story.
+                status, detail, message = {
+                    "attempt": (STATUS_RUNNING, "", ""),
+                    "failure": (
                         STATUS_FAILED,
-                        attempt=event.attempt,
-                        detail=event.reason,
-                    )
-                    log(
-                        f"{labels[index]}: attempt {event.attempt} failed "
-                        f"({event.reason})"
-                    )
-                elif event.kind == "ok":
-                    # Persist the result *before* journalling ``ok``:
-                    # a batch can die hours after this cell finished,
-                    # and an ``ok`` line whose result never reached the
-                    # cache would make the resume re-run settled work.
-                    if cache is not None and event.payload is not None:
-                        cache.store(keys[index], event.payload)
-                    ledger.append(
-                        keys[index],
-                        labels[index],
-                        STATUS_OK,
-                        attempt=event.attempt,
-                    )
-                elif event.kind == "quarantine":
-                    ledger.append(
-                        keys[index],
-                        labels[index],
+                        reason,
+                        f"attempt {attempt} failed ({reason})",
+                    ),
+                    "ok": (STATUS_OK, "", ""),
+                    "quarantine": (
                         STATUS_QUARANTINED,
-                        attempt=event.attempt,
-                        detail=event.reason,
-                    )
-                    log(
-                        f"{labels[index]}: quarantined after "
-                        f"{event.attempt} attempt(s)"
-                    )
-                elif event.kind == "restored":
-                    # The checkpoint-aware retry resumed mid-simulation;
-                    # journal which snapshot so the ledger tells the
-                    # whole recovery story.
-                    ledger.append(
-                        keys[index],
-                        labels[index],
+                        reason,
+                        f"quarantined after {attempt} attempt(s)",
+                    ),
+                    "restored": (
                         STATUS_RUNNING,
-                        attempt=event.attempt,
-                        detail=f"restored_from={event.reason}",
-                    )
-                    log(
-                        f"{labels[index]}: attempt {event.attempt} "
-                        f"resumed from checkpoint {event.reason}"
-                    )
-                elif event.kind == "checkpoint-fallback":
-                    ledger.append(
-                        keys[index],
-                        labels[index],
-                        STATUS_RUNNING,
-                        attempt=event.attempt,
-                        detail=event.reason,
-                    )
-                    log(f"{labels[index]}: {event.reason}")
+                        f"restored_from={reason}",
+                        f"attempt {attempt} resumed from checkpoint {reason}",
+                    ),
+                    "checkpoint-fallback": (STATUS_RUNNING, reason, reason),
+                }.get(event.kind, ("", "", ""))
+                if not status:
+                    return
+                # Persist the result *before* journalling ``ok``: a batch
+                # can die hours after this cell finished, and an ``ok``
+                # line whose result never reached the cache would make
+                # the resume re-run settled work.
+                if cache is not None and event.payload is not None:
+                    cache.store(keys[index], event.payload)
+                ledger.append(
+                    keys[index],
+                    labels[index],
+                    status,
+                    attempt=attempt,
+                    detail=detail,
+                )
+                if message:
+                    log(f"{labels[index]}: {message}")
 
             try:
                 run_outcomes = run_supervised(

@@ -52,6 +52,7 @@ variables are set) let the failure paths be exercised end-to-end: see
 from __future__ import annotations
 
 import atexit
+import functools
 import gc
 import multiprocessing
 import multiprocessing.spawn
@@ -77,11 +78,8 @@ from typing import (
 
 from repro.checkpoint import (
     CheckpointError,
-    CheckpointWriter,
-    build_runner,
+    checkpointed_runner,
     latest_checkpoint,
-    read_checkpoint,
-    restore_run,
 )
 from repro.metrics.serialize import run_result_to_dict
 from repro.parallel.spec import RunSpec
@@ -99,8 +97,8 @@ OUTCOME_QUARANTINED = "quarantined"
 #: process dies on receiving them, per ``REPRO_TEST_CRASH_MODE`` (``exit`` |
 #: ``kill`` | ``stop`` | ``hang`` | ``midrun``); ``midrun`` SIGKILLs the
 #: worker *mid-simulation*, after ``REPRO_TEST_CRASH_EVENT`` fired
-#: events (checkpoint-aware attempts only — the kill lands after that
-#: event's checkpoint, if due, is already durable);
+#: events (the kill lands after that event's checkpoint, if due, is
+#: already durable);
 #: ``REPRO_TEST_RAISE_SPEC`` — labels whose attempt raises in-process
 #: (works on the serial path too); ``REPRO_TEST_CRASH_ONCE_DIR`` — a
 #: marker directory making either injection fire once per label instead
@@ -154,6 +152,22 @@ class RunOutcome:
     @property
     def last_failure(self) -> str:
         return self.failures[-1] if self.failures else ""
+
+    def event(
+        self,
+        kind: str,
+        reason: str = "",
+        payload: Optional[Dict[str, Any]] = None,
+    ) -> "SupervisorEvent":
+        """This spec's ``kind`` transition, stamped with its attempt."""
+        return SupervisorEvent(
+            kind=kind,
+            index=self.index,
+            label=self.label,
+            attempt=self.attempts,
+            reason=reason,
+            payload=payload,
+        )
 
 
 @dataclass(frozen=True)
@@ -298,27 +312,36 @@ def _execute_attempt(
     config: SupervisorConfig,
     notify: Optional[Notify] = None,
 ) -> Dict[str, Any]:
-    """One attempt at a spec, with the in-process raise hook applied.
+    """One attempt at a spec, with the chaos hooks applied.
 
-    Without :attr:`SupervisorConfig.checkpoint_dir` this is exactly
-    ``spec.execute()`` — the zero-cost-when-off path.  With it, the
-    attempt resumes from the cell's newest checkpoint when one exists
-    (reporting ``restored`` via ``notify``), falls back to a
-    from-scratch run when that checkpoint is damaged or stale
-    (``checkpoint-fallback``), and checkpoints periodically when
-    :attr:`SupervisorConfig.checkpoint_every_events` is set.
+    The runner comes from :func:`~repro.checkpoint.checkpointed_runner`.
+    Without :attr:`SupervisorConfig.checkpoint_dir` the attempt is
+    exactly ``spec.execute()``.  With it, the attempt resumes from the
+    cell's newest checkpoint when one exists (reporting ``restored`` via
+    ``notify``), falls back to a from-scratch run when that checkpoint
+    is damaged or stale (``checkpoint-fallback``), and checkpoints
+    periodically when :attr:`SupervisorConfig.checkpoint_every_events`
+    is set.
     """
     label = spec.label()
     if _chaos_armed(RAISE_SPEC_ENV, label):
         raise RuntimeError(f"injected failure for {label}")
-    if config.checkpoint_dir is None:
-        return run_result_to_dict(spec.execute())
-    cell_dir = cell_checkpoint_dir(config.checkpoint_dir, label)
+    cell_dir: Optional[str] = None
+    resume_path: Optional[str] = None
+    if config.checkpoint_dir is not None:
+        cell_dir = cell_checkpoint_dir(config.checkpoint_dir, label)
+        resume_path = latest_checkpoint(cell_dir)
+
+    build = functools.partial(
+        checkpointed_runner,
+        spec,
+        checkpoint_dir=cell_dir,
+        checkpoint_every_events=config.checkpoint_every_events,
+    )
     runner: Optional["SimulationRunner"] = None
-    resume_path = latest_checkpoint(cell_dir)
     if resume_path is not None:
         try:
-            runner = restore_run(spec, read_checkpoint(resume_path))
+            runner = build(restore_from=resume_path)
         except CheckpointError as error:
             if notify is not None:
                 notify(
@@ -327,18 +350,11 @@ def _execute_attempt(
                     f"{os.path.basename(resume_path)} ({error}); "
                     "starting from scratch",
                 )
-            runner = None
         else:
             if notify is not None:
                 notify("restored", resume_path)
     if runner is None:
-        runner = build_runner(spec)
-    if config.checkpoint_every_events is not None:
-        runner.engine.add_observer(
-            CheckpointWriter(
-                runner, cell_dir, config.checkpoint_every_events, spec=spec
-            )
-        )
+        runner = build()
     _arm_midrun_chaos(label, runner)
     return run_result_to_dict(
         runner.run(until=spec.resolved_scenario().horizon_s)
@@ -652,26 +668,11 @@ def _run_serial(
         spec = specs[outcome.index]
 
         def notify(kind: str, detail: str, outcome: RunOutcome = outcome) -> None:
-            emit(
-                SupervisorEvent(
-                    kind=kind,
-                    index=outcome.index,
-                    label=outcome.label,
-                    attempt=outcome.attempts,
-                    reason=detail,
-                )
-            )
+            emit(outcome.event(kind, detail))
 
         while True:
             outcome.attempts += 1
-            emit(
-                SupervisorEvent(
-                    kind="attempt",
-                    index=outcome.index,
-                    label=outcome.label,
-                    attempt=outcome.attempts,
-                )
-            )
+            emit(outcome.event("attempt"))
             try:
                 payload = _execute_attempt(spec, config, notify)
             except Exception as error:  # codalint: disable=CL004
@@ -694,15 +695,7 @@ def _note_success(
 ) -> None:
     outcome.status = OUTCOME_OK
     outcome.payload = payload
-    emit(
-        SupervisorEvent(
-            kind="ok",
-            index=outcome.index,
-            label=outcome.label,
-            attempt=outcome.attempts,
-            payload=payload,
-        )
-    )
+    emit(outcome.event("ok", payload=payload))
 
 
 def _note_failure(
@@ -713,36 +706,12 @@ def _note_failure(
 ) -> bool:
     """Record one failed attempt; True when a retry is still allowed."""
     outcome.failures.append(reason)
-    emit(
-        SupervisorEvent(
-            kind="failure",
-            index=outcome.index,
-            label=outcome.label,
-            attempt=outcome.attempts,
-            reason=reason,
-        )
-    )
+    emit(outcome.event("failure", reason))
     if outcome.attempts > config.max_retries:
         outcome.status = OUTCOME_QUARANTINED
-        emit(
-            SupervisorEvent(
-                kind="quarantine",
-                index=outcome.index,
-                label=outcome.label,
-                attempt=outcome.attempts,
-                reason=reason,
-            )
-        )
+        emit(outcome.event("quarantine", reason))
         return False
-    emit(
-        SupervisorEvent(
-            kind="retry",
-            index=outcome.index,
-            label=outcome.label,
-            attempt=outcome.attempts,
-            reason=reason,
-        )
-    )
+    emit(outcome.event("retry", reason))
     return True
 
 
@@ -851,14 +820,7 @@ def _spawned_loop(
             pending.pop(0)
             outcome = outcomes[index]
             outcome.attempts += 1
-            emit(
-                SupervisorEvent(
-                    kind="attempt",
-                    index=index,
-                    label=outcome.label,
-                    attempt=outcome.attempts,
-                )
-            )
+            emit(outcome.event("attempt"))
             worker.index = index
             worker.deadline = (
                 now + config.run_timeout_s
@@ -896,15 +858,7 @@ def _spawned_loop(
             # Emit checkpoint notices before the terminal verdict so a
             # ``restored`` line always precedes its attempt's ``ok``.
             for notice_kind, notice in worker.notices:
-                emit(
-                    SupervisorEvent(
-                        kind=notice_kind,
-                        index=index,
-                        label=outcome.label,
-                        attempt=outcome.attempts,
-                        reason=notice,
-                    )
-                )
+                emit(outcome.event(notice_kind, notice))
             worker.notices.clear()
             if terminal is not None:
                 kind, detail = terminal

@@ -14,7 +14,6 @@ import pytest
 from repro.checkpoint import (
     CheckpointError,
     CheckpointWriter,
-    build_runner,
     checkpoint_path,
     execute_with_checkpoints,
     latest_checkpoint,
@@ -58,7 +57,7 @@ def _faulted_spec(scheduler="coda"):
 def _snapshot_at(spec, kill_at):
     """Run ``spec`` for ``kill_at`` events (clock untouched past the
     horizon) and snapshot the torn-mid-run state."""
-    runner = build_runner(spec)
+    runner = spec.build_runner()
     runner.enable_sampling()  # match run(): the sampler is part of the trajectory
     horizon = spec.resolved_scenario().horizon_s
     while runner.engine.fired < kill_at:
@@ -157,6 +156,23 @@ class TestByteIdenticalResume:
         assert _dumps(resumed) == baseline
 
 
+def test_restore_generates_the_trace_once(monkeypatch):
+    from repro.experiments import scenarios
+
+    spec = _plain_spec()
+    state = _snapshot_at(spec, kill_at=80)
+    real = scenarios.generate_trace
+    configs = []
+
+    def counted(config):
+        configs.append(config)
+        return real(config)
+
+    monkeypatch.setattr(scenarios, "generate_trace", counted)
+    restore_run(spec, state)
+    assert len(configs) == 1
+
+
 class TestLoudFailures:
     def test_restore_against_a_different_trace_raises(self, tmp_path):
         state = _snapshot_at(_plain_spec(seed=2), kill_at=80)
@@ -190,6 +206,6 @@ class TestLoudFailures:
             restore_run(_plain_spec(), state)
 
     def test_writer_rejects_non_positive_interval(self, tmp_path):
-        runner = build_runner(_plain_spec())
+        runner = _plain_spec().build_runner()
         with pytest.raises(ValueError, match="interval"):
             CheckpointWriter(runner, str(tmp_path), 0)

@@ -1,17 +1,20 @@
 """SimPool execution paths and executor injection into the drivers."""
 
 import json
+import os
 
 import pytest
 
+from repro.checkpoint import execute_with_checkpoints
 from repro.experiments.scenarios import (
     run_comparison,
     run_mtbf_sweep,
     small_scenario,
 )
-from repro.metrics.serialize import run_result_to_dict
+from repro.metrics.serialize import run_result_from_dict, run_result_to_dict
 from repro.parallel import ResultCache, RunSpec, SimPool, serial_map
 from repro.schedulers.fifo import FifoScheduler
+from repro.sweep import SupervisorConfig, run_supervised
 
 
 def _dumps(result):
@@ -23,20 +26,71 @@ def scenario():
     return small_scenario(duration_days=0.02, nodes=4, seed=1)
 
 
+#: Fires a checkpoint several times in each run of the fixture scenario
+#: (fifo fires 40 events, coda 345).
+_EVERY = 15
+
+
+def _supervised(specs, config):
+    outcomes = run_supervised(specs, jobs=1, config=config)
+    return [run_result_from_dict(outcome.payload) for outcome in outcomes]
+
+
+def _checkpointed(specs, tmp_path):
+    return [
+        execute_with_checkpoints(
+            spec,
+            checkpoint_dir=str(tmp_path / spec.scheduler),
+            checkpoint_every_events=_EVERY,
+        )
+        for spec in specs
+    ]
+
+
+def _resumed(specs, tmp_path):
+    """Each spec resumed from the middle of its checkpointed run."""
+    _checkpointed(specs, tmp_path)
+    results = []
+    for spec in specs:
+        directory = tmp_path / spec.scheduler
+        names = sorted(os.listdir(directory))
+        middle = str(directory / names[len(names) // 2])
+        results.append(execute_with_checkpoints(spec, restore_from=middle))
+    return results
+
+
+#: Every way the repo turns specs into results, against ``serial_map``
+#: (the reference).
+_PATHS = {
+    "pool-jobs1": lambda specs, tmp_path: SimPool(jobs=1).map(specs),
+    "pool-jobs2": lambda specs, tmp_path: SimPool(jobs=2).map(specs),
+    "supervised-jobs1": lambda specs, tmp_path: _supervised(
+        specs, SupervisorConfig()
+    ),
+    "supervised-checkpointed": lambda specs, tmp_path: _supervised(
+        specs,
+        SupervisorConfig(
+            checkpoint_dir=str(tmp_path), checkpoint_every_events=_EVERY
+        ),
+    ),
+    "checkpoints-fresh": _checkpointed,
+    "checkpoints-resumed": _resumed,
+}
+
+
+@pytest.mark.parametrize("path", sorted(_PATHS))
+def test_every_path_matches_serial_map(path, scenario, tmp_path):
+    specs = [
+        RunSpec(scenario=scenario, scheduler=name) for name in ("fifo", "coda")
+    ]
+    expected = [_dumps(result) for result in serial_map(specs)]
+    assert [_dumps(r) for r in _PATHS[path](specs, tmp_path)] == expected
+
+
 class TestSimPool:
     def test_rejects_non_positive_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             SimPool(jobs=0)
-
-    def test_jobs1_matches_serial_map(self, scenario):
-        specs = [
-            RunSpec(scenario=scenario, scheduler=name)
-            for name in ("fifo", "coda")
-        ]
-        serial = serial_map(specs)
-        pooled = SimPool(jobs=1).map(specs)
-        for left, right in zip(serial, pooled):
-            assert _dumps(left) == _dumps(right)
 
     def test_results_align_with_spec_order(self, scenario):
         specs = [
@@ -69,6 +123,26 @@ class TestSimPool:
         ]
         with pytest.raises(RuntimeError, match="'drf:s1' quarantined"):
             SimPool(jobs=2).map(specs)
+
+    def test_one_spec_left_after_the_cache_is_still_supervised(
+        self, tmp_path, scenario, monkeypatch
+    ):
+        # Whether a run is retried must not depend on how many other
+        # specs of its batch missed the cache.
+        cache = ResultCache(tmp_path / "cache")
+        fifo = RunSpec(scenario=scenario, scheduler="fifo")
+        drf = RunSpec(scenario=scenario, scheduler="drf")
+        SimPool(cache=cache).map([fifo])
+        monkeypatch.setenv("REPRO_TEST_RAISE_SPEC", "drf:s1")
+        pool = SimPool(
+            jobs=2,
+            cache=cache,
+            supervisor=SupervisorConfig(max_retries=1, backoff_base_s=0.0),
+        )
+        with pytest.raises(
+            RuntimeError, match=r"'drf:s1' quarantined after 2 attempt"
+        ):
+            pool.map([fifo, drf])
 
     def test_mixed_hit_miss_batch_keeps_order(self, tmp_path, scenario):
         cache = ResultCache(tmp_path / "cache")
@@ -127,8 +201,7 @@ class TestExecutorInjection:
 
 class TestClampJobs:
     """clamp_jobs is the one home of the single-CPU degradation rule;
-    default_jobs, the sweep service's effective_jobs, and compare
-    --jobs all route through it."""
+    default_jobs, run_sweep, and compare --jobs all route through it."""
 
     def test_single_cpu_clamps_explicit_request(self, monkeypatch):
         import repro.parallel.pool as pool_module
@@ -157,18 +230,6 @@ class TestClampJobs:
         from repro.parallel import clamp_jobs
 
         assert clamp_jobs(4) == 4
-
-    def test_sweep_effective_jobs_is_same_rule(self, monkeypatch):
-        import repro.parallel.pool as pool_module
-
-        monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 1)
-        monkeypatch.delenv("REPRO_SWEEP_FORCE_SPAWN", raising=False)
-        from repro.parallel import clamp_jobs
-        from repro.sweep import effective_jobs
-
-        assert effective_jobs(6) == clamp_jobs(6) == 1
-        monkeypatch.setenv("REPRO_SWEEP_FORCE_SPAWN", "1")
-        assert effective_jobs(6) == clamp_jobs(6) == 6
 
 
 class TestDefaultJobs:

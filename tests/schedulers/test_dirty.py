@@ -8,7 +8,7 @@ from collections import deque
 
 import pytest
 
-from repro.checkpoint import build_runner, restore_run, snapshot_run
+from repro.checkpoint import restore_run, snapshot_run
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import ResourceVector
 from repro.config import small_cluster
@@ -385,7 +385,7 @@ def test_queue_depths_survive_checkpoint_restore(policy):
     keeps answering depth queries (and empty-queue skips) exactly."""
     scenario = small_scenario(duration_days=0.05, seed=0, nodes=2)
     spec = RunSpec(scenario=scenario, scheduler=policy)
-    runner = build_runner(spec)
+    runner = spec.build_runner()
     runner.enable_sampling()
     deepest = (0, 0)
     while runner.engine.fired < 400 and sum(deepest) == 0:

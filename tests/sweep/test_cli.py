@@ -1,5 +1,9 @@
 """The ``repro-sim sweep`` subcommand end to end."""
 
+import json
+
+import pytest
+
 from repro.cli import main
 from repro.sweep import LEDGER_NAME, MANIFEST_NAME, REPORT_NAME
 
@@ -64,6 +68,47 @@ class TestFlagErrors:
         argv += ["--retries", "-1"]
         assert main(argv) == 2
         assert "--retries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("{not json", "unreadable"),
+            ('["small"]', "not a JSON object"),
+            ('{"days": 0.02, "policies": ["fifo"], "seeds": [1]}', "'scale'"),
+            ('{"scale": "huge", "days": 0.02, "policies": ["fifo"], '
+             '"seeds": [1]}', "'scale'"),
+            ('{"scale": "small", "days": "long", "policies": ["fifo"], '
+             '"seeds": [1]}', "'days'"),
+            ('{"scale": "small", "days": 0.02, "policies": "fifo", '
+             '"seeds": [1]}', "'policies'"),
+            ('{"scale": "small", "days": 0.02, "policies": [], '
+             '"seeds": [1]}', "'policies'"),
+            ('{"scale": "small", "days": 0.02, "policies": ["fifo"], '
+             '"seeds": []}', "'seeds'"),
+            ('{"scale": "small", "days": 0.02, "policies": ["fifo"], '
+             '"seeds": ["1"]}', "'seeds'"),
+        ],
+        ids=[
+            "unreadable",
+            "not-an-object",
+            "missing-scale",
+            "unknown-scale",
+            "mistyped-days",
+            "mistyped-policies",
+            "empty-policies",
+            "empty-seeds",
+            "mistyped-seeds",
+        ],
+    )
+    def test_malformed_manifest_refused(self, tmp_path, capsys, text, field):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / MANIFEST_NAME).write_text(text, encoding="utf-8")
+        assert main(_sweep_argv(tmp_path, "--resume", out)) == 2
+        err = capsys.readouterr().err
+        assert str(out / MANIFEST_NAME) in err
+        assert field in err
+        assert not (out / LEDGER_NAME).exists()
 
 
 class TestQuarantineExitCode:

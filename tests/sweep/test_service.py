@@ -16,7 +16,6 @@ from repro.sweep import (
     SupervisorConfig,
     SweepInterrupted,
     SweepLedger,
-    effective_jobs,
     run_sweep,
 )
 from repro.sweep import service as service_module
@@ -221,16 +220,22 @@ class TestDegradation:
         assert any("degraded" in m for m in messages)
         assert "degraded mode" in (tmp_path / "s" / REPORT_NAME).read_text()
 
-    def test_force_spawn_overrides_single_cpu(self, monkeypatch):
+    def test_force_spawn_overrides_single_cpu(
+        self, tmp_path, specs, monkeypatch
+    ):
         monkeypatch.setattr(service_module.os, "cpu_count", lambda: 1)
         monkeypatch.setenv("REPRO_SWEEP_FORCE_SPAWN", "1")
-        assert effective_jobs(4) == 4
-
-    def test_effective_jobs_passthrough_on_multicore(self, monkeypatch):
-        monkeypatch.setattr(service_module.os, "cpu_count", lambda: 8)
-        monkeypatch.delenv("REPRO_SWEEP_FORCE_SPAWN", raising=False)
-        assert effective_jobs(4) == 4
-        assert effective_jobs(1) == 1
+        messages = []
+        result = run_sweep(
+            specs,
+            out_dir=tmp_path / "s",
+            jobs=2,
+            supervisor=_FAST,
+            log=messages.append,
+        )
+        assert result.ok
+        assert result.degraded_reason is None
+        assert any("jobs=2" in m for m in messages)
 
 
 class TestCheckpointing:

@@ -95,13 +95,6 @@ def launches(monkeypatch):
 
 
 class TestSerialPath:
-    def test_jobs1_matches_serial_map(self, specs):
-        outcomes = run_supervised(specs, jobs=1)
-        serial = serial_map(specs)
-        assert [o.status for o in outcomes] == [OUTCOME_OK, OUTCOME_OK]
-        for outcome, result in zip(outcomes, serial):
-            assert _payload_dumps(outcome.payload) == _dumps(result)
-
     def test_poison_spec_quarantined_after_max_retries(
         self, specs, monkeypatch
     ):
