@@ -52,10 +52,10 @@ laws the evaluation rests on:
   is still current) equals :meth:`TenantQueues.linear_min`.
 * **IV014** — priced-speed soundness: every running GPU job's speed and
   utilization, and every running CPU job's speed, equal a fresh
-  recomputation from current cluster state (the runner's pure
-  ``fresh_gpu_price``/``fresh_cpu_speed``).  The runner reprices only
-  jobs whose speed inputs moved; a job this check catches was skipped
-  although an input moved.  Checked only when attached to a runner.
+  recomputation from current cluster state (each progress record's pure
+  ``recheck``).  The runner reprices only jobs whose speed inputs moved;
+  a job this check catches was skipped although an input moved.  Checked
+  only when attached to a runner.
 * **IV015** — borrow table: the multi-array scheduler's per-node
   ``_borrow_index`` is exactly the inverse of ``_borrowed``, its GPU
   flag set exactly for borrowers holding a GPU-ledger share, and no
@@ -83,7 +83,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.cluster.cluster import Cluster
 from repro.cluster.mba import MBA_LEVELS
 from repro.core.multiarray import MultiArrayScheduler
-from repro.experiments.runner import SimulationRunner, _RunningGpu
+from repro.experiments.runner import SimulationRunner
 from repro.health.tracker import NodeHealthState
 from repro.metrics.audit import AuditStats, InvariantViolation
 from repro.schedulers.base import Scheduler, TenantQueues, depths_of
@@ -526,8 +526,9 @@ class InvariantAuditor:
     def _check_completion_timers(self, runner: "SimulationRunner") -> None:
         """No armed completion timer fires after its record's
         authoritative completion time (nor is it missing or cancelled)."""
-        for job_id in sorted(runner._running):
-            record = runner._running[job_id]
+        running = runner.progress.running
+        for job_id in sorted(running):
+            record = running[job_id]
             handle = record.completion
             self._assert(
                 handle is not None
@@ -655,13 +656,9 @@ class InvariantAuditor:
 
     def _check_priced_speeds(self, runner: "SimulationRunner") -> None:
         """Every running job's priced speed is what its inputs give now."""
-        for job_id in sorted(runner._running):
-            record = runner._running[job_id]
-            if isinstance(record, _RunningGpu):
-                priced: object = (record.speed, record.utilization)
-                fresh: object = runner.fresh_gpu_price(job_id)
-            else:
-                priced, fresh = record.speed, runner.fresh_cpu_speed(job_id)
+        progress = runner.progress
+        for job_id in sorted(progress.running):
+            priced, fresh = progress.running[job_id].recheck(progress)
             self._assert(
                 priced == fresh,
                 "IV014",

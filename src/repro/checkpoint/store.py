@@ -31,7 +31,9 @@ from repro.checkpoint.errors import CheckpointError
 #: activity-indexed monitor state (active set, last tick, observability).
 #: v3: the multi-array scheduler stores ``tracked``, ``borrowed`` and
 #: ``pending_borrow`` in place of its twin GPU/CPU borrow keys.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: v4: running jobs are one ``running`` family (shared fields, then the
+#: kind's own) in place of ``running_gpu``/``running_cpu``.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 #: Checkpoint files are named by the event count at which they were taken,
 #: zero-padded so lexicographic order is numeric order.

@@ -16,7 +16,6 @@ from repro.cluster.allocation import NodeShare
 from repro.cluster.gpu import Gpu
 from repro.cluster.mba import MbaController
 from repro.cluster.mbm import BandwidthMonitor
-from repro.cluster.resources import ResourceVector
 from repro.config import NodeConfig
 
 
@@ -192,10 +191,6 @@ class Node:
     def used_gpus(self) -> int:
         return self._used_gpus
 
-    @property
-    def free_vector(self) -> ResourceVector:
-        return ResourceVector(cpus=self.free_cpus, gpus=self.free_gpus)
-
     def can_fit(self, cpus: int, gpus: int) -> bool:
         if not self._up:
             return False
@@ -284,10 +279,6 @@ class Node:
     def repair_gpu(self, gpu_id: int) -> None:
         self.gpus[gpu_id].repair()
         self.generation.bump_node(self.node_id, freed=True)
-
-    @property
-    def failed_gpu_ids(self) -> List[int]:
-        return [gpu.gpu_id for gpu in self.gpus if gpu.failed]
 
     # ------------------------------------------------------------------ #
     # Contention-resource registration

@@ -49,10 +49,6 @@ class ArrayLayout:
         if self.reserved_cores < 0:
             raise ValueError(f"negative reservation: {self.reserved_cores}")
 
-    @property
-    def all_nodes(self) -> FrozenSet[int]:
-        return self.four_gpu_nodes | self.one_gpu_nodes
-
     def primary_nodes(self, total_gpus_demanded: int) -> FrozenSet[int]:
         """The sub-array a job of this GPU demand belongs to."""
         if total_gpus_demanded >= FOUR_GPU_THRESHOLD:

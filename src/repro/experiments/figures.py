@@ -609,6 +609,48 @@ def epsilon_sweep(
     return rows
 
 
+def _trainer_beside_heat(
+    eliminator: EliminatorConfig,
+    *,
+    model_name: str,
+    total_iterations: int,
+    heat_threads: int,
+) -> SimulationRunner:
+    """A CODA runner on one 4-GPU, 110 GB/s node: a ``model_name``
+    trainer at its optimal cores submitted at t=0 and a HEAT instance
+    at t=1 — the controlled Sec. VI-E setup."""
+    from repro.cluster.cluster import Cluster
+    from repro.config import ClusterConfig
+    from repro.workload.heat import heat_job
+    from repro.workload.job import GpuJob
+
+    setup = TrainSetup(1, 1)
+    cluster = Cluster(
+        ClusterConfig(
+            node_groups=((1, NodeConfig(gpus=4, mem_bandwidth_gbps=110.0)),)
+        )
+    )
+    scheduler = CodaScheduler(CodaConfig(eliminator=eliminator))
+    runner = SimulationRunner(cluster, scheduler, sample_interval_s=600.0)
+    runner.submit_at(
+        0.0,
+        GpuJob(
+            job_id="trainer",
+            tenant_id=1,
+            submit_time=0.0,
+            model_name=model_name,
+            setup=setup,
+            requested_cpus=optimal_cores(get_model(model_name), setup),
+            total_iterations=total_iterations,
+        ),
+    )
+    runner.submit_at(
+        1.0,
+        heat_job("heat", 1.0, threads=heat_threads, duration_s=1e6, tenant_id=18),
+    )
+    return runner
+
+
 def threshold_sweep(
     thresholds: Sequence[float] = (0.55, 0.75, 0.95),
 ) -> List[Tuple[float, float, float]]:
@@ -618,11 +660,6 @@ def threshold_sweep(
     throttle cost = heat level chosen).  Lower thresholds protect
     trainers harder but throttle CPU jobs that were not hurting anyone.
     """
-    from repro.cluster.cluster import Cluster
-    from repro.config import ClusterConfig
-    from repro.workload.heat import heat_job
-    from repro.workload.job import GpuJob
-
     profile = get_model("bat")
     setup = TrainSetup(1, 1)
     best = optimal_cores(profile, setup)
@@ -630,36 +667,16 @@ def threshold_sweep(
     quiet = iterations * iteration_time(profile, setup, best).total_s
     rows: List[Tuple[float, float, float]] = []
     for threshold in thresholds:
-        cluster = Cluster(
-            ClusterConfig(
-                node_groups=((1, NodeConfig(gpus=4, mem_bandwidth_gbps=110.0)),)
-            )
-        )
-        scheduler = CodaScheduler(
-            CodaConfig(
-                eliminator=EliminatorConfig(bandwidth_threshold=threshold)
-            )
-        )
-        runner = SimulationRunner(cluster, scheduler, sample_interval_s=600.0)
-        runner.submit_at(
-            0.0,
-            GpuJob(
-                job_id="trainer",
-                tenant_id=1,
-                submit_time=0.0,
-                model_name="bat",
-                setup=setup,
-                requested_cpus=best,
-                total_iterations=iterations,
-            ),
-        )
-        runner.submit_at(
-            1.0, heat_job("heat", 1.0, threads=12, duration_s=1e6, tenant_id=18)
+        runner = _trainer_beside_heat(
+            EliminatorConfig(bandwidth_threshold=threshold),
+            model_name="bat",
+            total_iterations=iterations,
+            heat_threads=12,
         )
         # Sample the throttle mid-flight: once the trainer finishes, the
         # eliminator's relax phase lifts it again.
         runner.engine.run(until=600.0)
-        node = cluster.nodes[0]
+        node = runner.cluster.nodes[0]
         level = node.mba.throttle_level("heat") if node.holds("heat") else 1.0
         runner.engine.run(until=48 * 3600.0)
         record = runner.collector.records["trainer"]
@@ -679,41 +696,17 @@ def eliminator_microbenchmark(
     """The controlled Sec. VI-E experiment: one contention-sensitive
     trainer co-located with a HEAT instance, with and without the
     eliminator.  Deterministic — no trace, no scheduling noise."""
-    from repro.cluster.cluster import Cluster
-    from repro.config import ClusterConfig
-    from repro.workload.heat import heat_job
-    from repro.workload.job import GpuJob
-
     outcomes: Dict[str, float] = {}
     profile = get_model(model_name)
     setup = TrainSetup(1, 1)
     best = optimal_cores(profile, setup)
     iterations = 400
     for label, enabled in (("with_eliminator", True), ("without_eliminator", False)):
-        cluster = Cluster(
-            ClusterConfig(
-                node_groups=((1, NodeConfig(gpus=4, mem_bandwidth_gbps=110.0)),)
-            )
-        )
-        scheduler = CodaScheduler(
-            CodaConfig(eliminator=EliminatorConfig(enabled=enabled))
-        )
-        runner = SimulationRunner(cluster, scheduler, sample_interval_s=600.0)
-        runner.submit_at(
-            0.0,
-            GpuJob(
-                job_id="trainer",
-                tenant_id=1,
-                submit_time=0.0,
-                model_name=model_name,
-                setup=setup,
-                requested_cpus=best,
-                total_iterations=iterations,
-            ),
-        )
-        runner.submit_at(
-            1.0,
-            heat_job("heat", 1.0, threads=heat_threads, duration_s=1e6, tenant_id=18),
+        runner = _trainer_beside_heat(
+            EliminatorConfig(enabled=enabled),
+            model_name=model_name,
+            total_iterations=iterations,
+            heat_threads=heat_threads,
         )
         runner.engine.run(until=48 * 3600.0)
         record = runner.collector.records["trainer"]

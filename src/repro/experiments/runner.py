@@ -4,31 +4,23 @@
 a simulated cluster:
 
 * arrivals and completions are discrete events;
-* every running job, trainer or CPU job, is one record in one table.  It
-  carries (work_done, speed, last_update) toward its ``total_work``, and
-  its progress at ``now`` is ``work_done + speed * (now - last_update)``.
-  A change of the inputs its speed reads — its own cores or grant ratio,
-  or its nodes' post-knee bandwidth, LLC or PCIe contention — re-prices
-  it; only pricing differs by kind (the pipeline model for trainers,
-  grant ratio and straggling for CPU jobs).  Only a speed that actually
-  moved accrues progress and re-aims the completion event.  One path
-  aims, fires and validates completion timers for both kinds, and one
-  stop path takes a job off the cluster on completion, preemption or
-  failure.  This progress-based execution is what lets contention and
-  adaptive allocation show up in end-to-end latencies;
+* every running job's progress, speed and completion timer lives in one
+  :class:`~repro.experiments.progress.Progress` table, which the runner
+  starts and stops jobs through and tells which nodes' speed inputs
+  moved;
 * the runner implements :class:`~repro.schedulers.base.SchedulerContext`,
-  the runtime-control surface CODA's allocator and eliminator act through.
+  the runtime-control surface CODA's allocator and eliminator act through,
+  and handles node, GPU, telemetry and straggler faults and node health.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    ClassVar,
     Dict,
     List,
     Optional,
@@ -37,21 +29,15 @@ from typing import (
     Tuple,
 )
 
-from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
-from repro.cluster.node import Node
 from repro.health.config import HealthConfig
 from repro.health.tracker import NodeHealthTracker
 from repro.metrics.collector import MetricsCollector
 from repro.perfmodel.bandwidth import memory_bandwidth_demand
-from repro.perfmodel.catalog import ModelProfile, get_model
 from repro.perfmodel.contention import (
     BANDWIDTH_PRESSURE_THRESHOLD,
-    ContentionState,
-    effect_key,
-    node_effect_key,
+    UNCONTENDED,
 )
-from repro.perfmodel.pcie import pcie_peak_demand
 from repro.perfmodel.speed import iteration_time
 from repro.schedulers.base import (
     Decision,
@@ -60,11 +46,11 @@ from repro.schedulers.base import (
     SchedulerContext,
     StartDecision,
 )
-from repro.schedulers.dirty import reference_mode
 from repro.sim.engine import Engine
 from repro.sim.events import EventHandle, EventPriority
 from repro.experiments.auditlog import AuditLog
-from repro.workload.job import CpuJob, GpuJob, Job, JobKind
+from repro.experiments.progress import Progress, _Running, _RunningCpu, _RunningGpu
+from repro.workload.job import Job, JobKind
 from repro.workload.tracegen import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -72,70 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
     from repro.profiling import Profiler
 
-#: LLC footprint a training job's CPU-side workers occupy (MB per node).
-GPU_JOB_LLC_MB = 2.0
-
-#: Fraction of an ordinary (non-HEAT) CPU job's work that stalls on memory
-#: bandwidth; the rest is compute and ignores throttling.
-ORDINARY_CPU_BW_BOUND = 0.15
-
 #: Default cluster-state sampling cadence (the paper samples utilization
 #: continuously; five minutes keeps week-long runs cheap and smooth).
 DEFAULT_SAMPLE_INTERVAL_S = 300.0
-
-
-@dataclass
-class _Running:
-    """A running job's progress toward ``total_work`` (iterations for a
-    trainer, seconds of full-speed work for a CPU job): at ``now`` it has
-    done ``work_done + speed * (now - last_update)``."""
-
-    #: Tag family of the job's completion event.
-    done_tag: ClassVar[str]
-    #: Audit-log key its cores are reported under.
-    cores_key: ClassVar[str]
-    job: Job
-    #: Cores on each of its nodes (a CPU job has one node).
-    cores: int
-    work_done: float
-    speed: float
-    last_update: float
-    total_work: float
-    #: Authoritative completion time.  The armed heap event may lag behind
-    #: (fire earlier) when repricing moved the completion later: the stale
-    #: fire detects ``completion_time > now`` and re-arms (validate-on-pop,
-    #: the ShareHeap idiom).  Invariant: armed time <= completion_time.
-    completion_time: float
-    #: The armed completion event; None until the first pricing arms it
-    #: (after a checkpoint restore, until ``SimulationRunner.rearm``).
-    completion: Optional[EventHandle] = field(init=False, default=None)
-
-
-@dataclass
-class _RunningGpu(_Running):
-    done_tag = "gpu-done"
-    cores_key = "cores_per_node"
-    job: GpuJob
-    profile: ModelProfile
-    utilization: float
-    #: The job's interconnect and participating Node objects, both fixed
-    #: for the record's lifetime (a restarted job gets a fresh record);
-    #: pinned to keep per-reprice dict lookups off the hot path.
-    interconnect: Any = None
-    nodes: Optional[List[Node]] = None
-
-
-@dataclass
-class _RunningCpu(_Running):
-    done_tag = "cpu-done"
-    cores_key = "cores"
-    job: CpuJob
-    node_id: int
-    #: Fault-injected slowdown (1.0 = healthy); multiplies the speed.
-    straggle_factor: float = 1.0
-    #: The home Node object, fixed for the record's lifetime; pinned so
-    #: repricing skips the per-call cluster lookup.
-    node: Any = None
 
 
 @dataclass
@@ -184,46 +109,6 @@ def _env_auditor() -> Optional["InvariantAuditor"]:
     return InvariantAuditor(strict=True)
 
 
-def _worst_contention(job_id: str, nodes: Sequence[Node]) -> ContentionState:
-    """Worst-case contention across a job's nodes: iterations are paced
-    by the slowest participant."""
-    grant, pressure, llc, pcie = 1.0, 0.0, 0.0, 1.0
-    for node in nodes:
-        bandwidth = node.bandwidth
-        grant = min(grant, bandwidth.grant_ratio(job_id))
-        pressure = max(pressure, bandwidth.pressure)
-        llc = max(llc, node.llc_pressure)
-        pcie = min(pcie, node.pcie.grant_ratio())
-    return ContentionState(
-        bw_grant_ratio=max(grant, 1e-6),
-        node_bw_pressure=pressure,
-        llc_pressure=llc,
-        pcie_grant_ratio=pcie,
-    )
-
-
-def _node_effect_key(node: Node) -> Tuple[float, ...]:
-    """The node's part of every resident trainer's effect key."""
-    return node_effect_key(
-        node.bandwidth.pressure, node.llc_pressure, node.pcie.grant_ratio()
-    )
-
-
-def _cpu_speed(record: _RunningCpu, grant: float) -> float:
-    """A CPU job's speed at bandwidth grant ratio ``grant``.
-
-    HEAT-like jobs are pure bandwidth streamers and slow in direct
-    proportion to their grant; ordinary CPU jobs are mostly compute-bound
-    and only a small fraction of their work stalls.
-    """
-    if record.job.is_heat:
-        bw_factor = grant
-    else:
-        bw_factor = (1.0 - ORDINARY_CPU_BW_BOUND) + ORDINARY_CPU_BW_BOUND * grant
-    core_factor = record.cores / record.job.cores
-    return max(1e-9, core_factor * bw_factor * record.straggle_factor)
-
-
 class SimulationRunner(SchedulerContext):
     """Drives one (trace, scheduler, cluster) simulation."""
 
@@ -255,8 +140,11 @@ class SimulationRunner(SchedulerContext):
         self.fault_injector = fault_injector
         self.auditor = auditor if auditor is not None else _env_auditor()
         self._sample_interval_s = sample_interval_s
-        self._running: Dict[str, _Running] = {}
-        self._stashed_progress: Dict[str, float] = {}
+        #: Every running job's progress, priced through this module's
+        #: ``iteration_time`` binding (read here once: a profiler wraps it).
+        self.progress = Progress(
+            self.engine, cluster, iteration_time, self._on_complete
+        )
         self._pass_pending = False
         self._preemptions = 0
         self._sampling = False
@@ -265,22 +153,9 @@ class SimulationRunner(SchedulerContext):
         #: incarnation) never touch a successor of the record they slowed.
         self._cpu_incarnation: Dict[str, int] = {}
         self._straggle_count = 0
-        #: Reference mode (``REPRO_REFERENCE=1``): re-price every resident
-        #: of a touched node from scratch, cancel+reschedule a completion
-        #: whenever its speed moves, and tick every node — the pre-lazy
-        #: behaviour.  Read once at construction (parity tests set the env
-        #: var per runner, never mid-run).
-        self._reference = reference_mode()
-        self._stale_timer_fires = 0
-        #: Run-scoped ``iteration_time`` memo: (model name, setup, cores
-        #: per node, contention effect key, interconnect) -> (speed,
-        #: utilization).  Every key part is a frozen value and the model
-        #: is pure, so entries never go stale.  Emptied when run() returns;
-        #: unused in reference mode.
-        self._speed_memo: Dict[Tuple[Any, ...], Tuple[float, float]] = {}
-        #: Each node's (bandwidth excess, LLC excess, PCIe grant ratio) at
-        #: its last refresh; see :meth:`_refresh_nodes`.
-        self._node_key_memo: Dict[int, Tuple[float, ...]] = {}
+        #: Reference mode (``REPRO_REFERENCE=1``): tick every node, as
+        #: :class:`Progress` reprices eagerly — the pre-lazy behaviour.
+        self._reference = self.progress.reference
         #: Nodes the eliminator must tick: hosts of live throttles or of
         #: CPU jobs at or above the eliminator's bandwidth threshold, plus
         #: telemetry-outage nodes until a successful observe clears them.
@@ -338,10 +213,7 @@ class SimulationRunner(SchedulerContext):
         self.engine.run(until=until)
         if self.auditor is not None:
             self.auditor.check_now()
-        # A finished runner can linger as cyclic garbage until the next
-        # full collection; it need not hold the memo meanwhile.  A later
-        # run() call refills it (the memo only saves model calls).
-        self._speed_memo.clear()
+        self.progress.clear_memo()
         return RunResult(
             scheduler_name=self.scheduler.name,
             collector=self.collector,
@@ -362,7 +234,7 @@ class SimulationRunner(SchedulerContext):
                 "flap_suppressions",
                 0,
             ),
-            stale_timer_fires=self._stale_timer_fires,
+            stale_timer_fires=self.progress.stale_fires,
         )
 
     def _audit(self, event: str, job: Job, **detail: object) -> None:
@@ -392,7 +264,7 @@ class SimulationRunner(SchedulerContext):
         )
 
     def resize_gpu_job_cores(self, job_id: str, cpus_per_node: int) -> bool:
-        record = self._running.get(job_id)
+        record = self.progress.running.get(job_id)
         if not isinstance(record, _RunningGpu):
             return False
         if cpus_per_node < 1:
@@ -411,29 +283,18 @@ class SimulationRunner(SchedulerContext):
         demand = memory_bandwidth_demand(
             record.profile, record.job.setup, cpus_per_node
         )
-        touched: Set[int] = set()
-        for share in allocation.shares:
-            self.cluster.node(share.node_id).bandwidth.update_demand(
-                job_id, demand
-            )
-            touched.add(share.node_id)
+        for node in record.nodes:
+            node.bandwidth.update_demand(job_id, demand)
         # Cores are a speed input the grant ratio does not carry.
-        self._refresh_nodes(touched, moved=job_id)
+        self.progress.touch(record.node_ids, moved=job_id)
         return True
 
     def gpu_job_utilization(self, job_id: str) -> float:
-        return self._gpu_record(job_id).utilization
+        return self.progress.record(job_id, _RunningGpu).utilization
 
     def gpu_job_expected_utilization(self, job_id: str) -> float:
-        record = self._gpu_record(job_id)
-        allocation = self.cluster.allocation_of(job_id)
-        quiet = iteration_time(
-            record.profile,
-            record.job.setup,
-            record.cores,
-            interconnect=self.cluster.fabric.for_nodes(allocation.node_ids),
-        )
-        return quiet.utilization
+        record = self.progress.record(job_id, _RunningGpu)
+        return record.quote(iteration_time, UNCONTENDED)[1]
 
     def throttle_cpu_job(self, job_id: str, node_id: int) -> bool:
         node = self.cluster.node(node_id)
@@ -441,7 +302,7 @@ class SimulationRunner(SchedulerContext):
             return False
         node.mba.throttle_down(job_id)
         self.collector.throttle_events += 1
-        record = self._running.get(job_id)
+        record = self.progress.running.get(job_id)
         if isinstance(record, _RunningCpu):
             self._audit(
                 "throttled",
@@ -449,21 +310,21 @@ class SimulationRunner(SchedulerContext):
                 node_id=node_id,
                 level=node.mba.throttle_level(job_id),
             )
-        self._refresh_nodes({node_id})
+        self.progress.touch({node_id})
         return True
 
     def release_cpu_throttle(self, job_id: str, node_id: int) -> None:
         node = self.cluster.node(node_id)
         node.mba.release(job_id)
-        self._refresh_nodes({node_id})
+        self.progress.touch({node_id})
 
     def halve_cpu_job_cores(self, job_id: str) -> None:
-        record = self._cpu_record(job_id)
+        record = self.progress.record(job_id, _RunningCpu)
         new_cores = max(1, record.cores // 2)
         if new_cores == record.cores:
             return
-        node = self.cluster.node(record.node_id)
-        self.cluster.resize_cpus(job_id, {record.node_id: new_cores})
+        node = record.nodes[0]
+        self.cluster.resize_cpus(job_id, {node.node_id: new_cores})
         scale = new_cores / record.cores
         record.cores = new_cores
         usage = node.bandwidth.usage_of(job_id)
@@ -473,7 +334,7 @@ class SimulationRunner(SchedulerContext):
         self._audit("halved", record.job, cores=new_cores)
         # Halving scales demand with cores, so an uncontended job keeps a
         # grant ratio of 1.0: name it, or the refresh would not see it.
-        self._refresh_nodes({record.node_id}, moved=job_id)
+        self.progress.touch({node.node_id}, moved=job_id)
         self.request_schedule()
 
     def preempt_job(
@@ -609,319 +470,29 @@ class SimulationRunner(SchedulerContext):
     def _start_job(
         self, job: Job, placements: Sequence[Tuple[int, int, int]]
     ) -> None:
-        allocation = self.cluster.allocate(
-            job.job_id, [(n, c, g) for n, c, g in placements]
-        )
-        now = self.engine.now
-        if isinstance(job, GpuJob):
-            record = self._start_gpu_job(job, allocation, now)
-        elif isinstance(job, CpuJob):
-            record = self._start_cpu_job(job, allocation, now)
+        record = self.progress.start(job, placements)
+        nodes = list(record.node_ids)
+        detail: Dict[str, object] = {record.cores_key: record.cores, "nodes": nodes}
+        if isinstance(record, _RunningGpu):
+            detail["model"] = record.job.model_name
         else:
-            raise TypeError(f"unknown job type: {type(job).__name__}")
-        self._running[job.job_id] = record
-        self.collector.job_started(job.job_id, now, allocation.shares[0].cpus)
+            self._cpu_incarnation[job.job_id] = (
+                self._cpu_incarnation.get(job.job_id, 0) + 1
+            )
+        self._audit("started", job, **detail)
+        self.collector.job_started(job.job_id, self.engine.now, record.cores)
         # Registration put the job in each node's changed-set, so the
         # refresh prices it.
-        self._refresh_nodes(set(allocation.node_ids))
-        self.scheduler.job_started(job, placements, now)
-
-    def _start_gpu_job(
-        self, job: GpuJob, allocation: Allocation, now: float
-    ) -> _Running:
-        profile = get_model(job.model_name)
-        cores = allocation.shares[0].cpus
-        demand = memory_bandwidth_demand(profile, job.setup, cores)
-        pcie = pcie_peak_demand(profile, job.setup)
-        for share in allocation.shares:
-            self.cluster.node(share.node_id).register_memory_traffic(
-                job.job_id,
-                demand,
-                is_cpu_job=False,
-                llc_mb=GPU_JOB_LLC_MB,
-                pcie_gbps=pcie,
-            )
-        self._audit(
-            "started",
-            job,
-            cores_per_node=cores,
-            nodes=list(allocation.node_ids),
-            model=job.model_name,
-        )
-        return _RunningGpu(
-            job=job,
-            cores=cores,
-            work_done=self._stashed_progress.pop(job.job_id, 0.0),
-            speed=0.0,
-            last_update=now,
-            total_work=job.total_iterations,
-            completion_time=0.0,
-            profile=profile,
-            utilization=0.0,
-        )
-
-    def _start_cpu_job(
-        self, job: CpuJob, allocation: Allocation, now: float
-    ) -> _Running:
-        share = allocation.shares[0]
-        self.cluster.node(share.node_id).register_memory_traffic(
-            job.job_id,
-            job.bw_demand_gbps,
-            is_cpu_job=True,
-            is_inference=job.is_inference,
-            llc_mb=job.llc_mb,
-        )
-        self._cpu_incarnation[job.job_id] = (
-            self._cpu_incarnation.get(job.job_id, 0) + 1
-        )
-        self._audit("started", job, cores=share.cpus, nodes=[share.node_id])
-        return _RunningCpu(
-            job=job,
-            cores=share.cpus,
-            work_done=0.0,
-            speed=0.0,
-            last_update=now,
-            total_work=job.duration_s,
-            completion_time=0.0,
-            node_id=share.node_id,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Progress-based execution
-    #
-    # A job's speed is a pure function of its own cores, grant ratio and
-    # (CPU jobs) straggle factor, and of its nodes' contention effect key
-    # (bandwidth excess past the 75 % knee, LLC excess past 1.0, PCIe
-    # grant ratio).  Progress accrues, and the completion timer moves,
-    # only when a reprice finds a new speed: an unchanged speed leaves
-    # ``work_done + speed * (now - last_update)`` and the completion time
-    # exactly where they were.  So a reprice that cannot move the speed
-    # can be skipped without changing a bit, and :meth:`_refresh_nodes`
-    # reprices only jobs whose inputs moved (IV014 checks every priced
-    # speed against a fresh recomputation).
-
-    def _gpu_record(self, job_id: str) -> _RunningGpu:
-        record = self._running.get(job_id)
-        if not isinstance(record, _RunningGpu):
-            raise KeyError(f"job {job_id} is not a running GPU job")
-        return record
-
-    def _cpu_record(self, job_id: str) -> _RunningCpu:
-        record = self._running.get(job_id)
-        if not isinstance(record, _RunningCpu):
-            raise KeyError(f"job {job_id} is not a running CPU job")
-        return record
-
-    def fresh_gpu_price(self, job_id: str) -> Tuple[float, float]:
-        """(speed, utilization) of a running GPU job, recomputed from
-        current cluster state without memos or writes (IV014)."""
-        record = self._gpu_record(job_id)
-        allocation = self.cluster.allocation_of(job_id)
-        breakdown = iteration_time(
-            record.profile,
-            record.job.setup,
-            record.cores,
-            _worst_contention(
-                job_id, [self.cluster.node(n) for n in allocation.node_ids]
-            ),
-            interconnect=self.cluster.fabric.for_nodes(allocation.node_ids),
-        )
-        return 1.0 / breakdown.total_s, breakdown.utilization
-
-    def fresh_cpu_speed(self, job_id: str) -> float:
-        """A running CPU job's speed, recomputed from current cluster
-        state without writes (IV014)."""
-        record = self._cpu_record(job_id)
-        node = self.cluster.node(record.node_id)
-        return _cpu_speed(record, node.bandwidth.grant_ratio(job_id))
-
-    def _accrue(self, record: _Running, now: float) -> None:
-        span = now - record.last_update
-        if span > 0:
-            record.work_done += record.speed * span
-        record.last_update = now
-
-    def _reprice_gpu(self, record: _RunningGpu) -> None:
-        """Re-price a training job; accrue and re-aim its completion only
-        if its speed moved.
-
-        ``_speed_memo`` returns the (speed, utilization) of an earlier
-        ``iteration_time`` call with the same model, setup, cores,
-        contention effect key and interconnect — bit-identical, because
-        the model is pure.
-        """
-        job_id = record.job.job_id
-        nodes = record.nodes
-        fresh = nodes is None
-        if nodes is None:
-            # First reprice of this record (fresh start or checkpoint
-            # restore): pin the interconnect and the participating Node
-            # objects, both fixed for the record's lifetime.
-            allocation = self.cluster.allocation_of(job_id)
-            record.interconnect = self.cluster.fabric.for_nodes(
-                allocation.node_ids
-            )
-            nodes = record.nodes = [
-                self.cluster.node(share.node_id)
-                for share in allocation.shares
-            ]
-        contention = _worst_contention(job_id, nodes)
-        key: Optional[Tuple[Any, ...]] = None
-        priced: Optional[Tuple[float, float]] = None
-        if not self._reference:
-            key = (
-                record.job.model_name,
-                record.job.setup,
-                record.cores,
-                effect_key(contention),
-                record.interconnect,
-            )
-            priced = self._speed_memo.get(key)
-        if priced is None:
-            breakdown = iteration_time(
-                record.profile,
-                record.job.setup,
-                record.cores,
-                contention,
-                interconnect=record.interconnect,
-            )
-            priced = (1.0 / breakdown.total_s, breakdown.utilization)
-            if key is not None:
-                self._speed_memo[key] = priced
-        speed, utilization = priced
-        if fresh or utilization != record.utilization:
-            record.utilization = utilization
-            for node in nodes:
-                node.set_gpu_utilization(job_id, utilization)
-        if speed != record.speed:
-            self._aim_completion(record, speed)
-
-    def _reprice_cpu(self, record: _RunningCpu) -> None:
-        """Re-price a CPU job; accrue and re-aim only if its speed moved."""
-        node = record.node
-        if node is None:
-            # First reprice of this record (fresh start or checkpoint
-            # restore): pin the home node, fixed for its lifetime.
-            node = record.node = self.cluster.node(record.node_id)
-        speed = _cpu_speed(record, node.bandwidth.grant_ratio(record.job.job_id))
-        if speed != record.speed:
-            self._aim_completion(record, speed)
-
-    def _aim_completion(self, record: _Running, speed: float) -> None:
-        """Accrue progress at the old speed, adopt ``speed``, and move the
-        completion to where it puts it."""
-        now = self.engine.now
-        self._accrue(record, now)
-        record.speed = speed
-        remaining = record.total_work - record.work_done
-        target = now + max(0.0, remaining / record.speed)
-        record.completion_time = target
-        completion = record.completion
-        if completion is not None:
-            if not self._reference and target >= completion.time:
-                # Completion moved later (or held): leave the armed timer
-                # alone.  It fires stale and re-arms in _on_complete —
-                # cheaper than a cancel+push on every speed change.
-                return
-            completion.cancel()
-        self._arm_completion(record, target)
-
-    def _arm_completion(self, record: _Running, when: float) -> None:
-        job_id = record.job.job_id
-        record.completion = self.engine.schedule(
-            when,
-            lambda job_id=job_id: self._on_complete(job_id),
-            priority=EventPriority.COMPLETION,
-            tag=f"{record.done_tag}:{job_id}",
-        )
-
-    def _refresh_nodes(
-        self, node_ids: Set[int], moved: Optional[str] = None
-    ) -> None:
-        """Re-price the jobs on the given nodes whose speed inputs moved.
-
-        Per node, the candidates are the jobs in its monitor's changed-set
-        (grant ratio moved, or newly registered), plus every GPU resident
-        when the node's contention key moved since its last refresh.  CPU
-        speed reads no node-level contention, so a moved key leaves CPU
-        residents alone.  Cores and straggle factors are not inputs the
-        node sees: a resize names its job as ``moved``, and stragglers
-        reprice directly.  Reference mode reprices every resident.
-
-        Candidates are keyed by job id (a multi-node gang appears under
-        several of its nodes) and repriced GPU first, each kind in
-        sorted-job-id order.
-        """
-        gpu: Dict[str, _RunningGpu] = {}
-        cpu: Dict[str, _RunningCpu] = {}
-        running = self._running
-        reference = self._reference
-        key_memo = self._node_key_memo
-        nodes = self.cluster.nodes
-        # Almost every call names at most one node and one job of each
-        # kind; sorting those would only copy them into a list.
-        for node_id in node_ids if len(node_ids) < 2 else sorted(node_ids):
-            node = nodes[node_id]
-            changed = node.bandwidth.drain_changed()
-            every_gpu = reference
-            if not reference:
-                key = _node_effect_key(node)
-                if key != key_memo.get(node_id):
-                    key_memo[node_id] = key
-                    every_gpu = True
-            for job_id in node.jobs_here() if every_gpu else changed:
-                record = running.get(job_id)
-                if isinstance(record, _RunningGpu):
-                    gpu[job_id] = record
-                elif isinstance(record, _RunningCpu) and (
-                    reference or job_id in changed
-                ):
-                    cpu[job_id] = record
-        if moved is not None:
-            record = running.get(moved)
-            if isinstance(record, _RunningGpu):
-                gpu[moved] = record
-            elif isinstance(record, _RunningCpu):
-                cpu[moved] = record
-        for job_id in gpu if len(gpu) < 2 else sorted(gpu):
-            self._reprice_gpu(gpu[job_id])
-        for job_id in cpu if len(cpu) < 2 else sorted(cpu):
-            self._reprice_cpu(cpu[job_id])
+        self.progress.touch(record.node_ids)
+        self.scheduler.job_started(job, placements, self.engine.now)
 
     # ------------------------------------------------------------------ #
     # Completions, preemptions and failures
 
-    def _stop(self, record: _Running, now: float) -> Set[int]:
-        """Take a running job off the cluster: accrue its progress to
-        ``now``, drop its completion timer and free its allocation.
-        Returns the nodes it held."""
+    def _on_complete(self, record: _Running) -> None:
+        """A job finished; :meth:`Progress.complete` has stopped it."""
         job_id = record.job.job_id
-        del self._running[job_id]
-        self._accrue(record, now)
-        if record.completion is not None:
-            record.completion.cancel()
-        return set(self.cluster.release(job_id).node_ids)
-
-    def _on_complete(self, job_id: str) -> None:
-        """A completion timer fired.
-
-        Validate-on-pop: repricing that moves a completion *later* leaves
-        the armed event in place (see :meth:`_aim_completion`), so the
-        record's authoritative ``completion_time`` may still be ahead.
-        Such a fire is stale: re-arm at the authoritative time, count it,
-        and book its cost under the ``completion-stale`` profiler
-        category so completion accounting stays honest.  In reference
-        mode the armed time always equals ``completion_time`` and no fire
-        is stale.
-        """
-        record = self._running[job_id]
         now = self.engine.now
-        if record.completion_time > now:
-            self._arm_completion(record, record.completion_time)
-            self._stale_timer_fires += 1
-            self.engine.recategorize_current_event("completion-stale")
-            return
-        touched = self._stop(record, now)
         self.collector.job_finished(job_id, now)
         self._audit(
             "finished",
@@ -930,20 +501,19 @@ class SimulationRunner(SchedulerContext):
             queueing_s=self.collector.records[job_id].queueing_time,
         )
         self.scheduler.job_finished(record.job, now)
-        self._refresh_nodes(touched)
+        self.progress.touch(record.node_ids)
         self.request_schedule()
 
     def _execute_preempt(self, decision: PreemptDecision) -> None:
         job_id = decision.job_id
-        record = self._running.get(job_id)
-        if record is None:
+        if job_id not in self.progress.running:
             raise RuntimeError(f"cannot preempt {job_id}: not running")
         now = self.engine.now
-        touched = self._stop(record, now)
+        record = self.progress.stop(job_id)
         # Aborted CPU jobs restart from scratch.
         preserve = decision.preserve_progress and isinstance(record, _RunningGpu)
         if preserve:
-            self._stashed_progress[job_id] = record.work_done
+            self.progress.stashed[job_id] = record.work_done
         self._preemptions += 1
         self.collector.job_preempted(job_id, now)
         self._audit(
@@ -953,31 +523,28 @@ class SimulationRunner(SchedulerContext):
             progress_preserved=preserve,
         )
         self.scheduler.job_preempted(record.job, now, preserve_progress=preserve)
-        self._refresh_nodes(touched)
+        self.progress.touch(record.node_ids)
 
     def _execute_failure(self, job_id: str, *, reason: str) -> None:
         """Kill one running job because its hardware failed."""
-        record = self._running.get(job_id)
-        if record is None:
+        if job_id not in self.progress.running:
             return  # already gone (e.g., completed at this same instant)
         now = self.engine.now
-        touched = self._stop(record, now)
+        record = self.progress.stop(job_id)
         if isinstance(record, _RunningGpu):
             checkpoint = record.job.checkpointed_iterations(record.work_done)
             self.collector.faults.lost_gpu_iterations += max(
                 0.0, record.work_done - checkpoint
             )
             if checkpoint > 0:
-                self._stashed_progress[job_id] = checkpoint
-            else:
-                self._stashed_progress.pop(job_id, None)
+                self.progress.stashed[job_id] = checkpoint
         else:
             self.collector.faults.lost_cpu_seconds += record.work_done
         self.collector.faults.restarts += 1
         self.collector.job_failed(job_id, now)
         self._audit("failed", record.job, reason=reason)
         self.scheduler.job_failed(record.job, now)
-        self._refresh_nodes(touched)
+        self.progress.touch(record.node_ids)
 
     # ------------------------------------------------------------------ #
     # Infrastructure failures (driven by a FaultInjector)
@@ -1050,20 +617,20 @@ class SimulationRunner(SchedulerContext):
         self._record_node_strike(node_id, kind="telemetry")
 
     def running_cpu_job_ids(self) -> List[str]:
-        running = self._running
-        return [j for j in running if isinstance(running[j], _RunningCpu)]
+        running = self.progress.running.items()
+        return [job_id for job_id, r in running if isinstance(r, _RunningCpu)]
 
     def apply_cpu_straggler(
         self, job_id: str, *, factor: float, duration_s: float
     ) -> None:
         """Slow a running CPU job to ``factor`` of its speed for a while."""
-        record = self._running.get(job_id)
+        record = self.progress.running.get(job_id)
         if not isinstance(record, _RunningCpu):
             return
         record.straggle_factor = factor
         self.collector.faults.stragglers += 1
         self._audit("straggler", record.job, factor=factor)
-        self._reprice_cpu(record)
+        self.progress.touch(moved=job_id)
         # The tag carries the incarnation (for the heal check) and a
         # global straggle counter (for uniqueness when the same job is
         # straggled twice), so a checkpoint restore can rebuild this
@@ -1082,12 +649,12 @@ class SimulationRunner(SchedulerContext):
     def _end_straggler(self, job_id: str, incarnation: int) -> None:
         # Only heal the same incarnation: if the job finished or restarted
         # meanwhile, the stale timer must not touch the new record.
-        record = self._running.get(job_id)
+        record = self.progress.running.get(job_id)
         if self._cpu_incarnation.get(job_id) == incarnation and isinstance(
             record, _RunningCpu
         ):
             record.straggle_factor = 1.0
-            self._reprice_cpu(record)
+            self.progress.touch(moved=job_id)
 
     def _record_node_strike(self, node_id: int, *, kind: str) -> None:
         """Charge one failure strike against a node's health record.
@@ -1178,44 +745,15 @@ class SimulationRunner(SchedulerContext):
     # Checkpoint / restore
 
     def snapshot(self) -> Dict[str, Any]:
-        """Serializable runner-core state (running jobs, pass flags).
-
-        Model profiles are re-derived from the catalog and completion
-        handles are reconnected by :meth:`rearm`, so neither serializes.
-        """
+        """Serializable runner-core state: the :class:`Progress` table,
+        pass flags and the monitor's active set."""
         return {
-            "running_gpu": {
-                job_id: [
-                    r.cores,
-                    r.work_done,
-                    r.speed,
-                    r.utilization,
-                    r.last_update,
-                    r.completion_time,
-                ]
-                for job_id, r in self._running.items()
-                if isinstance(r, _RunningGpu)
-            },
-            "running_cpu": {
-                job_id: [
-                    r.node_id,
-                    r.cores,
-                    r.work_done,
-                    r.speed,
-                    r.last_update,
-                    r.straggle_factor,
-                    r.completion_time,
-                ]
-                for job_id, r in self._running.items()
-                if isinstance(r, _RunningCpu)
-            },
-            "stashed_progress": dict(self._stashed_progress),
+            **self.progress.snapshot(),
             "pass_pending": self._pass_pending,
             "preemptions": self._preemptions,
             "sampling": self._sampling,
             "cpu_incarnation": dict(self._cpu_incarnation),
             "straggle_count": self._straggle_count,
-            "stale_timer_fires": self._stale_timer_fires,
             "monitor_active": sorted(self._monitor_active),
             "monitor_last_tick": self._monitor_last_tick,
             # +inf is not valid JSON; carry the unobservable veto as null.
@@ -1226,44 +764,7 @@ class SimulationRunner(SchedulerContext):
         }
 
     def restore(self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]) -> None:
-        # The first reprice after restore recomputes each speed from
-        # restored cluster state; it equals the snapshotted speed (IV014),
-        # so it accrues nothing and moves no timer.
-        self._running = {}
-        for job_id, fields in state["running_gpu"].items():
-            cores, work_done, speed, utilization, last_update, done_at = fields
-            job = jobs_by_id[job_id]
-            assert isinstance(job, GpuJob)
-            self._running[job_id] = _RunningGpu(
-                job=job,
-                cores=int(cores),
-                work_done=float(work_done),
-                speed=float(speed),
-                last_update=float(last_update),
-                total_work=job.total_iterations,
-                completion_time=float(done_at),
-                profile=get_model(job.model_name),
-                utilization=float(utilization),
-            )
-        for job_id, fields in state["running_cpu"].items():
-            node_id, cores, work_done, speed, last_update, straggle, done_at = fields
-            job = jobs_by_id[job_id]
-            assert isinstance(job, CpuJob)
-            self._running[job_id] = _RunningCpu(
-                job=job,
-                cores=int(cores),
-                work_done=float(work_done),
-                speed=float(speed),
-                last_update=float(last_update),
-                total_work=job.duration_s,
-                completion_time=float(done_at),
-                node_id=int(node_id),
-                straggle_factor=float(straggle),
-            )
-        self._stashed_progress = {
-            job_id: float(progress)
-            for job_id, progress in state["stashed_progress"].items()
-        }
+        self.progress.restore(state, jobs_by_id)
         self._pass_pending = bool(state["pass_pending"])
         self._preemptions = int(state["preemptions"])
         self._sampling = bool(state["sampling"])
@@ -1272,11 +773,7 @@ class SimulationRunner(SchedulerContext):
             for job_id, count in state["cpu_incarnation"].items()
         }
         self._straggle_count = int(state["straggle_count"])
-        self._stale_timer_fires = int(state["stale_timer_fires"])
         self._monitor_active = {int(n) for n in state["monitor_active"]}
-        # A missing node key counts as moved: each node's first refresh
-        # reprices its GPU residents, which finds their snapshotted speeds.
-        self._node_key_memo = {}
         raw_tick = state["monitor_last_tick"]
         self._monitor_last_tick = None if raw_tick is None else float(raw_tick)
         self._observable_since = {
@@ -1288,9 +785,9 @@ class SimulationRunner(SchedulerContext):
         """Re-claim every runner-owned timer from the engine inventory.
 
         Runs inside an engine restore window, after :meth:`restore`;
-        completion handles are wired back into their running records, and
-        a final pass verifies no running job was left without one.
+        :class:`Progress` claims the completion timers.
         """
+        self.progress.rearm()
         engine = self.engine
         for tag in engine.pending_rearm_tags():
             family = tag.partition(":")[0]
@@ -1301,11 +798,6 @@ class SimulationRunner(SchedulerContext):
                 engine.rearm(tag, self._on_sample)
             elif tag == "schedule-pass":
                 engine.rearm(tag, self._run_pass)
-            elif family in ("gpu-done", "cpu-done"):
-                job_id = tag.partition(":")[2]
-                self._running[job_id].completion = engine.rearm(
-                    tag, lambda job_id=job_id: self._on_complete(job_id)
-                )
             elif family == "straggler-end":
                 _, job_id, incarnation, _count = tag.split(":")
                 engine.rearm(
@@ -1319,10 +811,4 @@ class SimulationRunner(SchedulerContext):
                 engine.rearm(
                     tag,
                     lambda node_id=node_id: self._on_quarantine_end(node_id),
-                )
-        for job_id, record in self._running.items():
-            if record.completion is None:
-                raise RuntimeError(
-                    f"restore left running {record.job.kind.name} job "
-                    f"{job_id} without a completion event"
                 )

@@ -54,14 +54,3 @@ class FaultStats:
             max(0.0, now - since) for since in self._down_since.values()
         )
         return self.node_downtime_s + open_s
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def any_failures(self) -> bool:
-        return bool(
-            self.node_failures
-            or self.gpu_failures
-            or self.telemetry_dropouts
-            or self.stragglers
-        )

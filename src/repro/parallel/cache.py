@@ -34,7 +34,6 @@ from repro.experiments.runner import RunResult
 from repro.metrics.serialize import (
     RESULT_SCHEMA_VERSION,
     run_result_from_dict,
-    run_result_to_dict,
 )
 from repro.parallel.spec import RunSpec
 
@@ -171,9 +170,6 @@ class ResultCache:
         )
         os.replace(tmp, path)
         return path
-
-    def store_result(self, key: str, result: RunResult) -> Optional[Path]:
-        return self.store(key, run_result_to_dict(result))
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -88,10 +88,10 @@ class SimPool:
     the serialization round trip, keeping all three paths — serial,
     parallel, cached — structurally identical.
 
-    With ``jobs > 1`` every batch runs through the fault-tolerant
-    worker supervisor (:func:`repro.sweep.run_supervised`: persistent
+    With ``jobs > 1`` every batch runs on the fault-tolerant worker
+    supervisor's workers (:func:`repro.sweep.run_supervised`: persistent
     workers that the next :meth:`map` in this process reuses, bounded
-    retries, and — with a ``supervisor``
+    retries, crash isolation, and — with a ``supervisor``
     :class:`~repro.sweep.SupervisorConfig` — per-run timeouts and
     heartbeat liveness), even when one spec is left after the cache;
     ``supervisor=None`` means the default config.

@@ -1,21 +1,19 @@
 """Discrete-event simulation substrate.
 
 This package provides the minimal but complete machinery the rest of the
-library runs on: a simulation clock, an event queue with stable ordering and
-cancellation, and named seeded random-number streams.
+library runs on: simulation time units, an event queue with stable
+ordering and cancellation, and named seeded random-number streams.
 
 The design goal is determinism: two runs with the same configuration and
 seed produce byte-identical schedules, which is what makes the experiment
 harness reproducible.
 """
 
-from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.events import Event, EventHandle
 from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
-    "Clock",
     "Engine",
     "Event",
     "EventHandle",

@@ -1,22 +1,14 @@
-"""Simulation clock.
+"""Simulation time units.
 
 Time in this library is a float number of **seconds** since the start of the
-simulation.  A handful of helpers convert to the human units that the paper
-uses (minutes for queueing-time CDFs, hours for runtimes, days for the
-week-long utilization trend of Fig. 1).
+simulation (the engine's ``now``).  A handful of helpers convert to the human
+units that the paper uses (minutes for queueing-time CDFs, hours for
+runtimes, days for the week-long utilization trend of Fig. 1).
 
 Example::
 
-    >>> clock = Clock()
-    >>> clock.advance_to(90.0)
-    >>> clock.now
-    90.0
     >>> fmt_duration(90.0)
     '1.5min'
-    >>> clock.advance_to(30.0)
-    Traceback (most recent call last):
-        ...
-    ValueError: time cannot move backwards: now=90.0, requested=30.0
 """
 
 from __future__ import annotations
@@ -26,43 +18,6 @@ MINUTE = 60.0
 HOUR = 3600.0
 DAY = 24 * HOUR
 WEEK = 7 * DAY
-
-
-class Clock:
-    """Monotonic simulation clock.
-
-    The clock only moves forward, and only the :class:`~repro.sim.engine.Engine`
-    advances it.  ``now`` is a plain attribute — the single hottest read in
-    the simulator (~900k per paper-scale run), so it must not cost a property
-    call — but it is *written* only through :meth:`advance_to`, which keeps
-    the monotonicity guarantee.  Components read ``clock.now`` (or the
-    engine's mirror ``engine.now``) and must never cache it across events.
-    """
-
-    __slots__ = ("now",)
-
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError(f"clock cannot start at negative time: {start}")
-        self.now = float(start)
-
-    def advance_to(self, when: float) -> None:
-        """Move the clock forward to ``when``.
-
-        Raises:
-            ValueError: if ``when`` is in the past.  A discrete-event engine
-                that tries to move time backwards has a corrupted queue, and
-                silently accepting it would invalidate every time-weighted
-                metric, so this is fatal.
-        """
-        if when < self.now:
-            raise ValueError(
-                f"time cannot move backwards: now={self.now}, requested={when}"
-            )
-        self.now = float(when)
-
-    def __repr__(self) -> str:
-        return f"Clock(now={self.now:.3f})"
 
 
 def fmt_duration(seconds: float) -> str:

@@ -1,7 +1,7 @@
 """The discrete-event engine.
 
 A thin, fast event loop: a binary heap of :class:`~repro.sim.events.Event`
-records, a :class:`~repro.sim.clock.Clock`, and a run loop with optional
+records, the simulation time ``now``, and a run loop with optional
 horizon and step limits.  Everything else in the library (jobs arriving,
 training iterations completing, profiling steps firing, bandwidth monitors
 sampling) is expressed as events against this engine.
@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.clock import Clock
 from repro.sim.events import Event, EventHandle, EventPriority
 
 #: An engine observer: called after each fired event with the event record.
@@ -37,15 +36,15 @@ class Engine:
     """Deterministic discrete-event simulation engine."""
 
     def __init__(self, start: float = 0.0) -> None:
-        self.clock = Clock(start)
-        #: Current simulation time (seconds).  A plain attribute mirroring
-        #: ``clock.now``: it is the hottest read in the simulator, and the
-        #: old two-property chain (``Engine.now`` -> ``Clock.now``) cost two
-        #: descriptor calls per read.  Only the engine advances the clock,
-        #: so the mirror is re-synced at the three advance sites (event
-        #: dispatch, the final horizon advance in :meth:`run`, and
-        #: :meth:`begin_restore`) and can never go stale.
-        self.now: float = self.clock.now
+        if start < 0:
+            raise ValueError(f"clock cannot start at negative time: {start}")
+        #: Current simulation time (seconds).  A plain attribute: it is the
+        #: hottest read in the simulator, so it must not cost a property
+        #: call.  Only the engine writes it, at its three advance sites
+        #: (event dispatch, the final horizon advance in :meth:`run`, and
+        #: :meth:`begin_restore`), and it only moves forward.  Components
+        #: read it and must never cache it across events.
+        self.now = float(start)
         # Heap entries are (time, priority, seq, event) tuples rather than
         # Event records: tuple comparison short-circuits in C, and seq is
         # unique so the Event field is never compared.
@@ -151,7 +150,14 @@ class Engine:
         """Execute one just-popped live event."""
         self._live -= 1
         event.fired = True
-        self.clock.advance_to(event.time)
+        if event.time < self.now:
+            # A discrete-event engine that moves time backwards has a
+            # corrupted queue, and silently accepting it would invalidate
+            # every time-weighted metric, so this is fatal.
+            raise ValueError(
+                f"time cannot move backwards: now={self.now}, "
+                f"requested={event.time}"
+            )
         self.now = event.time
         self._fired += 1
         event.action()
@@ -221,9 +227,8 @@ class Engine:
                 self._fire(heapq.heappop(queue)[3])
         finally:
             self._running = False
-        if until is not None and self.clock.now < until:
-            self.clock.advance_to(until)
-            self.now = until
+        if until is not None and self.now < until:
+            self.now = float(until)
         return self._fired - fired_before
 
     # ------------------------------------------------------------------ #
@@ -245,7 +250,7 @@ class Engine:
             if not event.cancelled and not event.fired
         )
         return {
-            "now": self.clock.now,
+            "now": self.now,
             "seq": self._seq,
             "fired": self._fired,
             "live": live,
@@ -266,9 +271,8 @@ class Engine:
         self._seq = int(state["seq"])
         self._fired = int(state["fired"])
         now = float(state["now"])
-        if now > self.clock.now:
-            self.clock.advance_to(now)
-        self.now = self.clock.now
+        if now > self.now:
+            self.now = now
         pending: Dict[str, Tuple[float, int, int]] = {}
         for time, priority, seq, tag in state["live"]:
             if tag in pending:
@@ -326,6 +330,6 @@ class Engine:
 
     def __repr__(self) -> str:
         return (
-            f"Engine(now={self.clock.now:.3f}, pending={self.pending}, "
+            f"Engine(now={self.now:.3f}, pending={self.pending}, "
             f"fired={self._fired})"
         )

@@ -123,8 +123,8 @@ def _wall_now() -> float:
     """Wall-clock seconds for supervising real worker processes.
 
     The supervisor times actual host processes, so the host clock is the
-    only correct source here; simulation code keeps reading the engine
-    Clock (that is what codalint CL001 polices).
+    only correct source here; simulation code keeps reading the engine's
+    time (that is what codalint CL001 polices).
     """
     return time.monotonic()  # codalint: disable=CL001
 
@@ -625,9 +625,11 @@ def run_supervised(
     """Execute ``specs`` under supervision; outcomes align by index.
 
     Never raises on run failures: every spec ends ``ok`` or
-    ``quarantined`` and the batch always completes.  ``jobs <= 1`` takes
-    the in-process serial path directly (no spawn overhead, no timeout
-    enforcement); repeated spawn failures degrade to it mid-batch.
+    ``quarantined`` and the batch always completes.  ``jobs > 1`` runs
+    every batch on supervised workers, a one-spec batch included;
+    ``jobs <= 1`` takes the in-process serial path directly (no spawn
+    overhead, no timeout enforcement), and repeated spawn failures
+    degrade to it mid-batch.
 
     A SIGINT/SIGTERM (``KeyboardInterrupt``) does raise — as
     :class:`SupervisorInterrupted`, after in-flight workers are reaped,
@@ -643,7 +645,7 @@ def run_supervised(
         for index, spec in enumerate(specs)
     ]
     try:
-        if jobs > 1 and len(specs) > 1:
+        if jobs > 1:
             degraded = _run_spawned(specs, outcomes, jobs, config, emit)
             if degraded is not None:
                 emit(SupervisorEvent(kind="degrade", reason=degraded))

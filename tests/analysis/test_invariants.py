@@ -177,7 +177,7 @@ class TestCorruptionDetection:
         runner.engine.run(until=10.0)
         auditor = runner.auditor
         assert auditor.check_now() == 0
-        record = runner._running["j"]
+        record = runner.progress.running["j"]
         record.completion.cancel()
         record.completion = runner.engine.schedule(
             record.completion_time + 1.0, lambda: None
@@ -228,14 +228,14 @@ class TestPricedSpeeds:
     @pytest.mark.parametrize("field", ("speed", "utilization"))
     def test_stale_gpu_price_flagged(self, field):
         runner = self._runner(self._trainer())
-        record = runner._running["g"]
+        record = runner.progress.running["g"]
         setattr(record, field, getattr(record, field) * 0.5)
         assert runner.auditor.check_now() == 1
         assert set(runner.auditor.stats.by_code()) == {"IV014"}
 
     def test_stale_cpu_speed_flagged(self):
         runner = self._runner(self._cpu_job())
-        runner._running["c"].cores = 2  # a resize nobody repriced
+        runner.progress.running["c"].cores = 2  # a resize nobody repriced
         assert runner.auditor.check_now() == 1
         assert set(runner.auditor.stats.by_code()) == {"IV014"}
 
@@ -246,9 +246,9 @@ class TestPricedSpeeds:
 
     def test_throttle_and_release_keep_prices_fresh(self):
         runner = self._runner(self._cpu_job(bw=60.0))
-        node_id = runner._running["c"].node_id
+        node_id = runner.cluster.allocation_of("c").node_ids[0]
         assert runner.throttle_cpu_job("c", node_id)
-        assert runner._running["c"].speed < 1.0
+        assert runner.progress.running["c"].speed < 1.0
         assert runner.auditor.check_now() == 0
         runner.release_cpu_throttle("c", node_id)
         assert runner.auditor.check_now() == 0

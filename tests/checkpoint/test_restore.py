@@ -27,6 +27,7 @@ from repro.faults import FaultConfig
 from repro.health import HealthConfig
 from repro.metrics.serialize import run_result_to_dict
 from repro.parallel.spec import RunSpec
+from repro.workload.job import CpuJob
 
 
 def _dumps(result):
@@ -98,18 +99,20 @@ class TestByteIdenticalResume:
         spec = _faulted_spec()
         state = _snapshot_at(spec, kill_at=110)
         now = state["engine"]["now"]
-        running = state["runner"]["running_cpu"]
-        assert any(fields[4] < now for fields in running.values())
         runner = restore_run(spec, state)
+        assert any(
+            isinstance(record.job, CpuJob) and record.last_update < now
+            for record in runner.progress.running.values()
+        )
 
         def progress():
             return {
                 job_id: (record.work_done, record.last_update)
-                for job_id, record in runner._running.items()
+                for job_id, record in runner.progress.running.items()
             }
 
         before = progress()
-        runner._refresh_nodes(set(range(len(runner.cluster.nodes))))
+        runner.progress.touch(set(range(len(runner.cluster.nodes))))
         assert progress() == before
         result = runner.run(until=spec.resolved_scenario().horizon_s)
         assert _dumps(result) == _dumps(spec.execute())

@@ -92,6 +92,16 @@ class TestDamage:
         with pytest.raises(CheckpointError, match="schema version"):
             read_checkpoint(path)
 
+    def test_schema_3_checkpoint_is_rejected(self, tmp_path):
+        # Schema 3 kept running jobs in twin running_gpu/running_cpu
+        # families; this build reads only the one running family.
+        path = self._write(tmp_path)
+        document = json.loads(open(path, encoding="utf-8").read())
+        document["version"] = 3
+        open(path, "w", encoding="utf-8").write(json.dumps(document))
+        with pytest.raises(CheckpointError, match="schema version 3"):
+            read_checkpoint(path)
+
     def test_missing_fields_are_rejected(self, tmp_path):
         path = self._write(tmp_path)
         open(path, "w", encoding="utf-8").write(

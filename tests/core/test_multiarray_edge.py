@@ -95,7 +95,7 @@ class TestLedgerConsistency:
         runner.engine.run(until=1.0)
         assert len(scheduler._borrowed) == 1
         borrower_id = next(iter(scheduler._borrowed))
-        borrower_tenant = runner._running[borrower_id].job.tenant_id
+        borrower_tenant = runner.progress.running[borrower_id].job.tenant_id
         # An 8-GPU claimer migrates the borrower off the big node.
         runner.submit_at(2.0, _gpu("claimer", tenant=3, gpus=8))
         runner.engine.run(until=3.0)

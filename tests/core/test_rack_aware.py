@@ -70,7 +70,7 @@ class TestRuntimeEffect:
             cluster.allocation_of("same").shares[0].cpus,
             interconnect=cluster.fabric.for_nodes(nodes),
         )
-        assert runner._running["same"].speed == pytest.approx(
+        assert runner.progress.running["same"].speed == pytest.approx(
             1.0 / expected.total_s
         )
 

@@ -13,6 +13,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.config import small_cluster
 from repro.core.coda import CodaScheduler
+from repro.experiments.progress import _RunningCpu, _RunningGpu
 from repro.experiments.runner import SimulationRunner
 from repro.perfmodel.speed import iteration_time
 from repro.perfmodel.stages import TrainSetup
@@ -65,23 +66,23 @@ class TestLazyCompletionTimers:
 
     def test_later_moving_completion_fires_stale_and_rearms(self):
         runner = self._straggled_runner(heal_after_s=1e6)
-        record = runner._running["c"]
+        record = runner.progress.running["c"]
         # The old timer (armed at t=100) is deliberately left in place.
         assert record.completion_time == 370.0
         assert record.completion.time == 100.0
         runner.engine.run(until=120.0)
         # It fired stale at t=100 and re-armed at the authoritative time.
-        assert runner._stale_timer_fires == 1
-        assert "c" in runner._running
+        assert runner.progress.stale_fires == 1
+        assert "c" in runner.progress.running
         assert record.completion.time == 370.0
         runner.engine.run(until=500.0)
         assert runner.collector.records["c"].finish_time == 370.0
-        assert runner._stale_timer_fires == 1
+        assert runner.progress.stale_fires == 1
 
     def test_earlier_moving_completion_cancels_and_rearms(self):
         runner = self._straggled_runner(heal_after_s=140.0)
         runner.engine.run(until=120.0)  # past the stale fire at t=100
-        record = runner._running["c"]
+        record = runner.progress.running["c"]
         assert record.completion.time == 370.0
         # Heal at t=150: work = 10 + 0.25*140 = 45, so the completion
         # moves earlier (150 + 55 = 205 < 370) and must re-arm eagerly.
@@ -90,7 +91,7 @@ class TestLazyCompletionTimers:
         assert record.completion.time == 205.0
         runner.engine.run(until=500.0)
         assert runner.collector.records["c"].finish_time == 205.0
-        assert runner._stale_timer_fires == 1
+        assert runner.progress.stale_fires == 1
 
     def test_stale_fires_book_under_their_own_category(self):
         runner = self._straggled_runner(heal_after_s=1e6)
@@ -112,11 +113,11 @@ class TestLazyCompletionTimers:
     def test_eager_hatch_never_fires_stale(self, monkeypatch):
         monkeypatch.setenv("REPRO_REFERENCE", "1")
         runner = self._straggled_runner(heal_after_s=1e6)
-        record = runner._running["c"]
+        record = runner.progress.running["c"]
         # Eager cancel+reschedule keeps the armed timer authoritative.
         assert record.completion.time == 370.0
         runner.engine.run(until=500.0)
-        assert runner._stale_timer_fires == 0
+        assert runner.progress.stale_fires == 0
         assert runner.collector.records["c"].finish_time == 370.0
 
 
@@ -150,18 +151,18 @@ class TestRepriceMemo:
             for job_id in ("j", "k")
         }
         assert len(calls) == 1
-        assert runner._running["j"].speed == runner._running["k"].speed
+        assert runner.progress.running["j"].speed == runner.progress.running["k"].speed
         # A refresh with no speed input moved reprices nothing: no model
         # call and no accrual point.
-        runner._refresh_nodes(nodes)
+        runner.progress.touch(nodes)
         assert len(calls) == 1
-        assert runner._running["j"].last_update == 0.0
+        assert runner.progress.running["j"].last_update == 0.0
 
     def test_grant_ratio_change_recomputes(self, monkeypatch):
         runner, calls = self._counting_runner(monkeypatch)
         node_id = runner.cluster.allocation_of("j").node_ids[0]
         baseline = len(calls)
-        record = runner._running["j"]
+        record = runner.progress.running["j"]
         node = runner.cluster.node(node_id)
         assert node.bandwidth.grant_ratio("j") == 1.0
         # A demand past the node's capacity cuts the job's grant ratio:
@@ -169,7 +170,7 @@ class TestRepriceMemo:
         node.bandwidth.update_demand("j", 2 * node.bandwidth.capacity_gbps)
         assert node.bandwidth.grant_ratio("j") < 1.0
         speed = record.speed
-        runner._refresh_nodes({node_id})
+        runner.progress.touch({node_id})
         assert len(calls) == baseline + 1
         # The speed moved, so progress accrued at the old speed.
         assert record.speed < speed
@@ -181,26 +182,25 @@ class TestRepriceMemo:
         runner, calls = self._counting_runner(monkeypatch)
         node_id = runner.cluster.allocation_of("j").node_ids[0]
         baseline = len(calls)
-        runner._refresh_nodes({node_id})
+        runner.progress.touch({node_id})
         assert len(calls) == baseline + 1
         # Same speed, so still no accrual point.
-        assert runner._running["j"].last_update == 0.0
+        assert runner.progress.running["j"].last_update == 0.0
 
 
 class TestChangeDrivenRepricing:
     """A refresh reprices only jobs whose speed inputs moved."""
 
     @staticmethod
-    def _count_reprices(monkeypatch, runner):
+    def _count_reprices(monkeypatch):
         repriced = []
-        for name in ("_reprice_gpu", "_reprice_cpu"):
-            inner = getattr(runner, name)
+        for kind in (_RunningGpu, _RunningCpu):
 
-            def counting(record, inner=inner):
+            def counting(record, progress, inner=kind.price):
                 repriced.append(record.job.job_id)
-                inner(record)
+                return inner(record, progress)
 
-            monkeypatch.setattr(runner, name, counting)
+            monkeypatch.setattr(kind, "price", counting)
         return repriced
 
     def test_cpu_start_on_an_uncontended_node_reprices_only_it(
@@ -210,19 +210,19 @@ class TestChangeDrivenRepricing:
         runner.submit_at(0.0, _gpu("g", iters=10**9))
         runner.submit_at(0.0, _cpu("c1", duration=1000.0))
         runner.engine.run(until=10.0)
-        repriced = self._count_reprices(monkeypatch, runner)
+        repriced = self._count_reprices(monkeypatch)
         runner.submit_at(20.0, _cpu("c2", duration=1000.0))
         runner.engine.run(until=30.0)
         assert repriced == ["c2"]
-        assert runner._running["c1"].last_update == 0.0
-        assert runner._running["g"].last_update == 0.0
+        assert runner.progress.running["c1"].last_update == 0.0
+        assert runner.progress.running["g"].last_update == 0.0
 
     def test_halving_reprices_an_uncontended_job_directly(self):
         runner = _runner(nodes=1)
         runner.submit_at(0.0, _cpu("c", cores=4, duration=100.0))
         runner.engine.run(until=10.0)
-        record = runner._running["c"]
-        node = runner.cluster.node(record.node_id)
+        record = runner.progress.running["c"]
+        node = record.nodes[0]
         runner.halve_cpu_job_cores("c")
         # The grant follows the halved demand, so the ratio stays 1.0;
         # the core count alone halves the speed.
@@ -235,11 +235,14 @@ class TestChangeDrivenRepricing:
         runner = _runner(nodes=1)
         runner.submit_at(0.0, _gpu("g", cpus=1, iters=10**9))
         runner.engine.run(until=10.0)
-        record = runner._running["g"]
+        record = runner.progress.running["g"]
         speed = record.speed
         assert runner.resize_gpu_job_cores("g", 3)
         assert record.speed > speed
-        assert (record.speed, record.utilization) == runner.fresh_gpu_price("g")
+        assert record.recheck(runner.progress) == (
+            (record.speed, record.utilization),
+            (record.speed, record.utilization),
+        )
         assert record.last_update == 10.0
 
 
@@ -252,13 +255,13 @@ class TestActivityIndexedMonitor:
         # A CPU job streaming past the threshold wakes its node.
         runner.submit_at(0.0, _cpu("c", duration=50.0, bw=120.0))
         runner.engine.run(until=1.0)
-        node_id = runner._running["c"].node_id
+        node_id = runner.cluster.allocation_of("c").node_ids[0]
         assert list(runner.monitor_active_node_ids()) == [node_id]
         # Only the eliminator revokes membership (after a successful
         # observe found nothing to do); job completion alone keeps the
         # node listed until then.
         runner.engine.run(until=60.0)
-        assert "c" not in runner._running
+        assert "c" not in runner.progress.running
         assert list(runner.monitor_active_node_ids()) == [node_id]
         runner.monitor_deactivate_node(node_id)
         assert list(runner.monitor_active_node_ids()) == []
@@ -305,7 +308,7 @@ class TestActivityIndexedMonitor:
         )
         runner.submit_at(0.0, _cpu("c", duration=1000.0, bw=120.0))
         runner.engine.run(until=1.0)
-        node = runner.cluster.node(runner._running["c"].node_id)
+        node = runner.cluster.node(runner.cluster.allocation_of("c").node_ids[0])
         runner.engine.run(until=10.0)
         node.bandwidth.update_demand("c", 1.0)
         return runner, node

@@ -126,9 +126,9 @@ class TestContentionCoupling:
         runner.submit_at(0.0, _gpu("nlp", model="bat", cpus=5, iters=200))
         runner.submit_at(0.0, _cpu("heat", cores=14, duration=50.0, bw=110.0, heat=True))
         runner.engine.run(until=10.0)
-        slowed = runner._running["nlp"].speed
+        slowed = runner.progress.running["nlp"].speed
         runner.engine.run(until=100.0)
-        restored = runner._running["nlp"].speed
+        restored = runner.progress.running["nlp"].speed
         assert restored > slowed
 
     def test_throttled_heat_job_runs_longer(self):
@@ -147,9 +147,9 @@ class TestControlSurface:
         runner = _runner()
         runner.submit_at(0.0, _gpu("j", cpus=1, iters=10000))
         runner.engine.run(until=1.0)
-        before = runner._running["j"].speed
+        before = runner.progress.running["j"].speed
         assert runner.resize_gpu_job_cores("j", 3)
-        after = runner._running["j"].speed
+        after = runner.progress.running["j"].speed
         assert after > before
 
     def test_resize_beyond_node_fails_cleanly(self):

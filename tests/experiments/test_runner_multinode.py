@@ -33,7 +33,7 @@ class TestWorstNodePacing:
         )
         runner_quiet.submit_at(0.0, _gang())
         runner_quiet.engine.run(until=5.0)
-        quiet_speed = runner_quiet._running["gang"].speed
+        quiet_speed = runner_quiet.progress.running["gang"].speed
 
         for hot_node in (0, 1):
             runner = SimulationRunner(
@@ -49,8 +49,8 @@ class TestWorstNodePacing:
             node.register_memory_traffic(
                 "heat", heat.bw_demand_gbps, is_cpu_job=True
             )
-            runner._refresh_nodes({hot_node})
-            hot_speed = runner._running["gang"].speed
+            runner.progress.touch({hot_node})
+            hot_speed = runner.progress.running["gang"].speed
             assert hot_speed < quiet_speed, hot_node
 
     def test_gang_utilization_published_on_both_nodes(self):

@@ -235,7 +235,7 @@ class TestStraggler:
         runner.fail_node(node_id)
         runner.recover_node(node_id)
         runner.engine.run(until=100.0)
-        record = runner._running["c"]
+        record = runner.progress.running["c"]
         assert record.straggle_factor == 1.0
 
 

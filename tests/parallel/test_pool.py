@@ -144,6 +144,22 @@ class TestSimPool:
         ):
             pool.map([fifo, drf])
 
+    def test_a_lone_spec_runs_on_a_worker_and_times_out(self):
+        # A one-spec batch gets the process boundary too: its overrun is
+        # killed and quarantined instead of running in-process to the end.
+        spec = RunSpec(
+            scenario=small_scenario(duration_days=0.5, nodes=8, seed=1),
+            scheduler="coda",
+        )
+        pool = SimPool(
+            jobs=2,
+            supervisor=SupervisorConfig(run_timeout_s=0.05, max_retries=0),
+        )
+        with pytest.raises(
+            RuntimeError, match=r"quarantined .* run exceeded timeout"
+        ):
+            pool.map([spec])
+
     def test_mixed_hit_miss_batch_keeps_order(self, tmp_path, scenario):
         cache = ResultCache(tmp_path / "cache")
         first = RunSpec(scenario=scenario, scheduler="fifo")

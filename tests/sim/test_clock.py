@@ -2,37 +2,49 @@
 
 import pytest
 
-from repro.sim.clock import DAY, HOUR, MINUTE, Clock, fmt_duration
+from repro.sim.clock import DAY, HOUR, MINUTE, fmt_duration
+from repro.sim.engine import Engine
 
 
 class TestClock:
+    """The engine's time: it starts non-negative and only moves forward."""
+
     def test_starts_at_zero_by_default(self):
-        assert Clock().now == 0.0
+        assert Engine().now == 0.0
 
     def test_starts_at_given_time(self):
-        assert Clock(5.0).now == 5.0
+        assert Engine(5.0).now == 5.0
 
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
-            Clock(-1.0)
+            Engine(-1.0)
 
     def test_advances_forward(self):
-        clock = Clock()
-        clock.advance_to(10.0)
-        assert clock.now == 10.0
+        engine = Engine()
+        engine.schedule(10.0, lambda: None)
+        engine.run()
+        assert engine.now == 10.0
 
     def test_advance_to_same_time_is_allowed(self):
-        clock = Clock(3.0)
-        clock.advance_to(3.0)
-        assert clock.now == 3.0
+        engine = Engine(3.0)
+        engine.schedule(3.0, lambda: None)
+        assert engine.run() == 1
+        assert engine.now == 3.0
 
     def test_rejects_moving_backwards(self):
-        clock = Clock(10.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(9.999)
+        # A restored inventory whose event lies before the restored clock
+        # is a corrupted queue.
+        engine = Engine()
+        engine.begin_restore(
+            {"now": 10.0, "seq": 1, "fired": 0, "live": [[9.999, 0, 0, "x"]]}
+        )
+        engine.rearm("x", lambda: None)
+        engine.finish_restore()
+        with pytest.raises(ValueError, match="backwards"):
+            engine.step()
 
     def test_repr_mentions_time(self):
-        assert "12.5" in repr(Clock(12.5))
+        assert "12.5" in repr(Engine(12.5))
 
 
 class TestUnits:

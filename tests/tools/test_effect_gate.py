@@ -87,20 +87,20 @@ def test_deleting_one_bump_blames_exactly_that_function(
     assert blamed == {EXPECTED_BLAME[func_name]}
 
 
-#: The runner's reprice memos.  EF002 must keep *detecting* them:
-#: dropping a [[cache]] declaration from the manifest has to surface as
-#: findings against runner.py, or the clean-tree test above proves
-#: nothing about the attribute.
-RUNNER_MEMOS = (
-    ("SimulationRunner", "_speed_memo"),
-    ("SimulationRunner", "_node_key_memo"),
+#: The progress layer's reprice memos.  EF002 must keep *detecting*
+#: them: dropping a [[cache]] declaration from the manifest has to
+#: surface as findings against progress.py, or the clean-tree test above
+#: proves nothing about the attribute.
+PROGRESS_MEMOS = (
+    ("Progress", "_speed_memo"),
+    ("Progress", "_node_key_memo"),
 )
 
 
 @pytest.mark.parametrize(
-    "owner,attr", RUNNER_MEMOS, ids=[f"{o}.{a}" for o, a in RUNNER_MEMOS]
+    "owner,attr", PROGRESS_MEMOS, ids=[f"{o}.{a}" for o, a in PROGRESS_MEMOS]
 )
-def test_undeclaring_a_runner_memo_fails_ef002(owner, attr):
+def test_undeclaring_a_progress_memo_fails_ef002(owner, attr):
     contracts = load_contracts(MANIFEST)
     assert contracts.cache_declared(owner, attr)
     stripped = dataclasses.replace(
@@ -115,32 +115,33 @@ def test_undeclaring_a_runner_memo_fails_ef002(owner, attr):
     assert violations, f"undeclared {owner}.{attr} went undetected"
     assert all(v.code == "EF002" for v in violations)
     assert all(f"{owner}.{attr}" in v.message for v in violations)
-    assert all(v.path.endswith("runner.py") for v in violations)
+    assert all(v.path.endswith("progress.py") for v in violations)
 
 
-#: IV014's record lookups must stay concretely typed, or a write to the
-#: record slips past the [[readonly]] entries on the record classes.
-@pytest.mark.parametrize("method", ["fresh_gpu_price", "fresh_cpu_speed"])
-def test_observer_write_to_a_running_record_fails_ef003(tmp_path, method):
+#: IV014 asks each record kind to re-check its own price; a write to the
+#: record on that path must trip the [[readonly]] entries on the record
+#: classes.
+@pytest.mark.parametrize("record_class", ["_RunningGpu", "_RunningCpu"])
+def test_observer_write_to_a_running_record_fails_ef003(tmp_path, record_class):
     mutated = tmp_path / "repro"
     shutil.copytree(SRC, mutated)
-    runner_py = mutated / "experiments" / "runner.py"
+    progress_py = mutated / "experiments" / "progress.py"
     source, hits = re.subn(
-        rf"(def {method}\(.*?\n        record = .*?\n)",
-        r"\1        record.speed = 0.0\n",
-        runner_py.read_text(),
+        rf"(class {record_class}\(.*?\n    def recheck\(.*?\) -> .*?:\n)",
+        r"\1        self.speed = 0.0\n",
+        progress_py.read_text(),
         count=1,
         flags=re.S,
     )
     assert hits == 1
-    runner_py.write_text(source)
+    progress_py.write_text(source)
 
     violations, _ = analyze_paths([mutated], load_contracts(MANIFEST))
 
-    assert violations, f"a record write in {method} went undetected"
+    assert violations, f"a record write in {record_class}.recheck went undetected"
     assert all(v.code == "EF003" for v in violations)
     assert {v.symbol.split(":")[-1] for v in violations} == {
-        f"SimulationRunner.{method}"
+        f"{record_class}.recheck"
     }
 
 

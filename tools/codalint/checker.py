@@ -297,7 +297,7 @@ class _RulePass(ast.NodeVisitor):
                 node,
                 "CL001",
                 f"call to wall-clock source time.{member}(); simulation "
-                "code must read the engine Clock",
+                "code must read the engine's time",
             )
         if (
             resolved.startswith("datetime.")
@@ -307,7 +307,7 @@ class _RulePass(ast.NodeVisitor):
                 node,
                 "CL001",
                 f"call to wall-clock source {resolved}(); simulation code "
-                "must read the engine Clock",
+                "must read the engine's time",
             )
         if module == "random" or module.endswith(".random"):
             if member in _RANDOM_SAFE:

@@ -61,7 +61,7 @@ ALL_RULES: Tuple[Rule, ...] = (
         summary="wall-clock time source",
         rationale=(
             "time.time()/datetime.now() and friends read the host clock; "
-            "simulation code must read time from the engine's Clock so a "
+            "simulation code must read time from the engine (engine.now) so a "
             "replayed run is bit-identical regardless of the machine."
         ),
     ),
