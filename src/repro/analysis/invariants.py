@@ -5,10 +5,12 @@ and, at a configurable simulated-time cadence, sweeps the conservation
 laws the evaluation rests on:
 
 * **IV001** — per-node bounds: core/GPU usage never negative, never above
-  capacity, share bookkeeping internally consistent, downed nodes empty;
-* **IV002** — cluster-wide conservation: used + free == total and the sum
-  of all allocations equals the used vector, under allocate/preempt/fault/
-  restart alike;
+  capacity, share bookkeeping internally consistent, the O(1) free-GPU
+  count equal to a device walk, downed nodes empty;
+* **IV002** — cluster-wide conservation: the maintained usage totals
+  equal a fresh walk of node core counters and owned GPU devices, used +
+  free == total, and the sum of all allocations equals the used vector,
+  under allocate/preempt/fault/restart alike;
 * **IV003** — event-clock monotonicity: fired events never move backwards
   in time;
 * **IV004** — allocation/residency agreement: every cluster allocation is
@@ -180,10 +182,15 @@ class InvariantAuditor:
         self._last_time = engine.now if engine.fired else None
 
     def detach(self) -> None:
-        """Stop observing. Idempotent."""
+        """Stop observing and let go of the runner. Idempotent.
+
+        The cluster and scheduler stay, so :meth:`check_now` can still
+        sweep a finished run's final state.
+        """
         if self._engine is not None:
             self._engine.remove_observer(self._on_event)
             self._engine = None
+        self._runner = None
 
     # ------------------------------------------------------------------ #
     # Observation
@@ -308,6 +315,15 @@ class InvariantAuditor:
                     f"shares cover {len(owned)}"
                 ),
             )
+            free_gpus = len(node.free_gpu_ids)
+            self._assert(
+                node.free_gpus == free_gpus,
+                "IV001",
+                lambda node=node, free_gpus=free_gpus: (
+                    f"node {node.node_id} free GPU count {node.free_gpus} != "
+                    f"device walk {free_gpus}"
+                ),
+            )
             self._assert(
                 node.is_up or not node.jobs_here(),
                 "IV001",
@@ -343,6 +359,20 @@ class InvariantAuditor:
             lambda: (
                 f"resources not conserved: used {used} + free {free} != "
                 f"total {total}"
+            ),
+        )
+        # The maintained totals against a fresh walk: every node's core
+        # counter and every owned GPU device.
+        walk_cpus = sum(node.used_cpus for node in cluster.nodes)
+        walk_gpus = sum(
+            gpu.owner is not None for node in cluster.nodes for gpu in node.gpus
+        )
+        self._assert(
+            walk_cpus == used.cpus and walk_gpus == used.gpus,
+            "IV002",
+            lambda walk_cpus=walk_cpus, walk_gpus=walk_gpus: (
+                f"maintained usage {used.cpus}c/{used.gpus}g != node walk "
+                f"{walk_cpus}c/{walk_gpus}g"
             ),
         )
         alloc_cpus = alloc_gpus = 0

@@ -13,7 +13,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.allocation import Allocation, NodeShare
 from repro.cluster.interconnect import Interconnect
-from repro.cluster.node import GenerationCounter, Node
+from repro.cluster.node import GenerationCounter, Node, UsageTotals
 from repro.cluster.topology import RackedInterconnect, RackTopology
 from repro.cluster.resources import ResourceVector
 from repro.config import ClusterConfig
@@ -51,8 +51,11 @@ class Cluster:
         #: One mutation counter shared by every node, so a single integer
         #: answers "has any free capacity changed since I last looked".
         self._generation = GenerationCounter()
+        #: Cores and GPUs in use on all nodes, moved by every node mutation.
+        self._usage = UsageTotals()
         for node in self.nodes:
             node.generation = self._generation
+            node.usage = self._usage
         #: Single-entry free-capacity snapshot memo, managed by
         #: :mod:`repro.schedulers.placement` and invalidated through
         #: :attr:`version` (plus the health tracker's quarantined and
@@ -105,10 +108,9 @@ class Cluster:
 
     @property
     def used(self) -> ResourceVector:
-        return ResourceVector(
-            cpus=sum(node.used_cpus for node in self.nodes),
-            gpus=sum(node.used_gpus for node in self.nodes),
-        )
+        """Cores and GPUs in use, from the maintained totals (IV002 holds
+        them to a fresh walk of the nodes)."""
+        return ResourceVector(cpus=self._usage.cpus, gpus=self._usage.gpus)
 
     @property
     def free(self) -> ResourceVector:
@@ -190,7 +192,7 @@ class Cluster:
 
     def gpu_active_count(self) -> int:
         """Number of GPUs currently owned by a job."""
-        return sum(node.used_gpus for node in self.nodes)
+        return self._usage.gpus
 
     def gpu_active_rate(self) -> float:
         """Fraction of all GPUs owned by a job (the paper's 'active rate')."""
@@ -203,7 +205,7 @@ class Cluster:
         total = self.total.cpus
         if total == 0:
             return 0.0
-        return self.used.cpus / total
+        return self._usage.cpus / total
 
     def mean_gpu_utilization(self, *, active_only: bool = True) -> float:
         """Average GPU utilization, across active GPUs by default.

@@ -122,6 +122,10 @@ class BandwidthMonitor:
         self._watch = (threshold, wake)
         self._check_watch()
 
+    def unwatch_pressure(self) -> None:
+        """Remove the watch :meth:`watch_pressure` installed, if any."""
+        self._watch = None
+
     def _check_watch(self) -> None:
         watch = self._watch
         if (

@@ -69,6 +69,22 @@ class GenerationCounter:
             self.freed += 1
 
 
+class UsageTotals:
+    """Cores and GPUs in use summed over every node that shares it.
+
+    The cluster hands one to all of its nodes (as it does the
+    :class:`GenerationCounter`), and each node moves it with its own
+    counters on every allocate, release, resize and restore, so
+    cluster-wide usage reads in O(1) instead of walking every node.
+    """
+
+    __slots__ = ("cpus", "gpus")
+
+    def __init__(self) -> None:
+        self.cpus = 0
+        self.gpus = 0
+
+
 @dataclass
 class PcieMeter:
     """Host PCIe fabric accounting (all values in GB/s).
@@ -123,10 +139,16 @@ class Node:
         # invariant auditor re-derives); reading it is O(1) where the old
         # property summed over every device.
         self._used_gpus = 0
+        #: Failed GPUs, kept beside ``_used_gpus`` so ``free_gpus`` is
+        #: O(1) (an owned GPU is never failed: the owner is evicted first).
+        self._failed_gpus = 0
         self._up = True
         #: Bumped on every capacity mutation; the cluster replaces it with
         #: one counter shared across all of its nodes.
         self.generation = GenerationCounter()
+        #: Moved with ``_used_cpus``/``_used_gpus``; the cluster replaces
+        #: it with one total shared across all of its nodes.
+        self.usage = UsageTotals()
 
     # ------------------------------------------------------------------ #
     # Availability (fault injection)
@@ -185,7 +207,9 @@ class Node:
 
     @property
     def free_gpus(self) -> int:
-        return len(self.free_gpu_ids)
+        if not self._up:
+            return 0
+        return len(self.gpus) - self._used_gpus - self._failed_gpus
 
     @property
     def used_gpus(self) -> int:
@@ -224,6 +248,8 @@ class Node:
             self.gpus[gpu_id].assign(job_id)
         self._used_gpus += len(granted_ids)
         self._used_cpus += cpus
+        self.usage.gpus += len(granted_ids)
+        self.usage.cpus += cpus
         share = NodeShare(node_id=self.node_id, cpus=cpus, gpu_ids=granted_ids)
         self._shares[job_id] = share
         self.generation.bump_node(self.node_id, freed=False)
@@ -239,6 +265,8 @@ class Node:
             self.gpus[gpu_id].release(job_id)
         self._used_gpus -= len(share.gpu_ids)
         self._used_cpus -= share.cpus
+        self.usage.gpus -= len(share.gpu_ids)
+        self.usage.cpus -= share.cpus
         self.mba.release(job_id)
         self.bandwidth.unregister(job_id)
         self.pcie.unregister(job_id)
@@ -260,6 +288,7 @@ class Node:
                 f"(free: {self.free_cpus})"
             )
         self._used_cpus += delta
+        self.usage.cpus += delta
         new_share = NodeShare(
             node_id=self.node_id, cpus=new_cpus, gpu_ids=share.gpu_ids
         )
@@ -273,11 +302,16 @@ class Node:
     def fail_gpu(self, gpu_id: int) -> None:
         """Break one GPU; its (already evicted) slot disappears from the
         free pool until :meth:`repair_gpu`."""
-        self.gpus[gpu_id].mark_failed()
+        gpu = self.gpus[gpu_id]
+        was_failed = gpu.failed
+        gpu.mark_failed()
+        self._failed_gpus += not was_failed
         self.generation.bump_node(self.node_id, freed=False)
 
     def repair_gpu(self, gpu_id: int) -> None:
-        self.gpus[gpu_id].repair()
+        gpu = self.gpus[gpu_id]
+        self._failed_gpus -= gpu.failed
+        gpu.repair()
         self.generation.bump_node(self.node_id, freed=True)
 
     # ------------------------------------------------------------------ #
@@ -355,6 +389,8 @@ class Node:
         }
 
     def restore(self, state: Dict[str, Any]) -> None:
+        self.usage.cpus -= self._used_cpus
+        self.usage.gpus -= self._used_gpus
         self._up = bool(state["up"])
         self._used_cpus = int(state["used_cpus"])
         self._shares = {
@@ -370,6 +406,9 @@ class Node:
             gpu.utilization = float(utilization)
             gpu.failed = bool(failed)
         self._used_gpus = sum(1 for gpu in self.gpus if gpu.owner is not None)
+        self._failed_gpus = sum(1 for gpu in self.gpus if gpu.failed)
+        self.usage.cpus += self._used_cpus
+        self.usage.gpus += self._used_gpus
         self.llc_occupancy_mb = {
             job_id: float(mb) for job_id, mb in state["llc"].items()
         }

@@ -46,7 +46,6 @@ from repro.schedulers.base import (
     Decision,
     PreemptDecision,
     Scheduler,
-    SchedulerContext,
     StartDecision,
     TenantQueues,
     UsageLedger,
@@ -90,7 +89,6 @@ class MultiArrayScheduler(Scheduler):
         self.rack_aware = rack_aware
         self._topology = None
         self._layout: Optional[ArrayLayout] = None
-        self._context: Optional[SchedulerContext] = None
 
         self._gpu_ledger = UsageLedger()
         self._cpu_ledger = UsageLedger()
@@ -166,10 +164,6 @@ class MultiArrayScheduler(Scheduler):
 
     # ------------------------------------------------------------------ #
     # Scheduler interface
-
-    def attach(self, context: SchedulerContext) -> None:
-        super().attach(context)
-        self._context = context
 
     @property
     def layout(self) -> Optional[ArrayLayout]:

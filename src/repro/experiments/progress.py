@@ -263,8 +263,9 @@ class Progress:
         self._cluster = cluster
         #: The trainer model, as the runner binds it (a profiler wraps that).
         self.iteration_time = iteration_time
-        #: Called with a finished job's record, already off the table.
-        self._on_done = on_done
+        #: Called with a finished job's record, already off the table;
+        #: None once :meth:`detach` ended the run.
+        self._on_done: Optional[Callable[[_Running], None]] = on_done
         self.running: Dict[str, _Running] = {}
         #: Iterations a preempted or failed trainer resumes from at its next start.
         self.stashed: Dict[str, float] = {}
@@ -279,8 +280,8 @@ class Progress:
         #: Run-scoped ``iteration_time`` memo: (model name, setup, cores
         #: per node, contention effect key, interconnect) -> (speed,
         #: utilization).  Every key part is a frozen value and the model
-        #: is pure, so entries never go stale.  Emptied when the run
-        #: returns; unused in reference mode.
+        #: is pure, so entries never go stale.  Freed with the table;
+        #: unused in reference mode.
         self._speed_memo: Dict[Tuple[Any, ...], Tuple[float, float]] = {}
         #: Each node's (bandwidth excess, LLC excess, PCIe grant ratio) at
         #: its last refresh; see :meth:`touch`.
@@ -293,12 +294,10 @@ class Progress:
             raise KeyError(f"job {job_id} has no running {kind.__name__} record")
         return record
 
-    def clear_memo(self) -> None:
-        """Drop the speed memo as a run ends: a finished runner can linger
-        as cyclic garbage until the next full collection, and it need not
-        hold the memo meanwhile.  A later run refills it (the memo only
-        saves model calls)."""
-        self._speed_memo.clear()
+    def detach(self) -> None:
+        """Drop the completion callback as the run ends: it is bound to
+        the runner, which holds this table."""
+        self._on_done = None
 
     def _build(self, job: Job) -> _Running:
         """A record for ``job`` on its current allocation, its nodes pinned."""
@@ -453,7 +452,9 @@ class Progress:
             self.stale_fires += 1
             self._engine.recategorize_current_event("completion-stale")
             return
-        self._on_done(self.stop(job_id))
+        on_done = self._on_done
+        assert on_done is not None  # detached tables have no live timers
+        on_done(self.stop(job_id))
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore

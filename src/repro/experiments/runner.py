@@ -208,12 +208,40 @@ class SimulationRunner(SchedulerContext):
         )
 
     def run(self, until: float) -> RunResult:
-        """Run the simulation to the ``until`` horizon (seconds)."""
-        self.enable_sampling()
-        self.engine.run(until=until)
+        """Run the simulation to the ``until`` horizon (seconds).
+
+        Terminal: however the run ends, it detaches the runner (see
+        :meth:`_detach`), and a second call raises ``RuntimeError``.
+        """
+        try:
+            self.enable_sampling()
+            self.engine.run(until=until)
+            if self.auditor is not None:
+                self.auditor.check_now()
+            return self._result(until)
+        finally:
+            self._detach()
+
+    def _detach(self) -> None:
+        """Drop every reference the run's components hold back into it.
+
+        Event actions, engine observers, the pressure watches, the
+        completion callback and the scheduler's, fault injector's and
+        auditor's runner handles are what close the runner's reference
+        cycles; without them a finished runner frees by refcount, not at
+        the next full collection.  Public state stays readable.
+        """
+        self.engine.detach()
+        for node in self.cluster.nodes:
+            node.bandwidth.unwatch_pressure()
+        self.progress.detach()
+        self.scheduler.detach()
+        if self.fault_injector is not None:
+            self.fault_injector.detach()
         if self.auditor is not None:
-            self.auditor.check_now()
-        self.progress.clear_memo()
+            self.auditor.detach()
+
+    def _result(self, until: float) -> RunResult:
         return RunResult(
             scheduler_name=self.scheduler.name,
             collector=self.collector,
@@ -471,15 +499,18 @@ class SimulationRunner(SchedulerContext):
         self, job: Job, placements: Sequence[Tuple[int, int, int]]
     ) -> None:
         record = self.progress.start(job, placements)
-        nodes = list(record.node_ids)
-        detail: Dict[str, object] = {record.cores_key: record.cores, "nodes": nodes}
-        if isinstance(record, _RunningGpu):
-            detail["model"] = record.job.model_name
-        else:
+        if isinstance(record, _RunningCpu):
             self._cpu_incarnation[job.job_id] = (
                 self._cpu_incarnation.get(job.job_id, 0) + 1
             )
-        self._audit("started", job, **detail)
+        if self.audit is not None:
+            detail: Dict[str, object] = {
+                record.cores_key: record.cores,
+                "nodes": list(record.node_ids),
+            }
+            if isinstance(record, _RunningGpu):
+                detail["model"] = record.job.model_name
+            self._audit("started", job, **detail)
         self.collector.job_started(job.job_id, self.engine.now, record.cores)
         # Registration put the job in each node's changed-set, so the
         # refresh prices it.
@@ -494,12 +525,13 @@ class SimulationRunner(SchedulerContext):
         job_id = record.job.job_id
         now = self.engine.now
         self.collector.job_finished(job_id, now)
-        self._audit(
-            "finished",
-            record.job,
-            **{record.cores_key: record.cores},
-            queueing_s=self.collector.records[job_id].queueing_time,
-        )
+        if self.audit is not None:
+            self._audit(
+                "finished",
+                record.job,
+                **{record.cores_key: record.cores},
+                queueing_s=self.collector.records[job_id].queueing_time,
+            )
         self.scheduler.job_finished(record.job, now)
         self.progress.touch(record.node_ids)
         self.request_schedule()

@@ -74,6 +74,11 @@ class FaultInjector:
         if config.straggler_interval_s is not None:
             self._arm_straggler()
 
+    def detach(self) -> None:
+        """Let go of the runner as its run ends (the runner holds this
+        injector)."""
+        self._runner = None
+
     def _schedule(
         self, delay: float, action: Callable[[], None], tag: str
     ) -> None:

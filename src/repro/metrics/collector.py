@@ -16,9 +16,10 @@ from repro.metrics.series import SampledSeries
 from repro.workload.job import Job, JobKind
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
-    """Lifecycle of one job through a run."""
+    """Lifecycle of one job through a run.  Slotted: every result keeps
+    one per job of its trace."""
 
     job_id: str
     kind: JobKind

@@ -190,12 +190,17 @@ class Scheduler(abc.ABC):
         #: Jobs retired after exhausting their restart budget.
         self.dead_jobs: List[DeadJob] = []
         self._restart_counts: Dict[str, int] = {}
-        self._base_context: Optional[SchedulerContext] = None
+        self._context: Optional[SchedulerContext] = None
 
     def attach(self, context: SchedulerContext) -> None:
         """Receive the runtime-control surface.  Baselines only use it for
         deferred (backed-off) failure re-queues."""
-        self._base_context = context
+        self._context = context
+
+    def detach(self) -> None:
+        """Drop the runtime-control surface as the run ends: it is the
+        runner, which holds this policy."""
+        self._context = None
 
     def restart_count(self, job_id: str) -> int:
         """How many infrastructure failures ``job_id`` has taken so far."""
@@ -250,7 +255,7 @@ class Scheduler(abc.ABC):
             )
             return
         delay = policy.requeue_delay(count)
-        context = self._base_context
+        context = self._context
         if delay <= 0 or context is None:
             self._requeue_failed_job(job, now)
             return
@@ -364,7 +369,7 @@ class Scheduler(abc.ABC):
         failure requeues; policies with their own timers (CODA's profiler
         steps and eliminator tick) extend this.
         """
-        context = self._base_context
+        context = self._context
         for tag in engine.pending_rearm_tags():
             if not tag.startswith("requeue:"):
                 continue

@@ -53,6 +53,8 @@ class Engine:
         self._fired = 0
         self._live = 0
         self._running = False
+        #: Set by :meth:`detach`: the run is over and no event can fire.
+        self._detached = False
         self._observers: list[Observer] = []
         #: The category the executing action gave itself through
         #: recategorize_current_event; an observer that books by category
@@ -140,6 +142,7 @@ class Engine:
         Returns:
             ``True`` if an event fired, ``False`` if the queue was empty.
         """
+        self._check_attached()
         self._discard_dead()
         if not self._queue:
             return False
@@ -160,7 +163,13 @@ class Engine:
             )
         self.now = event.time
         self._fired += 1
-        event.action()
+        # Drop the action before it runs: it is spent either way, and a
+        # closure over its owner would otherwise keep the owner, the engine
+        # and every handle to this event in one reference cycle.
+        action = event.action
+        event.action = None
+        assert action is not None  # only detach() empties a live event
+        action()
         if self._observers:
             for observer in tuple(self._observers):
                 observer(event)
@@ -211,6 +220,7 @@ class Engine:
         """
         if self._running:
             raise RuntimeError("engine.run() is not reentrant")
+        self._check_attached()
         self._running = True
         fired_before = self._fired
         queue = self._queue
@@ -230,6 +240,25 @@ class Engine:
         if until is not None and self.now < until:
             self.now = float(until)
         return self._fired - fired_before
+
+    def detach(self) -> None:
+        """End the engine's life: drop the action of every event still
+        queued, and every observer.
+
+        Actions and observers are the engine's only references into the
+        components that drive it, which all hold the engine in turn; with
+        them gone, dropping the last outside reference frees the whole
+        simulation by refcount.  The clock, counters and queued-event
+        inventory stay readable; :meth:`run` and :meth:`step` raise.
+        """
+        for entry in self._queue:
+            entry[3].action = None
+        self._observers.clear()
+        self._detached = True
+
+    def _check_attached(self) -> None:
+        if self._detached:
+            raise RuntimeError("engine is detached: its run is over")
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore

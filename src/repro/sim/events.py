@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 
 class EventPriority(enum.IntEnum):
@@ -41,14 +41,16 @@ class Event:
         time: absolute simulation time at which to fire.
         priority: tie-break class, see :class:`EventPriority`.
         seq: engine-assigned sequence number (FIFO within ties).
-        action: zero-argument callable invoked when the event fires.
+        action: zero-argument callable invoked when the event fires;
+            ``None`` once the event has fired or been cancelled, or after
+            :meth:`~repro.sim.engine.Engine.detach`.
         tag: free-form label used in error messages and engine traces.
     """
 
     time: float
     priority: int
     seq: int
-    action: Callable[[], Any] = field(compare=False)
+    action: Optional[Callable[[], Any]] = field(compare=False)
     tag: str = field(compare=False, default="")
     cancelled: bool = field(compare=False, default=False)
     fired: bool = field(compare=False, default=False)
@@ -89,6 +91,9 @@ class EventHandle:
         if self._event.cancelled or self._event.fired:
             return
         self._event.cancelled = True
+        # The action can never run now; holding it would only keep its
+        # closure's owner alive (see :meth:`Engine._fire`).
+        self._event.action = None
         if self._owner is not None:
             self._owner._on_handle_cancelled(self._event)
 

@@ -402,11 +402,10 @@ def _supervised_worker(conn: Connection, config: SupervisorConfig) -> None:
                 pass
 
     send(("hb", 0))  # startup heartbeat: spawn + imports succeeded
-    # A finished runner is freed only by a full collection (its engine
-    # closures and back-references form cycles), so a warm worker runs
-    # one after every cell, or its peak memory creeps up hand-off after
-    # hand-off.  Freezing what the imports built keeps each collection
-    # to what the cell left behind: about 1 ms.
+    # A finished runner frees by refcount (its run detaches it), so a
+    # warm worker needs no collection between cells.  Freezing what the
+    # imports built keeps the collector's occasional full passes off
+    # those long-lived objects.
     gc.freeze()
 
     def beat() -> None:
@@ -427,7 +426,6 @@ def _supervised_worker(conn: Connection, config: SupervisorConfig) -> None:
             _, spec = assignment
             busy.set()
             _serve(spec, config, send)
-            gc.collect()
     finally:
         stop.set()
         busy.set()  # wake the heartbeat thread so it sees ``stop``

@@ -98,6 +98,17 @@ class TestCorruptionDetection:
         assert "IV001" in codes  # share sum != used counter
         assert "IV002" in codes  # ledger disagrees with node usage
 
+    @pytest.mark.parametrize("dimension", ("cpus", "gpus"))
+    def test_drifted_usage_total(self, dimension):
+        cluster = Cluster(small_cluster(nodes=2))
+        cluster.allocate("j1", [(0, 4, 1)])
+        auditor = attached(cluster)
+        # A maintained total that missed a mutation: the node walk and
+        # the allocation ledger both disagree with it.
+        setattr(cluster._usage, dimension, getattr(cluster._usage, dimension) + 1)
+        auditor.check_now()
+        assert set(auditor.stats.by_code()) == {"IV002"}
+
     def test_negative_core_counter(self):
         cluster = Cluster(small_cluster(nodes=1))
         auditor = attached(cluster)

@@ -122,3 +122,57 @@ class TestReadings:
     def test_nodes_with_free_among(self, tiny_cluster):
         free = tiny_cluster.nodes_with_free(1, 1, among=[1])
         assert [node.node_id for node in free] == [1]
+
+
+def _walk(cluster):
+    """(used cores, owned GPUs, free GPUs) from the devices themselves."""
+    cpus = sum(node.used_cpus for node in cluster.nodes)
+    gpus = sum(
+        gpu.owner is not None for node in cluster.nodes for gpu in node.gpus
+    )
+    free = [len(node.free_gpu_ids) for node in cluster.nodes]
+    return cpus, gpus, free
+
+
+class TestMaintainedCounts:
+    """Cluster usage and per-node free GPUs are O(1) counters; every
+    mutation keeps them equal to a walk of the devices."""
+
+    @staticmethod
+    def _counts(cluster):
+        used = cluster.used
+        free = [node.free_gpus for node in cluster.nodes]
+        return used.cpus, cluster.gpu_active_count(), free
+
+    def test_every_mutation_keeps_the_counts(self, tiny_cluster):
+        cluster = tiny_cluster
+        steps = [
+            lambda: cluster.allocate("a", [(0, 6, 2), (1, 6, 2)]),
+            lambda: cluster.allocate("b", [(0, 4, 1)]),
+            lambda: cluster.resize_cpus("a", {0: 10, 1: 3}),
+            lambda: cluster.node(1).fail_gpu(3),
+            lambda: cluster.node(1).fail_gpu(3),  # already failed
+            lambda: cluster.release("b"),
+            lambda: cluster.node(0).fail_gpu(3),
+            lambda: cluster.node(1).repair_gpu(3),
+            lambda: cluster.node(1).repair_gpu(3),  # already repaired
+        ]
+        for step in steps:
+            step()
+            assert self._counts(cluster) == _walk(cluster)
+        assert self._counts(cluster) == (13, 4, [1, 2])
+
+    def test_down_node_has_no_free_gpus(self, tiny_cluster):
+        tiny_cluster.node(1).mark_down()
+        assert tiny_cluster.node(1).free_gpus == 0
+        assert self._counts(tiny_cluster) == _walk(tiny_cluster)
+
+    def test_restore_resets_the_counts(self, tiny_cluster):
+        tiny_cluster.allocate("a", [(0, 6, 2)])
+        tiny_cluster.node(1).fail_gpu(0)
+        state = tiny_cluster.snapshot()
+        tiny_cluster.release("a")
+        tiny_cluster.allocate("b", [(1, 20, 3)])
+        tiny_cluster.node(1).repair_gpu(0)
+        tiny_cluster.restore(state)
+        assert self._counts(tiny_cluster) == _walk(tiny_cluster) == (6, 2, [2, 3])

@@ -206,3 +206,53 @@ class TestLivePendingCounter:
         fired = engine.run()
         assert fired == expected
         assert engine.pending == 0
+
+
+class TestSpentActions:
+    """Fired and cancelled events drop their action, so a closure over
+    its owner cannot keep the owner, the engine and the event's handles
+    in a reference cycle."""
+
+    def test_fired_event_holds_no_action(self, engine):
+        seen = []
+        handle = engine.schedule(1.0, lambda: seen.append(handle._event.action))
+        engine.run()
+        assert seen == [None]  # dropped before the action ran
+        assert handle._event.fired
+
+    def test_cancelled_event_holds_no_action(self, engine):
+        handle = engine.schedule(1.0, lambda: None)
+        handle.cancel()
+        assert handle._event.action is None
+        assert handle.cancelled and handle.time == 1.0
+
+    def test_observers_still_see_the_fired_event(self, engine):
+        seen = []
+        engine.add_observer(lambda event: seen.append((event.time, event.tag)))
+        engine.schedule(2.0, lambda: None, tag="x")
+        engine.run()
+        assert seen == [(2.0, "x")]
+
+
+class TestDetach:
+    def test_detach_drops_queued_actions_and_observers(self, engine):
+        observed = []
+        engine.add_observer(observed.append)
+        engine.schedule(1.0, lambda: None)
+        later = engine.schedule(5.0, lambda: None, tag="later")
+        engine.run(until=2.0)
+        engine.detach()
+        assert later._event.action is None
+        assert engine._observers == []
+        # Clock, counters and the live inventory stay readable.
+        assert (engine.now, engine.fired, engine.pending) == (2.0, 1, 1)
+        assert engine.snapshot()["live"] == [[5.0, EventPriority.SCHEDULE, 1, "later"]]
+
+    def test_a_detached_engine_refuses_to_run(self, engine):
+        engine.schedule(1.0, lambda: None)
+        engine.detach()
+        with pytest.raises(RuntimeError):
+            engine.run()
+        with pytest.raises(RuntimeError):
+            engine.step()
+        assert engine.fired == 0

@@ -1,6 +1,7 @@
 """Call-graph builder tests on the constructs that break naive resolvers:
 properties, ``functools.partial``, registry dispatch through a dict of
-constructors, ``super()``, and comprehension scopes."""
+constructors, ``super()``, parameters and locals named like a method, and
+comprehension scopes."""
 
 import textwrap
 
@@ -158,6 +159,48 @@ class TestSuper:
         base = _only(program.functions, ":Base.setup")
         assert base in analysis.effects[child].calls
         assert ("Base", "ready") in analysis.effects[child].transitive_writes
+
+
+class TestShadowedMethodNames:
+    SOURCE = """
+        from typing import Callable
+
+        class Record:
+            def __init__(self):
+                self.speed = 0.0
+
+            def price(self, contention):
+                self.speed = contention
+                return self.speed
+
+            def quote(self, price: Callable[..., float], contention):
+                return price(contention)
+
+            def requote(self, contention):
+                model = contention.model
+                return model(contention)
+
+            def reprice(self, contention):
+                price = contention.model
+                return price(contention)
+        """
+
+    def test_parameter_named_like_a_method_is_not_that_method(self, tmp_path):
+        program, analysis = _analyze(tmp_path, {"m.py": self.SOURCE})
+        method = _only(program.functions, ":Record.price")
+        for caller in (":Record.quote", ":Record.reprice"):
+            effects = analysis.effects[_only(analysis.effects, caller)]
+            assert method not in effects.calls
+            assert ("Record", "speed") not in effects.transitive_writes
+
+    def test_unshadowed_bare_name_still_resolves(self, tmp_path):
+        source = self.SOURCE.replace(
+            "return model(contention)", "return price(contention)"
+        )
+        program, analysis = _analyze(tmp_path, {"m.py": source})
+        method = _only(program.functions, ":Record.price")
+        requote = _only(analysis.effects, ":Record.requote")
+        assert method in analysis.effects[requote].calls
 
 
 class TestComprehensionScopes:

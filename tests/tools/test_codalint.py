@@ -185,6 +185,24 @@ class TestCL006FloatIntoIntCounter:
     def test_float_counter_is_fine(self):
         assert codes("work: float = 0.0\nwork += 0.5\n") == []
 
+    def test_int_name_is_local_to_its_function(self):
+        source = (
+            "def helper(iterations: int):\n"
+            "    return iterations\n"
+            "def overhead():\n"
+            "    iterations = 0.0\n"
+            "    iterations += 0.5\n"
+        )
+        assert codes(source) == []
+
+    def test_int_name_in_the_same_function_is_flagged(self):
+        source = (
+            "def helper(iterations: int):\n"
+            "    iterations += 0.5\n"
+            "    return iterations\n"
+        )
+        assert codes(source) == ["CL006"]
+
 
 class TestCL007UnboundedJoin:
     def test_process_join_without_timeout(self):

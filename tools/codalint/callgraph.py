@@ -33,7 +33,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -76,6 +76,9 @@ class FunctionInfo:
     return_classes: Set[str] = field(default_factory=set)
     #: Parameter name -> annotation source string.
     param_annotations: Dict[str, str] = field(default_factory=dict)
+    #: Every parameter and every name the body binds (nested scopes
+    #: aside): a bare-name call to one of them is not a method call.
+    local_names: Set[str] = field(default_factory=set)
 
     @property
     def short_qualname(self) -> str:
@@ -235,6 +238,25 @@ def _dotted_source(node: ast.expr) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
+def _bound_names(node: ast.AST) -> Set[str]:
+    """Names a function body binds: assignment, loop and ``with``
+    targets, and nested ``def``/``class`` names, but nothing inside a
+    nested function, class or lambda (their own scopes)."""
+    names: Set[str] = set()
+    stack = list(node.body)  # type: ignore[attr-defined]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(sub.name)
+            continue
+        if isinstance(sub, ast.Lambda):
+            continue
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        stack.extend(ast.iter_child_nodes(sub))
+    return names
+
+
 def _ann_source(node: Optional[ast.expr]) -> str:
     if node is None:
         return ""
@@ -359,8 +381,10 @@ class _ModuleIndexer(ast.NodeVisitor):
             + ([args.vararg] if args.vararg else [])
             + ([args.kwarg] if args.kwarg else [])
         ):
+            info.local_names.add(arg.arg)
             if arg.annotation is not None:
                 info.param_annotations[arg.arg] = _ann_source(arg.annotation)
+        info.local_names |= _bound_names(node)
         self.program.functions[func_id] = info
         if in_class:
             owner = self._class_stack[-1]
@@ -533,11 +557,14 @@ class ExprTyper:
         module: str,
         class_id: Optional[str],
         env_chain: Sequence[Dict[str, Set[str]]],
+        local_names: AbstractSet[str] = frozenset(),
     ) -> None:
         self.program = program
         self.module = module
         self.class_id = class_id
         self.env_chain = list(env_chain)
+        #: The analyzed function's parameters and locals.
+        self.local_names = local_names
 
     def classes_of(self, node: ast.expr, depth: int = 0) -> Set[str]:
         """Candidate class *names* for the value of ``node``."""
@@ -670,9 +697,10 @@ class ExprTyper:
             for cid in program.class_names[name]:
                 merged |= self._constructor_targets(cid)
             return merged
-        if self.class_id is not None:
+        if self.class_id is not None and name not in self.local_names:
             # Unqualified reference to a method (rare; e.g. a callback
-            # table built inside the class body).
+            # table built inside the class body).  A parameter or local
+            # of the same name shadows it.
             method = program.find_method(self.class_id, name)
             if method is not None:
                 return {method}

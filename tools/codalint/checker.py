@@ -8,10 +8,16 @@ One :class:`_FileChecker` per file, two passes:
 2. a rule pass walks the tree and emits :class:`~tools.codalint.rules.Violation`
    records.
 
-The symbol table is file-global and keyed by spelling (``node_ids``,
-``self._seen``), not scope-aware — for a lint pass over a codebase with
-descriptive names that trade-off buys simplicity and has not produced a
-false positive yet; ``# codalint: disable=...`` exists for when it does.
+Set symbols are keyed by spelling file-wide (``node_ids``,
+``self._seen``).  An int symbol spelled as a bare name is keyed by its
+enclosing function too, since a bare name is local to it: a parameter
+``iterations: int`` says nothing about another function's
+``iterations``.  Attribute spellings (``self.used``) stay file-wide, as
+every method of a class shares them.  Beyond that the keys are not
+scope-aware: a closure's ``nonlocal`` write is keyed to the inner
+function and goes unchecked, and a set spelling reused for a list in
+another function is a false positive; ``# codalint: disable=...``
+covers those.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from tools.codalint.rules import KNOWN_RULES_BY_CODE, Violation
 
@@ -103,16 +109,38 @@ class _Suppressions:
         return False
 
 
-class _SymbolPass(ast.NodeVisitor):
+#: An int symbol: (id of the enclosing function node, or 0 at module
+#: level and for attribute spellings; the spelling).
+_IntKey = Tuple[int, str]
+
+
+class _ScopedVisitor(ast.NodeVisitor):
+    """Tracks the innermost enclosing function, to key int symbols."""
+
+    def __init__(self) -> None:
+        self._function: Optional[ast.AST] = None
+
+    def _visit_function(self, node: ast.AST) -> None:
+        outer, self._function = self._function, node
+        self.generic_visit(node)
+        self._function = outer
+
+    def _int_key(self, target: ast.expr, spelling: str) -> _IntKey:
+        local = isinstance(target, ast.Name) and self._function is not None
+        return (id(self._function) if local else 0), spelling
+
+
+class _SymbolPass(_ScopedVisitor):
     """Collects import aliases and set-/int-typed symbol spellings."""
 
     def __init__(self) -> None:
+        super().__init__()
         #: local name -> dotted module path, e.g. {"dt": "datetime"}.
         self.module_aliases: Dict[str, str] = {}
         #: local name -> dotted origin, e.g. {"choice": "random.choice"}.
         self.from_imports: Dict[str, str] = {}
         self.set_symbols: Set[str] = set()
-        self.int_symbols: Set[str] = set()
+        self.int_symbols: Set[_IntKey] = set()
         #: names bound to multiprocessing Process/Pool objects (CL007).
         self.process_symbols: Set[str] = set()
 
@@ -146,11 +174,17 @@ class _SymbolPass(ast.NodeVisitor):
         if _SET_ANNOTATION.match(ann):
             self.set_symbols.add(key)
         elif ann == "int":
-            self.int_symbols.add(key)
+            self.int_symbols.add(self._int_key(target, key))
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self._record_annotation(node.target, node.annotation)
         self.generic_visit(node)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self._visit_function(node)
+
+    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
+        self._visit_function(node)
 
     def visit_arg(self, node: ast.arg) -> None:
         if node.annotation is not None:
@@ -224,8 +258,9 @@ def _dotted(node: ast.expr) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-class _RulePass(ast.NodeVisitor):
+class _RulePass(_ScopedVisitor):
     def __init__(self, path: str, symbols: _SymbolPass) -> None:
+        super().__init__()
         self.path = path
         self.symbols = symbols
         self.violations: List[Violation] = []
@@ -476,11 +511,11 @@ class _RulePass(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node)
-        self.generic_visit(node)
+        self._visit_function(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
-        self.generic_visit(node)
+        self._visit_function(node)
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_defaults(node)
@@ -491,7 +526,11 @@ class _RulePass(ast.NodeVisitor):
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         if isinstance(node.op, (ast.Add, ast.Sub)):
             key = _symbol_key(node.target)
-            if key in self.symbols.int_symbols and self._is_floatish(node.value):
+            if (
+                key is not None
+                and self._int_key(node.target, key) in self.symbols.int_symbols
+                and self._is_floatish(node.value)
+            ):
                 self._violate(
                     node,
                     "CL006",

@@ -85,7 +85,9 @@ class _FunctionScanner(ast.NodeVisitor):
         self.program = program
         self.info = info
         self.effects = effects
-        self.typer = ExprTyper(program, info.module, info.class_id, env_chain)
+        self.typer = ExprTyper(
+            program, info.module, info.class_id, env_chain, info.local_names
+        )
 
     # -- helpers -------------------------------------------------------- #
 
@@ -335,7 +337,7 @@ def _local_env(
         _Collector().visit(stmt)
 
     chain = [env] + list(outer)
-    typer = ExprTyper(program, info.module, info.class_id, chain)
+    typer = ExprTyper(program, info.module, info.class_id, chain, info.local_names)
     for _ in range(3):
         changed = False
         for name, expr in bindings:
