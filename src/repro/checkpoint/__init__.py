@@ -5,7 +5,7 @@ See :mod:`repro.checkpoint.store` for the on-disk format and
 user-facing story is in docs/resilience.md.
 """
 
-from repro.checkpoint.errors import CheckpointError
+from repro.sim.state import CheckpointError
 from repro.checkpoint.state import (
     CheckpointWriter,
     checkpointed_runner,

@@ -1,10 +1,14 @@
 """Whole-simulation snapshot, restore, and the periodic writer.
 
-A snapshot composes every stateful layer's own ``snapshot()``: engine
-(clock, counters, live-event inventory), cluster (nodes, GPUs, monitors,
-health tracker), scheduler (queues, ledgers, CODA's allocator and
-eliminator), fault injector (RNG streams, injected log), the runner core
-(running-job records, pass flags), and the metrics collector.
+A snapshot composes every stateful layer's ``snapshot()``, each derived
+from the layer's declared fields (:mod:`repro.sim.state`): engine (clock,
+counters, live-event inventory), cluster (nodes, GPUs, monitors, health
+tracker), scheduler (queues, ledgers, CODA's allocator and eliminator),
+fault injector (RNG streams, injected log), the runner core (running-job
+records, pass flags), and the metrics collector.  Loading checks every
+value against its declaration, and every job and node id against the
+regenerated trace and cluster, and names the JSON path of the first
+value that does not fit.
 
 Restore deliberately never pickles the event heap.  Events hold closures,
 so :func:`restore_run` rebuilds the simulation from its
@@ -27,7 +31,7 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.checkpoint.errors import CheckpointError
+from repro.sim.state import CheckpointError
 from repro.checkpoint.store import (
     checkpoint_path,
     read_checkpoint,
@@ -36,6 +40,7 @@ from repro.checkpoint.store import (
 from repro.experiments.runner import RunResult, SimulationRunner
 from repro.metrics.serialize import collector_from_dict, collector_to_dict
 from repro.sim.events import Event
+from repro.sim.state import Refs, load
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.spec import RunSpec
@@ -79,8 +84,10 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
 
     Raises:
         CheckpointError: the state does not restore cleanly against this
-            spec (wrong scenario shape, missing subsystem state, or an
-            event inventory the subsystems cannot fully re-arm).
+            spec: a different spec's digest, a value that does not match
+            its declared type or refers to a job or node this run does
+            not have (named by its JSON path), or an event inventory the
+            subsystems cannot fully re-arm.
     """
     stored_digest = state.get("spec")
     if stored_digest is not None and stored_digest != spec_digest(spec):
@@ -93,33 +100,47 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
     jobs_by_id = {job.job_id: job for job in trace.jobs}
     runner = spec.build_runner(trace)
     engine = runner.engine
+    refs = Refs(jobs_by_id, len(runner.cluster.nodes))
+    injector = runner.fault_injector
+    if injector is None and "faults" in state:
+        raise CheckpointError(
+            "checkpoint carries fault-injector state but the spec's "
+            "scenario has no fault injector"
+        )
+
+    def part(key: str) -> Any:
+        if key not in state:
+            raise CheckpointError(f"state.{key}: missing")
+        return state[key]
+
+    # Discards every construction-time event (arrivals, monitor and fault
+    # arms); subsystems claim their snapshotted timers back below.
+    engine.begin_restore(part("engine"))
+    load(runner.cluster, part("cluster"), "state.cluster", refs)
+    load(runner.scheduler, part("scheduler"), "state.scheduler", refs)
+    if injector is not None:
+        load(injector, part("faults"), "state.faults", refs)
+    load(runner, part("runner"), "state.runner", refs)
     try:
-        # Discards every construction-time event (arrivals, monitor and
-        # fault arms); subsystems claim their snapshotted timers back.
-        engine.begin_restore(state["engine"])
-        runner.cluster.restore(state["cluster"])
-        runner.scheduler.restore(state["scheduler"], jobs_by_id)
-        if runner.fault_injector is not None:
-            runner.fault_injector.restore(state["faults"])
-        elif "faults" in state:
-            raise CheckpointError(
-                "checkpoint carries fault-injector state but the spec's "
-                "scenario has no fault injector"
-            )
-        runner.restore(state["runner"], jobs_by_id)
-        runner.collector = collector_from_dict(state["collector"])
-        if runner.auditor is not None:
-            runner.auditor.resume(runner)
+        runner.collector = collector_from_dict(part("collector"))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"state.collector: {exc!r}") from exc
+    if runner.auditor is not None:
+        runner.auditor.resume(runner)
+    try:
         runner.rearm(jobs_by_id)
         runner.scheduler.rearm(engine, jobs_by_id)
-        if runner.fault_injector is not None:
-            runner.fault_injector.rearm(engine)
+        if injector is not None:
+            injector.rearm(engine)
         engine.finish_restore()
     except CheckpointError:
         raise
-    except (KeyError, IndexError, RuntimeError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError, RuntimeError) as exc:
+        # The decoder checks values, not the timer tags of the event
+        # inventory: a tag naming an unknown job or a timer no subsystem
+        # claims fails here.
         raise CheckpointError(
-            f"checkpoint does not restore against spec "
+            f"state.engine.live does not re-arm against spec "
             f"{spec.label()!r}: {exc}"
         ) from exc
     return runner

@@ -2,7 +2,7 @@
 
 A checkpoint is a single JSON document::
 
-    {"version": 1, "sha256": "<hex digest>", "state": {...}}
+    {"version": 4, "sha256": "<hex digest>", "state": {...}}
 
 where the digest covers the *canonical* encoding of the state subtree
 (sorted keys, no whitespace), so any torn write, truncation, or bit flip
@@ -23,7 +23,7 @@ import os
 import re
 from typing import Any, Dict, Optional
 
-from repro.checkpoint.errors import CheckpointError
+from repro.sim.state import CheckpointError
 
 #: Bumped whenever the snapshot state shape changes; a mismatch refuses
 #: the restore rather than mis-reading old state into new code.

@@ -18,11 +18,17 @@ from repro.cluster.topology import RackedInterconnect, RackTopology
 from repro.cluster.resources import ResourceVector
 from repro.config import ClusterConfig
 from repro.health.tracker import NodeHealthTracker
+from repro.sim.state import INT, JOB_ID, NESTED, NODE_ID, DictOf, ListOf, Record, Refs
+from repro.sim.state import Stateful, Struct
 
 logger = logging.getLogger(__name__)
 
 
-class Cluster:
+_SHARE = Record(NodeShare, node_id=NODE_ID, cpus=INT, gpu_ids=ListOf(INT, tuple))
+_ALLOCATION = Record(Allocation, ("job_id", JOB_ID), bare=True, shares=ListOf(_SHARE))
+
+
+class Cluster(Stateful):
     """All nodes of the simulated GPU cluster."""
 
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
@@ -250,53 +256,20 @@ class Cluster:
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable cluster state: nodes, allocations, health, version."""
-        return {
-            "generation": self._generation.value,
-            "nodes": [node.snapshot() for node in self.nodes],
-            "allocations": {
-                job_id: [
-                    [share.node_id, share.cpus, list(share.gpu_ids)]
-                    for share in allocation.shares
-                ]
-                for job_id, allocation in self._allocations.items()
-            },
-            "health": self.health.snapshot(),
-        }
+    STATE = Struct(
+        ("nodes", NESTED),
+        ("allocations", "_allocations", DictOf(JOB_ID, _ALLOCATION)),
+        ("health", NESTED),
+        ("generation", "_generation.value", INT),
+    )
 
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Rewind to a snapshot taken on an identically-configured cluster.
-
-        The node restores bump the shared generation counter (every
-        capacity write must, per the invalidation contracts); the counter
-        is then pinned back to its snapshotted value so version-keyed
-        memo keys evolve identically to the uninterrupted run.
-        """
-        if len(state["nodes"]) != len(self.nodes):
-            raise ValueError(
-                f"snapshot has {len(state['nodes'])} node(s), cluster has "
-                f"{len(self.nodes)}"
-            )
-        for node, node_state in zip(self.nodes, state["nodes"]):
-            node.restore(node_state)
-        self._allocations = {
-            job_id: Allocation(
-                job_id=job_id,
-                shares=[
-                    NodeShare(
-                        node_id=int(node_id),
-                        cpus=int(cpus),
-                        gpu_ids=tuple(int(gpu_id) for gpu_id in gpu_ids),
-                    )
-                    for node_id, cpus, gpu_ids in shares
-                ],
-            )
-            for job_id, shares in state["allocations"].items()
-        }
-        self._generation.bump()
-        self.health.restore(state["health"])
-        self._generation.value = int(state["generation"])
+    def _after_load(self, refs: Refs) -> None:
+        # Every capacity write bumps (the nodes' loads did): bump for the
+        # allocations, then pin the loaded value for version-keyed memos.
+        generation = self._generation
+        value = generation.value
+        generation.bump()
+        generation.value = value
         self.free_snapshot_cache = None
 
     def __repr__(self) -> str:

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.sim.state import BOOL, FLOAT, JOB_ID, Nullable, Stateful, Struct
+
 
 @dataclass
-class Gpu:
+class Gpu(Stateful):
     """One physical GPU (the paper's testbed is mostly GTX 1080Ti).
 
     Attributes:
@@ -34,6 +36,10 @@ class Gpu:
     owner: Optional[str] = field(default=None)
     utilization: float = field(default=0.0)
     failed: bool = field(default=False)
+
+    STATE = Struct(
+        ("owner", Nullable(JOB_ID)), ("utilization", FLOAT), ("failed", BOOL), row=True
+    )
 
     @property
     def is_free(self) -> bool:

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.cluster.mbm import BandwidthMonitor
+from repro.sim.state import FLOAT, JOB_ID, DictOf, Stateful, Struct
 
 #: The discrete MBA throttle levels, as fractions of unthrottled bandwidth.
 MBA_LEVELS = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 
 
 @dataclass
-class MbaController:
+class MbaController(Stateful):
     """Per-node throttle state.
 
     Attributes:
@@ -36,6 +37,9 @@ class MbaController:
     monitor: BandwidthMonitor
     supported: bool = True
     _levels: Dict[str, float] = field(default_factory=dict)
+
+    #: Throttle levels only: the caps they imply live in the monitor.
+    STATE = Struct((None, "_levels", DictOf(JOB_ID, FLOAT)))
 
     def throttle_level(self, job_id: str) -> float:
         """Current throttle fraction for ``job_id`` (1.0 = unthrottled)."""
@@ -77,13 +81,6 @@ class MbaController:
     def has_throttles(self) -> bool:
         """O(1): is any job currently throttled on this node?"""
         return bool(self._levels)
-
-    def snapshot(self) -> Dict[str, float]:
-        """Serializable throttle levels (caps live in the monitor)."""
-        return dict(self._levels)
-
-    def restore(self, levels: Dict[str, float]) -> None:
-        self._levels = {job_id: float(level) for job_id, level in levels.items()}
 
     def _apply(self, job_id: str, level: float) -> None:
         usage = self.monitor.usage_of(job_id)

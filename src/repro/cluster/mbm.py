@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
+
+from repro.sim.state import BOOL, FLOAT, INT, JOB_ID, ListOf, Nullable, Record, Refs
+from repro.sim.state import Stateful, Struct
 
 
 @dataclass
@@ -42,7 +45,13 @@ class BandwidthUsage:
         return min(self.demand, self.cap)
 
 
-class BandwidthMonitor:
+_USAGE = Record(
+    BandwidthUsage, job_id=JOB_ID, demand=FLOAT, is_cpu_job=BOOL,
+    is_inference=BOOL, cap=Nullable(FLOAT), granted=FLOAT,
+)
+
+
+class BandwidthMonitor(Stateful):
     """Per-node bandwidth accounting and fair-share arbitration."""
 
     def __init__(self, capacity_gbps: float) -> None:
@@ -252,57 +261,23 @@ class BandwidthMonitor:
         return changed
 
     # ------------------------------------------------------------------ #
-    # Checkpoint / restore
+    # Checkpoint / restore: grants are carried verbatim, so a restore never
+    # re-runs _arbitrate and needs no proof that it would land on them.
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable monitor state, including computed grants.
+    STATE = Struct(
+        ("usages", "_usages", ListOf(_USAGE, by="job_id")),
+        ("outage_until", "_outage_until", FLOAT),
+        ("last_sample_time", "_last_sample_time", Nullable(FLOAT)),
+        ("total_granted", "_total_granted", FLOAT),
+        ("cpu_job_count", "_cpu_job_count", INT),
+    )
 
-        Grants are carried verbatim so :meth:`restore` never re-runs
-        :meth:`_arbitrate` — water-filling is deterministic, but restoring
-        the stored floats exactly is what keeps a restored run
-        byte-identical without having to prove it.
-        """
-        return {
-            "usages": [
-                [
-                    usage.job_id,
-                    usage.demand,
-                    usage.is_cpu_job,
-                    usage.is_inference,
-                    usage.cap,
-                    usage.granted,
-                ]
-                for usage in self._usages.values()
-            ],
-            "outage_until": self._outage_until,
-            "last_sample_time": self._last_sample_time,
-            "total_granted": self._total_granted,
-            "cpu_job_count": self._cpu_job_count,
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        self._usages = {}
-        for job_id, demand, is_cpu, is_inf, cap, granted in state["usages"]:
-            usage = self._usages[job_id] = BandwidthUsage(
-                job_id=job_id,
-                demand=float(demand),
-                is_cpu_job=bool(is_cpu),
-                is_inference=bool(is_inf),
-                cap=None if cap is None else float(cap),
-                granted=float(granted),
-            )
+    def _after_load(self, refs: Refs) -> None:
+        # Snapshots fall between events, when every touched node is drained.
+        for usage in self._usages.values():
             if usage.demand > 0:
                 usage.ratio = usage.granted / usage.demand
-        # Snapshots are taken between events, when the runner has drained
-        # every node it touched.
         self._changed = set()
-        self._outage_until = float(state["outage_until"])
-        raw_sample = state["last_sample_time"]
-        self._last_sample_time = (
-            None if raw_sample is None else float(raw_sample)
-        )
-        self._total_granted = float(state["total_granted"])
-        self._cpu_job_count = int(state["cpu_job_count"])
 
     # ------------------------------------------------------------------ #
     # Arbitration

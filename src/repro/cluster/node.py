@@ -10,13 +10,15 @@ bookkeeping on which every experiment result depends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.allocation import NodeShare
 from repro.cluster.gpu import Gpu
 from repro.cluster.mba import MbaController
 from repro.cluster.mbm import BandwidthMonitor
 from repro.config import NodeConfig
+from repro.sim.state import BOOL, FLOAT, INT, JOB_ID, NESTED, DictOf, ListOf, Record
+from repro.sim.state import Refs, Stateful, Struct
 
 
 class GenerationCounter:
@@ -119,7 +121,11 @@ class PcieMeter:
         return self.capacity_gbps / total
 
 
-class Node:
+#: A share on its own node, which supplies the node id.
+_SHARE = Record(NodeShare, from_owner="node_id", cpus=INT, gpu_ids=ListOf(INT, tuple))
+
+
+class Node(Stateful):
     """A single multi-GPU server."""
 
     def __init__(self, node_id: int, config: NodeConfig) -> None:
@@ -370,54 +376,26 @@ class Node:
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable node state: shares, devices, contention registry."""
-        return {
-            "up": self._up,
-            "used_cpus": self._used_cpus,
-            "shares": {
-                job_id: [share.cpus, list(share.gpu_ids)]
-                for job_id, share in self._shares.items()
-            },
-            "gpus": [
-                [gpu.owner, gpu.utilization, gpu.failed] for gpu in self.gpus
-            ],
-            "llc": dict(self.llc_occupancy_mb),
-            "bandwidth": self.bandwidth.snapshot(),
-            "mba_levels": self.mba.snapshot(),
-            "pcie_demands": dict(self.pcie.demands),
-        }
+    STATE = Struct(
+        ("up", "_up", BOOL),
+        ("used_cpus", "_used_cpus", INT),
+        ("shares", "_shares", DictOf(JOB_ID, _SHARE)),
+        ("gpus", NESTED),
+        ("llc", "llc_occupancy_mb", DictOf(JOB_ID, FLOAT)),
+        ("bandwidth", NESTED),
+        ("mba_levels", "mba", NESTED),
+        ("pcie_demands", "pcie.demands", DictOf(JOB_ID, FLOAT)),
+    )
 
-    def restore(self, state: Dict[str, Any]) -> None:
+    def _before_load(self) -> None:
         self.usage.cpus -= self._used_cpus
         self.usage.gpus -= self._used_gpus
-        self._up = bool(state["up"])
-        self._used_cpus = int(state["used_cpus"])
-        self._shares = {
-            job_id: NodeShare(
-                node_id=self.node_id,
-                cpus=int(cpus),
-                gpu_ids=tuple(int(gpu_id) for gpu_id in gpu_ids),
-            )
-            for job_id, (cpus, gpu_ids) in state["shares"].items()
-        }
-        for gpu, (owner, utilization, failed) in zip(self.gpus, state["gpus"]):
-            gpu.owner = owner
-            gpu.utilization = float(utilization)
-            gpu.failed = bool(failed)
+
+    def _after_load(self, refs: Refs) -> None:
         self._used_gpus = sum(1 for gpu in self.gpus if gpu.owner is not None)
         self._failed_gpus = sum(1 for gpu in self.gpus if gpu.failed)
         self.usage.cpus += self._used_cpus
         self.usage.gpus += self._used_gpus
-        self.llc_occupancy_mb = {
-            job_id: float(mb) for job_id, mb in state["llc"].items()
-        }
-        self.bandwidth.restore(state["bandwidth"])
-        self.mba.restore(state["mba_levels"])
-        self.pcie.demands = {
-            job_id: float(gbps)
-            for job_id, gbps in state["pcie_demands"].items()
-        }
         self.generation.bump()
 
     def __repr__(self) -> str:

@@ -22,6 +22,8 @@ from repro.core.nstart import determine_n_start
 from repro.core.tuning import DEFAULT_EPSILON, TuningSession
 from repro.schedulers.base import SchedulerContext
 from repro.sim.events import EventHandle
+from repro.sim.state import FLOAT, INT, JOB, JOB_ID, NESTED, STR, Built, DictOf, Record
+from repro.sim.state import Stateful, Struct
 from repro.workload.job import GpuJob
 
 #: Sec. VI-F: "we sample the GPU utilization for each profiling step that
@@ -55,7 +57,16 @@ class TuningOutcome:
     requested_cpus: int
 
 
-class AdaptiveCpuAllocator:
+_OUTCOME = Record(
+    TuningOutcome, ("job_id", JOB_ID), model_name=STR, n_start=INT,
+    tuned_cores=INT, profiling_steps=INT, requested_cpus=INT,
+)
+#: An active session is written as its tuning state machine alone.
+_SESSION = Built(lambda *_: object.__new__(TuningSession))
+_ACTIVE = Record(_ActiveSession, ("job", JOB), bare=True, session=_SESSION)
+
+
+class AdaptiveCpuAllocator(Stateful):
     """Feedback-based per-job CPU allocation."""
 
     def __init__(
@@ -277,69 +288,19 @@ class AdaptiveCpuAllocator:
         )
 
     # ------------------------------------------------------------------ #
-    # Checkpoint / restore
+    # Checkpoint / restore: a session's profiling-step timer lives in the
+    # engine inventory, and :meth:`rearm` reconnects it.
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable allocator state.
-
-        Active sessions carry their tuning state machine but not their
-        profiling-step timer: the timer lives in the engine inventory and
-        :meth:`rearm` reconnects it.
-        """
-        return {
-            "history": self.history.snapshot(),
-            "outcomes": {
-                job_id: [
-                    o.model_name,
-                    o.n_start,
-                    o.tuned_cores,
-                    o.profiling_steps,
-                    o.requested_cpus,
-                ]
-                for job_id, o in self.outcomes.items()
-            },
-            "active": {
-                job_id: active.session.snapshot()
-                for job_id, active in self._active.items()
-            },
-            "known_cores": dict(self._known_cores),
-            "failure_aborts": self._failure_aborts,
-            "degraded_until": self._degraded_until,
-            "degraded_entries": self.degraded_entries,
-            "sessions_skipped_degraded": self.sessions_skipped_degraded,
-        }
-
-    def restore(
-        self, state: Dict[str, Any], jobs_by_id: Dict[str, GpuJob]
-    ) -> None:
-        self.history.restore(state["history"])
-        self.outcomes = {
-            job_id: TuningOutcome(
-                job_id=job_id,
-                model_name=str(model_name),
-                n_start=int(n_start),
-                tuned_cores=int(tuned),
-                profiling_steps=int(steps),
-                requested_cpus=int(requested),
-            )
-            for job_id, (model_name, n_start, tuned, steps, requested) in state[
-                "outcomes"
-            ].items()
-        }
-        self._active = {
-            job_id: _ActiveSession(
-                job=jobs_by_id[job_id],
-                session=TuningSession.from_snapshot(session_state),
-            )
-            for job_id, session_state in state["active"].items()
-        }
-        self._known_cores = {
-            job_id: int(cores) for job_id, cores in state["known_cores"].items()
-        }
-        self._failure_aborts = int(state["failure_aborts"])
-        self._degraded_until = float(state["degraded_until"])
-        self.degraded_entries = int(state["degraded_entries"])
-        self.sessions_skipped_degraded = int(state["sessions_skipped_degraded"])
+    STATE = Struct(
+        ("history", NESTED),
+        ("outcomes", DictOf(JOB_ID, _OUTCOME)),
+        ("active", "_active", DictOf(JOB_ID, _ACTIVE)),
+        ("known_cores", "_known_cores", DictOf(JOB_ID, INT)),
+        ("failure_aborts", "_failure_aborts", INT),
+        ("degraded_until", "_degraded_until", FLOAT),
+        ("degraded_entries", INT),
+        ("sessions_skipped_degraded", INT),
+    )
 
     def rearm(self, engine: Any, context: SchedulerContext) -> None:
         """Reconnect each restored session's profiling-step timer."""

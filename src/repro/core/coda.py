@@ -27,6 +27,7 @@ from repro.core.multiarray import MultiArrayScheduler
 from repro.core.tuning import DEFAULT_EPSILON
 from repro.health.restarts import RestartPolicy
 from repro.schedulers.base import SchedulerContext
+from repro.sim.state import NESTED
 from repro.workload.job import GpuJob, Job
 
 
@@ -156,16 +157,9 @@ class CodaScheduler(MultiArrayScheduler):
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
-    def snapshot(self) -> Dict[str, Any]:
-        state = super().snapshot()
-        state["allocator"] = self.allocator.snapshot()
-        state["eliminator"] = self.eliminator.snapshot()
-        return state
-
-    def restore(self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]) -> None:
-        super().restore(state, jobs_by_id)
-        self.allocator.restore(state["allocator"], jobs_by_id)
-        self.eliminator.restore(state["eliminator"])
+    STATE = MultiArrayScheduler.STATE.plus(
+        ("allocator", NESTED), ("eliminator", NESTED)
+    )
 
     def rearm(self, engine: Any, jobs_by_id: Dict[str, Job]) -> None:
         super().rearm(engine, jobs_by_id)

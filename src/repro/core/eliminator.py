@@ -23,6 +23,8 @@ from repro.cluster.node import Node
 from repro.perfmodel.contention import BANDWIDTH_PRESSURE_THRESHOLD
 from repro.schedulers.base import SchedulerContext
 from repro.sim.events import EventHandle
+from repro.sim.state import BOOL, FLOAT, INT, JOB_ID, NODE_ID, DictOf, Items, Refs
+from repro.sim.state import Stateful, Struct
 
 #: Flap cooldown the CLI applies under active fault injection (the config
 #: default stays 0.0 so failure-free runs are byte-identical to the
@@ -80,7 +82,7 @@ class EliminatorConfig:
 
 
 @dataclass
-class ContentionEliminator:
+class ContentionEliminator(Stateful):
     """Per-cluster bandwidth-contention policeman."""
 
     config: EliminatorConfig = field(default_factory=EliminatorConfig)
@@ -312,33 +314,18 @@ class ContentionEliminator:
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "throttle_actions": self.throttle_actions,
-            "halving_actions": self.halving_actions,
-            "stale_skips": self.stale_skips,
-            "flap_suppressions": self.flap_suppressions,
-            "peak_util": dict(self._peak_util),
-            "released_at": [
-                [node_id, job_id, time]
-                for (node_id, job_id), time in sorted(self._released_at.items())
-            ],
-            "armed": self._armed,
-        }
+    STATE = Struct(
+        ("throttle_actions", INT),
+        ("halving_actions", INT),
+        ("stale_skips", INT),
+        ("flap_suppressions", INT),
+        ("peak_util", "_peak_util", DictOf(JOB_ID, FLOAT)),
+        ("released_at", "_released_at", Items((NODE_ID, JOB_ID), FLOAT)),
+        ("armed", "_armed", BOOL),
+    )
 
-    def restore(self, state: Dict[str, Any]) -> None:
-        self.throttle_actions = int(state["throttle_actions"])
-        self.halving_actions = int(state["halving_actions"])
-        self.stale_skips = int(state["stale_skips"])
-        self.flap_suppressions = int(state["flap_suppressions"])
-        self._peak_util = {
-            job_id: float(util) for job_id, util in state["peak_util"].items()
-        }
-        self._released_at = {
-            (int(node_id), str(job_id)): float(time)
-            for node_id, job_id, time in state["released_at"]
-        }
-        self._armed = bool(state["armed"])
+    def _after_load(self, refs: Refs) -> None:
+        # The tick timer is re-claimed by rearm().
         self._tick_handle = None
 
     def rearm(self, engine: Any, context: SchedulerContext) -> None:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
+
+from repro.sim.state import INT, JOB_ID, STR, Items, ListOf, Record, Refs, Stateful
+from repro.sim.state import Struct
 
 
 @dataclass(frozen=True)
@@ -24,7 +27,12 @@ class HistoryEntry:
     tuned_cores: int
 
 
-class TenantHistory:
+_ENTRY = Record(
+    HistoryEntry, job_id=JOB_ID, model_name=STR, category=STR, tuned_cores=INT
+)
+
+
+class TenantHistory(Stateful):
     """Per-tenant, per-category ring buffers of tuned core counts."""
 
     def __init__(self, window: int = 20) -> None:
@@ -80,30 +88,10 @@ class TenantHistory:
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
-    def snapshot(self) -> List[Any]:
-        return [
-            [
-                tenant_id,
-                category,
-                [
-                    [e.job_id, e.model_name, e.category, e.tuned_cores]
-                    for e in bucket
-                ],
-            ]
-            for (tenant_id, category), bucket in sorted(self._entries.items())
-        ]
+    STATE = Struct((None, "_entries", Items((INT, STR), ListOf(_ENTRY))))
 
-    def restore(self, state: List[Any]) -> None:
-        self._entries = {}
-        for tenant_id, category, entries in state:
-            bucket: Deque[HistoryEntry] = deque(maxlen=self._window)
-            for job_id, model_name, entry_category, tuned_cores in entries:
-                bucket.append(
-                    HistoryEntry(
-                        job_id=str(job_id),
-                        model_name=str(model_name),
-                        category=str(entry_category),
-                        tuned_cores=int(tuned_cores),
-                    )
-                )
-            self._entries[(int(tenant_id), str(category))] = bucket
+    def _after_load(self, refs: Refs) -> None:
+        self._entries = {
+            key: deque(entries, maxlen=self._window)
+            for key, entries in self._entries.items()
+        }

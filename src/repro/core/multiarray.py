@@ -57,6 +57,8 @@ from repro.schedulers.placement import (
     place_cpu_job,
     place_gpu_job,
 )
+from repro.sim.state import INT, JOB_ID, NESTED, NODE_ID, DictOf, ListOf, Refs, Row
+from repro.sim.state import Struct
 from repro.workload.job import CpuJob, GpuJob, Job
 
 
@@ -873,43 +875,35 @@ class MultiArrayScheduler(Scheduler):
         return [(best[2], cores, 0)]
 
     # ---------------------- checkpoint / restore ----------------------- #
+    # The lazily-built layout fields are pure functions of the cluster
+    # config and rebuild on the first pass, so they are not declared.
 
-    def _snapshot_queues(self) -> Dict[str, Any]:
-        # The lazily-built layout fields (_layout, _topology, _cpu_capacity)
-        # are pure functions of the cluster config and rebuild on the first
-        # post-restore pass, so they are deliberately not snapshotted.
-        return {
-            "gpu_small": self._gpu_small.snapshot(),
-            "gpu_big": self._gpu_big.snapshot(),
-            "cpu": self._cpu.snapshot(),
-            "inference": self._inference.snapshot(),
-            "gpu_ledger": self._gpu_ledger.snapshot(),
-            "cpu_ledger": self._cpu_ledger.snapshot(),
-            "tracked": {
-                job_id: list(entry) for job_id, entry in self._tracked.items()
-            },
-            "borrowed": dict(self._borrowed),
-            "pending_borrow": sorted(self._pending_borrow),
-        }
+    STATE = Scheduler.STATE.plus((
+        "queues", None, Struct(
+            ("gpu_small", "_gpu_small", NESTED),
+            ("gpu_big", "_gpu_big", NESTED),
+            ("cpu", "_cpu", NESTED),
+            ("inference", "_inference", NESTED),
+            ("gpu_ledger", "_gpu_ledger", NESTED),
+            ("cpu_ledger", "_cpu_ledger", NESTED),
+            ("tracked", "_tracked", DictOf(JOB_ID, Row(NODE_ID, INT, into=list))),
+            ("borrowed", "_borrowed", DictOf(JOB_ID, NODE_ID)),
+            ("pending_borrow", "_pending_borrow", ListOf(JOB_ID, set, sort=True)),
+        ),
+    ))
 
-    def _restore_queues(
-        self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]
-    ) -> None:
-        for family in self.families:
-            family.restore(state[family.group], jobs_by_id)
-        self._gpu_ledger.restore(state["gpu_ledger"])
-        self._cpu_ledger.restore(state["cpu_ledger"])
-        self._tracked, self._cpu_used = {}, {}
-        for job_id, (node_id, cores) in state["tracked"].items():
-            self._track(job_id, int(node_id), int(cores))
-        self._borrowed, self._borrow_index = {}, {}
-        for job_id, node_id in state["borrowed"].items():
-            is_gpu = isinstance(jobs_by_id[job_id], GpuJob)
-            self._borrow(job_id, int(node_id), is_gpu)
-        self._pending_borrow = set(state["pending_borrow"])
-        # Restored state may differ arbitrarily from the last pass this
-        # process saw: re-arm every gate group (the families rebuild
-        # their heaps at the next pass).
+    def _after_load(self, refs: Refs) -> None:
+        # Rebuild the census and borrow index; re-arm every gate group, as
+        # loaded state may differ from the last pass this process saw.
+        self._cpu_used = {}
+        for node_id, cores in self._tracked.values():
+            self._cpu_used[node_id] = self._cpu_used.get(node_id, 0) + cores
+        self._borrow_index = {}
+        jobs = refs.jobs
+        assert jobs is not None  # the queues' jobs loaded from it too
+        for job_id, node_id in self._borrowed.items():
+            is_gpu = isinstance(jobs[job_id], GpuJob)
+            self._borrow_index.setdefault(node_id, {})[job_id] = is_gpu
         self._gate.mark_all()
         self._gpu_idle_prev = self.gpu_queue_empty()
         self._place_memo = {}

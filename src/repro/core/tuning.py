@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+from repro.sim.state import FLOAT, INT, Choice, ListOf, Nullable, Row, Stateful, Struct
 
 #: Minimum utilization gain that counts as an improvement.
 DEFAULT_EPSILON = 0.01
@@ -39,7 +41,7 @@ class _Phase(enum.Enum):
 
 
 @dataclass
-class TuningSession:
+class TuningSession(Stateful):
     """One job's core-number search.
 
     Drive it by alternating: take ``next_cores`` (resize the job, run a
@@ -142,38 +144,17 @@ class TuningSession:
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "n_start": self.n_start,
-            "min_cores": self.min_cores,
-            "max_cores": self.max_cores,
-            "epsilon": self.epsilon,
-            "phase": self._phase.value,
-            "measurements": [[cores, util] for cores, util in self._measurements],
-            "best_cores": self._best_cores,
-            "best_util": self._best_util,
-            "pending_cores": self._pending_cores,
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, Any]) -> "TuningSession":
-        session = cls(
-            n_start=int(state["n_start"]),
-            min_cores=int(state["min_cores"]),
-            max_cores=int(state["max_cores"]),
-            epsilon=float(state["epsilon"]),
-        )
-        session._phase = _Phase(state["phase"])
-        session._measurements = [
-            (int(cores), float(util)) for cores, util in state["measurements"]
-        ]
-        best_cores = state["best_cores"]
-        session._best_cores = None if best_cores is None else int(best_cores)
-        session._best_util = float(state["best_util"])
-        # Written after __post_init__ already primed it with n_start.
-        pending = state["pending_cores"]
-        session._pending_cores = None if pending is None else int(pending)
-        return session
+    STATE = Struct(
+        ("n_start", INT),
+        ("min_cores", INT),
+        ("max_cores", INT),
+        ("epsilon", FLOAT),
+        ("phase", "_phase", Choice(_Phase)),
+        ("measurements", "_measurements", ListOf(Row(INT, FLOAT))),
+        ("best_cores", "_best_cores", Nullable(INT)),
+        ("best_util", "_best_util", FLOAT),
+        ("pending_cores", "_pending_cores", Nullable(INT)),
+    )
 
     # ------------------------------------------------------------------ #
     # Phase transitions

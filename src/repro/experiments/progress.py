@@ -38,6 +38,7 @@ from repro.perfmodel.stages import IterationBreakdown
 from repro.schedulers.dirty import reference_mode
 from repro.sim.engine import Engine
 from repro.sim.events import EventHandle, EventPriority
+from repro.sim.state import FLOAT, INT, JOB_ID, Built, DictOf, Refs, Stateful, Struct
 from repro.workload.job import CpuJob, GpuJob, Job
 
 #: LLC footprint a training job's CPU-side workers occupy (MB per node).
@@ -53,7 +54,7 @@ _R = TypeVar("_R", bound="_Running")
 
 
 @dataclass
-class _Running:
+class _Running(Stateful):
     """A running job's progress toward ``total_work`` (iterations for a
     trainer, seconds of full-speed work for a CPU job): at ``now`` it has
     done ``work_done + speed * (now - last_update)``."""
@@ -96,18 +97,16 @@ class _Running:
         state gives, recomputed without memos or writes (IV014)."""
         raise NotImplementedError
 
-    def state(self) -> List[float]:
-        """Checkpoint fields; the job and its nodes are rebuilt, and the
-        completion handle re-claimed, on restore."""
-        progress = [self.work_done, self.speed, self.last_update]
-        return [self.cores, *progress, self.completion_time]
-
-    def load(self, fields: Sequence[float]) -> None:
-        """Adopt the fields :meth:`state` wrote."""
-        self.cores = int(fields[0])
-        self.work_done, self.speed, self.last_update, self.completion_time = (
-            float(value) for value in fields[1:5]
-        )
+    #: Checkpoint row; the job and its nodes are rebuilt from the
+    #: cluster, and the completion handle re-claimed, on restore.
+    STATE = Struct(
+        ("cores", INT),
+        ("work_done", FLOAT),
+        ("speed", FLOAT),
+        ("last_update", FLOAT),
+        ("completion_time", FLOAT),
+        row=True,
+    )
 
 
 @dataclass
@@ -198,12 +197,7 @@ class _RunningGpu(_Running):
         fresh = self.quote(progress.iteration_time, self.contention())
         return (self.speed, self.utilization), fresh
 
-    def state(self) -> List[float]:
-        return super().state() + [self.utilization]
-
-    def load(self, fields: Sequence[float]) -> None:
-        super().load(fields)
-        self.utilization = float(fields[5])
+    STATE = _Running.STATE.plus(("utilization", FLOAT))
 
 
 @dataclass
@@ -241,15 +235,10 @@ class _RunningCpu(_Running):
     def recheck(self, progress: "Progress") -> Tuple[object, object]:
         return self.speed, self.price(progress)
 
-    def state(self) -> List[float]:
-        return super().state() + [self.straggle_factor]
-
-    def load(self, fields: Sequence[float]) -> None:
-        super().load(fields)
-        self.straggle_factor = float(fields[5])
+    STATE = _Running.STATE.plus(("straggle_factor", FLOAT))
 
 
-class Progress:
+class Progress(Stateful):
     """The running-job table, its pricing memos and its completion timers."""
 
     def __init__(
@@ -458,34 +447,27 @@ class Progress:
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
+    #
+    # The first reprice after a restore recomputes each speed from
+    # restored cluster state; it equals the snapshotted speed (IV014), so
+    # it accrues nothing and moves no timer.
 
-    def snapshot(self) -> Dict[str, Any]:
-        """The table (one ``running`` family), stash and stale fires."""
-        return {
-            "running": {
-                job_id: record.state() for job_id, record in self.running.items()
-            },
-            "stashed_progress": dict(self.stashed),
-            "stale_timer_fires": self.stale_fires,
-        }
+    def _rebuild(self, job_id: str, refs: Refs) -> _Running:
+        """A restored record's shell, pinned to its restored allocation."""
+        assert refs.jobs is not None
+        if not self._cluster.has_allocation(job_id):
+            raise LookupError(f"job {job_id!r} holds no allocation")
+        return self._build(refs.jobs[job_id])
 
-    def restore(self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]) -> None:
-        """Rebuild the table on the restored cluster, each record pinned to
-        its restored allocation.
+    #: The table (one ``running`` family), the stash and the stale-fire
+    #: count.
+    STATE = Struct(
+        ("running", DictOf(JOB_ID, Built(_rebuild))),
+        ("stashed_progress", "stashed", DictOf(JOB_ID, FLOAT)),
+        ("stale_timer_fires", "stale_fires", INT),
+    )
 
-        The first reprice after restore recomputes each speed from
-        restored cluster state; it equals the snapshotted speed (IV014),
-        so it accrues nothing and moves no timer.
-        """
-        self.running = {}
-        for job_id, fields in state["running"].items():
-            self.running[job_id] = self._build(jobs_by_id[job_id])
-            self.running[job_id].load(fields)
-        self.stashed = {
-            job_id: float(progress)
-            for job_id, progress in state["stashed_progress"].items()
-        }
-        self.stale_fires = int(state["stale_timer_fires"])
+    def _after_load(self, refs: Refs) -> None:
         # A missing node key counts as moved: each node's first refresh
         # reprices its GPU residents, which finds their snapshotted speeds.
         self._node_key_memo = {}

@@ -17,17 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.health.config import HealthConfig
@@ -48,6 +38,8 @@ from repro.schedulers.base import (
 )
 from repro.sim.engine import Engine
 from repro.sim.events import EventHandle, EventPriority
+from repro.sim.state import BOOL, FLOAT, INF_OR_FLOAT, INT, JOB_ID, NODE_ID, DictOf
+from repro.sim.state import Inline, Items, ListOf, Nullable, Stateful, Struct
 from repro.experiments.auditlog import AuditLog
 from repro.experiments.progress import Progress, _Running, _RunningCpu, _RunningGpu
 from repro.workload.job import Job, JobKind
@@ -109,7 +101,7 @@ def _env_auditor() -> Optional["InvariantAuditor"]:
     return InvariantAuditor(strict=True)
 
 
-class SimulationRunner(SchedulerContext):
+class SimulationRunner(SchedulerContext, Stateful):
     """Drives one (trace, scheduler, cluster) simulation."""
 
     def __init__(
@@ -776,42 +768,19 @@ class SimulationRunner(SchedulerContext):
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable runner-core state: the :class:`Progress` table,
-        pass flags and the monitor's active set."""
-        return {
-            **self.progress.snapshot(),
-            "pass_pending": self._pass_pending,
-            "preemptions": self._preemptions,
-            "sampling": self._sampling,
-            "cpu_incarnation": dict(self._cpu_incarnation),
-            "straggle_count": self._straggle_count,
-            "monitor_active": sorted(self._monitor_active),
-            "monitor_last_tick": self._monitor_last_tick,
-            # +inf is not valid JSON; carry the unobservable veto as null.
-            "observable_since": [
-                [node_id, None if since == float("inf") else since]
-                for node_id, since in sorted(self._observable_since.items())
-            ],
-        }
-
-    def restore(self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]) -> None:
-        self.progress.restore(state, jobs_by_id)
-        self._pass_pending = bool(state["pass_pending"])
-        self._preemptions = int(state["preemptions"])
-        self._sampling = bool(state["sampling"])
-        self._cpu_incarnation = {
-            job_id: int(count)
-            for job_id, count in state["cpu_incarnation"].items()
-        }
-        self._straggle_count = int(state["straggle_count"])
-        self._monitor_active = {int(n) for n in state["monitor_active"]}
-        raw_tick = state["monitor_last_tick"]
-        self._monitor_last_tick = None if raw_tick is None else float(raw_tick)
-        self._observable_since = {
-            int(n): float("inf") if since is None else float(since)
-            for n, since in state["observable_since"]
-        }
+    #: The :class:`Progress` table (inline), pass flags and the
+    #: monitor's active set.
+    STATE = Struct(
+        (None, "progress", Inline(Progress)),
+        ("pass_pending", "_pass_pending", BOOL),
+        ("preemptions", "_preemptions", INT),
+        ("sampling", "_sampling", BOOL),
+        ("cpu_incarnation", "_cpu_incarnation", DictOf(JOB_ID, INT)),
+        ("straggle_count", "_straggle_count", INT),
+        ("monitor_active", "_monitor_active", ListOf(NODE_ID, set, sort=True)),
+        ("monitor_last_tick", "_monitor_last_tick", Nullable(FLOAT)),
+        ("observable_since", "_observable_since", Items((NODE_ID,), INF_OR_FLOAT)),
+    )
 
     def rearm(self, jobs_by_id: Dict[str, Job]) -> None:
         """Re-claim every runner-owned timer from the engine inventory.

@@ -22,6 +22,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 from repro.faults.config import FaultConfig
 from repro.sim.events import EventPriority
 from repro.sim.rng import RngRegistry
+from repro.sim.state import FLOAT, NESTED, STR, DictOf, ListOf, Row, Scalar, Stateful
+from repro.sim.state import Struct
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.runner import SimulationRunner
@@ -30,8 +32,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 InjectedEvent = Tuple[float, str, Dict[str, object]]
 
 
-class FaultInjector:
+class FaultInjector(Stateful):
     """Schedules failure/recovery events against a simulation runner."""
+
+    #: RNG positions and the injected log.  The pending fault timers live
+    #: in the engine's event inventory; :meth:`rearm` rebuilds their
+    #: closures from the tags alone.
+    STATE = Struct(
+        ("rng", NESTED),
+        ("injected", ListOf(Row(FLOAT, STR, DictOf(STR, Scalar(int, str))))),
+    )
 
     def __init__(
         self, config: Optional[FaultConfig] = None, *, seed: Optional[int] = None
@@ -193,28 +203,7 @@ class FaultInjector:
         self._arm_straggler()
 
     # ------------------------------------------------------------------ #
-    # Checkpoint / restore
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable injector state: RNG positions and the event log.
-
-        The pending fault *timers* are not stored here — they live in the
-        engine's event inventory, and :meth:`rearm` rebuilds their
-        closures from the tags alone.
-        """
-        return {
-            "rng": self.rng.snapshot(),
-            "injected": [
-                [time, kind, dict(detail)] for time, kind, detail in self.injected
-            ],
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        self.rng.restore(state["rng"])
-        self.injected = [
-            (float(time), str(kind), dict(detail))
-            for time, kind, detail in state["injected"]
-        ]
+    # Checkpoint re-arm
 
     def rearm(self, engine: Any) -> None:
         """Re-claim every snapshotted ``fault:*`` event from ``engine``.

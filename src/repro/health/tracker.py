@@ -33,7 +33,7 @@ PROBATION) node sets are kept current, a heap holds each benched node's
 ``quarantine_until`` / ``probation_until`` and another holds the raw time
 of every SUSPECT strike.  Draining pops entries due by ``now`` with the
 very predicates :meth:`NodeHealthTracker._advance` uses, runs ``_advance``
-on the popped node and re-indexes it.  :meth:`NodeHealthTracker.restore`
+on the popped node and re-indexes it.  A checkpoint restore
 rebuilds the index from the records, and the auditor's IV008 check
 compares it against a from-scratch recomputation
 (:meth:`NodeHealthTracker.states_at`).
@@ -46,9 +46,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.health.config import HealthConfig
+from repro.sim.state import FLOAT, INT, NODE_ID, NODE_KEY, Choice, DictOf, ListOf
+from repro.sim.state import Record, Refs, Row, Stateful, Struct
 
 
 class NodeHealthState(Enum):
@@ -93,7 +95,18 @@ def _deadline_of(record: _NodeRecord) -> Optional[float]:
     return None
 
 
-class NodeHealthTracker:
+_RECORD = Record(
+    _NodeRecord,
+    state=Choice(NodeHealthState),
+    strikes=ListOf(Row(FLOAT, FLOAT), deque),
+    backoff_level=INT,
+    quarantine_until=FLOAT,
+    probation_until=FLOAT,
+)
+_SPAN = Record(QuarantineSpan, node_id=NODE_ID, start=FLOAT, end=FLOAT)
+
+
+class NodeHealthTracker(Stateful):
     """Tracks every node's health state from observed failure events."""
 
     def __init__(self, config: Optional[HealthConfig] = None) -> None:
@@ -219,50 +232,16 @@ class NodeHealthTracker:
         return bool(self._strike_times) and self._strike_times[0][0] <= horizon
 
     # ------------------------------------------------------------------ #
-    # Checkpoint / restore
+    # Checkpoint / restore (the index is rebuilt from the records)
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable tracker state (the index is rebuilt on restore)."""
-        return {
-            "records": {
-                str(node_id): [
-                    record.state.value,
-                    [[time, weight] for time, weight in record.strikes],
-                    record.backoff_level,
-                    record.quarantine_until,
-                    record.probation_until,
-                ]
-                for node_id, record in self._records.items()
-            },
-            "spans": [
-                [span.node_id, span.start, span.end] for span in self.spans
-            ],
-            "quarantines_started": self.quarantines_started,
-            "version": self.version,
-        }
+    STATE = Struct(
+        ("records", "_records", DictOf(NODE_KEY, _RECORD)),
+        ("spans", ListOf(_SPAN)),
+        ("quarantines_started", INT),
+        ("version", INT),
+    )
 
-    def restore(self, state: Dict[str, Any]) -> None:
-        self._records = {}
-        for raw_id, (state_value, strikes, backoff, q_until, p_until) in state[
-            "records"
-        ].items():
-            self._records[int(raw_id)] = _NodeRecord(
-                state=NodeHealthState(state_value),
-                strikes=deque(
-                    (float(time), float(weight)) for time, weight in strikes
-                ),
-                backoff_level=int(backoff),
-                quarantine_until=float(q_until),
-                probation_until=float(p_until),
-            )
-        self.spans = [
-            QuarantineSpan(
-                node_id=int(node_id), start=float(start), end=float(end)
-            )
-            for node_id, start, end in state["spans"]
-        ]
-        self.quarantines_started = int(state["quarantines_started"])
-        self.version = int(state["version"])
+    def _after_load(self, refs: Refs) -> None:
         self._reindex()
 
     # ------------------------------------------------------------------ #

@@ -41,6 +41,8 @@ from repro.cluster.resources import ResourceVector
 from repro.health.restarts import DeadJob, RestartPolicy
 from repro.schedulers.dirty import PassGate
 from repro.sim.events import EventHandle
+from repro.sim.state import FLOAT, INT, INT_KEY, JOB, JOB_ID, STR, DictOf, ListOf
+from repro.sim.state import Record, Refs, Row, Stateful, Struct
 from repro.workload.job import GpuJob, Job
 
 
@@ -167,7 +169,10 @@ class SchedulerContext(abc.ABC):
         """A monitor tick finished at ``now`` (freshness bookkeeping)."""
 
 
-class Scheduler(abc.ABC):
+_DEAD_JOB = Record(DeadJob, job_id=JOB_ID, time=FLOAT, failures=INT, reason=STR)
+
+
+class Scheduler(Stateful, abc.ABC):
     """Base class for all scheduling policies.
 
     Besides queue management, the base class owns the failure-resilience
@@ -319,48 +324,14 @@ class Scheduler(abc.ABC):
     # Checkpoint / restore
     #
     # The base class owns the shared resilience bookkeeping; each policy
-    # contributes its queues via ``_snapshot_queues``/``_restore_queues``.
-    # Queues hold live Job objects, so they serialize as job ids and are
-    # resolved against the deterministically regenerated trace on restore.
+    # appends its queues as a ``queues`` group.  Queues hold live Job
+    # objects, so they serialize as job ids and are resolved against the
+    # deterministically regenerated trace on restore.
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable policy state (queues by job id, restart ledger)."""
-        return {
-            "dead_jobs": [
-                [dead.job_id, dead.time, dead.failures, dead.reason]
-                for dead in self.dead_jobs
-            ],
-            "restart_counts": dict(self._restart_counts),
-            "queues": self._snapshot_queues(),
-        }
-
-    def restore(self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]) -> None:
-        self.dead_jobs = [
-            DeadJob(
-                job_id=str(job_id),
-                time=float(time),
-                failures=int(failures),
-                reason=str(reason),
-            )
-            for job_id, time, failures, reason in state["dead_jobs"]
-        ]
-        self._restart_counts = {
-            job_id: int(count)
-            for job_id, count in state["restart_counts"].items()
-        }
-        self._restore_queues(state["queues"], jobs_by_id)
-
-    def _snapshot_queues(self) -> Dict[str, Any]:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
-
-    def _restore_queues(
-        self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]
-    ) -> None:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
+    STATE = Struct(
+        ("dead_jobs", ListOf(_DEAD_JOB)),
+        ("restart_counts", "_restart_counts", DictOf(JOB_ID, INT)),
+    )
 
     def rearm(self, engine: Any, jobs_by_id: Dict[str, Job]) -> None:
         """Re-claim this policy's snapshotted timers from ``engine``.
@@ -407,7 +378,7 @@ class TenantUsage:
             )
 
 
-class UsageLedger:
+class UsageLedger(Stateful):
     """Tracks per-tenant running usage for dominant-share computations."""
 
     def __init__(self) -> None:
@@ -434,18 +405,13 @@ class UsageLedger:
     def usage_of(self, tenant_id: int) -> TenantUsage:
         return self._usage.get(tenant_id, TenantUsage())
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable footprints; per-tenant usage is derived state."""
-        return {
-            job_id: list(footprint)
-            for job_id, footprint in self._job_footprint.items()
-        }
+    #: Footprints only: per-tenant usage is derived from them.
+    STATE = Struct((None, "_job_footprint", DictOf(JOB_ID, Row(INT, INT, INT))))
 
-    def restore(self, state: Dict[str, Any]) -> None:
+    def _after_load(self, refs: Refs) -> None:
         self._usage = {}
-        self._job_footprint = {}
-        for job_id, (tenant_id, cpus, gpus) in state.items():
-            self.start(job_id, int(tenant_id), int(cpus), int(gpus))
+        for tenant_id, cpus, gpus in self._job_footprint.values():
+            self._usage.setdefault(tenant_id, TenantUsage()).add(cpus, gpus)
 
     def dominant_share(
         self, tenant_id: int, total_cpus: int, total_gpus: int
@@ -580,7 +546,7 @@ class ShareHeap:
 JobT = TypeVar("JobT", bound=Job)
 
 
-class TenantQueues(Generic[JobT]):
+class TenantQueues(Stateful, Generic[JobT]):
     """One family of per-tenant FIFO queues, served in DRF order.
 
     A family is one :class:`PassGate` group: DRF's one queue set, or one
@@ -759,25 +725,18 @@ class TenantQueues(Generic[JobT]):
             yield from queue
 
     # -- checkpoint / restore ------------------------------------------- #
+    #
+    # A restore moves the shared depths by the jobs it drops and loads;
+    # the heap rebuilds at the next pass, and re-arming the gate is the
+    # policy's (it resets every group at once).
 
-    def snapshot(self) -> Dict[str, List[str]]:
-        return {
-            str(tenant_id): [job.job_id for job in queue]
-            for tenant_id, queue in self._queues.items()
-        }
+    STATE = Struct((None, "_queues", DictOf(INT_KEY, ListOf(JOB, deque))))
 
-    def restore(
-        self, state: Dict[str, List[str]], jobs_by_id: Dict[str, Any]
-    ) -> None:
-        """Replace the queues with :meth:`snapshot` output.  The heap
-        rebuilds at the next pass; re-arming the gate is the policy's (it
-        resets every group at once)."""
+    def _before_load(self) -> None:
         for job in self.jobs():
             self._depths[_kind(job)] -= 1
-        self._queues = {
-            int(tenant_id): deque(jobs_by_id[job_id] for job_id in job_ids)
-            for tenant_id, job_ids in state.items()
-        }
+
+    def _after_load(self, refs: Refs) -> None:
         for job in self.jobs():
             self._depths[_kind(job)] += 1
         self._heap.invalidate()

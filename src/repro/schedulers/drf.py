@@ -16,7 +16,7 @@ that GPU-starved nodes are missing.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.health.restarts import RestartPolicy
@@ -28,6 +28,7 @@ from repro.schedulers.base import (
     UsageLedger,
 )
 from repro.schedulers.dirty import PassGate
+from repro.sim.state import NESTED, Refs, Struct
 from repro.schedulers.placement import (
     FreeState,
     Placement,
@@ -132,15 +133,11 @@ class DrfScheduler(Scheduler):
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
-    def _snapshot_queues(self) -> Dict[str, Any]:
-        return {
-            "tenants": self._tenants.snapshot(),
-            "ledger": self._ledger.snapshot(),
-        }
+    STATE = Scheduler.STATE.plus((
+        "queues", None, Struct(
+            ("tenants", "_tenants", NESTED), ("ledger", "_ledger", NESTED)
+        ),
+    ))
 
-    def _restore_queues(
-        self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]
-    ) -> None:
-        self._tenants.restore(state["tenants"], jobs_by_id)
-        self._ledger.restore(state["ledger"])
+    def _after_load(self, refs: Refs) -> None:
         self._gate.mark_all()

@@ -20,13 +20,14 @@ fragmentation mechanism of Sec. VI-C.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.health.restarts import RestartPolicy
 from repro.schedulers.base import Decision, Scheduler, StartDecision
 from repro.schedulers.dirty import PassGate
 from repro.schedulers.placement import FreeState, place_cpu_job, place_gpu_job
+from repro.sim.state import JOB, ListOf, Refs, Struct
 from repro.workload.job import CpuJob, GpuJob, Job
 
 
@@ -122,15 +123,12 @@ class FifoScheduler(Scheduler):
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 
-    def _snapshot_queues(self) -> Dict[str, Any]:
-        return {
-            "gpu": [job.job_id for job in self._gpu_queue],
-            "cpu": [job.job_id for job in self._cpu_queue],
-        }
+    STATE = Scheduler.STATE.plus((
+        "queues", None, Struct(
+            ("gpu", "_gpu_queue", ListOf(JOB, deque)),
+            ("cpu", "_cpu_queue", ListOf(JOB, deque)),
+        ),
+    ))
 
-    def _restore_queues(
-        self, state: Dict[str, Any], jobs_by_id: Dict[str, Job]
-    ) -> None:
-        self._gpu_queue = deque(jobs_by_id[job_id] for job_id in state["gpu"])
-        self._cpu_queue = deque(jobs_by_id[job_id] for job_id in state["cpu"])
+    def _after_load(self, refs: Refs) -> None:
         self._gate.mark_all()

@@ -27,12 +27,14 @@ import heapq
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.events import Event, EventHandle, EventPriority
+from repro.sim.state import FLOAT, INT, STR, CheckpointError, ListOf, Refs, Row
+from repro.sim.state import Stateful, Struct, load
 
 #: An engine observer: called after each fired event with the event record.
 Observer = Callable[[Event], None]
 
 
-class Engine:
+class Engine(Stateful):
     """Deterministic discrete-event simulation engine."""
 
     def __init__(self, start: float = 0.0) -> None:
@@ -271,22 +273,35 @@ class Engine:
     # pre-crash ``_seq`` counter) keeps same-time tie-breaking, and thus
     # the whole remaining run, byte-identical to the uninterrupted one.
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable engine state: clock, counters, live-event inventory."""
-        live: List[List[Any]] = sorted(
+    @property
+    def _inventory(self) -> List[List[Any]]:
+        """The live events as sorted ``[time, priority, seq, tag]`` rows."""
+        return sorted(
             [event.time, event.priority, event.seq, event.tag]
             for _, _, _, event in self._queue
             if not event.cancelled and not event.fired
         )
-        return {
-            "now": self.now,
-            "seq": self._seq,
-            "fired": self._fired,
-            "live": live,
-        }
+
+    @_inventory.setter
+    def _inventory(self, rows: List[Tuple[float, int, int, str]]) -> None:
+        pending: Dict[str, Tuple[float, int, int]] = {}
+        for time, priority, seq, tag in rows:
+            if tag in pending:
+                raise CheckpointError(
+                    f"state.engine.live: duplicate live event tag {tag!r}"
+                )
+            pending[tag] = (time, priority, seq)
+        self._pending_rearm = pending
+
+    STATE = Struct(
+        ("now", FLOAT),
+        ("seq", "_seq", INT),
+        ("fired", "_fired", INT),
+        ("live", "_inventory", ListOf(Row(FLOAT, INT, INT, STR))),
+    )
 
     def begin_restore(self, state: Dict[str, Any]) -> None:
-        """Enter restore mode: adopt counters, clear the heap.
+        """Enter restore mode: adopt clock and counters, clear the heap.
 
         Every event scheduled before this call (construction-time
         arrivals, monitors, fault arms) is discarded; subsystems must
@@ -297,19 +312,7 @@ class Engine:
             raise RuntimeError("engine restore already in progress")
         self._queue.clear()
         self._live = 0
-        self._seq = int(state["seq"])
-        self._fired = int(state["fired"])
-        now = float(state["now"])
-        if now > self.now:
-            self.now = now
-        pending: Dict[str, Tuple[float, int, int]] = {}
-        for time, priority, seq, tag in state["live"]:
-            if tag in pending:
-                raise RuntimeError(
-                    f"snapshot has duplicate live event tag {tag!r}"
-                )
-            pending[str(tag)] = (float(time), int(priority), int(seq))
-        self._pending_rearm = pending
+        load(self, state, "state.engine", Refs())
 
     def rearm(self, tag: str, action: Callable[[], Any]) -> EventHandle:
         """Re-schedule one snapshotted live event under its original

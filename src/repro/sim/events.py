@@ -33,7 +33,7 @@ class EventPriority(enum.IntEnum):
     SCHEDULE = 3
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
     """A scheduled callback.
 

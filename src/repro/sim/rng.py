@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any, Dict, List
+from typing import Any, Dict
+
+from repro.sim.state import INT, STR, CheckpointError, Codec, DictOf, Pinned, Stateful
+from repro.sim.state import Struct
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -38,8 +41,43 @@ def derive_seed(root_seed: int, name: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-class RngRegistry:
+class _Stream(Codec):
+    """One stream's ``random.Random.getstate()``, tuples written as lists.
+
+    Re-seating the state reproduces the stream's next draws exactly;
+    a stream created after the snapshot is absent, and re-creating it
+    from the root seed reproduces its draws as well."""
+
+    name = "a random.Random state [int, [int, ...], float or null]"
+
+    def dump(self, rng: random.Random) -> Any:
+        version, internal, gauss = rng.getstate()
+        return [version, list(internal), gauss]
+
+    def load(self, raw: Any, path: str, ctx: Any, key: Any = None) -> Any:
+        if not (
+            type(raw) is list
+            and len(raw) == 3
+            and type(raw[0]) is int
+            and type(raw[1]) is list
+            and all(type(word) is int for word in raw[1])
+            and (raw[2] is None or type(raw[2]) is float)
+        ):
+            raise self.expected(raw, path)
+        rng = random.Random(0)
+        try:
+            rng.setstate((raw[0], tuple(raw[1]), raw[2]))
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
+        return rng
+
+
+class RngRegistry(Stateful):
     """A factory of independent named :class:`random.Random` streams."""
+
+    STATE = Struct(
+        ("root_seed", Pinned(INT)), ("streams", "_streams", DictOf(STR, _Stream()))
+    )
 
     def __init__(self, root_seed: int = 0) -> None:
         self.root_seed = int(root_seed)
@@ -58,48 +96,6 @@ class RngRegistry:
         rng = random.Random(derive_seed(self.root_seed, name))
         self._streams[name] = rng
         return rng
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable state of every stream created so far.
-
-        ``random.Random.getstate()`` is a nested tuple of ints; tuples are
-        converted to lists so the snapshot round-trips through JSON.
-        """
-
-        def _listify(value: Any) -> Any:
-            if isinstance(value, tuple):
-                return [_listify(item) for item in value]
-            return value
-
-        return {
-            "root_seed": self.root_seed,
-            "streams": {
-                name: _listify(rng.getstate())
-                for name, rng in self._streams.items()
-            },
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Rewind every stream to a :meth:`snapshot`'s exact position.
-
-        Streams absent from the snapshot (created after it was taken) are
-        dropped; re-creating them from the root seed reproduces their
-        pre-snapshot draws exactly.
-        """
-        if int(state["root_seed"]) != self.root_seed:
-            raise ValueError(
-                f"rng snapshot root seed {state['root_seed']} does not "
-                f"match registry root seed {self.root_seed}"
-            )
-
-        def _tuplify(value: Any) -> Any:
-            if isinstance(value, list):
-                return tuple(_tuplify(item) for item in value)
-            return value
-
-        self._streams.clear()
-        for name, raw in state["streams"].items():
-            self.stream(name).setstate(_tuplify(raw))
 
     def fork(self, name: str) -> "RngRegistry":
         """Derive a child registry (e.g., one per tenant) from this one."""

@@ -1,0 +1,310 @@
+"""The declared checkpoint schema at the load boundary.
+
+Every value of a checkpoint is checked against its component's declared
+type (:mod:`repro.sim.state`), and every job and node id against the
+regenerated trace and cluster.  A malformed checkpoint fails at load
+with a :class:`CheckpointError` naming the JSON path of the first value
+that does not fit; it never restores into a run that then diverges.
+"""
+
+import copy
+import json
+from functools import lru_cache
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.checkpoint import CheckpointError, restore_run
+from repro.sim.state import Stateful, Struct
+from tests.checkpoint.test_restore import (
+    _dumps,
+    _faulted_spec,
+    _plain_spec,
+    _snapshot_at,
+)
+
+
+@lru_cache(maxsize=None)
+def _coda_state():
+    """The 4-node CODA snapshot at event 80: tracked CPU jobs are live."""
+    return json.dumps(_snapshot_at(_plain_spec(), kill_at=80))
+
+
+def _restore(state):
+    return restore_run(_plain_spec(), state)
+
+
+def _tracked_job(state):
+    return sorted(state["scheduler"]["queues"]["tracked"])[0]
+
+
+class TestLocatedLoadErrors:
+    def test_wrong_typed_tracked_entry(self):
+        state = json.loads(_coda_state())
+        job_id = _tracked_job(state)
+        state["scheduler"]["queues"]["tracked"][job_id] = 7
+        with pytest.raises(CheckpointError) as raised:
+            _restore(state)
+        assert str(raised.value) == (
+            f'state.scheduler.queues.tracked["{job_id}"]: '
+            "expected [node id, int], got 7"
+        )
+
+    def test_missing_borrowed(self):
+        state = json.loads(_coda_state())
+        del state["scheduler"]["queues"]["borrowed"]
+        with pytest.raises(CheckpointError) as raised:
+            _restore(state)
+        assert str(raised.value) == "state.scheduler.queues.borrowed: missing"
+
+    def test_ghost_tracked_job(self):
+        state = json.loads(_coda_state())
+        state["scheduler"]["queues"]["tracked"]["cpu-999999"] = [0, 2]
+        with pytest.raises(CheckpointError) as raised:
+            _restore(state)
+        assert str(raised.value) == (
+            'state.scheduler.queues.tracked["cpu-999999"]: '
+            "no job 'cpu-999999' in this run's trace"
+        )
+
+    def test_string_for_int(self):
+        state = json.loads(_coda_state())
+        state["runner"]["preemptions"] = "3"
+        with pytest.raises(CheckpointError) as raised:
+            _restore(state)
+        assert str(raised.value) == (
+            'state.runner.preemptions: expected int, got "3"'
+        )
+
+    def test_string_for_node_counter(self):
+        state = json.loads(_coda_state())
+        state["cluster"]["nodes"][0]["used_cpus"] = "x"
+        with pytest.raises(CheckpointError) as raised:
+            _restore(state)
+        assert str(raised.value) == (
+            'state.cluster.nodes[0].used_cpus: expected int, got "x"'
+        )
+
+    def test_bool_is_not_an_int(self):
+        state = json.loads(_coda_state())
+        state["engine"]["seq"] = True
+        with pytest.raises(CheckpointError, match=r"^state\.engine\.seq: "):
+            _restore(state)
+
+    def test_ghost_node(self):
+        state = json.loads(_coda_state())
+        job_id = _tracked_job(state)
+        state["scheduler"]["queues"]["tracked"][job_id][0] = 4
+        with pytest.raises(CheckpointError) as raised:
+            _restore(state)
+        assert str(raised.value) == (
+            f'state.scheduler.queues.tracked["{job_id}"][0]: '
+            "no node 4 in this run's 4-node cluster"
+        )
+
+    def test_undeclared_key(self):
+        state = json.loads(_coda_state())
+        state["runner"]["preemption"] = 0
+        with pytest.raises(
+            CheckpointError,
+            match=r"^state\.runner\.preemption: not a declared field$",
+        ):
+            _restore(state)
+
+
+# --------------------------------------------------------------------- #
+# Fuzzing the boundary
+
+
+def _declared_keys():
+    """Every JSON key any component declares as an object field."""
+    keys = set()
+    classes = [Stateful]
+    while classes:
+        cls = classes.pop()
+        classes.extend(cls.__subclasses__())
+        shapes = [getattr(cls, "STATE", None)]
+        while shapes:
+            shape = shapes.pop()
+            if isinstance(shape, Struct) and not (shape.row or shape.bare):
+                keys |= shape.keys()
+                shapes.extend(c for _, _, c in shape.fields if isinstance(c, Struct))
+    return keys
+
+
+DECLARED_KEYS = frozenset(_declared_keys())
+
+#: Where node ids sit (``*`` is any key or index).
+NODE_ID_PATHS = (
+    ("cluster", "allocations", "*", "*", 0),
+    ("cluster", "health", "records", "*key"),
+    ("cluster", "health", "spans", "*", 0),
+    ("scheduler", "queues", "tracked", "*", 0),
+    ("scheduler", "queues", "borrowed", "*"),
+    ("scheduler", "eliminator", "released_at", "*", 0),
+    ("runner", "monitor_active", "*"),
+    ("runner", "observable_since", "*", 0),
+)
+
+SPECS = {
+    f"{kind}-{scheduler}": (make, scheduler)
+    for kind, make in (("plain", _plain_spec), ("faulted", _faulted_spec))
+    for scheduler in ("fifo", "drf", "coda")
+}
+
+
+@lru_cache(maxsize=None)
+def _case(name):
+    """(spec, canonical snapshot JSON, uninterrupted result, job ids)."""
+    make, scheduler = SPECS[name]
+    spec = make(scheduler)
+    state = _snapshot_at(spec, kill_at=110)
+    jobs = frozenset(
+        job.job_id for job in spec.resolved_scenario().build_trace().jobs
+    )
+    return spec, json.dumps(state, sort_keys=True), _dumps(spec.execute()), jobs
+
+
+def _walk(node, path=()):
+    """(path, value) of every value under the declared state; the
+    collector (its own format) and the spec digest are not declared."""
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if path or key not in ("collector", "spec"):
+                yield from _walk(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _walk(value, path + (index,))
+
+
+def _matches(path, pattern):
+    if len(path) != len(pattern):
+        return False
+    return all(p in ("*", "*key") or p == q for p, q in zip(pattern, path))
+
+
+def _targets(state, jobs):
+    """Mutation targets by kind: (path, how) pairs."""
+    targets = {"drop": [], "retype": [], "ghost": [], "truncate": []}
+    for path, value in _walk(state):
+        if isinstance(value, dict):
+            for key in value:
+                if key in DECLARED_KEYS:
+                    targets["drop"].append((path + (key,), "drop"))
+                if key in jobs:
+                    targets["ghost"].append((path + (key,), "rename"))
+        elif isinstance(value, list):
+            if value and len({type(item) for item in value}) > 1:
+                targets["truncate"].append((path, "truncate"))
+        else:
+            targets["retype"].append((path, "retype"))
+            if isinstance(value, str) and value in jobs:
+                targets["ghost"].append((path, "ghost-job"))
+        for pattern in NODE_ID_PATHS:
+            if _matches(path, pattern):
+                how = "rename" if pattern[-1] == "*key" else "ghost-node"
+                targets["ghost"].append((path, how))
+    return targets
+
+
+def _retyped(value):
+    """``value`` under another JSON type, and one a bare coercion such as
+    ``int("10")`` would turn into a different valid value."""
+    if isinstance(value, bool):
+        return int(not value)
+    if isinstance(value, int):
+        return str(value + 7)
+    if isinstance(value, float):
+        return str(value + 7.5) if value == value and abs(value) < 1e300 else "7.5"
+    if value is None:
+        return "x"
+    return [value]
+
+
+def _mutate(state, path, how):
+    *parents, last = path
+    holder = state
+    for step in parents:
+        holder = holder[step]
+    if how == "drop":
+        del holder[last]
+    elif how == "truncate":
+        holder[last].pop()
+    elif how == "retype":
+        holder[last] = _retyped(holder[last])
+    elif how == "ghost-job":
+        holder[last] = "ghost-000001"
+    elif how == "ghost-node":
+        holder[last] = 99
+    else:  # rename a dict key to a job or node that does not exist
+        ghost = "99" if last.isdigit() else "ghost-000001"
+        holder[ghost] = holder.pop(last)
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_a_mutated_checkpoint_fails_located_or_resumes_identically(data):
+    """Drop a declared key, change a leaf's type, point an id at a job or
+    node that does not exist, or truncate a positional row: the restore
+    either raises a :class:`CheckpointError` naming a JSON path under
+    ``state`` or resumes byte-identical to the uninterrupted run."""
+    name = data.draw(st.sampled_from(sorted(SPECS)), label="case")
+    spec, canonical, baseline, jobs = _case(name)
+    state = json.loads(canonical)
+    targets = _targets(state, jobs)
+    kind = data.draw(
+        st.sampled_from([kind for kind in sorted(targets) if targets[kind]]),
+        label="kind",
+    )
+    path, how = data.draw(st.sampled_from(targets[kind]), label="target")
+    _check(spec, state, baseline, path, how)
+
+
+def _check(spec, state, baseline, path, how):
+    """Restore ``state`` mutated at ``path``: it fails located, or the
+    resumed run matches the uninterrupted one."""
+    mutated = copy.deepcopy(state)
+    _mutate(mutated, path, how)
+    try:
+        runner = restore_run(spec, mutated)
+    except CheckpointError as error:
+        assert str(error).startswith("state."), str(error)
+        return
+    result = runner.run(until=spec.resolved_scenario().horizon_s)
+    assert _dumps(result) == baseline, (path, how)
+
+
+def _position(path):
+    """``path`` with every key and index that is not a declared field
+    name generalized: one position per declared leaf."""
+    return tuple(step if step in DECLARED_KEYS else "*" for step in path)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_every_declared_leaf_position_rejects_a_retype(name):
+    """The fuzz samples; this retypes one leaf at every declared position,
+    so a single field loosened to a bare coercion cannot slip through."""
+    spec, canonical, baseline, jobs = _case(name)
+    state = json.loads(canonical)
+    positions = {}
+    for path, how in _targets(state, jobs)["retype"]:
+        positions.setdefault(_position(path), (path, how))
+    for path, how in positions.values():
+        _check(spec, state, baseline, path, how)
+
+
+def test_every_mutation_kind_has_targets():
+    """The fuzz above reaches every kind of mutation on every case."""
+    for name in SPECS:
+        _, canonical, _, jobs = _case(name)
+        targets = _targets(json.loads(canonical), jobs)
+        counts = {kind: len(found) for kind, found in targets.items()}
+        assert all(counts.values()), (name, counts)

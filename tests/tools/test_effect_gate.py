@@ -32,7 +32,7 @@ EXPECTED_BLAME = {
     "resize_cpus": "Node.resize_cpus",
     "fail_gpu": "Node.fail_gpu",
     "repair_gpu": "Node.repair_gpu",
-    "restore": "Node.restore",
+    "_after_load": "Node._after_load",
 }
 
 
