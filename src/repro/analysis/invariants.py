@@ -421,9 +421,8 @@ class InvariantAuditor:
     def _check_drf_shares(self, scheduler: DrfScheduler, cluster: Cluster) -> None:
         total = cluster.total
         ledger = scheduler._ledger
-        # Tenants with a running job: a ledger keeps emptied tenants'
-        # entries, a restored one does not, and a resumed audit must
-        # count the same assertions as the uninterrupted one.
+        # Tenants with a running job, read from the footprints: the
+        # ledger's own per-tenant entries are what this check audits.
         tenant_ids = sorted(
             {tenant_id for tenant_id, _, _ in ledger._job_footprint.values()}
         )

@@ -452,14 +452,12 @@ def fig13_end_to_end(
     results = run_cached_comparison(seed=seed)
     fifo = results["fifo"].collector
     coda = results["coda"].collector
-    common = [
-        job_id
-        for job_id, record in sorted(fifo.records.items())
-        if record.kind is JobKind.GPU
-        and record.finish_time is not None
-        and coda.records.get(job_id) is not None
-        and coda.records[job_id].finish_time is not None
-    ]
+    coda_finished = {r.job_id for r in coda.finished_records(JobKind.GPU)}
+    common = sorted(
+        r.job_id
+        for r in fifo.finished_records(JobKind.GPU)
+        if r.job_id in coda_finished
+    )
     step = max(1, len(common) // max_jobs)
     rows: List[Tuple[str, float, float, float, float]] = []
     for job_id in common[::step][:max_jobs]:

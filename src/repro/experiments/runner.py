@@ -238,8 +238,8 @@ class SimulationRunner(SchedulerContext, Stateful):
             scheduler_name=self.scheduler.name,
             collector=self.collector,
             horizon_s=until,
-            finished_gpu_jobs=len(self.collector.finished_records(JobKind.GPU)),
-            finished_cpu_jobs=len(self.collector.finished_records(JobKind.CPU)),
+            finished_gpu_jobs=self.collector.finished_count(JobKind.GPU),
+            finished_cpu_jobs=self.collector.finished_count(JobKind.CPU),
             preemptions=self._preemptions,
             events_fired=self.engine.fired,
             restarts=self.collector.faults.restarts,

@@ -7,7 +7,7 @@ the simulation's sampled series and per-job records.
 
 from repro.metrics.series import SampledSeries, TimeWeightedValue
 from repro.metrics.audit import AuditStats, InvariantViolation
-from repro.metrics.collector import JobRecord, MetricsCollector
+from repro.metrics.collector import JobRecord, JobTable, MetricsCollector
 from repro.metrics.faults import FaultStats
 from repro.metrics.stats import cdf_points, fraction_exceeding, percentile
 from repro.metrics.fragmentation import FragmentationTracker
@@ -19,6 +19,7 @@ __all__ = [
     "InvariantViolation",
     "FragmentationTracker",
     "JobRecord",
+    "JobTable",
     "MetricsCollector",
     "SampledSeries",
     "TimeWeightedValue",

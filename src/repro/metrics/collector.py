@@ -2,12 +2,19 @@
 
 One collector per run.  The runner pushes job lifecycle events and periodic
 cluster samples into it; the experiment harness reads figures out of it.
+
+Every result keeps its collector, so the per-job data lives in columns (a
+:class:`JobTable`, one ``array`` per field) and the sampled series share
+one time column: a finished result holds a few dozen arrays, not one
+object per job or per sample.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.metrics.audit import AuditStats
 from repro.metrics.faults import FaultStats
@@ -15,26 +22,30 @@ from repro.metrics.fragmentation import FragmentationTracker
 from repro.metrics.series import SampledSeries
 from repro.workload.job import Job, JobKind
 
+#: Kind column codes: a kind is stored as its index here.
+_KINDS = tuple(JobKind)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 
-@dataclass(slots=True)
+
+@dataclass(frozen=True, slots=True)
 class JobRecord:
-    """Lifecycle of one job through a run.  Slotted: every result keeps
-    one per job of its trace."""
+    """Lifecycle of one job through a run: a copy of its :class:`JobTable`
+    row, built when read (writes go through the collector)."""
 
     job_id: str
-    kind: JobKind
     tenant_id: int
     submit_time: float
-    first_start: Optional[float] = None
-    finish_time: Optional[float] = None
-    start_count: int = 0
-    preempt_count: int = 0
-    failure_count: int = 0
-    requested_cpus: int = 0
-    final_cpus: Optional[int] = None
-    gpus: int = 0
-    model: Optional[str] = None
-    setup_label: Optional[str] = None
+    first_start: Optional[float]
+    finish_time: Optional[float]
+    start_count: int
+    preempt_count: int
+    failure_count: int
+    requested_cpus: int
+    final_cpus: Optional[int]
+    gpus: int
+    model: Optional[str]
+    setup_label: Optional[str]
+    kind: JobKind
 
     @property
     def queueing_time(self) -> Optional[float]:
@@ -63,18 +74,162 @@ class JobRecord:
         return self.final_cpus - self.requested_cpus
 
 
+def _time(value: float) -> Optional[float]:
+    return None if math.isnan(value) else value
+
+
+def _cores(value: int) -> Optional[int]:
+    return None if value < 0 else value
+
+
+class JobTable(Mapping[str, JobRecord]):
+    """Every job's lifecycle, one column per :class:`JobRecord` field, in
+    submit order.
+
+    Reads as a ``Mapping[str, JobRecord]`` whose records are built on
+    demand; :class:`MetricsCollector` writes the columns by row.  Unset
+    values are sentinels: NaN in a time column, -1 in ``final_cpus``, and
+    label 0 (``None``) for a CPU job's model and setup.  Model and setup
+    strings are interned in :attr:`labels`, and the two label columns hold
+    indices into it.
+    """
+
+    def __init__(self) -> None:
+        self.job_ids: List[str] = []
+        self.rows: Dict[str, int] = {}
+        self.tenant_id = array("i")
+        self.submit_time = array("d")
+        self.first_start = array("d")
+        self.finish_time = array("d")
+        self.start_count = array("i")
+        self.preempt_count = array("i")
+        self.failure_count = array("i")
+        self.requested_cpus = array("i")
+        self.final_cpus = array("i")
+        self.gpus = array("i")
+        self.model = array("i")
+        self.setup_label = array("i")
+        self.kind = array("b")
+        self.labels: List[Optional[str]] = [None]
+        self._label_codes: Dict[Optional[str], int] = {None: 0}
+
+    def append(
+        self,
+        *,
+        job_id: str,
+        tenant_id: int,
+        submit_time: float,
+        kind: JobKind,
+        first_start: Optional[float] = None,
+        finish_time: Optional[float] = None,
+        start_count: int = 0,
+        preempt_count: int = 0,
+        failure_count: int = 0,
+        requested_cpus: int = 0,
+        final_cpus: Optional[int] = None,
+        gpus: int = 0,
+        model: Optional[str] = None,
+        setup_label: Optional[str] = None,
+    ) -> None:
+        """Add one job's row (a submit, or a row of a serialized result)."""
+        if job_id in self.rows:
+            raise RuntimeError(f"job {job_id} submitted twice")
+        # NaN != NaN, and None == None: only a NaN time fails this.
+        if (
+            submit_time != submit_time
+            or first_start != first_start
+            or finish_time != finish_time
+        ):
+            raise ValueError(f"job {job_id}: a time is NaN")
+        if final_cpus is not None and final_cpus < 0:
+            raise ValueError(f"job {job_id}: negative final_cpus {final_cpus}")
+        self.tenant_id.append(tenant_id)
+        self.submit_time.append(submit_time)
+        self.first_start.append(math.nan if first_start is None else first_start)
+        self.finish_time.append(math.nan if finish_time is None else finish_time)
+        self.start_count.append(start_count)
+        self.preempt_count.append(preempt_count)
+        self.failure_count.append(failure_count)
+        self.requested_cpus.append(requested_cpus)
+        self.final_cpus.append(-1 if final_cpus is None else final_cpus)
+        self.gpus.append(gpus)
+        self.model.append(self._intern(model))
+        self.setup_label.append(self._intern(setup_label))
+        self.kind.append(_KIND_CODE[kind])
+        # Last, so a row that failed to append is never indexed.
+        self.rows[job_id] = len(self.job_ids)
+        self.job_ids.append(job_id)
+
+    def _intern(self, label: Optional[str]) -> int:
+        code = self._label_codes.get(label)
+        if code is None:
+            code = self._label_codes[label] = len(self.labels)
+            self.labels.append(label)
+        return code
+
+    def decoded(self, start: int = 0, stop: Optional[int] = None) -> Iterator[Tuple]:
+        """Rows ``start`` to ``stop`` in :class:`JobRecord` field order,
+        sentinels decoded."""
+        part = slice(start, stop)
+        labels = self.labels
+        return zip(
+            self.job_ids[part],
+            self.tenant_id[part],
+            self.submit_time[part],
+            map(_time, self.first_start[part]),
+            map(_time, self.finish_time[part]),
+            self.start_count[part],
+            self.preempt_count[part],
+            self.failure_count[part],
+            self.requested_cpus[part],
+            map(_cores, self.final_cpus[part]),
+            self.gpus[part],
+            (labels[code] for code in self.model[part]),
+            (labels[code] for code in self.setup_label[part]),
+            (_KINDS[code] for code in self.kind[part]),
+        )
+
+    def record(self, row: int) -> JobRecord:
+        return JobRecord(*next(self.decoded(row, row + 1)))
+
+    def rows_of(self, kind: Optional[JobKind]) -> Iterator[int]:
+        """Row numbers, of ``kind`` only unless it is None."""
+        if kind is None:
+            return iter(range(len(self.job_ids)))
+        code = _KIND_CODE[kind]
+        return (row for row, k in enumerate(self.kind) if k == code)
+
+    def __getitem__(self, job_id: str) -> JobRecord:
+        return self.record(self.rows[job_id])
+
+    def __contains__(self, job_id: object) -> bool:
+        return job_id in self.rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.job_ids)
+
+    def __len__(self) -> int:
+        return len(self.job_ids)
+
+
 class MetricsCollector:
     """Aggregates everything the evaluation figures need."""
 
     def __init__(self) -> None:
-        self.records: Dict[str, JobRecord] = {}
-        self.gpu_active_rate = SampledSeries("gpu_active_rate")
-        self.gpu_utilization = SampledSeries("gpu_utilization")
-        self.gpu_utilization_overall = SampledSeries("gpu_utilization_overall")
-        self.cpu_active_rate = SampledSeries("cpu_active_rate")
-        self.gpu_queue_depth = SampledSeries("gpu_queue_depth")
-        self.cpu_queue_depth = SampledSeries("cpu_queue_depth")
-        self.hot_nodes = SampledSeries("hot_nodes")
+        self.records = JobTable()
+        #: The one time column :meth:`sample_cluster` writes for all seven
+        #: series below.
+        self.sample_times = array("d")
+        clock = self.sample_times
+        self.gpu_active_rate = SampledSeries("gpu_active_rate", times=clock)
+        self.gpu_utilization = SampledSeries("gpu_utilization", times=clock)
+        self.gpu_utilization_overall = SampledSeries(
+            "gpu_utilization_overall", times=clock
+        )
+        self.cpu_active_rate = SampledSeries("cpu_active_rate", times=clock)
+        self.gpu_queue_depth = SampledSeries("gpu_queue_depth", "i", times=clock)
+        self.cpu_queue_depth = SampledSeries("cpu_queue_depth", "i", times=clock)
+        self.hot_nodes = SampledSeries("hot_nodes", "i", times=clock)
         self.fragmentation = FragmentationTracker()
         self.faults = FaultStats()
         self.audit = AuditStats()
@@ -85,48 +240,56 @@ class MetricsCollector:
     # Job lifecycle
 
     def job_submitted(self, job: Job, now: float) -> None:
-        if job.job_id in self.records:
-            raise RuntimeError(f"job {job.job_id} submitted twice")
         requested = job.requested
-        self.records[job.job_id] = JobRecord(
+        gpu = job.kind is JobKind.GPU
+        self.records.append(
             job_id=job.job_id,
-            kind=job.kind,
             tenant_id=job.tenant_id,
             submit_time=now,
+            kind=job.kind,
             requested_cpus=(
                 requested.cpus // max(1, getattr(job, "setup", None).num_nodes)
-                if job.kind is JobKind.GPU
+                if gpu
                 else requested.cpus
             ),
             gpus=requested.gpus,
             model=getattr(job, "model_name", None),
-            setup_label=(
-                job.setup.label if job.kind is JobKind.GPU else None
-            ),
+            setup_label=job.setup.label if gpu else None,
         )
 
     def job_started(self, job_id: str, now: float, cpus_per_node: int) -> None:
-        record = self.records[job_id]
-        if record.first_start is None:
-            record.first_start = now
-        record.start_count += 1
-        record.final_cpus = cpus_per_node
+        table = self.records
+        row = table.rows[job_id]
+        if now != now or cpus_per_node < 0:
+            raise ValueError(f"job {job_id}: start at {now} on {cpus_per_node} cores")
+        if math.isnan(table.first_start[row]):
+            table.first_start[row] = now
+        table.start_count[row] += 1
+        table.final_cpus[row] = cpus_per_node
 
     def job_resized(self, job_id: str, cpus_per_node: int) -> None:
-        self.records[job_id].final_cpus = cpus_per_node
+        if cpus_per_node < 0:
+            raise ValueError(f"job {job_id}: negative cores {cpus_per_node}")
+        table = self.records
+        table.final_cpus[table.rows[job_id]] = cpus_per_node
 
     def job_preempted(self, job_id: str, now: float) -> None:
-        self.records[job_id].preempt_count += 1
+        table = self.records
+        table.preempt_count[table.rows[job_id]] += 1
 
     def job_failed(self, job_id: str, now: float) -> None:
         """The job was killed by an infrastructure failure (not policy)."""
-        self.records[job_id].failure_count += 1
+        table = self.records
+        table.failure_count[table.rows[job_id]] += 1
 
     def job_finished(self, job_id: str, now: float) -> None:
-        record = self.records[job_id]
-        if record.finish_time is not None:
+        table = self.records
+        row = table.rows[job_id]
+        if now != now:
+            raise ValueError(f"job {job_id}: finish time is NaN")
+        if not math.isnan(table.finish_time[row]):
             raise RuntimeError(f"job {job_id} finished twice")
-        record.finish_time = now
+        table.finish_time[row] = now
 
     # ------------------------------------------------------------------ #
     # Periodic sampling
@@ -146,38 +309,48 @@ class MetricsCollector:
     ) -> None:
         # This method is the only writer of the seven series below, so they
         # share one time column: one monotonicity check covers the whole
-        # batch and each sample is appended directly instead of re-checking
-        # per series (this runs on every monitor tick).
-        anchor = self.gpu_active_rate.points
-        if anchor and now < anchor[-1][0]:
+        # batch (this runs on every monitor tick).
+        clock = self.sample_times
+        if clock and now < clock[-1]:
             raise ValueError(
                 f"series gpu_active_rate: sample at {now} before last "
-                f"{anchor[-1][0]}"
+                f"{clock[-1]}"
             )
-        anchor.append((now, gpu_active_rate))
-        self.gpu_utilization.points.append((now, gpu_utilization))
-        self.gpu_utilization_overall.points.append((now, gpu_utilization_overall))
-        self.cpu_active_rate.points.append((now, cpu_active_rate))
-        self.gpu_queue_depth.points.append((now, gpu_queue_depth))
-        self.cpu_queue_depth.points.append((now, cpu_queue_depth))
-        self.hot_nodes.points.append((now, hot_nodes))
         self.fragmentation.record(now, free_gpu_fraction, gpu_queue_depth)
+        self.gpu_active_rate.value_column.append(gpu_active_rate)
+        self.gpu_utilization.value_column.append(gpu_utilization)
+        self.gpu_utilization_overall.value_column.append(gpu_utilization_overall)
+        self.cpu_active_rate.value_column.append(cpu_active_rate)
+        self.gpu_queue_depth.value_column.append(gpu_queue_depth)
+        self.cpu_queue_depth.value_column.append(cpu_queue_depth)
+        self.hot_nodes.value_column.append(hot_nodes)
+        clock.append(now)
 
     # ------------------------------------------------------------------ #
     # Views
 
+    def finished_count(self, kind: Optional[JobKind] = None) -> int:
+        finish = self.records.finish_time
+        return sum(
+            1 for row in self.records.rows_of(kind) if finish[row] == finish[row]
+        )
+
     def finished_records(self, kind: Optional[JobKind] = None) -> List[JobRecord]:
+        table = self.records
+        finish = table.finish_time
         return [
-            r
-            for r in self.records.values()
-            if r.finish_time is not None and (kind is None or r.kind is kind)
+            table.record(row)
+            for row in table.rows_of(kind)
+            if finish[row] == finish[row]
         ]
 
     def started_records(self, kind: Optional[JobKind] = None) -> List[JobRecord]:
+        table = self.records
+        first = table.first_start
         return [
-            r
-            for r in self.records.values()
-            if r.first_start is not None and (kind is None or r.kind is kind)
+            table.record(row)
+            for row in table.rows_of(kind)
+            if first[row] == first[row]
         ]
 
     def queueing_times(
@@ -186,26 +359,30 @@ class MetricsCollector:
         """Queueing delays of started jobs; optionally count still-queued
         jobs as censored at the horizon (keeps saturated baselines honest —
         dropping never-started jobs would *flatter* a bad scheduler)."""
+        table = self.records
+        submit, first = table.submit_time, table.first_start
         delays: List[float] = []
-        for record in self.records.values():
-            if kind is not None and record.kind is not kind:
-                continue
-            queueing = record.queueing_time
-            if queueing is not None:
-                delays.append(queueing)
+        for row in table.rows_of(kind):
+            start = first[row]
+            if start == start:
+                delays.append(start - submit[row])
             elif include_unstarted_until is not None:
-                delays.append(include_unstarted_until - record.submit_time)
+                delays.append(include_unstarted_until - submit[row])
         return delays
 
     def queueing_times_by_tenant(
         self, *, include_unstarted_until: Optional[float] = None
     ) -> Dict[int, List[float]]:
+        table = self.records
         by_tenant: Dict[int, List[float]] = {}
-        for record in self.records.values():
-            queueing = record.queueing_time
-            if queueing is None:
-                if include_unstarted_until is None:
-                    continue
-                queueing = include_unstarted_until - record.submit_time
-            by_tenant.setdefault(record.tenant_id, []).append(queueing)
+        for tenant_id, submit, start in zip(
+            table.tenant_id, table.submit_time, table.first_start
+        ):
+            if start == start:
+                queueing = start - submit
+            elif include_unstarted_until is None:
+                continue
+            else:
+                queueing = include_unstarted_until - submit
+            by_tenant.setdefault(tenant_id, []).append(queueing)
         return by_tenant

@@ -9,22 +9,33 @@ moments when at least one GPU job is waiting, averaged over those moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
 from typing import List, Tuple
 
 
-@dataclass
 class FragmentationTracker:
-    """Samples of (free GPU fraction, gpu-queue depth)."""
+    """Samples of (time, free GPU fraction, GPU-queue depth), one
+    ``array`` column each."""
 
-    samples: List[Tuple[float, float, int]] = field(default_factory=list)
+    __slots__ = ("times", "free", "depth")
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.free = array("d")
+        self.depth = array("i")
 
     def record(self, t: float, free_gpu_fraction: float, gpu_queue_depth: int) -> None:
         if not 0.0 <= free_gpu_fraction <= 1.0:
             raise ValueError(f"free fraction out of [0, 1]: {free_gpu_fraction}")
         if gpu_queue_depth < 0:
             raise ValueError(f"negative queue depth: {gpu_queue_depth}")
-        self.samples.append((t, free_gpu_fraction, gpu_queue_depth))
+        self.depth.append(gpu_queue_depth)
+        self.free.append(free_gpu_fraction)
+        self.times.append(t)
+
+    @property
+    def samples(self) -> List[Tuple[float, float, int]]:
+        return list(zip(self.times, self.free, self.depth))
 
     def fragmentation_rate(self) -> float:
         """Mean free-GPU fraction over samples with a non-empty GPU queue.
@@ -32,15 +43,13 @@ class FragmentationTracker:
         Returns 0.0 when the queue was never non-empty: with nobody
         waiting, idle GPUs are spare capacity, not fragmentation.
         """
-        contended = [frac for _, frac, depth in self.samples if depth > 0]
+        contended = [frac for frac, depth in zip(self.free, self.depth) if depth > 0]
         if not contended:
             return 0.0
         return sum(contended) / len(contended)
 
     def contended_fraction(self) -> float:
         """Fraction of samples at which at least one GPU job was queued."""
-        if not self.samples:
+        if not self.depth:
             return 0.0
-        return sum(1 for _, _, depth in self.samples if depth > 0) / len(
-            self.samples
-        )
+        return sum(1 for depth in self.depth if depth > 0) / len(self.depth)

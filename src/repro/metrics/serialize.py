@@ -16,13 +16,12 @@ sound: a result is a pure function of its :class:`~repro.parallel.RunSpec`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple, cast
+import dataclasses
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.metrics.audit import AuditStats, InvariantViolation
-from repro.metrics.collector import JobRecord, MetricsCollector
+from repro.metrics.collector import JobRecord, JobTable, MetricsCollector
 from repro.metrics.faults import FaultStats
-from repro.metrics.fragmentation import FragmentationTracker
-from repro.metrics.series import SampledSeries
 from repro.workload.job import JobKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -33,22 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: v2: RunResult gained ``stale_timer_fires`` (lazy completion timers).
 RESULT_SCHEMA_VERSION = 2
 
-#: JobRecord fields serialized verbatim (everything except the enum).
-_RECORD_FIELDS = (
-    "job_id",
-    "tenant_id",
-    "submit_time",
-    "first_start",
-    "finish_time",
-    "start_count",
-    "preempt_count",
-    "failure_count",
-    "requested_cpus",
-    "final_cpus",
-    "gpus",
-    "model",
-    "setup_label",
-)
+#: JobRecord fields, in its (and the serialized records') key order; the
+#: kind is serialized by its value.
+_RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(JobRecord))
 
 #: The collector's sampled series, in declaration order.
 _SERIES_NAMES = (
@@ -92,23 +78,31 @@ _RESULT_FIELDS = (
 )
 
 
-def _record_to_dict(record: JobRecord) -> Dict[str, Any]:
-    data: Dict[str, Any] = {name: getattr(record, name) for name in _RECORD_FIELDS}
-    data["kind"] = record.kind.value
+def _record_dict(values: Tuple) -> Dict[str, Any]:
+    data = dict(zip(_RECORD_FIELDS, values))
+    data["kind"] = data["kind"].value
     return data
 
 
-def _record_from_dict(data: Dict[str, Any]) -> JobRecord:
-    fields = {name: data[name] for name in _RECORD_FIELDS}
-    return JobRecord(kind=JobKind(data["kind"]), **fields)
+def _load_records(table: JobTable, records: List[Dict[str, Any]]) -> None:
+    for record in records:
+        fields = {name: record[name] for name in _RECORD_FIELDS}
+        fields["kind"] = JobKind(fields["kind"])
+        table.append(**fields)
 
 
-def _series_points(series: SampledSeries) -> List[List[float]]:
-    return [[t, value] for t, value in series.points]
-
-
-def _restore_points(points: List[List[float]]) -> List[Tuple[float, float]]:
-    return [(t, value) for t, value in points]
+def _load_series(collector: MetricsCollector, series: Dict[str, Any]) -> None:
+    """Fill the shared time column and each series' values; every series
+    must carry the same times."""
+    clock = collector.sample_times
+    clock.extend(t for t, _ in series[_SERIES_NAMES[0]])
+    for name in _SERIES_NAMES:
+        points = series[name]
+        if len(points) != len(clock) or any(
+            t != c for (t, _), c in zip(points, clock)
+        ):
+            raise ValueError(f"series {name}: its times differ from gpu_active_rate's")
+        getattr(collector, name).value_column.extend(value for _, value in points)
 
 
 def collector_to_dict(collector: MetricsCollector) -> Dict[str, Any]:
@@ -118,9 +112,9 @@ def collector_to_dict(collector: MetricsCollector) -> Dict[str, Any]:
     return {
         # A list, not a mapping: JSON objects would survive, but a list
         # keeps insertion order explicit and independent of key sorting.
-        "records": [_record_to_dict(r) for r in collector.records.values()],
+        "records": [_record_dict(values) for values in collector.records.decoded()],
         "series": {
-            name: _series_points(getattr(collector, name))
+            name: [list(point) for point in getattr(collector, name).points]
             for name in _SERIES_NAMES
         },
         "fragmentation": [list(sample) for sample in collector.fragmentation.samples],
@@ -142,15 +136,10 @@ def collector_to_dict(collector: MetricsCollector) -> Dict[str, Any]:
 
 def collector_from_dict(data: Dict[str, Any]) -> MetricsCollector:
     collector = MetricsCollector()
-    for record_data in data["records"]:
-        record = _record_from_dict(record_data)
-        collector.records[record.job_id] = record
-    for name in _SERIES_NAMES:
-        series = cast(SampledSeries, getattr(collector, name))
-        series.points = _restore_points(data["series"][name])
-    collector.fragmentation = FragmentationTracker(
-        samples=[(t, frac, depth) for t, frac, depth in data["fragmentation"]]
-    )
+    _load_records(collector.records, data["records"])
+    _load_series(collector, data["series"])
+    for t, free, depth in data["fragmentation"]:
+        collector.fragmentation.record(t, free, depth)
     faults = FaultStats(
         **{name: data["faults"][name] for name in _FAULT_FIELDS}
     )

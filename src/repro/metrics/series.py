@@ -8,55 +8,86 @@ resource occupancy where sampling error would be avoidable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
-@dataclass
 class SampledSeries:
-    """(time, value) samples in nondecreasing time order.
+    """(time, value) samples in nondecreasing time order, one ``array``
+    column each: times ``'d'``, values ``typecode`` (``'i'`` for a count
+    series, so its values stay ints).
 
     >>> series = SampledSeries("gpu_util")
     >>> series.record(0.0, 0.5)
     >>> series.record(30.0, 0.7)
     >>> series.mean()
     0.6
+    >>> series.points
+    [(0.0, 0.5), (30.0, 0.7)]
     >>> series.record(10.0, 0.9)
     Traceback (most recent call last):
         ...
     ValueError: series gpu_util: sample at 10.0 before last 30.0
+
+    Series built on a shared ``times`` column (the metrics collector's)
+    are written by the column's owner, which appends each value to
+    :attr:`value_column` and the time once for all of them.
     """
 
-    name: str
-    points: List[Tuple[float, float]] = field(default_factory=list)
+    __slots__ = ("name", "time_column", "value_column", "_shared")
+
+    def __init__(
+        self,
+        name: str,
+        typecode: str = "d",
+        *,
+        times: Optional[array[float]] = None,
+    ) -> None:
+        self.name = name
+        self._shared = times is not None
+        self.time_column: array[float] = array("d") if times is None else times
+        self.value_column: array[float] = array(typecode)
 
     def record(self, t: float, value: float) -> None:
-        if self.points and t < self.points[-1][0]:
-            raise ValueError(
-                f"series {self.name}: sample at {t} before last "
-                f"{self.points[-1][0]}"
+        if self._shared:
+            raise RuntimeError(
+                f"series {self.name}: its time column is shared; its owner "
+                "records it"
             )
-        self.points.append((t, value))
+        times = self.time_column
+        if times and t < times[-1]:
+            raise ValueError(
+                f"series {self.name}: sample at {t} before last {times[-1]}"
+            )
+        self.value_column.append(value)
+        times.append(t)
+
+    @property
+    def points(self) -> List[Tuple[float, float]]:
+        return list(zip(self.time_column, self.value_column))
 
     def values(self) -> List[float]:
-        return [value for _, value in self.points]
+        return self.value_column.tolist()
 
     def times(self) -> List[float]:
-        return [t for t, _ in self.points]
+        return self.time_column.tolist()
 
     def mean(self) -> float:
-        if not self.points:
+        if not self.value_column:
             return 0.0
-        return sum(v for _, v in self.points) / len(self.points)
+        return sum(self.value_column) / len(self.value_column)
 
     def mean_between(self, start: float, end: float) -> float:
-        window = [v for t, v in self.points if start <= t <= end]
+        window = [
+            v for t, v in zip(self.time_column, self.value_column) if start <= t <= end
+        ]
         if not window:
             return 0.0
         return sum(window) / len(window)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.value_column)
 
 
 @dataclass

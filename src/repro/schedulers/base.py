@@ -399,7 +399,12 @@ class UsageLedger(Stateful):
         if footprint is None:
             return None
         tenant_id, cpus, gpus = footprint
-        self._usage[tenant_id].remove(cpus, gpus)
+        usage = self._usage[tenant_id]
+        usage.remove(cpus, gpus)
+        if not (usage.cpus or usage.gpus):
+            # usage_of reads a missing tenant as zero; dropping the entry
+            # keeps the ledger the one a restore rebuilds.
+            del self._usage[tenant_id]
         return footprint
 
     def usage_of(self, tenant_id: int) -> TenantUsage:

@@ -57,9 +57,6 @@ NOT_CARRIED = {
     ("CodaScheduler", "_biggest_node_cores"): "rebuilt with the layout",
     ("CodaScheduler", "_place_memo"): "per-pass memo, reset every pass",
     ("TenantQueues", "_gate"): "the policy's gate, re-armed by mark_all",
-    ("UsageLedger", "_usage"): "rebuilt from the footprints; a tenant "
-    "whose jobs all finished keeps a zero entry in the run, and usage_of "
-    "reads a missing tenant as zero",
     ("TenantQueues", "_heap"): "share heap, rebuilt from the queues at "
     "the next pass",
     ("TenantQueues", "_totals"): "set at the top of every pass",

@@ -176,6 +176,29 @@ def test_restore_generates_the_trace_once(monkeypatch):
     assert len(configs) == 1
 
 
+def test_cluster_load_bumps_the_generation_for_its_allocations(monkeypatch):
+    """The loader writes ``Cluster._allocations`` through the declared
+    schema, past every mutator, so the cluster's own load hook must count
+    that write as an unattributed change: one generation bump per node
+    (each node's hook) plus one for the cluster's allocations.  The value
+    the checkpoint carried is pinned after the bumps."""
+    from repro.cluster.node import GenerationCounter
+
+    spec = _faulted_spec()
+    state = _snapshot_at(spec, kill_at=200)
+    real = GenerationCounter.bump
+    bumped = []
+
+    def counted(counter):
+        bumped.append(counter)
+        real(counter)
+
+    monkeypatch.setattr(GenerationCounter, "bump", counted)
+    cluster = restore_run(spec, state).cluster
+    assert len(bumped) == len(cluster.nodes) + 1
+    assert cluster.version == state["cluster"]["generation"]
+
+
 class TestLoudFailures:
     def test_restore_against_a_different_trace_raises(self, tmp_path):
         state = _snapshot_at(_plain_spec(seed=2), kill_at=80)
