@@ -13,12 +13,14 @@ value that does not fit.
 Restore deliberately never pickles the event heap.  Events hold closures,
 so :func:`restore_run` rebuilds the simulation from its
 :class:`~repro.parallel.spec.RunSpec` (trace and cluster regenerate
-deterministically from config), then opens an engine restore window in
-which each subsystem *re-arms* its own timers by tag, reconstructing each
-closure from restored state under the event's original ``(time,
-priority, seq)``.  ``finish_restore`` then verifies the re-armed
-inventory covers every snapshotted event — an unclaimed tag means the
-restore would silently drop a timer, and fails loudly instead.
+deterministically from config), loads every component, and loads the
+engine last: each live row's tag decodes through the timer family its
+owner declared (:class:`repro.sim.engine.Timer`), re-arms under the event's
+original ``(time, priority, seq)`` with the family's handler, and each
+family checks that the restored owner finds every event it requires (a
+running job its completion, a tuning session its profiling step, ...).
+A tag of no declared family, or a missing required event, fails loudly
+instead of resuming a run that would silently diverge.
 
 :func:`checkpointed_runner` is the only code that builds or restores a
 spec's runner and attaches the writer: ``repro-sim run --checkpoint-dir``
@@ -51,8 +53,8 @@ def spec_digest(spec: "RunSpec") -> str:
 
     Stamped into every snapshot so :func:`restore_run` can refuse a
     checkpoint taken under a different trace seed, scheduler, or cluster
-    shape *before* re-arming — tag-based verification alone cannot tell
-    two seeds of the same scenario apart (their job ids coincide).
+    shape *before* loading it — id checks alone cannot tell two seeds of
+    the same scenario apart (their job ids coincide).
     """
     return hashlib.sha256(spec.canonical_json().encode("utf-8")).hexdigest()
 
@@ -86,8 +88,9 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
         CheckpointError: the state does not restore cleanly against this
             spec: a different spec's digest, a value that does not match
             its declared type or refers to a job or node this run does
-            not have (named by its JSON path), or an event inventory the
-            subsystems cannot fully re-arm.
+            not have (named by its JSON path), a live event of no
+            declared timer family, or a restored owner missing a live
+            event its family requires.
     """
     stored_digest = state.get("spec")
     if stored_digest is not None and stored_digest != spec_digest(spec):
@@ -97,10 +100,8 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
             f"{stored_digest[:12]}..., expected {spec_digest(spec)[:12]}...)"
         )
     trace = spec.resolved_scenario().build_trace()
-    jobs_by_id = {job.job_id: job for job in trace.jobs}
     runner = spec.build_runner(trace)
-    engine = runner.engine
-    refs = Refs(jobs_by_id, len(runner.cluster.nodes))
+    refs = Refs({job.job_id: job for job in trace.jobs}, len(runner.cluster.nodes))
     injector = runner.fault_injector
     if injector is None and "faults" in state:
         raise CheckpointError(
@@ -113,9 +114,6 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
             raise CheckpointError(f"state.{key}: missing")
         return state[key]
 
-    # Discards every construction-time event (arrivals, monitor and fault
-    # arms); subsystems claim their snapshotted timers back below.
-    engine.begin_restore(part("engine"))
     load(runner.cluster, part("cluster"), "state.cluster", refs)
     load(runner.scheduler, part("scheduler"), "state.scheduler", refs)
     if injector is not None:
@@ -125,24 +123,11 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
         runner.collector = collector_from_dict(part("collector"))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"state.collector: {exc!r}") from exc
+    # Last: the live rows re-arm against every restored owner, replacing
+    # the construction-time events.
+    load(runner.engine, part("engine"), "state.engine", refs)
     if runner.auditor is not None:
         runner.auditor.resume(runner)
-    try:
-        runner.rearm(jobs_by_id)
-        runner.scheduler.rearm(engine, jobs_by_id)
-        if injector is not None:
-            injector.rearm(engine)
-        engine.finish_restore()
-    except CheckpointError:
-        raise
-    except (KeyError, ValueError, RuntimeError) as exc:
-        # The decoder checks values, not the timer tags of the event
-        # inventory: a tag naming an unknown job or a timer no subsystem
-        # claims fails here.
-        raise CheckpointError(
-            f"state.engine.live does not re-arm against spec "
-            f"{spec.label()!r}: {exc}"
-        ) from exc
     return runner
 
 

@@ -15,12 +15,14 @@ Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from functools import partial
+from typing import Dict, Optional
 
 from repro.core.historylog import TenantHistory
 from repro.core.nstart import determine_n_start
 from repro.core.tuning import DEFAULT_EPSILON, TuningSession
 from repro.schedulers.base import SchedulerContext
+from repro.sim.engine import Timer
 from repro.sim.events import EventHandle
 from repro.sim.state import FLOAT, INT, JOB, JOB_ID, NESTED, STR, Built, DictOf, Record
 from repro.sim.state import Stateful, Struct
@@ -36,6 +38,9 @@ DEFAULT_DEGRADED_AFTER_ABORTS = 3
 
 #: Default length of one degraded-mode episode.
 DEFAULT_DEGRADED_COOLDOWN_S = 1800.0
+
+#: The next profiling step of a job's tuning session.
+PROFILE_STEP = Timer("profile", JOB_ID)
 
 
 @dataclass
@@ -106,6 +111,15 @@ class AdaptiveCpuAllocator(Stateful):
         self._degraded_until = float("-inf")
         self.degraded_entries = 0
         self.sessions_skipped_degraded = 0
+
+    def attach(self, context: SchedulerContext) -> None:
+        """Declare the profiling-step timer on the run's context."""
+        context.declare_timer(
+            PROFILE_STEP,
+            partial(self._on_step, context=context),
+            requires=lambda _: [(job_id,) for job_id in self._active],
+            keep=self._keep_step,
+        )
 
     # ------------------------------------------------------------------ #
     # Placement-time: what cores should this job start with?
@@ -233,10 +247,8 @@ class AdaptiveCpuAllocator(Stateful):
     # Internals
 
     def _arm_step(self, active: _ActiveSession, context: SchedulerContext) -> None:
-        active.event_handle = context.schedule_event(
-            self.profiling_step_s,
-            lambda: self._on_step(active.job.job_id, context),
-            tag=f"profile:{active.job.job_id}",
+        active.event_handle = context.arm_timer(
+            PROFILE_STEP, self.profiling_step_s, active.job.job_id
         )
 
     def _on_step(self, job_id: str, context: SchedulerContext) -> None:
@@ -289,7 +301,7 @@ class AdaptiveCpuAllocator(Stateful):
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore: a session's profiling-step timer lives in the
-    # engine inventory, and :meth:`rearm` reconnects it.
+    # engine inventory, which hands its handle back (:meth:`_keep_step`).
 
     STATE = Struct(
         ("history", NESTED),
@@ -302,20 +314,11 @@ class AdaptiveCpuAllocator(Stateful):
         ("sessions_skipped_degraded", INT),
     )
 
-    def rearm(self, engine: Any, context: SchedulerContext) -> None:
-        """Reconnect each restored session's profiling-step timer."""
-        for tag in engine.pending_rearm_tags():
-            if not tag.startswith("profile:"):
-                continue
-            job_id = tag.partition(":")[2]
-            active = self._active.get(job_id)
-            if active is None:
-                raise RuntimeError(
-                    f"pending {tag!r} has no active tuning session"
-                )
-            active.event_handle = engine.rearm(
-                tag, lambda job_id=job_id: self._on_step(job_id, context)
-            )
+    def _keep_step(self, handle: EventHandle, job_id: str) -> None:
+        active = self._active.get(job_id)
+        if active is None:
+            raise LookupError(f"job {job_id!r} has no active tuning session")
+        active.event_handle = handle
 
     def _record_history(self, job: GpuJob, tuned_cores: int) -> None:
         """Single-node outcomes feed the history, normalized per GPU so a

@@ -18,7 +18,7 @@ in the backend" — here that backend is the allocator's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.allocator import AdaptiveCpuAllocator, PROFILING_STEP_S
 from repro.core.arrays import DEFAULT_FOUR_GPU_FRACTION, DEFAULT_RESERVED_CORES
@@ -107,6 +107,7 @@ class CodaScheduler(MultiArrayScheduler):
 
     def attach(self, context: SchedulerContext) -> None:
         super().attach(context)
+        self.allocator.attach(context)
         self.eliminator.start(context)
 
     def job_started(
@@ -160,14 +161,6 @@ class CodaScheduler(MultiArrayScheduler):
     STATE = MultiArrayScheduler.STATE.plus(
         ("allocator", NESTED), ("eliminator", NESTED)
     )
-
-    def rearm(self, engine: Any, jobs_by_id: Dict[str, Job]) -> None:
-        super().rearm(engine, jobs_by_id)
-        context = self._context
-        if context is None:
-            raise RuntimeError("cannot re-arm CODA timers before attach()")
-        self.allocator.rearm(engine, context)
-        self.eliminator.rearm(engine, context)
 
     def _final_cores(self, job: GpuJob) -> Optional[int]:
         """The per-node cores the job last ran with, if discoverable."""

@@ -17,11 +17,13 @@ than all CPU jobs", and trainers do not contend with each other severely
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from functools import partial
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.node import Node
 from repro.perfmodel.contention import BANDWIDTH_PRESSURE_THRESHOLD
 from repro.schedulers.base import SchedulerContext
+from repro.sim.engine import Timer
 from repro.sim.events import EventHandle
 from repro.sim.state import BOOL, FLOAT, INT, JOB_ID, NODE_ID, DictOf, Items, Refs
 from repro.sim.state import Stateful, Struct
@@ -30,6 +32,9 @@ from repro.sim.state import Stateful, Struct
 #: default stays 0.0 so failure-free runs are byte-identical to the
 #: pre-damping behaviour).
 CHAOS_FLAP_COOLDOWN_S = 120.0
+
+#: The periodic monitor's next tick.
+ELIMINATOR_TICK = Timer("eliminator-tick")
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,12 @@ class ContentionEliminator(Stateful):
         if not self.config.enabled or self._armed:
             return
         self._armed = True
+        context.declare_timer(
+            ELIMINATOR_TICK,
+            partial(self._tick, context),
+            requires=lambda _: [()] if self._armed else [],
+            keep=self._keep_tick,
+        )
         context.monitor_watch_pressure(self.config.bandwidth_threshold)
         self._arm(context)
 
@@ -119,10 +130,8 @@ class ContentionEliminator(Stateful):
         self._armed = False
 
     def _arm(self, context: SchedulerContext) -> None:
-        self._tick_handle = context.schedule_event(
-            self.config.monitor_interval_s,
-            lambda: self._tick(context),
-            tag="eliminator-tick",
+        self._tick_handle = context.arm_timer(
+            ELIMINATOR_TICK, self.config.monitor_interval_s
         )
 
     def _tick(self, context: SchedulerContext) -> None:
@@ -325,14 +334,8 @@ class ContentionEliminator(Stateful):
     )
 
     def _after_load(self, refs: Refs) -> None:
-        # The tick timer is re-claimed by rearm().
+        # The engine hands the tick timer back (:meth:`_keep_tick`).
         self._tick_handle = None
 
-    def rearm(self, engine: Any, context: SchedulerContext) -> None:
-        """Reconnect the monitor tick from the engine's event inventory."""
-        for tag in engine.pending_rearm_tags():
-            if tag != "eliminator-tick":
-                continue
-            self._tick_handle = engine.rearm(
-                tag, lambda: self._tick(context)
-            )
+    def _keep_tick(self, handle: EventHandle) -> None:
+        self._tick_handle = handle

@@ -24,6 +24,7 @@ takes a job off the cluster on completion, preemption or failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, ClassVar, Collection, Dict, List, Optional
 from typing import Sequence, Tuple, Type, TypeVar
 
@@ -36,7 +37,7 @@ from repro.perfmodel.contention import ContentionState, effect_key, node_effect_
 from repro.perfmodel.pcie import pcie_peak_demand
 from repro.perfmodel.stages import IterationBreakdown
 from repro.schedulers.dirty import reference_mode
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Timer
 from repro.sim.events import EventHandle, EventPriority
 from repro.sim.state import FLOAT, INT, JOB_ID, Built, DictOf, Refs, Stateful, Struct
 from repro.workload.job import CpuJob, GpuJob, Job
@@ -52,6 +53,13 @@ ORDINARY_CPU_BW_BOUND = 0.15
 Pricer = Callable[..., IterationBreakdown]
 _R = TypeVar("_R", bound="_Running")
 
+#: A running job's completion, one family per record kind.
+GPU_DONE, CPU_DONE = (
+    Timer(f"{kind.lower()}-done", JOB_ID, priority=EventPriority.COMPLETION,
+          missing=f"running {kind} job {{0}} without a completion event")
+    for kind in ("GPU", "CPU")
+)
+
 
 @dataclass
 class _Running(Stateful):
@@ -59,8 +67,8 @@ class _Running(Stateful):
     trainer, seconds of full-speed work for a CPU job): at ``now`` it has
     done ``work_done + speed * (now - last_update)``."""
 
-    #: Tag family of the job's completion event.
-    done_tag: ClassVar[str]
+    #: The timer family of the job's completion event.
+    done: ClassVar[Timer]
     #: Audit-log key its cores are reported under.
     cores_key: ClassVar[str]
     job: Job
@@ -81,7 +89,7 @@ class _Running(Stateful):
     #: the ShareHeap idiom).  Invariant: armed time <= completion_time.
     completion_time: float = field(init=False, default=0.0)
     #: The armed completion event; None until the first pricing arms it
-    #: (after a checkpoint restore, until :meth:`Progress.rearm`).
+    #: (after a checkpoint restore, until the engine hands it back).
     completion: Optional[EventHandle] = field(init=False, default=None)
 
     def register(self) -> None:
@@ -98,7 +106,7 @@ class _Running(Stateful):
         raise NotImplementedError
 
     #: Checkpoint row; the job and its nodes are rebuilt from the
-    #: cluster, and the completion handle re-claimed, on restore.
+    #: cluster, and the completion handle handed back, on restore.
     STATE = Struct(
         ("cores", INT),
         ("work_done", FLOAT),
@@ -111,7 +119,7 @@ class _Running(Stateful):
 
 @dataclass
 class _RunningGpu(_Running):
-    done_tag = "gpu-done"
+    done = GPU_DONE
     cores_key = "cores_per_node"
     job: GpuJob
     profile: ModelProfile
@@ -202,7 +210,7 @@ class _RunningGpu(_Running):
 
 @dataclass
 class _RunningCpu(_Running):
-    done_tag = "cpu-done"
+    done = CPU_DONE
     cores_key = "cores"
     job: CpuJob
     #: Fault-injected slowdown (1.0 = healthy); multiplies the speed.
@@ -275,6 +283,13 @@ class Progress(Stateful):
         #: Each node's (bandwidth excess, LLC excess, PCIe grant ratio) at
         #: its last refresh; see :meth:`touch`.
         self._node_key_memo: Dict[int, Tuple[float, ...]] = {}
+        for kind in (_RunningGpu, _RunningCpu):
+            engine.declare(
+                kind.done,
+                self.complete,
+                requires=partial(self._running_ids, kind),
+                keep=partial(self._keep_completion, kind),
+            )
 
     def record(self, job_id: str, kind: Type[_R]) -> _R:
         """The running job's record, which must be of ``kind``."""
@@ -411,16 +426,7 @@ class Progress(Stateful):
                 # cheaper than a cancel+push on every speed change.
                 return
             completion.cancel()
-        self._arm_completion(record, target)
-
-    def _arm_completion(self, record: _Running, when: float) -> None:
-        job_id = record.job.job_id
-        record.completion = self._engine.schedule(
-            when,
-            lambda job_id=job_id: self.complete(job_id),
-            priority=EventPriority.COMPLETION,
-            tag=f"{record.done_tag}:{job_id}",
-        )
+        record.completion = self._engine.arm(record.done, target, record.job.job_id)
 
     def complete(self, job_id: str) -> None:
         """A completion timer fired.
@@ -437,7 +443,9 @@ class Progress(Stateful):
         """
         record = self.running[job_id]
         if record.completion_time > self._engine.now:
-            self._arm_completion(record, record.completion_time)
+            record.completion = self._engine.arm(
+                record.done, record.completion_time, job_id
+            )
             self.stale_fires += 1
             self._engine.recategorize_current_event("completion-stale")
             return
@@ -472,23 +480,11 @@ class Progress(Stateful):
         # reprices its GPU residents, which finds their snapshotted speeds.
         self._node_key_memo = {}
 
-    def rearm(self) -> None:
-        """Re-claim every completion timer from the engine inventory.
+    def _running_ids(self, kind: Type[_Running], refs: Refs) -> List[Tuple[str]]:
+        """Every running job of ``kind`` needs its completion event."""
+        return [(job_id,) for job_id, r in self.running.items() if type(r) is kind]
 
-        Runs inside an engine restore window, after :meth:`restore`;
-        completion handles are wired back into their records, and a
-        final pass verifies no running job was left without one.
-        """
-        engine = self._engine
-        for tag in engine.pending_rearm_tags():
-            family, _, job_id = tag.partition(":")
-            if family in (_RunningGpu.done_tag, _RunningCpu.done_tag):
-                self.running[job_id].completion = engine.rearm(
-                    tag, lambda job_id=job_id: self.complete(job_id)
-                )
-        for job_id, record in self.running.items():
-            if record.completion is None:
-                raise RuntimeError(
-                    f"restore left running {record.job.kind.name} job "
-                    f"{job_id} without a completion event"
-                )
+    def _keep_completion(
+        self, kind: Type[_Running], handle: EventHandle, job_id: str
+    ) -> None:
+        self.record(job_id, kind).completion = handle

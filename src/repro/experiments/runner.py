@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.health.config import HealthConfig
@@ -36,10 +37,10 @@ from repro.schedulers.base import (
     SchedulerContext,
     StartDecision,
 )
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Timer
 from repro.sim.events import EventHandle, EventPriority
-from repro.sim.state import BOOL, FLOAT, INF_OR_FLOAT, INT, JOB_ID, NODE_ID, DictOf
-from repro.sim.state import Inline, Items, ListOf, Nullable, Stateful, Struct
+from repro.sim.state import BOOL, FLOAT, INF_OR_FLOAT, INT, JOB, JOB_ID, NODE_ID, DictOf
+from repro.sim.state import Inline, Items, ListOf, Nullable, Refs, Stateful, Struct
 from repro.experiments.auditlog import AuditLog
 from repro.experiments.progress import Progress, _Running, _RunningCpu, _RunningGpu
 from repro.workload.job import Job, JobKind
@@ -53,6 +54,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Default cluster-state sampling cadence (the paper samples utilization
 #: continuously; five minutes keeps week-long runs cheap and smooth).
 DEFAULT_SAMPLE_INTERVAL_S = 300.0
+
+ARRIVAL = Timer("arrival", JOB, priority=EventPriority.ARRIVAL)
+SAMPLE = Timer("sample")
+SCHEDULE_PASS = Timer("schedule-pass", priority=EventPriority.SCHEDULE)
+#: A straggler's heal: the incarnation guards a restarted job, the global
+#: straggle count keeps two heals of one job apart.
+STRAGGLER_END = Timer("straggler-end", JOB_ID, INT, INT)
+#: A quarantine's expiry: the scheduler re-discovers the node's capacity.
+QUARANTINE_END = Timer("quarantine-end", NODE_ID)
 
 
 @dataclass
@@ -137,6 +147,18 @@ class SimulationRunner(SchedulerContext, Stateful):
         self.progress = Progress(
             self.engine, cluster, iteration_time, self._on_complete
         )
+        declare = self.engine.declare
+        declare(ARRIVAL, self._on_arrival, requires=self._unsubmitted)
+        declare(
+            SAMPLE, self._on_sample, requires=lambda _: [()] if self._sampling else []
+        )
+        declare(
+            SCHEDULE_PASS,
+            self._run_pass,
+            requires=lambda _: [()] if self._pass_pending else [],
+        )
+        declare(STRAGGLER_END, self._end_straggler, requires=self._straggling)
+        declare(QUARANTINE_END, self._on_quarantine_end, requires=self._quarantined)
         self._pass_pending = False
         self._preemptions = 0
         self._sampling = False
@@ -180,24 +202,14 @@ class SimulationRunner(SchedulerContext, Stateful):
             self.submit_at(job.submit_time, job)
 
     def submit_at(self, when: float, job: Job) -> None:
-        self.engine.schedule(
-            when,
-            lambda job=job: self._on_arrival(job),
-            priority=EventPriority.ARRIVAL,
-            tag=f"arrival:{job.job_id}",
-        )
+        self.engine.arm(ARRIVAL, when, job)
 
     def enable_sampling(self) -> None:
         """Start the periodic cluster-state sampler (idempotent)."""
         if self._sampling:
             return
         self._sampling = True
-        self.engine.schedule(
-            self.engine.now,
-            self._on_sample,
-            priority=EventPriority.MONITOR,
-            tag="sample",
-        )
+        self.engine.arm(SAMPLE, self.engine.now)
 
     def run(self, until: float) -> RunResult:
         """Run the simulation to the ``until`` horizon (seconds).
@@ -276,12 +288,18 @@ class SimulationRunner(SchedulerContext, Stateful):
     def now(self) -> float:
         return self.engine.now
 
-    def schedule_event(
-        self, delay_s: float, action: Callable[[], None], tag: str = ""
-    ) -> EventHandle:
-        return self.engine.schedule_in(
-            delay_s, action, priority=EventPriority.MONITOR, tag=tag
-        )
+    def declare_timer(
+        self, timer: Timer, handler: Callable[..., None], **binding: Any
+    ) -> None:
+        self.engine.declare(timer, handler, **binding)
+
+    def arm_timer(self, timer: Timer, delay_s: float, *args: Any) -> EventHandle:
+        return self.engine.arm(timer, self.engine.now + delay_s, *args)
+
+    def is_running_or_finished(self, job_id: str) -> bool:
+        record = self.collector.records.get(job_id)
+        finished = record is not None and record.finish_time is not None
+        return finished or job_id in self.progress.running
 
     def resize_gpu_job_cores(self, job_id: str, cpus_per_node: int) -> bool:
         record = self.progress.running.get(job_id)
@@ -448,12 +466,7 @@ class SimulationRunner(SchedulerContext, Stateful):
         if self._pass_pending:
             return
         self._pass_pending = True
-        self.engine.schedule(
-            self.engine.now,
-            self._run_pass,
-            priority=EventPriority.SCHEDULE,
-            tag="schedule-pass",
-        )
+        self.engine.arm(SCHEDULE_PASS, self.engine.now)
 
     def _run_pass(self) -> None:
         self._pass_pending = False
@@ -655,24 +668,19 @@ class SimulationRunner(SchedulerContext, Stateful):
         self.collector.faults.stragglers += 1
         self._audit("straggler", record.job, factor=factor)
         self.progress.touch(moved=job_id)
-        # The tag carries the incarnation (for the heal check) and a
-        # global straggle counter (for uniqueness when the same job is
-        # straggled twice), so a checkpoint restore can rebuild this
-        # closure from the live-event inventory alone.
         self._straggle_count += 1
-        incarnation = self._cpu_incarnation[job_id]
-        self.engine.schedule_in(
-            duration_s,
-            lambda job_id=job_id, incarnation=incarnation: self._end_straggler(
-                job_id, incarnation
-            ),
-            priority=EventPriority.MONITOR,
-            tag=f"straggler-end:{job_id}:{incarnation}:{self._straggle_count}",
+        self.engine.arm(
+            STRAGGLER_END,
+            self.engine.now + duration_s,
+            job_id,
+            self._cpu_incarnation[job_id],
+            self._straggle_count,
         )
 
-    def _end_straggler(self, job_id: str, incarnation: int) -> None:
+    def _end_straggler(self, job_id: str, incarnation: int, count: int) -> None:
         # Only heal the same incarnation: if the job finished or restarted
-        # meanwhile, the stale timer must not touch the new record.
+        # meanwhile, the stale timer must not touch the new record.  The
+        # count only keeps the tag unique.
         record = self.progress.running.get(job_id)
         if self._cpu_incarnation.get(job_id) == incarnation and isinstance(
             record, _RunningCpu
@@ -704,12 +712,8 @@ class SimulationRunner(SchedulerContext, Stateful):
                         preserve_progress=True,
                     )
                 )
-        self.engine.schedule(
-            self.health.quarantine_until(node_id),
-            lambda node_id=node_id: self._on_quarantine_end(node_id),
-            priority=EventPriority.MONITOR,
-            tag=f"quarantine-end:{node_id}",
-        )
+        until = self.health.quarantine_until(node_id)
+        self.engine.arm(QUARANTINE_END, until, node_id)
         self.request_schedule()
 
     def _on_quarantine_end(self, node_id: int) -> None:
@@ -758,12 +762,7 @@ class SimulationRunner(SchedulerContext, Stateful):
             free_gpu_fraction=free_fraction,
             hot_nodes=hot_nodes,
         )
-        self.engine.schedule_in(
-            self._sample_interval_s,
-            self._on_sample,
-            priority=EventPriority.MONITOR,
-            tag="sample",
-        )
+        self.engine.arm(SAMPLE, self.engine.now + self._sample_interval_s)
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
@@ -782,34 +781,23 @@ class SimulationRunner(SchedulerContext, Stateful):
         ("observable_since", "_observable_since", Items((NODE_ID,), INF_OR_FLOAT)),
     )
 
-    def rearm(self, jobs_by_id: Dict[str, Job]) -> None:
-        """Re-claim every runner-owned timer from the engine inventory.
+    # What a restored runner requires live (see ``Engine.declare``).
 
-        Runs inside an engine restore window, after :meth:`restore`;
-        :class:`Progress` claims the completion timers.
-        """
-        self.progress.rearm()
-        engine = self.engine
-        for tag in engine.pending_rearm_tags():
-            family = tag.partition(":")[0]
-            if family == "arrival":
-                job = jobs_by_id[tag.partition(":")[2]]
-                engine.rearm(tag, lambda job=job: self._on_arrival(job))
-            elif tag == "sample":
-                engine.rearm(tag, self._on_sample)
-            elif tag == "schedule-pass":
-                engine.rearm(tag, self._run_pass)
-            elif family == "straggler-end":
-                _, job_id, incarnation, _count = tag.split(":")
-                engine.rearm(
-                    tag,
-                    lambda job_id=job_id, incarnation=int(
-                        incarnation
-                    ): self._end_straggler(job_id, incarnation),
-                )
-            elif family == "quarantine-end":
-                node_id = int(tag.partition(":")[2])
-                engine.rearm(
-                    tag,
-                    lambda node_id=node_id: self._on_quarantine_end(node_id),
-                )
+    def _unsubmitted(self, refs: Refs) -> List[Tuple[str]]:
+        records = self.collector.records
+        return [(job_id,) for job_id in refs.jobs or () if job_id not in records]
+
+    def _straggling(self, refs: Refs) -> List[Tuple[str, int]]:
+        """A slowed CPU record has seen no heal of its incarnation since
+        its last straggle, so that straggle's heal is still live."""
+        return [
+            (job_id, self._cpu_incarnation[job_id])
+            for job_id, record in self.progress.running.items()
+            if isinstance(record, _RunningCpu) and record.straggle_factor != 1.0
+        ]
+
+    def _quarantined(self, refs: Refs) -> List[Tuple[int]]:
+        """Nodes whose quarantine ends after now (one ending now may have
+        been readmitted already)."""
+        until, now = self.health.quarantine_until, self.engine.now
+        return [(n,) for n in range(len(self.cluster.nodes)) if until(n) > now]

@@ -20,24 +20,31 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.config import FaultConfig
-from repro.sim.events import EventPriority
+from repro.sim.engine import Timer
 from repro.sim.rng import RngRegistry
-from repro.sim.state import FLOAT, NESTED, STR, DictOf, ListOf, Row, Scalar, Stateful
-from repro.sim.state import Struct
+from repro.sim.state import FLOAT, INT, NESTED, NODE_ID, STR, DictOf, ListOf, Row
+from repro.sim.state import Refs, Scalar, Stateful, Struct
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.node import Node
     from repro.experiments.runner import SimulationRunner
 
 #: One injected-fault log entry: (sim time, channel kind, detail fields).
 InjectedEvent = Tuple[float, str, Dict[str, object]]
+
+FAULT_CRASH = Timer("fault:crash", NODE_ID)
+FAULT_RECOVER = Timer("fault:recover", NODE_ID)
+FAULT_GPU = Timer("fault:gpu", NODE_ID)
+FAULT_GPU_REPAIR = Timer("fault:gpu-repair", NODE_ID, INT)
+FAULT_MBM = Timer("fault:mbm", NODE_ID)
+FAULT_STRAGGLER = Timer("fault:straggler")
 
 
 class FaultInjector(Stateful):
     """Schedules failure/recovery events against a simulation runner."""
 
     #: RNG positions and the injected log.  The pending fault timers live
-    #: in the engine's event inventory; :meth:`rearm` rebuilds their
-    #: closures from the tags alone.
+    #: in the engine's event inventory, one declared family per timer.
     STATE = Struct(
         ("rng", NESTED),
         ("injected", ListOf(Row(FLOAT, STR, DictOf(STR, Scalar(int, str))))),
@@ -62,7 +69,8 @@ class FaultInjector(Stateful):
     # Wiring
 
     def attach(self, runner: "SimulationRunner") -> None:
-        """Arm every configured channel against ``runner``'s engine.
+        """Declare and arm every configured channel on ``runner``'s engine;
+        a restore requires each channel's live timers.
 
         Idempotent per runner; attaching twice would double the failure
         rate, so it is refused.
@@ -70,18 +78,37 @@ class FaultInjector(Stateful):
         if self._runner is not None:
             raise RuntimeError("fault injector already attached")
         self._runner = runner
-        config = self.config
-        num_nodes = len(runner.cluster.nodes)
+        config, engine, nodes = self.config, runner.engine, runner.cluster.nodes
+
+        def node_ids(keep: Callable[[Node], object]) -> Callable[[Refs], List[Any]]:
+            return lambda _: [(node.node_id,) for node in nodes if keep(node)]
+
         if config.node_mtbf_s is not None:
-            for node_id in range(num_nodes):
-                self._arm_node_crash(node_id)
+            up = node_ids(lambda node: node.is_up)
+            engine.declare(FAULT_CRASH, self._crash_node, requires=up)
+            down = node_ids(lambda node: not node.is_up)
+            engine.declare(FAULT_RECOVER, self._recover_node, requires=down)
+            for node in nodes:
+                self._arm_node_crash(node.node_id)
         if config.gpu_mtbf_s is not None:
-            for node_id in range(num_nodes):
-                self._arm_gpu_failure(node_id)
+            with_gpus = node_ids(lambda node: node.total_gpus)
+            engine.declare(FAULT_GPU, self._fail_gpu, requires=with_gpus)
+            engine.declare(
+                FAULT_GPU_REPAIR,
+                self._repair_gpu,
+                requires=lambda _: [
+                    (n.node_id, g.gpu_id) for n in nodes for g in n.gpus if g.failed
+                ],
+            )
+            for node in nodes:
+                self._arm_gpu_failure(node.node_id)
         if config.telemetry_mtbf_s is not None:
-            for node_id in range(num_nodes):
-                self._arm_telemetry(node_id)
+            every = node_ids(lambda node: True)
+            engine.declare(FAULT_MBM, self._drop_telemetry, requires=every)
+            for node in nodes:
+                self._arm_telemetry(node.node_id)
         if config.straggler_interval_s is not None:
+            engine.declare(FAULT_STRAGGLER, self._straggle, requires=lambda _: [()])
             self._arm_straggler()
 
     def detach(self) -> None:
@@ -89,12 +116,9 @@ class FaultInjector(Stateful):
         injector)."""
         self._runner = None
 
-    def _schedule(
-        self, delay: float, action: Callable[[], None], tag: str
-    ) -> None:
-        self._attached.engine.schedule_in(
-            delay, action, priority=EventPriority.MONITOR, tag=tag
-        )
+    def _arm(self, timer: Timer, delay: float, *args: int) -> None:
+        engine = self._attached.engine
+        engine.arm(timer, engine.now + delay, *args)
 
     def _exp(self, stream: str, mean: float) -> float:
         return self.rng.stream(stream).expovariate(1.0 / mean)
@@ -107,20 +131,12 @@ class FaultInjector(Stateful):
 
     def _arm_node_crash(self, node_id: int) -> None:
         delay = self._exp(f"node:{node_id}", self.config.node_mtbf_s)
-        self._schedule(
-            delay,
-            lambda: self._crash_node(node_id),
-            tag=f"fault:crash:{node_id}",
-        )
+        self._arm(FAULT_CRASH, delay, node_id)
 
     def _crash_node(self, node_id: int) -> None:
         self._log("node-crash", node_id=node_id)
         self._attached.fail_node(node_id)
-        self._schedule(
-            self.config.node_mttr_s,
-            lambda: self._recover_node(node_id),
-            tag=f"fault:recover:{node_id}",
-        )
+        self._arm(FAULT_RECOVER, self.config.node_mttr_s, node_id)
 
     def _recover_node(self, node_id: int) -> None:
         self._log("node-recover", node_id=node_id)
@@ -138,11 +154,7 @@ class FaultInjector(Stateful):
         # N devices with independent Exp(mtbf) lifetimes fail as a merged
         # Poisson process of rate N/mtbf.
         delay = self._exp(f"gpu:{node_id}", per_device / node.total_gpus)
-        self._schedule(
-            delay,
-            lambda: self._fail_gpu(node_id),
-            tag=f"fault:gpu:{node_id}",
-        )
+        self._arm(FAULT_GPU, delay, node_id)
 
     def _fail_gpu(self, node_id: int) -> None:
         node = self._attached.cluster.node(node_id)
@@ -151,14 +163,7 @@ class FaultInjector(Stateful):
             gpu_id = self.rng.stream(f"gpu:{node_id}").choice(healthy)
             self._log("gpu-fail", node_id=node_id, gpu_id=gpu_id)
             self._attached.fail_gpu(node_id, gpu_id)
-            # The gpu id rides in the tag so a checkpoint restore can
-            # rebuild this closure from the live-event inventory alone
-            # (and so two pending repairs on one node cannot collide).
-            self._schedule(
-                self.config.gpu_mttr_s,
-                lambda: self._repair_gpu(node_id, gpu_id),
-                tag=f"fault:gpu-repair:{node_id}:{gpu_id}",
-            )
+            self._arm(FAULT_GPU_REPAIR, self.config.gpu_mttr_s, node_id, gpu_id)
         self._arm_gpu_failure(node_id)
 
     def _repair_gpu(self, node_id: int, gpu_id: int) -> None:
@@ -170,11 +175,7 @@ class FaultInjector(Stateful):
 
     def _arm_telemetry(self, node_id: int) -> None:
         delay = self._exp(f"mbm:{node_id}", self.config.telemetry_mtbf_s)
-        self._schedule(
-            delay,
-            lambda: self._drop_telemetry(node_id),
-            tag=f"fault:mbm:{node_id}",
-        )
+        self._arm(FAULT_MBM, delay, node_id)
 
     def _drop_telemetry(self, node_id: int) -> None:
         self._log("telemetry-dropout", node_id=node_id)
@@ -188,7 +189,7 @@ class FaultInjector(Stateful):
 
     def _arm_straggler(self) -> None:
         delay = self._exp("straggler", self.config.straggler_interval_s)
-        self._schedule(delay, self._straggle, tag="fault:straggler")
+        self._arm(FAULT_STRAGGLER, delay)
 
     def _straggle(self) -> None:
         candidates = sorted(self._attached.running_cpu_job_ids())
@@ -201,52 +202,3 @@ class FaultInjector(Stateful):
                 duration_s=self.config.straggler_duration_s,
             )
         self._arm_straggler()
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint re-arm
-
-    def rearm(self, engine: Any) -> None:
-        """Re-claim every snapshotted ``fault:*`` event from ``engine``.
-
-        Runs inside an engine restore window: the construction-time arms
-        scheduled by :meth:`attach` were discarded with the rest of the
-        heap, and each live fault timer is rebuilt under its original
-        ``(time, priority, seq)`` from the information in its tag.
-        """
-        for tag in engine.pending_rearm_tags():
-            if not tag.startswith("fault:"):
-                continue
-            parts = tag.split(":")
-            kind = parts[1]
-            if kind == "crash":
-                node_id = int(parts[2])
-                engine.rearm(
-                    tag, lambda node_id=node_id: self._crash_node(node_id)
-                )
-            elif kind == "recover":
-                node_id = int(parts[2])
-                engine.rearm(
-                    tag, lambda node_id=node_id: self._recover_node(node_id)
-                )
-            elif kind == "gpu":
-                node_id = int(parts[2])
-                engine.rearm(
-                    tag, lambda node_id=node_id: self._fail_gpu(node_id)
-                )
-            elif kind == "gpu-repair":
-                node_id, gpu_id = int(parts[2]), int(parts[3])
-                engine.rearm(
-                    tag,
-                    lambda node_id=node_id, gpu_id=gpu_id: self._repair_gpu(
-                        node_id, gpu_id
-                    ),
-                )
-            elif kind == "mbm":
-                node_id = int(parts[2])
-                engine.rearm(
-                    tag, lambda node_id=node_id: self._drop_telemetry(node_id)
-                )
-            elif kind == "straggler":
-                engine.rearm(tag, self._straggle)
-            else:
-                raise RuntimeError(f"cannot re-arm unknown fault tag {tag!r}")

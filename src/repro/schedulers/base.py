@@ -40,6 +40,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.resources import ResourceVector
 from repro.health.restarts import DeadJob, RestartPolicy
 from repro.schedulers.dirty import PassGate
+from repro.sim.engine import Timer
 from repro.sim.events import EventHandle
 from repro.sim.state import FLOAT, INT, INT_KEY, JOB, JOB_ID, STR, DictOf, ListOf
 from repro.sim.state import Record, Refs, Row, Stateful, Struct
@@ -98,10 +99,18 @@ class SchedulerContext(abc.ABC):
     cluster: Cluster
 
     @abc.abstractmethod
-    def schedule_event(
-        self, delay_s: float, action: Callable[[], None], tag: str = ""
-    ) -> EventHandle:
-        """Register a future callback; returns a cancellable handle."""
+    def declare_timer(
+        self, timer: Timer, handler: Callable[..., None], **binding: Any
+    ) -> None:
+        """Declare a policy timer family (see ``Engine.declare``)."""
+
+    @abc.abstractmethod
+    def arm_timer(self, timer: Timer, delay_s: float, *args: Any) -> EventHandle:
+        """Arm a declared family's event ``delay_s`` from now."""
+
+    @abc.abstractmethod
+    def is_running_or_finished(self, job_id: str) -> bool:
+        """True while ``job_id`` runs and once it finished."""
 
     @abc.abstractmethod
     def resize_gpu_job_cores(self, job_id: str, cpus_per_node: int) -> bool:
@@ -171,6 +180,9 @@ class SchedulerContext(abc.ABC):
 
 _DEAD_JOB = Record(DeadJob, job_id=JOB_ID, time=FLOAT, failures=INT, reason=STR)
 
+#: A failed job's delayed return to its queue (restart backoff).
+REQUEUE = Timer("requeue", JOB)
+
 
 class Scheduler(Stateful, abc.ABC):
     """Base class for all scheduling policies.
@@ -201,6 +213,9 @@ class Scheduler(Stateful, abc.ABC):
         """Receive the runtime-control surface.  Baselines only use it for
         deferred (backed-off) failure re-queues."""
         self._context = context
+        context.declare_timer(
+            REQUEUE, self._requeue_after_backoff, requires=self._backing_off
+        )
 
     def detach(self) -> None:
         """Drop the runtime-control surface as the run ends: it is the
@@ -264,27 +279,26 @@ class Scheduler(Stateful, abc.ABC):
         if delay <= 0 or context is None:
             self._requeue_failed_job(job, now)
             return
-        context.schedule_event(
-            delay,
-            self._make_requeue_action(job, context),
-            tag=f"requeue:{job.job_id}",
-        )
+        context.arm_timer(REQUEUE, delay, job)
 
-    def _make_requeue_action(
-        self, job: Job, context: SchedulerContext
-    ) -> Callable[[], None]:
-        """The deferred-requeue closure for one backed-off failed job.
+    def _requeue_after_backoff(self, job: Job) -> None:
+        context = self._context
+        assert context is not None  # a detached policy fires no timers
+        self._requeue_failed_job(job, context.now)
+        context.request_schedule()
 
-        Factored out so a checkpoint restore re-arms the identical action
-        under the event's original tag (see :meth:`rearm`)."""
-
-        def _deferred_requeue(
-            job: Job = job, context: SchedulerContext = context
-        ) -> None:
-            self._requeue_failed_job(job, context.now)
-            context.request_schedule()
-
-        return _deferred_requeue
+    def _backing_off(self, refs: Refs) -> List[Tuple[str]]:
+        """Jobs waiting out a re-queue backoff: failed, yet neither dead,
+        queued, nor back with the runner."""
+        context = self._context
+        assert context is not None
+        out = {job.job_id for job in self.pending_jobs()}
+        out.update(dead.job_id for dead in self.dead_jobs)
+        return [
+            (job_id,)
+            for job_id in self._restart_counts
+            if job_id not in out and not context.is_running_or_finished(job_id)
+        ]
 
     def _requeue_failed_job(self, job: Job, now: float) -> None:
         """Put a failed (but not dead) job back in its queue.  Default:
@@ -332,24 +346,6 @@ class Scheduler(Stateful, abc.ABC):
         ("dead_jobs", ListOf(_DEAD_JOB)),
         ("restart_counts", "_restart_counts", DictOf(JOB_ID, INT)),
     )
-
-    def rearm(self, engine: Any, jobs_by_id: Dict[str, Job]) -> None:
-        """Re-claim this policy's snapshotted timers from ``engine``.
-
-        The base class owns exactly one timer family — the deferred
-        failure requeues; policies with their own timers (CODA's profiler
-        steps and eliminator tick) extend this.
-        """
-        context = self._context
-        for tag in engine.pending_rearm_tags():
-            if not tag.startswith("requeue:"):
-                continue
-            if context is None:
-                raise RuntimeError(
-                    f"cannot re-arm {tag!r}: scheduler is not attached"
-                )
-            job = jobs_by_id[tag.partition(":")[2]]
-            engine.rearm(tag, self._make_requeue_action(job, context))
 
 
 def depths_of(jobs: Sequence[Job]) -> Tuple[int, int]:

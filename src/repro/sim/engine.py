@@ -24,14 +24,96 @@ head of the queue::
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.sim.events import Event, EventHandle, EventPriority
-from repro.sim.state import FLOAT, INT, STR, CheckpointError, ListOf, Refs, Row
-from repro.sim.state import Stateful, Struct, load
+from repro.sim.state import FLOAT, INT, INT_KEY, JOB, JOB_ID, NODE_ID, NODE_KEY, STR
+from repro.sim.state import CheckpointError, Codec, ListOf, Refs, Row, Stateful, Struct
 
 #: An engine observer: called after each fired event with the event record.
 Observer = Callable[[Event], None]
+
+#: How each timer argument type reads back from tag text: ints are decimal
+#: strings there, as in int dict keys.
+_FROM_TAG = {JOB: JOB, JOB_ID: JOB_ID, NODE_ID: NODE_KEY, INT: INT_KEY}
+
+
+class Timer:
+    """A timer family: the tag of its events, ``name`` plus one argument
+    per type (``JOB``, ``JOB_ID``, ``NODE_ID``, ``INT``; a job only
+    first), and their priority; ``missing`` words the error for a required
+    event a restored owner lacks (formatted with its key).  Owners bind it
+    with :meth:`Engine.declare` and arm it with :meth:`Engine.arm`::
+
+        >>> Timer("fault:gpu-repair", NODE_ID, INT).tag((3, 1))
+        'fault:gpu-repair:3:1'
+    """
+
+    __slots__ = ("name", "args", "priority", "missing", "template", "by_job")
+
+    def __init__(
+        self,
+        name: str,
+        *args: Codec,
+        priority: int = EventPriority.MONITOR,
+        missing: str = "",
+    ) -> None:
+        if not all(arg in _FROM_TAG for arg in args) or {JOB, JOB_ID} & set(args[1:]):
+            raise ValueError(f"timer {name!r}: arguments are JOB, JOB_ID, NODE_ID, INT")
+        self.name, self.args, self.priority = name, args, int(priority)
+        self.missing = missing
+        #: The tag as a ``%`` template of ids, the cheapest format per event.
+        self.template = name + ":%s" * len(args)
+        self.by_job = args[:1] == (JOB,)
+
+    def tag(self, args: Tuple[Any, ...]) -> str:
+        return self.template % ((args[0].job_id, *args[1:]) if self.by_job else args)
+
+    def decode(self, tag: str, path: str, ctx: Any) -> Tuple[Any, ...]:
+        """The handler arguments in ``tag`` (which starts with ``name``),
+        each checked against the run."""
+        text = tag[len(self.name) + 1 :]
+        # A job id may hold ":"; it is always the first argument.
+        parts = text.rsplit(":", len(self.args) - 1) if text else []
+        if len(parts) == len(self.args):
+            values = tuple(
+                _FROM_TAG[arg].load(part, path, ctx)
+                for arg, part in zip(self.args, parts)
+            )
+            if self.tag(values) == tag:
+                return values
+        form = self.name + "".join(f":<{arg.name}>" for arg in self.args)
+        raise CheckpointError(f"{path}: expected tag {form!r}, got {tag!r}")
+
+
+#: ``refs`` -> keys of the events a restored owner requires live.
+Requires = Callable[[Refs], Iterable[Tuple[Any, ...]]]
+
+
+class _Family(NamedTuple):
+    """A timer bound to its owner for one run (see :meth:`Engine.declare`)."""
+
+    timer: Timer
+    handler: Callable[..., Any]
+    requires: Optional[Requires]
+    keep: Optional[Callable[..., None]]
+
+
+class _Timers(dict[str, _Family]):
+    """Declared families by name; a class so a weak reference can watch it."""
+
+    __slots__ = ("__weakref__",)
+
+
+class _LiveEvent(Codec):
+    """A live event ``[time, priority, seq, tag]``, re-armed as it loads;
+    it loads as its family's name and key (see :meth:`Engine._rearm`)."""
+
+    row = Row(FLOAT, INT, INT, STR)
+    name = row.name
+
+    def load(self, raw: Any, path: str, ctx: Any, key: Any = None) -> Any:
+        return ctx.owner._rearm(*self.row.load(raw, path, ctx), path, ctx)
 
 
 class Engine(Stateful):
@@ -43,8 +125,8 @@ class Engine(Stateful):
         #: Current simulation time (seconds).  A plain attribute: it is the
         #: hottest read in the simulator, so it must not cost a property
         #: call.  Only the engine writes it, at its three advance sites
-        #: (event dispatch, the final horizon advance in :meth:`run`, and
-        #: :meth:`begin_restore`), and it only moves forward.  Components
+        #: (event dispatch, the final horizon advance in :meth:`run`, and a
+        #: checkpoint load), and it only moves forward.  Components
         #: read it and must never cache it across events.
         self.now = float(start)
         # Heap entries are (time, priority, seq, event) tuples rather than
@@ -62,10 +144,10 @@ class Engine(Stateful):
         #: recategorize_current_event; an observer that books by category
         #: reads it after the event and resets it to None.
         self.event_category: Optional[str] = None
-        # Checkpoint-restore bookkeeping: tag -> (time, priority, seq) of
-        # snapshotted live events awaiting a rearm() claim.  None outside
-        # a begin_restore()/finish_restore() window.
-        self._pending_rearm: Optional[Dict[str, Tuple[float, int, int]]] = None
+        #: Declared timer families by name; see :meth:`declare`.
+        self._timers = _Timers()
+        #: (family name, key) of each live row a checkpoint load re-armed.
+        self._restored: List[Tuple[str, Tuple[Any, ...]]] = []
 
     @property
     def pending(self) -> int:
@@ -245,17 +327,19 @@ class Engine(Stateful):
 
     def detach(self) -> None:
         """End the engine's life: drop the action of every event still
-        queued, and every observer.
+        queued, every observer and the declared timer families.
 
-        Actions and observers are the engine's only references into the
-        components that drive it, which all hold the engine in turn; with
-        them gone, dropping the last outside reference frees the whole
-        simulation by refcount.  The clock, counters and queued-event
-        inventory stay readable; :meth:`run` and :meth:`step` raise.
+        Actions, observers and the families' bound handlers are the
+        engine's only references into the components that drive it, which
+        all hold the engine in turn; with them gone, dropping the last
+        outside reference frees the whole simulation by refcount.  The
+        clock, counters and queued-event inventory stay readable;
+        :meth:`run` and :meth:`step` raise, and so does :meth:`arm`.
         """
         for entry in self._queue:
             entry[3].action = None
         self._observers.clear()
+        self._timers = _Timers()
         self._detached = True
 
     def _check_attached(self) -> None:
@@ -263,15 +347,60 @@ class Engine(Stateful):
             raise RuntimeError("engine is detached: its run is over")
 
     # ------------------------------------------------------------------ #
+    # Declared timers: every tagged event belongs to a family bound here
+    # to its owner for the run.  The table is the engine's one reference
+    # to those owners besides queued actions, so :meth:`detach` drops it.
+
+    def declare(
+        self,
+        timer: Timer,
+        handler: Callable[..., Any],
+        *,
+        requires: Optional[Requires] = None,
+        keep: Optional[Callable[..., None]] = None,
+    ) -> None:
+        """Bind ``timer`` for this run: ``handler(*args)`` fires its events.
+        On restore ``keep(handle, *args)`` hands a re-armed event to its
+        owner (``LookupError``: no such record), and ``requires(refs)``
+        lists the keys (leading arguments, as ids) of the events the
+        restored owner needs live.  Declaring a timer again rebinds it."""
+        family = self._timers.get(timer.name)
+        if family is not None and family.timer is not timer:
+            raise ValueError(f"timer family {timer.name!r} is already declared")
+        self._timers[timer.name] = _Family(timer, handler, requires, keep)
+
+    def arm(self, timer: Timer, when: float, *args: Any) -> EventHandle:
+        """Schedule an event of ``timer``'s declared family at ``when``,
+        calling its handler with ``args``; ``ValueError`` if undeclared."""
+        family = self._timers.get(timer.name)
+        if family is None:
+            raise ValueError(f"timer family {timer.name!r} is not declared here")
+        handler = family.handler
+        # Timer.tag, inlined: this runs for every armed event.
+        ids = (args[0].job_id, *args[1:]) if timer.by_job else args
+        return self.schedule(
+            when,
+            lambda: handler(*args),
+            priority=timer.priority,
+            tag=timer.template % ids,
+        )
+
+    def _family_of(self, tag: str) -> Optional[_Family]:
+        """The declared family ``tag`` belongs to (names span one or two
+        ``:``-separated parts)."""
+        head, _, rest = tag.partition(":")
+        two = f"{head}:{rest.partition(':')[0]}"
+        return self._timers.get(head) or self._timers.get(two)
+
+    # ------------------------------------------------------------------ #
     # Checkpoint / restore
     #
-    # Events hold closures, so the heap itself is never serialized.  A
-    # snapshot records the *inventory* of live events — ``(time,
-    # priority, seq, tag)`` — and restore expects each owning subsystem
-    # to re-arm its own timers by tag, reconstructing the closure from
-    # its restored state.  Preserving the original seq numbers (and the
-    # pre-crash ``_seq`` counter) keeps same-time tie-breaking, and thus
-    # the whole remaining run, byte-identical to the uninterrupted one.
+    # Events hold closures, so a snapshot records the *inventory* of live
+    # events, ``(time, priority, seq, tag)``.  The engine loads after every
+    # component its families serve: each row re-arms with its family's
+    # handler under its original ``(time, priority, seq)`` (so same-time
+    # tie-breaking, and the rest of the run, stay byte-identical), kept
+    # handles go back to their owners, and every required set is checked.
 
     @property
     def _inventory(self) -> List[List[Any]]:
@@ -283,72 +412,61 @@ class Engine(Stateful):
         )
 
     @_inventory.setter
-    def _inventory(self, rows: List[Tuple[float, int, int, str]]) -> None:
-        pending: Dict[str, Tuple[float, int, int]] = {}
-        for time, priority, seq, tag in rows:
-            if tag in pending:
-                raise CheckpointError(
-                    f"state.engine.live: duplicate live event tag {tag!r}"
-                )
-            pending[tag] = (time, priority, seq)
-        self._pending_rearm = pending
+    def _inventory(self, rows: List[Tuple[str, Tuple[Any, ...]]]) -> None:
+        self._restored = rows
 
     STATE = Struct(
         ("now", FLOAT),
         ("seq", "_seq", INT),
         ("fired", "_fired", INT),
-        ("live", "_inventory", ListOf(Row(FLOAT, INT, INT, STR))),
+        ("live", "_inventory", ListOf(_LiveEvent())),
     )
 
-    def begin_restore(self, state: Dict[str, Any]) -> None:
-        """Enter restore mode: adopt clock and counters, clear the heap.
-
-        Every event scheduled before this call (construction-time
-        arrivals, monitors, fault arms) is discarded; subsystems must
-        claim their snapshotted events back via :meth:`rearm` before
-        :meth:`finish_restore` seals the window.
-        """
-        if self._pending_rearm is not None:
-            raise RuntimeError("engine restore already in progress")
+    def _before_load(self) -> None:
+        # The snapshot's events replace every construction-time one
+        # (arrivals, monitor and fault arms).
         self._queue.clear()
         self._live = 0
-        load(self, state, "state.engine", Refs())
 
-    def rearm(self, tag: str, action: Callable[[], Any]) -> EventHandle:
-        """Re-schedule one snapshotted live event under its original
-        ``(time, priority, seq)``, claiming it from the restore inventory."""
-        if self._pending_rearm is None:
-            raise RuntimeError("rearm() outside an engine restore")
-        entry = self._pending_rearm.pop(tag, None)
-        if entry is None:
-            raise RuntimeError(
-                f"no snapshotted live event with tag {tag!r} to re-arm"
+    def _rearm(
+        self, time: float, priority: int, seq: int, tag: str, path: str, ctx: Any
+    ) -> Tuple[str, Tuple[Any, ...]]:
+        """Re-arm one live row with its family's handler and hand the
+        handle to its owner; returns the family's name and the row's key."""
+        family = self._family_of(tag)
+        if family is None:
+            raise CheckpointError(f"{path}[3]: no timer family declared for {tag!r}")
+        timer = family.timer
+        args = timer.decode(tag, f"{path}[3]", ctx)
+        if priority != timer.priority:
+            raise CheckpointError(
+                f"{path}[1]: expected {timer.name!r} priority {timer.priority}, "
+                f"got {priority}"
             )
-        time, priority, seq = entry
-        event = Event(
-            time=time, priority=priority, seq=seq, action=action, tag=tag
-        )
+        handler = family.handler
+        event = Event(time, priority, seq, lambda: handler(*args), tag)
         heapq.heappush(self._queue, (time, priority, seq, event))
         self._live += 1
-        return EventHandle(event, self)
+        if family.keep is not None:
+            try:
+                family.keep(EventHandle(event, self), *args)
+            except LookupError as exc:
+                raise CheckpointError(f"{path}[3]: {exc.args[0]}") from None
+        return timer.name, tuple(arg.dump(v) for arg, v in zip(timer.args, args))
 
-    def pending_rearm_tags(self) -> Tuple[str, ...]:
-        """Tags snapshotted live but not yet claimed by :meth:`rearm`."""
-        if self._pending_rearm is None:
-            return ()
-        return tuple(sorted(self._pending_rearm))
-
-    def finish_restore(self) -> None:
-        """Seal the restore window; every snapshotted event must be claimed."""
-        if self._pending_rearm is None:
-            raise RuntimeError("finish_restore() outside an engine restore")
-        unclaimed = sorted(self._pending_rearm)
-        self._pending_rearm = None
-        if unclaimed:
-            raise RuntimeError(
-                "restore left snapshotted events unclaimed: "
-                + ", ".join(repr(tag) for tag in unclaimed)
-            )
+    def _after_load(self, refs: Refs) -> None:
+        rows, self._restored = self._restored, []
+        if len(set(rows)) < len(rows):
+            raise CheckpointError("state.engine.live: a live event appears twice")
+        have = {(name, key[:n]) for name, key in rows for n in range(len(key) + 1)}
+        for name, family in self._timers.items():
+            for key in family.requires(refs) if family.requires else ():
+                if (name, key) not in have:
+                    event = name + "".join(f":{part}" for part in key)
+                    what = family.timer.missing.format(*key) or (
+                        f"its owner without a live {event!r} event"
+                    )
+                    raise CheckpointError(f"state.engine.live: restore left {what}")
 
     def _on_handle_cancelled(self, event: Event) -> None:
         """EventHandle callback: a queued live event just went dead."""

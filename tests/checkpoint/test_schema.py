@@ -185,9 +185,36 @@ def _matches(path, pattern):
     return all(p in ("*", "*key") or p == q for p, q in zip(pattern, path))
 
 
+#: Mutations of one live event row, which must fail naming
+#: ``state.engine.live`` (a dropped row) or the row itself.
+ROW_KINDS = ("drop-row", "ghost-tag", "unknown-family")
+
+
+def _ghost_tag(tag, jobs):
+    """``tag`` with its first job id, else its first node id, pointing at
+    one that does not exist; None for a tag without ids."""
+    parts = tag.split(":")
+    for index, part in enumerate(parts):
+        if part in jobs:
+            parts[index] = "ghost-000001"
+            return ":".join(parts)
+    for index, part in enumerate(parts):
+        if part.isdecimal():
+            parts[index] = "99"
+            return ":".join(parts)
+    return None
+
+
 def _targets(state, jobs):
     """Mutation targets by kind: (path, how) pairs."""
     targets = {"drop": [], "retype": [], "ghost": [], "truncate": []}
+    targets.update({kind: [] for kind in ROW_KINDS})
+    for index, (*_, tag) in enumerate(state["engine"]["live"]):
+        row = ("engine", "live", index)
+        targets["drop-row"].append((row, "drop-row"))
+        targets["unknown-family"].append((row + (3,), "unknown-family"))
+        if _ghost_tag(tag, jobs) is not None:
+            targets["ghost-tag"].append((row + (3,), "ghost-tag"))
     for path, value in _walk(state):
         if isinstance(value, dict):
             for key in value:
@@ -223,13 +250,17 @@ def _retyped(value):
     return [value]
 
 
-def _mutate(state, path, how):
+def _mutate(state, path, how, jobs):
     *parents, last = path
     holder = state
     for step in parents:
         holder = holder[step]
-    if how == "drop":
+    if how in ("drop", "drop-row"):
         del holder[last]
+    elif how == "ghost-tag":
+        holder[last] = _ghost_tag(holder[last], jobs)
+    elif how == "unknown-family":
+        holder[last] = "no-such-timer:" + holder[last]
     elif how == "truncate":
         holder[last].pop()
     elif how == "retype":
@@ -244,7 +275,7 @@ def _mutate(state, path, how):
 
 
 @settings(
-    max_examples=150,
+    max_examples=260,
     derandomize=True,
     database=None,
     deadline=None,
@@ -253,9 +284,11 @@ def _mutate(state, path, how):
 @given(data=st.data())
 def test_a_mutated_checkpoint_fails_located_or_resumes_identically(data):
     """Drop a declared key, change a leaf's type, point an id at a job or
-    node that does not exist, or truncate a positional row: the restore
-    either raises a :class:`CheckpointError` naming a JSON path under
-    ``state`` or resumes byte-identical to the uninterrupted run."""
+    node that does not exist, truncate a positional row, or drop a live
+    event row, put a ghost id in its tag or give it an unknown family:
+    the restore either raises a :class:`CheckpointError` naming a JSON
+    path under ``state`` (the live row for a row mutation) or resumes
+    byte-identical to the uninterrupted run."""
     name = data.draw(st.sampled_from(sorted(SPECS)), label="case")
     spec, canonical, baseline, jobs = _case(name)
     state = json.loads(canonical)
@@ -265,18 +298,21 @@ def test_a_mutated_checkpoint_fails_located_or_resumes_identically(data):
         label="kind",
     )
     path, how = data.draw(st.sampled_from(targets[kind]), label="target")
-    _check(spec, state, baseline, path, how)
+    _check(spec, state, baseline, path, how, jobs)
 
 
-def _check(spec, state, baseline, path, how):
+def _check(spec, state, baseline, path, how, jobs):
     """Restore ``state`` mutated at ``path``: it fails located, or the
     resumed run matches the uninterrupted one."""
     mutated = copy.deepcopy(state)
-    _mutate(mutated, path, how)
+    _mutate(mutated, path, how, jobs)
+    where = "state."
+    if how in ROW_KINDS:
+        where = "state.engine.live" + ("" if how == "drop-row" else f"[{path[2]}]")
     try:
         runner = restore_run(spec, mutated)
     except CheckpointError as error:
-        assert str(error).startswith("state."), str(error)
+        assert str(error).startswith(where), (str(error), path, how)
         return
     result = runner.run(until=spec.resolved_scenario().horizon_s)
     assert _dumps(result) == baseline, (path, how)
@@ -298,7 +334,19 @@ def test_every_declared_leaf_position_rejects_a_retype(name):
     for path, how in _targets(state, jobs)["retype"]:
         positions.setdefault(_position(path), (path, how))
     for path, how in positions.values():
-        _check(spec, state, baseline, path, how)
+        _check(spec, state, baseline, path, how, jobs)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_every_live_row_mutation_fails_at_its_row(name):
+    """The fuzz samples; this drops every live event row, and gives every
+    row a ghost id and an unknown family, one at a time."""
+    spec, canonical, baseline, jobs = _case(name)
+    state = json.loads(canonical)
+    targets = _targets(state, jobs)
+    for kind in ROW_KINDS:
+        for path, how in targets[kind]:
+            _check(spec, state, baseline, path, how, jobs)
 
 
 def test_every_mutation_kind_has_targets():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -37,6 +38,8 @@ class FakeContext(SchedulerContext):
         self._now = 0.0
         self.cores: Dict[str, int] = {}
         self.events: List[Tuple[float, Callable[[], None], FakeHandle, str]] = []
+        #: Declared timer handlers by family name.
+        self.handlers: Dict[str, Callable[..., None]] = {}
         self.resize_allowed = True
         self.max_resize: Optional[int] = None
         self.resize_calls: List[Tuple[str, int]] = []
@@ -54,10 +57,18 @@ class FakeContext(SchedulerContext):
     def now(self) -> float:
         return self._now
 
-    def schedule_event(self, delay_s, action, tag=""):
+    def declare_timer(self, timer, handler, *, requires=None, keep=None):
+        self.handlers[timer.name] = handler
+
+    def arm_timer(self, timer, delay_s, *args):
         handle = FakeHandle()
+        action = partial(self.handlers[timer.name], *args)
+        tag = timer.tag(args)
         self.events.append((self._now + delay_s, action, handle, tag))
         return handle
+
+    def is_running_or_finished(self, job_id: str) -> bool:
+        return job_id in self.running
 
     def resize_gpu_job_cores(self, job_id: str, cpus_per_node: int) -> bool:
         if not self.resize_allowed:

@@ -43,6 +43,7 @@ class TestInitialCores:
     def test_tuned_job_restarts_at_tuned_value(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         job = _job()
         context.start_job(job.job_id, 4)
         allocator.on_job_started(job, 4, context)
@@ -55,6 +56,7 @@ class TestProfilingLoop:
     def test_converges_and_records_outcome(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         job = _job()
         context.start_job(job.job_id, 4)
         allocator.on_job_started(job, 4, context)
@@ -69,6 +71,7 @@ class TestProfilingLoop:
     def test_profiling_steps_are_90s_apart(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(3))
+        allocator.attach(context)
         job = _job()
         context.start_job(job.job_id, 3)
         allocator.on_job_started(job, 3, context)
@@ -77,6 +80,7 @@ class TestProfilingLoop:
     def test_resize_failure_settles_on_best_seen(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(10))
+        allocator.attach(context)
         context.max_resize = 6
         job = _job()
         context.start_job(job.job_id, 5)
@@ -87,6 +91,7 @@ class TestProfilingLoop:
     def test_job_finish_mid_tuning_cancels_events(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         job = _job()
         context.start_job(job.job_id, 4)
         allocator.on_job_started(job, 4, context)
@@ -98,6 +103,7 @@ class TestProfilingLoop:
     def test_duplicate_start_is_ignored(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         job = _job()
         context.start_job(job.job_id, 4)
         allocator.on_job_started(job, 4, context)
@@ -107,6 +113,7 @@ class TestProfilingLoop:
     def test_step_after_job_vanishes_is_harmless(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         job = _job()
         context.start_job(job.job_id, 4)
         allocator.on_job_started(job, 4, context)
@@ -118,6 +125,7 @@ class TestHistoryFeedback:
     def test_finish_records_history_per_gpu(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(12))
+        allocator.attach(context)
         job = _job(gpus=4)
         context.start_job(job.job_id, 12)
         allocator.on_job_started(job, 12, context)
@@ -134,6 +142,7 @@ class TestHistoryFeedback:
     def test_next_job_starts_from_history(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(6))
+        allocator.attach(context)
         first = _job("g1")
         context.start_job("g1", 3)
         allocator.on_job_started(first, 3, context)
@@ -147,6 +156,7 @@ class TestPreemption:
     def test_preempted_mid_tuning_remembers_best(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         job = _job()
         context.start_job(job.job_id, 4)
         allocator.on_job_started(job, 4, context)
@@ -158,6 +168,7 @@ class TestPreemption:
     def test_preempted_after_tuning_keeps_tuned_cores(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         job = _job()
         context.start_job(job.job_id, 5)
         allocator.on_job_started(job, 5, context)
@@ -168,6 +179,7 @@ class TestPreemption:
     def test_restart_after_migration_skips_tuning(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         job = _job()
         context.start_job(job.job_id, 5)
         allocator.on_job_started(job, 5, context)
@@ -196,6 +208,7 @@ class TestDegradedMode:
             degraded_after_aborts=3, degraded_cooldown_s=1000.0
         )
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         for i in range(3):
             self._fail_active_session(allocator, context, f"g{i}", at=10.0 * (i + 1))
         assert allocator.degraded_entries == 1
@@ -212,6 +225,7 @@ class TestDegradedMode:
             degraded_after_aborts=2, degraded_cooldown_s=100.0
         )
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         for i in range(2):
             self._fail_active_session(allocator, context, f"g{i}", at=10.0)
         assert allocator.is_degraded(50.0)
@@ -227,6 +241,7 @@ class TestDegradedMode:
             degraded_after_aborts=2, degraded_cooldown_s=1000.0
         )
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         self._fail_active_session(allocator, context, "g0", at=10.0)
         # A session that converges cleanly proves the loop works again.
         ok = _job(job_id="ok")
@@ -249,6 +264,7 @@ class TestDegradedMode:
     def test_failed_job_forgets_tuned_cores(self):
         allocator = AdaptiveCpuAllocator()
         context = FakeContext(curve_with_knee(5))
+        allocator.attach(context)
         job = _job()
         context.start_job(job.job_id, 4)
         allocator.on_job_started(job, 4, context)

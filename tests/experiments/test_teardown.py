@@ -5,7 +5,8 @@ everything that holds it back (event actions, engine observers, pressure
 watches, the completion callback, the scheduler's, fault injector's and
 auditor's runner handles).  So with the cyclic collector off, dropping
 the last reference to a finished runner frees it, and everything it
-built, by refcount alone.
+built, by refcount alone: the engine's declared timer table, whose bound
+handlers reach every component that owns a timer, included.
 """
 
 import gc
@@ -101,6 +102,8 @@ def test_finished_runner_frees_by_refcount(
             ("cluster", runner.cluster),
             ("scheduler", runner.scheduler),
             ("progress", runner.progress),
+            # The declared timer table holds every family's bound handler.
+            ("timers", runner.engine._timers),
         )
     }
     result = runner.run(until=_horizon(spec))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.clock import DAY, HOUR, MINUTE, fmt_duration
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Timer
 
 
 class TestClock:
@@ -35,11 +35,10 @@ class TestClock:
         # A restored inventory whose event lies before the restored clock
         # is a corrupted queue.
         engine = Engine()
-        engine.begin_restore(
+        engine.declare(Timer("x", priority=0), lambda: None)
+        engine.restore(
             {"now": 10.0, "seq": 1, "fired": 0, "live": [[9.999, 0, 0, "x"]]}
         )
-        engine.rearm("x", lambda: None)
-        engine.finish_restore()
         with pytest.raises(ValueError, match="backwards"):
             engine.step()
 
