@@ -161,22 +161,12 @@ class InvariantAuditor:
         self._scheduler = scheduler
         if stats is not None:
             self.stats = stats
-        self._sync_clock()
+        self.resume()
         engine.add_observer(self._on_event)
 
-    def resume(self, runner: "SimulationRunner") -> None:
-        """Re-bind to ``runner`` after a checkpoint restore replaced its
-        collector and moved its engine clock.
-
-        Counts keep accruing in the restored collector's stats, and the
-        sweep cadence continues from the restored clock as if the run had
-        never stopped.
-        """
-        self.stats = runner.collector.audit
-        self._runner = runner
-        self._sync_clock()
-
-    def _sync_clock(self) -> None:
+    def resume(self) -> None:
+        """Take the sweep cadence from the engine's clock: at attach, and
+        after a checkpoint restore moved it, as if the run never stopped."""
         engine = self._engine
         assert engine is not None
         self._last_time = engine.now if engine.fired else None

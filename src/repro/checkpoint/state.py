@@ -31,7 +31,7 @@ and every supervised sweep attempt use it.  Both ways end in
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.sim.state import CheckpointError
 from repro.checkpoint.store import (
@@ -40,9 +40,8 @@ from repro.checkpoint.store import (
     write_checkpoint,
 )
 from repro.experiments.runner import RunResult, SimulationRunner
-from repro.metrics.serialize import collector_from_dict, collector_to_dict
 from repro.sim.events import Event
-from repro.sim.state import Refs, load
+from repro.sim.state import Refs, Stateful, load
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.spec import RunSpec
@@ -59,6 +58,17 @@ def spec_digest(spec: "RunSpec") -> str:
     return hashlib.sha256(spec.canonical_json().encode("utf-8")).hexdigest()
 
 
+def _components(runner: SimulationRunner) -> List[Tuple[str, Stateful]]:
+    """A run's components by snapshot key, in load order: the engine last,
+    so its live rows re-arm against every restored owner."""
+    parts: List[Tuple[str, Optional[Stateful]]] = [
+        ("cluster", runner.cluster), ("scheduler", runner.scheduler),
+        ("faults", runner.fault_injector), ("runner", runner),
+        ("collector", runner.collector), ("engine", runner.engine),
+    ]
+    return [(key, part) for key, part in parts if part is not None]
+
+
 def snapshot_run(
     runner: SimulationRunner, spec: Optional["RunSpec"] = None
 ) -> Dict[str, Any]:
@@ -67,15 +77,7 @@ def snapshot_run(
     Pass the run's ``spec`` so the snapshot carries its identity digest;
     restores then verify the checkpoint belongs to the spec being
     resumed."""
-    state: Dict[str, Any] = {
-        "engine": runner.engine.snapshot(),
-        "cluster": runner.cluster.snapshot(),
-        "scheduler": runner.scheduler.snapshot(),
-        "runner": runner.snapshot(),
-        "collector": collector_to_dict(runner.collector),
-    }
-    if runner.fault_injector is not None:
-        state["faults"] = runner.fault_injector.snapshot()
+    state = {key: part.snapshot() for key, part in _components(runner)}
     if spec is not None:
         state["spec"] = spec_digest(spec)
     return state
@@ -86,11 +88,11 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
 
     Raises:
         CheckpointError: the state does not restore cleanly against this
-            spec: a different spec's digest, a value that does not match
-            its declared type or refers to a job or node this run does
-            not have (named by its JSON path), a live event of no
-            declared timer family, or a restored owner missing a live
-            event its family requires.
+            spec: a different spec's digest, a component or a value that
+            does not match its declaration or refers to a job or node
+            this run does not have (named by its JSON path), a live event
+            of no declared timer family, or a restored owner missing a
+            live event its family requires.
     """
     stored_digest = state.get("spec")
     if stored_digest is not None and stored_digest != spec_digest(spec):
@@ -102,32 +104,16 @@ def restore_run(spec: "RunSpec", state: Dict[str, Any]) -> SimulationRunner:
     trace = spec.resolved_scenario().build_trace()
     runner = spec.build_runner(trace)
     refs = Refs({job.job_id: job for job in trace.jobs}, len(runner.cluster.nodes))
-    injector = runner.fault_injector
-    if injector is None and "faults" in state:
-        raise CheckpointError(
-            "checkpoint carries fault-injector state but the spec's "
-            "scenario has no fault injector"
-        )
-
-    def part(key: str) -> Any:
+    parts = _components(runner)
+    extra = sorted(state.keys() - dict(parts).keys() - {"spec"})
+    if extra:
+        raise CheckpointError(f"state.{extra[0]}: not a component of this run")
+    for key, part in parts:
         if key not in state:
             raise CheckpointError(f"state.{key}: missing")
-        return state[key]
-
-    load(runner.cluster, part("cluster"), "state.cluster", refs)
-    load(runner.scheduler, part("scheduler"), "state.scheduler", refs)
-    if injector is not None:
-        load(injector, part("faults"), "state.faults", refs)
-    load(runner, part("runner"), "state.runner", refs)
-    try:
-        runner.collector = collector_from_dict(part("collector"))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"state.collector: {exc!r}") from exc
-    # Last: the live rows re-arm against every restored owner, replacing
-    # the construction-time events.
-    load(runner.engine, part("engine"), "state.engine", refs)
+        load(part, state[key], f"state.{key}", refs)
     if runner.auditor is not None:
-        runner.auditor.resume(runner)
+        runner.auditor.resume()
     return runner
 
 

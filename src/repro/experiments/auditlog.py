@@ -28,7 +28,7 @@ class AuditRecord:
 
     time: float
     event: str  # submitted | started | resized | throttled | halved |
-    #             preempted | finished
+    #             preempted | failed | straggler | finished
     job_id: str
     tenant_id: int
     kind: str  # "gpu" | "cpu"
@@ -60,6 +60,8 @@ class AuditLog:
             "throttled",
             "halved",
             "preempted",
+            "failed",
+            "straggler",
             "finished",
         }
     )

@@ -39,8 +39,9 @@ from repro.schedulers.base import (
 )
 from repro.sim.engine import Engine, Timer
 from repro.sim.events import EventHandle, EventPriority
-from repro.sim.state import BOOL, FLOAT, INF_OR_FLOAT, INT, JOB, JOB_ID, NODE_ID, DictOf
-from repro.sim.state import Inline, Items, ListOf, Nullable, Refs, Stateful, Struct
+from repro.sim.state import BOOL, FLOAT, INF_OR_FLOAT, INT, JOB, JOB_ID, NESTED, NODE_ID
+from repro.sim.state import STR, DictOf, Inline, Items, ListOf, Nullable, Pinned, Refs
+from repro.sim.state import Scalar, Stateful, Struct
 from repro.experiments.auditlog import AuditLog
 from repro.experiments.progress import Progress, _Running, _RunningCpu, _RunningGpu
 from repro.workload.job import Job, JobKind
@@ -50,6 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.invariants import InvariantAuditor
     from repro.faults.injector import FaultInjector
     from repro.profiling import Profiler
+
+#: Bumped whenever ``RunResult.STATE`` changes; part of the result cache's
+#: code fingerprint, so stale cache entries never load.
+#: v2: RunResult gained ``stale_timer_fires`` (lazy completion timers).
+RESULT_SCHEMA_VERSION = 2
 
 #: Default cluster-state sampling cadence (the paper samples utilization
 #: continuously; five minutes keeps week-long runs cheap and smooth).
@@ -66,7 +72,7 @@ QUARANTINE_END = Timer("quarantine-end", NODE_ID)
 
 
 @dataclass
-class RunResult:
+class RunResult(Stateful):
     """What a completed run hands to the figures layer."""
 
     scheduler_name: str
@@ -95,6 +101,20 @@ class RunResult:
     #: ``events_fired`` minus this count equals the reference run's
     #: ``events_fired``.
     stale_timer_fires: int = 0
+
+    #: The format version a serialized result must repeat.
+    schema = RESULT_SCHEMA_VERSION
+
+    #: The serialized result (:mod:`repro.metrics.serialize`); an int
+    #: horizon stays an int.
+    STATE = Struct(
+        ("scheduler_name", STR), ("horizon_s", Scalar(float, int)),
+        ("finished_gpu_jobs", INT), ("finished_cpu_jobs", INT),
+        ("preemptions", INT), ("events_fired", INT), ("restarts", INT),
+        ("node_downtime_s", FLOAT), ("quarantines", INT), ("quarantine_s", FLOAT),
+        ("dead_jobs", INT), ("flap_suppressions", INT), ("stale_timer_fires", INT),
+        ("schema", Pinned(INT)), ("collector", NESTED),
+    )
 
 
 def _env_auditor() -> Optional["InvariantAuditor"]:

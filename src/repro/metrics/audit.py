@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.sim.state import FLOAT, INT, STR, ListOf, Record, Stateful, Struct
+
 
 @dataclass(frozen=True)
 class InvariantViolation:
@@ -26,7 +28,7 @@ class InvariantViolation:
 
 
 @dataclass
-class AuditStats:
+class AuditStats(Stateful):
     """What the runtime invariant auditor observed over one run."""
 
     #: Audit sweeps executed (each sweep runs every invariant check).
@@ -34,6 +36,15 @@ class AuditStats:
     #: Individual invariant evaluations across all sweeps.
     assertions_evaluated: int = 0
     violations: List[InvariantViolation] = field(default_factory=list)
+
+    STATE = Struct(
+        ("checks_run", INT),
+        ("assertions_evaluated", INT),
+        (
+            "violations",
+            ListOf(Record(InvariantViolation, time=FLOAT, code=STR, message=STR)),
+        ),
+    )
 
     def record(self, time: float, code: str, message: str) -> InvariantViolation:
         violation = InvariantViolation(time=time, code=code, message=message)

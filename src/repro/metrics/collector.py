@@ -14,12 +14,15 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.metrics.audit import AuditStats
 from repro.metrics.faults import FaultStats
 from repro.metrics.fragmentation import FragmentationTracker
 from repro.metrics.series import SampledSeries
+from repro.sim.state import FLOAT, INT, JOB_ID, NESTED, STR, CheckpointError, Choice
+from repro.sim.state import Codec, Fields, ListOf, Nullable, Row, Rows, Stateful
+from repro.sim.state import Struct
 from repro.workload.job import Job, JobKind
 
 #: Kind column codes: a kind is stored as its index here.
@@ -74,6 +77,16 @@ class JobRecord:
         return self.final_cpus - self.requested_cpus
 
 
+#: A job's row: its :class:`JobRecord` fields by name, in order.
+_ROW = Fields(
+    job_id=JOB_ID, tenant_id=INT, submit_time=FLOAT,
+    first_start=Nullable(FLOAT), finish_time=Nullable(FLOAT),
+    start_count=INT, preempt_count=INT, failure_count=INT,
+    requested_cpus=INT, final_cpus=Nullable(INT), gpus=INT,
+    model=Nullable(STR), setup_label=Nullable(STR), kind=Choice(JobKind),
+)
+
+
 def _time(value: float) -> Optional[float]:
     return None if math.isnan(value) else value
 
@@ -82,7 +95,7 @@ def _cores(value: int) -> Optional[int]:
     return None if value < 0 else value
 
 
-class JobTable(Mapping[str, JobRecord]):
+class JobTable(Mapping[str, JobRecord], Stateful):
     """Every job's lifecycle, one column per :class:`JobRecord` field, in
     submit order.
 
@@ -115,23 +128,22 @@ class JobTable(Mapping[str, JobRecord]):
 
     def append(
         self,
-        *,
         job_id: str,
         tenant_id: int,
         submit_time: float,
+        first_start: Optional[float],
+        finish_time: Optional[float],
+        start_count: int,
+        preempt_count: int,
+        failure_count: int,
+        requested_cpus: int,
+        final_cpus: Optional[int],
+        gpus: int,
+        model: Optional[str],
+        setup_label: Optional[str],
         kind: JobKind,
-        first_start: Optional[float] = None,
-        finish_time: Optional[float] = None,
-        start_count: int = 0,
-        preempt_count: int = 0,
-        failure_count: int = 0,
-        requested_cpus: int = 0,
-        final_cpus: Optional[int] = None,
-        gpus: int = 0,
-        model: Optional[str] = None,
-        setup_label: Optional[str] = None,
     ) -> None:
-        """Add one job's row (a submit, or a row of a serialized result)."""
+        """Add one job's row (a submit, or a loaded row)."""
         if job_id in self.rows:
             raise RuntimeError(f"job {job_id} submitted twice")
         # NaN != NaN, and None == None: only a NaN time fails this.
@@ -143,6 +155,11 @@ class JobTable(Mapping[str, JobRecord]):
             raise ValueError(f"job {job_id}: a time is NaN")
         if final_cpus is not None and final_cpus < 0:
             raise ValueError(f"job {job_id}: negative final_cpus {final_cpus}")
+        gpu = kind is JobKind.GPU
+        if (model is not None) != gpu or (setup_label is not None) != gpu:
+            raise ValueError(
+                f"job {job_id}: a GPU job has a model and a setup, a CPU job neither"
+            )
         self.tenant_id.append(tenant_id)
         self.submit_time.append(submit_time)
         self.first_start.append(math.nan if first_start is None else first_start)
@@ -192,6 +209,9 @@ class JobTable(Mapping[str, JobRecord]):
     def record(self, row: int) -> JobRecord:
         return JobRecord(*next(self.decoded(row, row + 1)))
 
+    #: One JSON object per job, in submit order, loaded through :meth:`append`.
+    STATE = Struct((None, None, Rows(_ROW, decoded, append)))
+
     def rows_of(self, kind: Optional[JobKind]) -> Iterator[int]:
         """Row numbers, of ``kind`` only unless it is None."""
         if kind is None:
@@ -212,7 +232,35 @@ class JobTable(Mapping[str, JobRecord]):
         return len(self.job_ids)
 
 
-class MetricsCollector:
+class _Series(Codec):
+    """A collector series as ``[[time, value], ...]``: the ``clock`` series'
+    times fill the shared time column, the others must repeat them."""
+
+    in_place = True
+
+    def __init__(self, value: Codec, clock: bool = False) -> None:
+        self.points, self.clock = ListOf(Row(FLOAT, value)), clock
+
+    def dump(self, value: SampledSeries) -> List[List[float]]:
+        return [[t, v] for t, v in zip(value.time_column, value.value_column)]
+
+    def load_in(self, current: SampledSeries, raw: Any, path: str, ctx: Any) -> None:
+        points = self.points.load(raw, path, ctx)
+        times = array("d", [t for t, _ in points])
+        if self.clock:
+            current.time_column.extend(times)
+        elif times != current.time_column:
+            raise CheckpointError(f"{path}: its times differ from the clock's")
+        try:
+            current.value_column.extend([v for _, v in points])
+        except OverflowError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
+
+
+_RATE, _COUNT = _Series(FLOAT), _Series(INT)
+
+
+class MetricsCollector(Stateful):
     """Aggregates everything the evaluation figures need."""
 
     def __init__(self) -> None:
@@ -236,6 +284,18 @@ class MetricsCollector:
         self.throttle_events = 0
         self.core_halving_events = 0
 
+    STATE = Struct(
+        ("records", NESTED),
+        ("series", None, Struct(
+            ("gpu_active_rate", _Series(FLOAT, clock=True)),
+            ("gpu_utilization", _RATE), ("gpu_utilization_overall", _RATE),
+            ("cpu_active_rate", _RATE), ("gpu_queue_depth", _COUNT),
+            ("cpu_queue_depth", _COUNT), ("hot_nodes", _COUNT),
+        )),
+        ("fragmentation", NESTED), ("faults", NESTED), ("audit", NESTED),
+        ("throttle_events", INT), ("core_halving_events", INT),
+    )
+
     # ------------------------------------------------------------------ #
     # Job lifecycle
 
@@ -246,15 +306,21 @@ class MetricsCollector:
             job_id=job.job_id,
             tenant_id=job.tenant_id,
             submit_time=now,
-            kind=job.kind,
+            first_start=None,
+            finish_time=None,
+            start_count=0,
+            preempt_count=0,
+            failure_count=0,
             requested_cpus=(
                 requested.cpus // max(1, getattr(job, "setup", None).num_nodes)
                 if gpu
                 else requested.cpus
             ),
+            final_cpus=None,
             gpus=requested.gpus,
             model=getattr(job, "model_name", None),
             setup_label=job.setup.label if gpu else None,
+            kind=job.kind,
         )
 
     def job_started(self, job_id: str, now: float, cpus_per_node: int) -> None:

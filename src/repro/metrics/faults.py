@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.sim.state import FLOAT, INT, NODE_ID, Items, Stateful, Struct
+
 
 @dataclass
-class FaultStats:
+class FaultStats(Stateful):
     """What infrastructure failures cost one simulation run."""
 
     #: Whole-node crash events.
@@ -36,6 +38,15 @@ class FaultStats:
     #: Completed node outage time (down → recovered).
     node_downtime_s: float = 0.0
     _down_since: Dict[int, float] = field(default_factory=dict)
+
+    #: The counters, then the open outages as sorted ``[node, since]``.
+    STATE = Struct(
+        ("node_failures", INT), ("gpu_failures", INT), ("telemetry_dropouts", INT),
+        ("stragglers", INT), ("restarts", INT), ("quarantines", INT),
+        ("lost_gpu_iterations", FLOAT), ("lost_cpu_seconds", FLOAT),
+        ("node_downtime_s", FLOAT),
+        ("down_since", "_down_since", Items((NODE_ID,), FLOAT)),
+    )
 
     # ------------------------------------------------------------------ #
     # Node outage windows

@@ -12,8 +12,10 @@ from __future__ import annotations
 from array import array
 from typing import List, Tuple
 
+from repro.sim.state import FLOAT, INT, Row, Rows, Stateful, Struct
 
-class FragmentationTracker:
+
+class FragmentationTracker(Stateful):
     """Samples of (time, free GPU fraction, GPU-queue depth), one
     ``array`` column each."""
 
@@ -36,6 +38,11 @@ class FragmentationTracker:
     @property
     def samples(self) -> List[Tuple[float, float, int]]:
         return list(zip(self.times, self.free, self.depth))
+
+    #: ``[[time, free fraction, depth], ...]``, loaded through :meth:`record`.
+    STATE = Struct(
+        (None, None, Rows(Row(FLOAT, FLOAT, INT), lambda f: f.samples, record))
+    )
 
     def fragmentation_rate(self) -> float:
         """Mean free-GPU fraction over samples with a non-empty GPU queue.

@@ -31,11 +31,9 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.experiments.runner import RunResult
-from repro.metrics.serialize import (
-    RESULT_SCHEMA_VERSION,
-    run_result_from_dict,
-)
+from repro.metrics.serialize import RESULT_SCHEMA_VERSION, run_result_from_dict
 from repro.parallel.spec import RunSpec
+from repro.sim.state import CheckpointError
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -126,15 +124,15 @@ class ResultCache:
     def load(self, key: str) -> Optional[RunResult]:
         """The cached result under ``key``, or None on a miss.
 
-        Unreadable or stale-schema entries count as misses: the caller
-        re-runs and overwrites them.
+        Unreadable, malformed or stale-schema entries count as misses:
+        the caller re-runs and overwrites them.
         """
         path = self.path_for(key)
         try:
             with path.open(encoding="utf-8") as handle:
                 data = json.load(handle)
             result = run_result_from_dict(data)
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, CheckpointError):
             self.stats.misses += 1
             return None
         self.stats.hits += 1

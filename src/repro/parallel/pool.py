@@ -13,8 +13,8 @@ Determinism contract:
   byte-identical result the caller would have computed serially;
 * results are returned **in spec order**, never completion order;
 * every result — fresh, pooled, or cached — passes through the same
-  exact JSON round trip (:mod:`repro.metrics.serialize`), so a warm-cache
-  result is indistinguishable from a cold one.
+  exact JSON round trip (:mod:`repro.metrics.serialize`, the codec
+  checkpoints use), so a warm-cache result is indistinguishable from a cold one.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ A :class:`Stateful` component declares its persistent fields once, as a
 class-level ``STATE``: a :class:`Struct` of ``(json key, attribute,
 type)`` entries, ``(key, type)`` when the attribute has the key's name.
 Snapshot and restore both derive from it.  The types are the codecs
-below: JSON scalars, :class:`Nullable`, :class:`ListOf`, :class:`Row`,
-:class:`DictOf`, :class:`Items`, :class:`Record` (a dataclass as a
-positional row), :class:`Choice`, the ``JOB``/``JOB_ID``/``NODE_ID``
-references and nested components (``NESTED``, :class:`Inline`,
-:class:`Built`).
+below: JSON scalars, :class:`Nullable`, :class:`ListOf`, :class:`Row`
+(:class:`Fields`: one written as a JSON object), :class:`DictOf`,
+:class:`Items`, :class:`Record` (a dataclass as a positional row),
+:class:`Choice`, the ``JOB``/``JOB_ID``/``NODE_ID`` references, nested
+components (``NESTED``, :class:`Inline`, :class:`Built`) and a
+component's table of rows (:class:`Rows`).
 
 Loading is strict (no ``int("3")``, and a bool is not an int) and checks
 every job and node id against the run (:class:`Refs`).  The first value
@@ -235,6 +236,30 @@ class Row(Codec):
         return self.into([item.load(v, f"{path}[{i}]", ctx) for i, (item, v) in pairs])
 
 
+class Fields(Row):
+    """A row written as a JSON object of its named fields, in order."""
+
+    def __init__(self, **fields: Codec) -> None:
+        super().__init__(*fields.values())
+        self.keys, self.key_set = tuple(fields), frozenset(fields)
+        self.name = "{" + ", ".join(self.keys) + "}"
+
+    def dump(self, value: Any) -> Any:
+        return dict(zip(self.keys, Row.dump(self, value)))
+
+    def load(self, raw: Any, path: str, ctx: _Load, key: Any = None) -> Any:
+        if type(raw) is not dict:
+            raise self.expected(raw, path)
+        if raw.keys() != self.key_set:
+            for name in self.keys:
+                if name not in raw:
+                    raise _fail(f"{path}.{name}", "missing")
+            unknown = sorted(raw.keys() - self.key_set)[0]
+            raise _fail(f"{path}.{unknown}", "not a declared field")
+        pairs = zip(self.keys, self.items)
+        return self.into([item.load(raw[k], f"{path}.{k}", ctx) for k, item in pairs])
+
+
 class DictOf(Codec):
     def __init__(self, key: Codec, value: Codec) -> None:
         self.key, self.value = key, value
@@ -315,6 +340,31 @@ class Record(Codec):
             raise _fail(path, str(exc)) from None
 
 
+class Rows:
+    """A component's table, its only field (no key, no attribute):
+    ``read(component)`` yields the rows, written as a list of ``row``; a
+    load appends each with ``add(component, *row)``, and what ``add``
+    refuses (``ValueError``, ``RuntimeError``, or ``OverflowError`` from
+    a column too narrow for the number) fails at its row."""
+
+    def __init__(self, row: Codec, read: Callable[[Any], Any], add: Callable) -> None:
+        self.row, self.read, self.add = row, read, add
+
+    def dump_from(self, obj: Any) -> Any:
+        return list(map(self.row.dump, self.read(obj)))
+
+    def load_into(self, obj: Any, raw: Any, path: str, ctx: _Load) -> None:
+        if type(raw) is not list:
+            raise _fail(path, f"expected [{self.row.name}, ...], got {_show(raw)}")
+        for i, entry in enumerate(raw):
+            where = f"{path}[{i}]"
+            values = self.row.load(entry, where, ctx)
+            try:
+                self.add(obj, *values)
+            except (ValueError, OverflowError, RuntimeError) as exc:
+                raise _fail(where, str(exc)) from None
+
+
 # --------------------------------------------------------------------- #
 # Components
 
@@ -342,6 +392,11 @@ class Stateful:
 def load(component: Stateful, raw: Any, path: str, refs: Refs) -> None:
     """Load ``raw`` into ``component``; raises :class:`CheckpointError`."""
     _load_component(component, raw, path, _Load(refs))
+
+
+def decode(codec: Codec, raw: Any, path: str) -> Any:
+    """``raw`` loaded as ``codec``, outside any component and run."""
+    return codec.load(raw, path, _Load(Refs()))
 
 
 def _load_component(component: Stateful, raw: Any, path: str, ctx: _Load) -> None:

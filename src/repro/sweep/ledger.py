@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Type, Union
+from typing import Dict, List, Optional, TextIO, Union
+
+from repro.sim.state import INT, STR, CheckpointError, Fields, decode
 
 #: Cell statuses journalled by the sweep service, in lifecycle order.
 STATUS_PENDING = "pending"
@@ -53,6 +55,9 @@ COMPLETE_STATUSES = (STATUS_OK, STATUS_CACHED)
 #: Failure details are excerpted to keep the journal line-sized.
 _DETAIL_LIMIT = 500
 
+#: A journal line: a :class:`LedgerEntry`'s fields as one JSON object.
+_LINE = Fields(seq=INT, key=STR, label=STR, status=STR, attempt=INT, detail=STR)
+
 
 class LedgerError(ValueError):
     """The ledger file is damaged beyond the tolerated truncated tail."""
@@ -75,29 +80,14 @@ class LedgerEntry:
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "seq": self.seq,
-                "key": self.key,
-                "label": self.label,
-                "status": self.status,
-                "attempt": self.attempt,
-                "detail": self.detail,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            _LINE.dump(astuple(self)), sort_keys=True, separators=(",", ":")
         )
 
     @classmethod
     def from_line(cls, line: str) -> "LedgerEntry":
-        data = json.loads(line)
-        return cls(
-            seq=int(data["seq"]),
-            key=str(data["key"]),
-            label=str(data["label"]),
-            status=str(data["status"]),
-            attempt=int(data.get("attempt", 0)),
-            detail=str(data.get("detail", "")),
-        )
+        """Parse one journal line: a missing, undeclared or retyped field
+        raises :class:`CheckpointError`, an unknown status ``ValueError``."""
+        return cls(*decode(_LINE, json.loads(line), "line"))
 
 
 @dataclass
@@ -109,6 +99,11 @@ class LedgerState:
     last: Dict[str, LedgerEntry]
     #: Unparseable trailing lines dropped (crash-truncated tail).
     dropped_tail: int = 0
+
+    @property
+    def next_seq(self) -> int:
+        """The sequence number the next appended line takes."""
+        return self.entries[-1].seq + 1 if self.entries else 0
 
     def complete_keys(self) -> List[str]:
         return [
@@ -191,7 +186,7 @@ class SweepLedger:
                     continue
                 try:
                     parsed = LedgerEntry.from_line(line)
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, CheckpointError):
                     if bad_at is None:
                         bad_at = lineno
                     dropped += 1
@@ -207,12 +202,3 @@ class SweepLedger:
         for entry in entries:
             last[entry.key] = entry
         return LedgerState(entries=entries, last=last, dropped_tail=dropped)
-
-    @classmethod
-    def resume(cls: Type["SweepLedger"], path: Union[str, Path]) -> "SweepLedger":
-        """An append handle continuing an existing journal's sequence."""
-        state = cls.replay(path)
-        next_seq = (
-            state.entries[-1].seq + 1 if state.entries else 0
-        )
-        return cls(path, next_seq=next_seq)

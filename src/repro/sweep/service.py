@@ -171,9 +171,9 @@ def run_sweep(
             config, checkpoint_dir=str(out / CHECKPOINTS_DIR_NAME)
         )
     ledger_path = out / LEDGER_NAME
-
+    # Read once: a resume reports on it, and new lines continue its seq.
+    state = SweepLedger.replay(ledger_path)
     if resume:
-        state = SweepLedger.replay(ledger_path)
         if state.dropped_tail:
             log(
                 f"ledger: dropped {state.dropped_tail} truncated trailing "
@@ -205,7 +205,7 @@ def run_sweep(
     outcomes: List[Optional[CellOutcome]] = [None] * len(specs)
     pending_indices: List[int] = []
     was_interrupted = False
-    with SweepLedger.resume(ledger_path) as ledger:
+    with SweepLedger(ledger_path, next_seq=state.next_seq) as ledger:
         for index, spec in enumerate(specs):
             hit = cache.load(keys[index]) if cache is not None else None
             if hit is not None:

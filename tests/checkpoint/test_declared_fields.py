@@ -14,6 +14,7 @@ import enum
 import json
 import math
 import random
+from array import array
 from collections import deque
 
 import pytest
@@ -84,7 +85,7 @@ def _shape(value, seen):
         return value
     if isinstance(value, random.Random):
         return ("random", value.getstate())
-    if isinstance(value, (list, tuple, deque)):
+    if isinstance(value, (list, tuple, deque, array)):
         return [_shape(item, seen) for item in value]
     if isinstance(value, (set, frozenset)):
         return sorted(repr(_shape(item, seen)) for item in value)
@@ -185,6 +186,8 @@ def test_every_changed_attribute_comes_back(scheduler):
     assert {"MbaController", "NodeHealthTracker", "FaultInjector"} <= kinds
     assert {"RngRegistry", "SimulationRunner", "Progress"} <= kinds
     assert {"_RunningGpu", "_RunningCpu"} <= kinds
+    assert {"MetricsCollector", "JobTable", "FragmentationTracker"} <= kinds
+    assert {"FaultStats", "AuditStats"} <= kinds
 
 
 def test_the_coda_run_reaches_every_component():

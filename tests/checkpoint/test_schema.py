@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import CheckpointError, restore_run
-from repro.sim.state import Stateful, Struct
+from repro.sim.state import Fields, Rows, Stateful, Struct
 from tests.checkpoint.test_restore import (
     _dumps,
     _faulted_spec,
@@ -113,12 +113,92 @@ class TestLocatedLoadErrors:
             _restore(state)
 
 
+    def test_component_the_run_does_not_have(self):
+        state = json.loads(_coda_state())
+        state["faults"] = {"rng": {}, "injected": []}
+        with pytest.raises(CheckpointError) as raised:
+            _restore(state)
+        assert str(raised.value) == "state.faults: not a component of this run"
+
+
+class TestCollectorLoadErrors:
+    """The metrics collector loads through its declaration too."""
+
+    def _fails(self, mutate):
+        state = json.loads(_coda_state())
+        mutate(state["collector"])
+        with pytest.raises(CheckpointError) as raised:
+            _restore(state)
+        return str(raised.value)
+
+    def test_dropped_key(self):
+        def drop(collector):
+            del collector["faults"]["restarts"]
+
+        assert self._fails(drop) == "state.collector.faults.restarts: missing"
+
+    def test_string_for_int(self):
+        def retype(collector):
+            collector["throttle_events"] = "3"
+
+        assert self._fails(retype) == (
+            'state.collector.throttle_events: expected int, got "3"'
+        )
+
+    def test_undeclared_key(self):
+        def add(collector):
+            collector["bogus"] = 0
+
+        assert self._fails(add) == "state.collector.bogus: not a declared field"
+
+    def test_ghost_record_job(self):
+        def ghost(collector):
+            collector["records"][0]["job_id"] = "ghost-000001"
+
+        assert self._fails(ghost) == (
+            "state.collector.records[0].job_id: "
+            "no job 'ghost-000001' in this run's trace"
+        )
+
+    def test_oversized_int(self):
+        def oversize(collector):
+            collector["records"][0]["tenant_id"] = 2**40
+
+        assert self._fails(oversize).startswith("state.collector.records[0]: ")
+
+    def test_truncated_series_point(self):
+        def truncate(collector):
+            collector["series"]["gpu_queue_depth"][0].pop()
+
+        assert self._fails(truncate).startswith(
+            "state.collector.series.gpu_queue_depth[0]: expected [float, int], got "
+        )
+
+    def test_series_off_the_shared_clock(self):
+        def shift(collector):
+            collector["series"]["hot_nodes"][-1][0] += 1.0
+
+        assert self._fails(shift) == (
+            "state.collector.series.hot_nodes: its times differ from the clock's"
+        )
+
+    def test_ghost_down_node(self):
+        def ghost(collector):
+            collector["faults"]["down_since"] = [[4, 0.0]]
+
+        assert self._fails(ghost) == (
+            "state.collector.faults.down_since[0][0]: "
+            "no node 4 in this run's 4-node cluster"
+        )
+
+
 # --------------------------------------------------------------------- #
 # Fuzzing the boundary
 
 
 def _declared_keys():
-    """Every JSON key any component declares as an object field."""
+    """Every JSON key any component declares as an object field, also a
+    table row's (:class:`Fields`)."""
     keys = set()
     classes = [Stateful]
     while classes:
@@ -127,9 +207,14 @@ def _declared_keys():
         shapes = [getattr(cls, "STATE", None)]
         while shapes:
             shape = shapes.pop()
-            if isinstance(shape, Struct) and not (shape.row or shape.bare):
-                keys |= shape.keys()
-                shapes.extend(c for _, _, c in shape.fields if isinstance(c, Struct))
+            if isinstance(shape, Struct):
+                if not (shape.row or shape.bare):
+                    keys |= shape.keys()
+                shapes.extend(c for _, _, c in shape.fields)
+            elif isinstance(shape, Rows):
+                shapes.append(shape.row)
+            elif isinstance(shape, Fields):
+                keys |= set(shape.keys)
     return keys
 
 
@@ -145,6 +230,7 @@ NODE_ID_PATHS = (
     ("scheduler", "eliminator", "released_at", "*", 0),
     ("runner", "monitor_active", "*"),
     ("runner", "observable_since", "*", 0),
+    ("collector", "faults", "down_since", "*", 0),
 )
 
 SPECS = {
@@ -167,12 +253,12 @@ def _case(name):
 
 
 def _walk(node, path=()):
-    """(path, value) of every value under the declared state; the
-    collector (its own format) and the spec digest are not declared."""
+    """(path, value) of every value under the declared state; the spec
+    digest is not declared."""
     yield path, node
     if isinstance(node, dict):
         for key, value in node.items():
-            if path or key not in ("collector", "spec"):
+            if path or key != "spec":
                 yield from _walk(value, path + (key,))
     elif isinstance(node, list):
         for index, value in enumerate(node):

@@ -8,6 +8,8 @@ from repro.core.coda import CodaConfig, CodaScheduler
 from repro.core.eliminator import EliminatorConfig
 from repro.experiments.auditlog import AuditLog
 from repro.experiments.runner import SimulationRunner
+from repro.experiments.scenarios import small_scenario
+from repro.faults import FaultConfig
 from repro.perfmodel.stages import TrainSetup
 from repro.schedulers.fifo import FifoScheduler
 from repro.workload.heat import heat_job
@@ -73,6 +75,28 @@ class TestLifecycleCapture:
         assert throttles
         assert throttles[0].job_id == "heat"
         assert throttles[0].detail["level"] < 1.0
+
+    def test_faulted_run_logs_failures_and_stragglers(self, tmp_path):
+        scenario = small_scenario(duration_days=0.2, nodes=6).with_faults(
+            FaultConfig(seed=7, node_mtbf_s=7200.0, straggler_interval_s=1800.0)
+        )
+        log = AuditLog()
+        runner = SimulationRunner(
+            scenario.build_cluster(),
+            FifoScheduler(),
+            scenario.build_trace(),
+            fault_injector=scenario.build_fault_injector(),
+            audit=log,
+        )
+        runner.run(until=scenario.horizon_s)
+        failed, slowed = log.of_event("failed"), log.of_event("straggler")
+        assert failed and slowed
+        assert failed[0].detail["reason"]
+        assert 0.0 < slowed[0].detail["factor"] < 1.0
+        path = tmp_path / "audit.jsonl"
+        log.save(path)
+        loaded = AuditLog.load(path)
+        assert list(loaded) == list(log)
 
     def test_no_audit_means_no_overhead_path(self):
         runner = SimulationRunner(

@@ -20,14 +20,11 @@ from repro.experiments.scenarios import small_scenario
 from repro.faults import FaultConfig
 from repro.health import HealthConfig
 from repro.metrics.collector import JobRecord, JobTable, MetricsCollector
-from repro.metrics.serialize import (
-    collector_from_dict,
-    collector_to_dict,
-    run_result_to_dict,
-)
+from repro.metrics.serialize import run_result_to_dict
 from repro.metrics.series import SampledSeries
 from repro.parallel.spec import RunSpec
 from repro.perfmodel.stages import TrainSetup
+from repro.sim.state import CheckpointError, Refs, load
 from repro.workload.job import CpuJob, GpuJob, JobKind
 
 FAULTS = FaultConfig(
@@ -67,6 +64,13 @@ def _cpu(job_id="c1", tenant=2):
     return CpuJob(job_id=job_id, tenant_id=tenant, submit_time=0.0, cores=4)
 
 
+def _loaded(data):
+    """A fresh collector loaded from its declared state ``data``."""
+    collector = MetricsCollector()
+    load(collector, data, "collector", Refs())
+    return collector
+
+
 def _reachable(root):
     """Every object reachable from ``root``, not through classes or
     modules (which would reach the whole interpreter)."""
@@ -85,12 +89,12 @@ def _reachable(root):
 @pytest.mark.parametrize("policy", ["coda", "drf"])
 def test_serialized_collector_round_trips(policy, faulted):
     result = _spec(policy, faulted).execute()
-    data = json.loads(json.dumps(collector_to_dict(result.collector)))
+    data = json.loads(json.dumps(result.collector.snapshot()))
     assert data["records"] and data["series"]["gpu_active_rate"]
-    rebuilt = collector_from_dict(data)
-    assert collector_to_dict(rebuilt) == data
+    rebuilt = _loaded(data)
+    assert rebuilt.snapshot() == data
     # Byte-identical too: a count series stays ints, a time stays a float.
-    assert json.dumps(collector_to_dict(rebuilt)) == json.dumps(data)
+    assert json.dumps(rebuilt.snapshot()) == json.dumps(data)
     assert dict(rebuilt.records) == dict(result.collector.records)
 
 
@@ -120,7 +124,7 @@ class TestSentinels:
         assert collector.records["zero"].core_adjustment == -3
         assert collector.records["unset"].final_cpus is None
         assert collector.records["unset"].core_adjustment is None
-        rebuilt = collector_from_dict(collector_to_dict(collector))
+        rebuilt = _loaded(collector.snapshot())
         assert rebuilt.records["zero"].final_cpus == 0
         assert rebuilt.records["unset"].final_cpus is None
 
@@ -141,7 +145,7 @@ class TestSentinels:
         assert record.end_to_end is None and record.processing_time is None
         assert collector.finished_records() == []
         assert collector.finished_count() == 0
-        data = collector_to_dict(collector)
+        data = collector.snapshot()
         assert data["records"][0]["finish_time"] is None
 
     def test_nan_time_rejected_at_record_time(self):
@@ -160,10 +164,10 @@ class TestSentinels:
     def test_nan_time_rejected_at_load(self):
         collector = MetricsCollector()
         collector.job_submitted(_cpu(), 0.0)
-        data = collector_to_dict(collector)
+        data = collector.snapshot()
         data["records"][0]["first_start"] = math.nan
-        with pytest.raises(ValueError):
-            collector_from_dict(data)
+        with pytest.raises(CheckpointError, match=r"^collector\.records\[0\]: "):
+            _loaded(data)
 
     def test_cpu_job_has_no_model_or_setup(self):
         collector = MetricsCollector()
@@ -235,10 +239,10 @@ class TestDoubleEvents:
     def test_duplicate_row_rejected_at_load(self):
         collector = MetricsCollector()
         collector.job_submitted(_gpu(), 0.0)
-        data = collector_to_dict(collector)
+        data = collector.snapshot()
         data["records"].append(dict(data["records"][0]))
-        with pytest.raises(RuntimeError):
-            collector_from_dict(data)
+        with pytest.raises(CheckpointError, match=r"^collector\.records\[1\]: "):
+            _loaded(data)
 
 
 class TestSharedSampleClock:
@@ -274,10 +278,10 @@ class TestSharedSampleClock:
         collector = MetricsCollector()
         self._sample(collector, 0.0)
         self._sample(collector, 30.0)
-        data = collector_to_dict(collector)
+        data = collector.snapshot()
         data["series"]["hot_nodes"][1][0] = 31.0
-        with pytest.raises(ValueError, match="hot_nodes"):
-            collector_from_dict(data)
+        with pytest.raises(CheckpointError, match=r"^collector\.series\.hot_nodes: "):
+            _loaded(data)
 
     def test_count_series_keep_int_values(self):
         series = SampledSeries("depth", "i")

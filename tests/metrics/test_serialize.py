@@ -13,6 +13,7 @@ from repro.metrics.serialize import (
     run_result_to_dict,
 )
 from repro.parallel import RunSpec
+from repro.sim.state import CheckpointError
 
 
 def _round_trip_is_exact(result):
@@ -76,12 +77,12 @@ class TestSchemaGuard:
         scenario = small_scenario(duration_days=0.02, nodes=4, seed=1)
         data = run_result_to_dict(RunSpec(scenario=scenario).execute())
         data["schema"] = RESULT_SCHEMA_VERSION + 1
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(CheckpointError, match=r"^result\.schema: "):
             run_result_from_dict(data)
 
     def test_missing_schema_rejected(self):
         scenario = small_scenario(duration_days=0.02, nodes=4, seed=1)
         data = run_result_to_dict(RunSpec(scenario=scenario).execute())
         del data["schema"]
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(CheckpointError, match=r"^result\.schema: "):
             run_result_from_dict(data)

@@ -115,6 +115,42 @@ class TestRobustness:
             result
         )
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "oversized int",
+            "string for int",
+            "bool for int",
+            "undeclared key",
+            "missing key",
+        ],
+    )
+    def test_malformed_entry_is_a_miss_and_overwritten(self, tmp_path, spec, damage):
+        cache = ResultCache(tmp_path / "cache")
+        expected = _dumps(SimPool(cache=cache).map([spec])[0])
+        key = cache.key_for(spec)
+        path = cache.path_for(key)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if damage == "oversized int":
+            data["collector"]["records"][0]["tenant_id"] = 2**40
+        elif damage == "string for int":
+            data["finished_gpu_jobs"] = str(data["finished_gpu_jobs"])
+        elif damage == "bool for int":
+            data["preemptions"] = True
+        elif damage == "undeclared key":
+            data["collector"]["faults"]["bogus"] = 0
+        else:
+            del data["collector"]["audit"]["checks_run"]
+        path.write_text(json.dumps(data), encoding="utf-8")
+
+        fresh_cache = ResultCache(tmp_path / "cache")
+        assert fresh_cache.load(key) is None
+        assert (fresh_cache.stats.hits, fresh_cache.stats.misses) == (0, 1)
+        result = SimPool(cache=fresh_cache).map([spec])[0]
+        assert fresh_cache.stats.stores == 1
+        assert _dumps(result) == expected
+        assert _dumps(fresh_cache.load(key)) == expected
+
     def test_stale_schema_entry_is_a_miss(self, tmp_path, spec):
         cache = ResultCache(tmp_path / "cache")
         SimPool(cache=cache).map([spec])

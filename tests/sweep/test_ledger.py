@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.sim.state import CheckpointError
 from repro.sweep import (
     STATUS_CACHED,
     STATUS_FAILED,
@@ -83,9 +84,25 @@ class TestCrashTolerance:
     def test_unknown_status_line_counts_as_damage(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         bogus = json.dumps(
-            {"seq": 0, "key": "k", "label": "a", "status": "exploded"}
+            {"seq": 0, "key": "k", "label": "a", "status": "exploded",
+             "attempt": 0, "detail": ""}
         )
+        with pytest.raises(ValueError, match="status"):
+            LedgerEntry.from_line(bogus)
         path.write_text(bogus + "\n")
+        state = SweepLedger.replay(path)
+        assert state.entries == [] and state.dropped_tail == 1
+
+    @pytest.mark.parametrize("field", ["attempt", "detail"])
+    def test_line_missing_a_field_counts_as_damage(self, tmp_path, field):
+        path = tmp_path / "ledger.jsonl"
+        line = json.loads(
+            LedgerEntry(seq=0, key="k", label="a", status=STATUS_OK).to_json()
+        )
+        del line[field]
+        with pytest.raises(CheckpointError, match=rf"^line\.{field}: missing"):
+            LedgerEntry.from_line(json.dumps(line))
+        path.write_text(json.dumps(line) + "\n")
         state = SweepLedger.replay(path)
         assert state.entries == [] and state.dropped_tail == 1
 
@@ -96,18 +113,57 @@ class TestCrashTolerance:
         assert len(SweepLedger.replay(path).entries) == 1
 
 
+#: A field retyped the way a bare ``int()``/``str()`` would coerce back.
+RETYPED = [("seq", "3"), ("seq", 3.0), ("attempt", True), ("key", 5), ("detail", None)]
+
+
+class TestStrictLines:
+    def _retyped(self, field, value):
+        line = json.loads(
+            LedgerEntry(seq=0, key="k", label="a", status=STATUS_OK).to_json()
+        )
+        line[field] = value
+        return json.dumps(line)
+
+    @pytest.mark.parametrize("field, value", RETYPED)
+    def test_retyped_line_mid_file_raises(self, tmp_path, field, value):
+        path = tmp_path / "ledger.jsonl"
+        good = LedgerEntry(seq=1, key="k", label="a", status=STATUS_OK)
+        path.write_text(self._retyped(field, value) + "\n" + good.to_json() + "\n")
+        with pytest.raises(LedgerError, match="line 1 is corrupt"):
+            SweepLedger.replay(path)
+
+    @pytest.mark.parametrize("field, value", RETYPED)
+    def test_retyped_tail_line_is_dropped(self, tmp_path, field, value):
+        path = tmp_path / "ledger.jsonl"
+        good = LedgerEntry(seq=0, key="k", label="a", status=STATUS_OK)
+        path.write_text(good.to_json() + "\n" + self._retyped(field, value) + "\n")
+        state = SweepLedger.replay(path)
+        assert state.entries == [good] and state.dropped_tail == 1
+
+    @pytest.mark.parametrize("field, value", RETYPED)
+    def test_from_line_rejects_a_retyped_field(self, field, value):
+        with pytest.raises(CheckpointError, match=rf"^line\.{field}: expected "):
+            LedgerEntry.from_line(self._retyped(field, value))
+
+    def test_a_line_that_is_not_an_object_is_damage(self):
+        with pytest.raises(CheckpointError, match=r"^line: expected "):
+            LedgerEntry.from_line("[0]")
+
+
 class TestResume:
     def test_resume_continues_sequence(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         with SweepLedger(path) as ledger:
             ledger.append("k1", "a", STATUS_OK, attempt=1)
-        with SweepLedger.resume(path) as ledger:
+        with SweepLedger(path, next_seq=SweepLedger.replay(path).next_seq) as ledger:
             entry = ledger.append("k2", "b", STATUS_PENDING)
         assert entry.seq == 1
         assert [e.seq for e in SweepLedger.replay(path).entries] == [0, 1]
 
     def test_resume_of_missing_file_starts_at_zero(self, tmp_path):
-        with SweepLedger.resume(tmp_path / "new.jsonl") as ledger:
+        path = tmp_path / "new.jsonl"
+        with SweepLedger(path, next_seq=SweepLedger.replay(path).next_seq) as ledger:
             assert ledger.append("k", "a", STATUS_PENDING).seq == 0
 
 

@@ -89,6 +89,25 @@ class TestResume:
         for label, result in first.results_by_label().items():
             assert _dumps(again.results_by_label()[label]) == _dumps(result)
 
+    def test_resume_reads_the_ledger_once(self, tmp_path, specs, monkeypatch):
+        cache = ResultCache(tmp_path / "cache")
+        out = tmp_path / "s"
+        run_sweep(specs, out_dir=out, cache=cache, supervisor=_FAST)
+        replays = []
+        replay = SweepLedger.replay
+        monkeypatch.setattr(
+            SweepLedger,
+            "replay",
+            staticmethod(lambda path: replays.append(path) or replay(path)),
+        )
+        again = run_sweep(
+            specs, out_dir=out, cache=cache, resume=True, supervisor=_FAST
+        )
+        assert replays == [out / LEDGER_NAME]
+        seqs = [entry.seq for entry in replay(out / LEDGER_NAME).entries]
+        assert seqs == list(range(len(seqs)))
+        assert again.executed == 0
+
     def test_partial_sweep_runs_only_the_remainder(self, tmp_path, specs):
         cache = ResultCache(tmp_path / "cache")
         out = tmp_path / "s"
