@@ -116,6 +116,10 @@ class RunResult(Stateful):
         ("schema", Pinned(INT)), ("collector", NESTED),
     )
 
+    def _after_load(self, refs: Refs) -> None:
+        # A decoded result is as finished as the run that made it.
+        self.collector.records.seal()
+
 
 def _env_auditor() -> Optional["InvariantAuditor"]:
     """A strict invariant auditor when ``REPRO_AUDIT`` is set.
@@ -266,6 +270,7 @@ class SimulationRunner(SchedulerContext, Stateful):
             self.auditor.detach()
 
     def _result(self, until: float) -> RunResult:
+        self.collector.records.seal()
         return RunResult(
             scheduler_name=self.scheduler.name,
             collector=self.collector,

@@ -6,14 +6,17 @@ cluster samples into it; the experiment harness reads figures out of it.
 Every result keeps its collector, so the per-job data lives in columns (a
 :class:`JobTable`, one ``array`` per field) and the sampled series share
 one time column: a finished result holds a few dozen arrays, not one
-object per job or per sample.
+object per job or per sample.  When the run ends its table is sealed
+(:meth:`JobTable.seal`), which packs the job ids into one string.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.metrics.audit import AuditStats
@@ -95,6 +98,13 @@ def _cores(value: int) -> Optional[int]:
     return None if value < 0 else value
 
 
+#: The int columns :meth:`JobTable.seal` narrows.
+_INT_COLUMNS = (
+    "tenant_id", "start_count", "preempt_count", "failure_count",
+    "requested_cpus", "final_cpus", "gpus", "model", "setup_label",
+)
+
+
 class JobTable(Mapping[str, JobRecord], Stateful):
     """Every job's lifecycle, one column per :class:`JobRecord` field, in
     submit order.
@@ -104,7 +114,9 @@ class JobTable(Mapping[str, JobRecord], Stateful):
     values are sentinels: NaN in a time column, -1 in ``final_cpus``, and
     label 0 (``None``) for a CPU job's model and setup.  Model and setup
     strings are interned in :attr:`labels`, and the two label columns hold
-    indices into it.
+    indices into it.  An open table finds a job's row through the
+    ``job_id → row`` dict :attr:`rows`; :meth:`seal` turns a finished one
+    into a :class:`SealedJobTable`.
     """
 
     def __init__(self) -> None:
@@ -125,6 +137,13 @@ class JobTable(Mapping[str, JobRecord], Stateful):
         self.kind = array("b")
         self.labels: List[Optional[str]] = [None]
         self._label_codes: Dict[Optional[str], int] = {None: 0}
+
+    def row(self, job_id: str) -> int:
+        """The row of ``job_id``; ``KeyError`` if there is none."""
+        return self.rows[job_id]
+
+    #: The row a collector update writes to (a sealed table refuses).
+    writable_row = row
 
     def append(
         self,
@@ -184,13 +203,17 @@ class JobTable(Mapping[str, JobRecord], Stateful):
             self.labels.append(label)
         return code
 
+    def ids(self, start: int = 0, stop: Optional[int] = None) -> List[str]:
+        """The job ids of rows ``start`` to ``stop``."""
+        return self.job_ids[start:stop]
+
     def decoded(self, start: int = 0, stop: Optional[int] = None) -> Iterator[Tuple]:
         """Rows ``start`` to ``stop`` in :class:`JobRecord` field order,
         sentinels decoded."""
         part = slice(start, stop)
         labels = self.labels
         return zip(
-            self.job_ids[part],
+            self.ids(start, stop),
             self.tenant_id[part],
             self.submit_time[part],
             map(_time, self.first_start[part]),
@@ -209,18 +232,19 @@ class JobTable(Mapping[str, JobRecord], Stateful):
     def record(self, row: int) -> JobRecord:
         return JobRecord(*next(self.decoded(row, row + 1)))
 
-    #: One JSON object per job, in submit order, loaded through :meth:`append`.
-    STATE = Struct((None, None, Rows(_ROW, decoded, append)))
+    #: One JSON object per job, in submit order, loaded through the
+    #: table's :meth:`append` (which a sealed table refuses).
+    STATE = Struct((None, None, Rows(_ROW, decoded, lambda t, *row: t.append(*row))))
 
     def rows_of(self, kind: Optional[JobKind]) -> Iterator[int]:
         """Row numbers, of ``kind`` only unless it is None."""
         if kind is None:
-            return iter(range(len(self.job_ids)))
+            return iter(range(len(self)))
         code = _KIND_CODE[kind]
         return (row for row, k in enumerate(self.kind) if k == code)
 
     def __getitem__(self, job_id: str) -> JobRecord:
-        return self.record(self.rows[job_id])
+        return self.record(self.row(job_id))
 
     def __contains__(self, job_id: object) -> bool:
         return job_id in self.rows
@@ -230,6 +254,75 @@ class JobTable(Mapping[str, JobRecord], Stateful):
 
     def __len__(self) -> int:
         return len(self.job_ids)
+
+    def seal(self) -> None:
+        """Make this finished table a read-only :class:`SealedJobTable`.
+
+        The ids move into one string, and each int column narrows to the
+        smallest typecode that holds its values; every read gives what it
+        gave before, and every write raises ``RuntimeError``.
+        """
+        ids = self.job_ids
+        self.id_text = "".join(ids)
+        self.id_ends = array("I", accumulate(map(len, ids), initial=0))
+        self.by_id = array("I", sorted(range(len(ids)), key=ids.__getitem__))
+        for name in _INT_COLUMNS:
+            for typecode in "bh":
+                try:
+                    setattr(self, name, array(typecode, getattr(self, name)))
+                    break
+                except OverflowError:
+                    pass
+        del self.job_ids, self.rows, self._label_codes
+        self.__class__ = SealedJobTable
+
+
+class SealedJobTable(JobTable):
+    """A finished run's :class:`JobTable`, read-only (see
+    :meth:`JobTable.seal`).
+
+    Job ``r``'s id is ``id_text[id_ends[r]:id_ends[r + 1]]``; ``by_id``
+    holds the row numbers sorted by id, so a lookup by id is a bisection.
+    """
+
+    id_text: str
+    id_ends: array[int]
+    by_id: array[int]
+
+    def _sealed(self, *args: Any, **kwargs: Any) -> Any:
+        raise RuntimeError("a sealed job table is read-only")
+
+    append = writable_row = seal = _sealed
+
+    def job_id(self, row: int) -> str:
+        ends = self.id_ends
+        return self.id_text[ends[row]:ends[row + 1]]
+
+    def row(self, job_id: object) -> int:
+        by_id = self.by_id
+        if isinstance(job_id, str):
+            at = bisect_left(by_id, job_id, key=self.job_id)
+            if at < len(by_id) and self.job_id(by_id[at]) == job_id:
+                return by_id[at]
+        raise KeyError(job_id)
+
+    def ids(self, start: int = 0, stop: Optional[int] = None) -> List[str]:
+        text, ends = self.id_text, self.id_ends
+        start, stop, _ = slice(start, stop).indices(len(self))
+        return [text[a:b] for a, b in zip(ends[start:stop], ends[start + 1 : stop + 1])]
+
+    def __contains__(self, job_id: object) -> bool:
+        try:
+            self.row(job_id)
+        except KeyError:
+            return False
+        return True
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids())
+
+    def __len__(self) -> int:
+        return len(self.id_ends) - 1
 
 
 class _Series(Codec):
@@ -325,7 +418,7 @@ class MetricsCollector(Stateful):
 
     def job_started(self, job_id: str, now: float, cpus_per_node: int) -> None:
         table = self.records
-        row = table.rows[job_id]
+        row = table.writable_row(job_id)
         if now != now or cpus_per_node < 0:
             raise ValueError(f"job {job_id}: start at {now} on {cpus_per_node} cores")
         if math.isnan(table.first_start[row]):
@@ -337,20 +430,20 @@ class MetricsCollector(Stateful):
         if cpus_per_node < 0:
             raise ValueError(f"job {job_id}: negative cores {cpus_per_node}")
         table = self.records
-        table.final_cpus[table.rows[job_id]] = cpus_per_node
+        table.final_cpus[table.writable_row(job_id)] = cpus_per_node
 
     def job_preempted(self, job_id: str, now: float) -> None:
         table = self.records
-        table.preempt_count[table.rows[job_id]] += 1
+        table.preempt_count[table.writable_row(job_id)] += 1
 
     def job_failed(self, job_id: str, now: float) -> None:
         """The job was killed by an infrastructure failure (not policy)."""
         table = self.records
-        table.failure_count[table.rows[job_id]] += 1
+        table.failure_count[table.writable_row(job_id)] += 1
 
     def job_finished(self, job_id: str, now: float) -> None:
         table = self.records
-        row = table.rows[job_id]
+        row = table.writable_row(job_id)
         if now != now:
             raise ValueError(f"job {job_id}: finish time is NaN")
         if not math.isnan(table.finish_time[row]):

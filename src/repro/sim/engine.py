@@ -184,17 +184,10 @@ class Engine(Stateful):
             raise ValueError(
                 f"cannot schedule event {tag!r} at {when} (now={self.now})"
             )
-        event = Event(
-            time=float(when),
-            priority=int(priority),
-            seq=self._seq,
-            action=action,
-            tag=tag,
-        )
-        self._seq += 1
-        heapq.heappush(
-            self._queue, (event.time, event.priority, event.seq, event)
-        )
+        at, priority, seq = float(when), int(priority), self._seq
+        event = Event(at, priority, seq, action, tag)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (at, priority, seq, event))
         self._live += 1
         return EventHandle(event, self)
 

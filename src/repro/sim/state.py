@@ -60,7 +60,12 @@ class _Load:
 class Codec:
     """A type: ``dump`` writes a value as JSON data; ``load`` checks JSON
     data at ``path`` and returns the value (``key``: the dict key it sits
-    under).  An ``in_place`` codec loads into the current value instead."""
+    under).  An ``in_place`` codec loads into the current value instead.
+
+    A list or row loads its entries at its own path, and only when one
+    fails loads them again, each at its own path, to raise the located
+    error: a table's rows would spend more on building paths than on
+    decoding."""
 
     name = "value"
     in_place = False
@@ -210,7 +215,11 @@ class ListOf(Codec):
     def load(self, raw: Any, path: str, ctx: _Load, key: Any = None) -> Any:
         if type(raw) is not list:
             raise self.expected(raw, path)
-        items = [self.item.load(v, f"{path}[{i}]", ctx) for i, v in enumerate(raw)]
+        load = self.item.load
+        try:
+            items = [load(v, path, ctx) for v in raw]
+        except CheckpointError:
+            items = [load(v, f"{path}[{i}]", ctx) for i, v in enumerate(raw)]
         if self.by is None:
             return self.into(items)
         keyed = {getattr(item, self.by): item for item in items}
@@ -232,8 +241,14 @@ class Row(Codec):
     def load(self, raw: Any, path: str, ctx: _Load, key: Any = None) -> Any:
         if type(raw) is not list or len(raw) != len(self.items):
             raise self.expected(raw, path)
-        pairs = enumerate(zip(self.items, raw))
-        return self.into([item.load(v, f"{path}[{i}]", ctx) for i, (item, v) in pairs])
+        try:
+            pairs = zip(self.items, raw)
+            return self.into([item.load(v, path, ctx) for item, v in pairs])
+        except CheckpointError:
+            pairs = enumerate(zip(self.items, raw))
+            return self.into(
+                [item.load(v, f"{path}[{i}]", ctx) for i, (item, v) in pairs]
+            )
 
 
 class Fields(Row):
@@ -256,8 +271,14 @@ class Fields(Row):
                     raise _fail(f"{path}.{name}", "missing")
             unknown = sorted(raw.keys() - self.key_set)[0]
             raise _fail(f"{path}.{unknown}", "not a declared field")
-        pairs = zip(self.keys, self.items)
-        return self.into([item.load(raw[k], f"{path}.{k}", ctx) for k, item in pairs])
+        try:
+            pairs = zip(self.keys, self.items)
+            return self.into([item.load(raw[k], path, ctx) for k, item in pairs])
+        except CheckpointError:
+            pairs = zip(self.keys, self.items)
+            return self.into(
+                [item.load(raw[k], f"{path}.{k}", ctx) for k, item in pairs]
+            )
 
 
 class DictOf(Codec):
@@ -356,13 +377,20 @@ class Rows:
     def load_into(self, obj: Any, raw: Any, path: str, ctx: _Load) -> None:
         if type(raw) is not list:
             raise _fail(path, f"expected [{self.row.name}, ...], got {_show(raw)}")
+        load, add = self.row.load, self.add
         for i, entry in enumerate(raw):
-            where = f"{path}[{i}]"
-            values = self.row.load(entry, where, ctx)
             try:
-                self.add(obj, *values)
-            except (ValueError, OverflowError, RuntimeError) as exc:
-                raise _fail(where, str(exc)) from None
+                add(obj, *load(entry, path, ctx))
+            except (ValueError, OverflowError, RuntimeError):  # CheckpointError too
+                self._add_at(obj, entry, f"{path}[{i}]", ctx)
+
+    def _add_at(self, obj: Any, entry: Any, where: str, ctx: _Load) -> None:
+        """Load and add one entry, failing at its own path ``where``."""
+        values = self.row.load(entry, where, ctx)
+        try:
+            self.add(obj, *values)
+        except (ValueError, OverflowError, RuntimeError) as exc:
+            raise _fail(where, str(exc)) from None
 
 
 # --------------------------------------------------------------------- #

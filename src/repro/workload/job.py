@@ -9,12 +9,23 @@ any scheduler without cross-contamination.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cluster.resources import ResourceVector
 from repro.perfmodel.catalog import get_model
 from repro.perfmodel.stages import TrainSetup
+
+
+#: The largest tenant id, core count or GPU count a job may carry: the
+#: run's job table keeps them in C ``int`` columns.
+MAX_C_INT = 2 ** (8 * array("i").itemsize - 1) - 1
+
+
+def _check_c_int(job_id: str, what: str, value: int) -> None:
+    if value > MAX_C_INT:
+        raise ValueError(f"{job_id}: {what} {value} exceeds {MAX_C_INT}")
 
 
 class JobKind(enum.Enum):
@@ -49,6 +60,7 @@ class Job:
             raise ValueError(f"{self.job_id}: negative submit time")
         if self.tenant_id < 0:
             raise ValueError(f"{self.job_id}: negative tenant id")
+        _check_c_int(self.job_id, "tenant id", self.tenant_id)
 
     @property
     def kind(self) -> JobKind:
@@ -85,6 +97,7 @@ class CpuJob(Job):
         super().__post_init__()
         if self.cores < 1:
             raise ValueError(f"{self.job_id}: CPU job needs at least one core")
+        _check_c_int(self.job_id, "cores", self.cores)
         if self.duration_s <= 0:
             raise ValueError(f"{self.job_id}: non-positive duration")
         if self.bw_demand_gbps < 0 or self.llc_mb < 0:
@@ -135,6 +148,8 @@ class GpuJob(Job):
         get_model(self.model_name)  # validates the name
         if self.requested_cpus < 1:
             raise ValueError(f"{self.job_id}: need at least one core per node")
+        _check_c_int(self.job_id, "cores per node", self.requested_cpus)
+        _check_c_int(self.job_id, "GPUs", self.setup.total_gpus)
         if self.total_iterations < 1:
             raise ValueError(f"{self.job_id}: need at least one iteration")
         if self.checkpoint_interval_iters < 0:

@@ -56,6 +56,10 @@ class TenantProfile:
                 f"CPU-only tenant {self.tenant_id} cannot submit GPU jobs"
             )
         if self.gpu_job_weight > 0:
+            if any(weight < 0 for _, weight in self.domain_mix):
+                raise ValueError(
+                    f"tenant {self.tenant_id}: negative weight in domain mix"
+                )
             total = sum(weight for _, weight in self.domain_mix)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(

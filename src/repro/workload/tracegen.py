@@ -24,8 +24,11 @@ so the trace is a pure function of its config.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import accumulate
+from typing import Any, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.perfmodel.catalog import Domain, ModelProfile, models_in_domain
 from repro.perfmodel.speed import iteration_time
@@ -145,20 +148,35 @@ class Trace:
         return len(self.jobs)
 
 
-def _weighted_choice(
-    rng, items: Sequence, weights: Sequence[float]
-):
-    """Deterministic weighted choice via a single uniform draw."""
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    point = rng.random() * total
-    acc = 0.0
-    for item, weight in zip(items, weights):
-        acc += weight
-        if point <= acc:
-            return item
-    return items[-1]
+_T = TypeVar("_T")
+
+
+class _Weighted(Generic[_T]):
+    """A weighted choice over ``items``, drawn with one uniform: the first
+    item whose running weight total reaches ``uniform * total``.  The
+    running totals are summed once, left to right from 0.0, so each is the
+    float a running sum at draw time would reach.  The weights must be
+    non-negative, so the totals are sorted for the bisection
+    (:class:`~repro.workload.tenants.TenantProfile` refuses a negative
+    job or domain weight)."""
+
+    def __init__(self, items: Sequence[_T], weights: Sequence[float]) -> None:
+        self.total = sum(weights)
+        if self.total <= 0:
+            raise ValueError("weights must sum to a positive value")
+        self.items = tuple(items)
+        self.bounds = list(accumulate(weights, initial=0.0))[1:]
+
+    def draw(self, rng: Any) -> _T:
+        at = bisect_left(self.bounds, rng.random() * self.total)
+        return self.items[min(at, len(self.items) - 1)]
+
+
+_REQUESTED_CPUS = _Weighted(
+    REQUESTED_CPU_BUCKETS, [p for _, _, p in REQUESTED_CPU_BUCKETS]
+)
+_SETUPS = _Weighted(SETUP_MIX, [p for _, _, p in SETUP_MIX])
+_CPU_CORES = _Weighted(CPU_CORE_CHOICES, CPU_CORE_WEIGHTS)
 
 
 def sample_requested_cpus(rng, gpus_per_node: int = 1) -> int:
@@ -169,11 +187,7 @@ def sample_requested_cpus(rng, gpus_per_node: int = 1) -> int:
     """
     if gpus_per_node < 1:
         raise ValueError(f"gpus_per_node must be >= 1: {gpus_per_node}")
-    low, high, _ = _weighted_choice(
-        rng,
-        REQUESTED_CPU_BUCKETS,
-        [p for _, _, p in REQUESTED_CPU_BUCKETS],
-    )
+    low, high, _ = _REQUESTED_CPUS.draw(rng)
     per_gpu = rng.randint(low, high)
     return min(per_gpu * gpus_per_node, MAX_REQUESTED_CPUS_PER_NODE)
 
@@ -189,39 +203,24 @@ def sample_cpu_runtime_s(rng) -> float:
     return min(max(draw, 30.0), 12 * HOUR)
 
 
-class _IterTimeCache:
-    """Optimal-allocation iteration times, memoized per (model, setup)."""
-
-    def __init__(self) -> None:
-        self._cache: Dict[Tuple[str, int, int, Optional[int]], float] = {}
-
-    def iter_time(self, profile: ModelProfile, setup: TrainSetup) -> float:
-        key = (profile.name, setup.num_nodes, setup.gpus_per_node, setup.batch)
-        cached = self._cache.get(key)
-        if cached is None:
-            best = optimal_cores(profile, setup)
-            cached = iteration_time(profile, setup, best).total_s
-            self._cache[key] = cached
-        return cached
+@lru_cache(maxsize=None)
+def _optimal_iter_time(profile: ModelProfile, setup: TrainSetup) -> float:
+    """Iteration time at the optimal allocation, memoized process-wide on
+    the frozen (profile, setup) values."""
+    return iteration_time(profile, setup, optimal_cores(profile, setup)).total_s
 
 
 def _gpu_job(
     job_id: str,
     tenant: TenantProfile,
+    domains: _Weighted[Domain],
     submit_time: float,
     rng,
     config: TraceConfig,
-    cache: _IterTimeCache,
 ) -> GpuJob:
-    domain = _weighted_choice(
-        rng,
-        [d for d, _ in tenant.domain_mix],
-        [w for _, w in tenant.domain_mix],
-    )
+    domain = domains.draw(rng)
     profile = rng.choice(models_in_domain(domain))
-    num_nodes, gpus_per_node, _ = _weighted_choice(
-        rng, SETUP_MIX, [p for _, _, p in SETUP_MIX]
-    )
+    num_nodes, gpus_per_node, _ = _SETUPS.draw(rng)
     if rng.random() < config.default_batch_probability:
         batch = profile.default_batch
     else:
@@ -230,7 +229,7 @@ def _gpu_job(
         num_nodes=num_nodes, gpus_per_node=gpus_per_node, batch=batch
     )
     runtime_s = sample_gpu_runtime_s(rng)
-    iterations = max(1, round(runtime_s / cache.iter_time(profile, setup)))
+    iterations = max(1, round(runtime_s / _optimal_iter_time(profile, setup)))
     give_hints = rng.random() < config.hint_probability
     hints = JobHints(
         category_provided=True,
@@ -287,7 +286,7 @@ def _cpu_job(
             llc_mb=rng.uniform(0.5, 2.0),
             is_inference=True,
         )
-    cores = _weighted_choice(rng, CPU_CORE_CHOICES, CPU_CORE_WEIGHTS)
+    cores = _CPU_CORES.draw(rng)
     return CpuJob(
         job_id=job_id,
         tenant_id=tenant.tenant_id,
@@ -314,7 +313,6 @@ def generate_trace(
     config = config or TraceConfig()
     tenants = tenants if tenants is not None else paper_tenants()
     registry = RngRegistry(config.seed)
-    cache = _IterTimeCache()
 
     gpu_tenants = [t for t in tenants if t.gpu_job_weight > 0]
     cpu_tenants = [t for t in tenants if t.cpu_job_weight > 0]
@@ -328,14 +326,17 @@ def generate_trace(
         )
         arrivals_rng = registry.stream("gpu-arrivals")
         body_rng = registry.stream("gpu-jobs")
+        # Each tenant comes with its own domain mix, unzipped into a choice.
+        gpu_choice = _Weighted(
+            [(t, _Weighted(*zip(*t.domain_mix))) for t in gpu_tenants],
+            [t.gpu_job_weight for t in gpu_tenants],
+        )
         for index, when in enumerate(
             poisson_arrivals(rate, rate.max_rate, config.duration_s, arrivals_rng)
         ):
-            tenant = _weighted_choice(
-                body_rng, gpu_tenants, [t.gpu_job_weight for t in gpu_tenants]
-            )
+            tenant, domains = gpu_choice.draw(body_rng)
             jobs.append(
-                _gpu_job(f"gpu-{index:06d}", tenant, when, body_rng, config, cache)
+                _gpu_job(f"gpu-{index:06d}", tenant, domains, when, body_rng, config)
             )
 
     if config.cpu_jobs_per_day > 0 and cpu_tenants:
@@ -347,12 +348,11 @@ def generate_trace(
         )
         arrivals_rng = registry.stream("cpu-arrivals")
         body_rng = registry.stream("cpu-jobs")
+        cpu_choice = _Weighted(cpu_tenants, [t.cpu_job_weight for t in cpu_tenants])
         for index, when in enumerate(
             poisson_arrivals(rate, rate.max_rate, config.duration_s, arrivals_rng)
         ):
-            tenant = _weighted_choice(
-                body_rng, cpu_tenants, [t.cpu_job_weight for t in cpu_tenants]
-            )
+            tenant = cpu_choice.draw(body_rng)
             jobs.append(
                 _cpu_job(f"cpu-{index:06d}", tenant, when, body_rng, config)
             )

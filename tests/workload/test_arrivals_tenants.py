@@ -157,3 +157,15 @@ class TestTenants:
                 domain_mix=((Domain.CV, 0.5),),
                 diurnal_amplitude=0.5,
             )
+
+    def test_negative_domain_weight_rejected(self):
+        # The mix sums to 1, but a weighted draw needs every weight >= 0.
+        with pytest.raises(ValueError, match="tenant 3: negative weight in domain mix"):
+            TenantProfile(
+                tenant_id=3,
+                kind=TenantKind.AI_COMPANY,
+                gpu_job_weight=1.0,
+                cpu_job_weight=1.0,
+                domain_mix=((Domain.CV, 1.2), (Domain.NLP, -0.2)),
+                diurnal_amplitude=0.5,
+            )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.resources import ResourceVector
 from repro.perfmodel.stages import TrainSetup
-from repro.workload.job import CpuJob, GpuJob, JobHints, JobKind
+from repro.workload.job import MAX_C_INT, CpuJob, GpuJob, JobHints, JobKind
 
 
 class TestCpuJob:
@@ -86,3 +86,40 @@ class TestGpuJob:
         hints = JobHints(uses_pipeline=True, many_weights=False)
         job = self._job(hints=hints)
         assert job.hints.uses_pipeline is True
+
+
+class TestCIntBounds:
+    """The job table keeps ids and counts in C int columns, so a job that
+    does not fit one is refused where it is built, not at submission."""
+
+    def test_largest_values_fit(self):
+        CpuJob(job_id="c1", tenant_id=MAX_C_INT, submit_time=0.0, cores=MAX_C_INT)
+        GpuJob(
+            job_id="g1",
+            tenant_id=MAX_C_INT,
+            submit_time=0.0,
+            requested_cpus=MAX_C_INT,
+            setup=TrainSetup(num_nodes=1, gpus_per_node=MAX_C_INT),
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CpuJob(job_id="c1", tenant_id=2**40, submit_time=0.0),
+            lambda: GpuJob(job_id="g1", tenant_id=MAX_C_INT + 1, submit_time=0.0),
+            lambda: CpuJob(job_id="c1", tenant_id=1, submit_time=0.0, cores=2**31),
+            lambda: GpuJob(
+                job_id="g1", tenant_id=1, submit_time=0.0, requested_cpus=2**31
+            ),
+            lambda: GpuJob(
+                job_id="g1",
+                tenant_id=1,
+                submit_time=0.0,
+                setup=TrainSetup(num_nodes=2, gpus_per_node=2**30),
+            ),
+        ],
+        ids=["cpu-tenant", "gpu-tenant", "cpu-cores", "gpu-cores", "gpus"],
+    )
+    def test_rejects_what_a_c_int_cannot_hold(self, make):
+        with pytest.raises(ValueError, match="exceeds"):
+            make()

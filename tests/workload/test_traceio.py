@@ -86,6 +86,21 @@ def _null_hints(lines):
     return index + 1, "mapping"
 
 
+def _huge_tenant(lines):
+    record = json.loads(lines[1])
+    record["tenant_id"] = 2**40
+    lines[1] = json.dumps(record)
+    return 2, f"tenant id {2**40} exceeds"
+
+
+def _huge_cores(lines):
+    index = next(i for i, line in enumerate(lines) if '"kind": "cpu"' in line)
+    record = json.loads(lines[index])
+    record["cores"] = 2**31
+    lines[index] = json.dumps(record)
+    return index + 1, f"cores {2**31} exceeds"
+
+
 def _empty(lines):
     lines.clear()
     return 1, "empty trace file"
@@ -98,8 +113,24 @@ def _bad_version(lines):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_tenant, _truncate_json, _null_hints, _empty, _bad_version],
-    ids=["missing-field", "bad-json", "null-hints", "empty", "bad-version"],
+    [
+        _drop_tenant,
+        _truncate_json,
+        _null_hints,
+        _huge_tenant,
+        _huge_cores,
+        _empty,
+        _bad_version,
+    ],
+    ids=[
+        "missing-field",
+        "bad-json",
+        "null-hints",
+        "huge-tenant",
+        "huge-cores",
+        "empty",
+        "bad-version",
+    ],
 )
 def test_malformed_trace_names_file_and_line(corrupt, small_trace, tmp_path):
     path = tmp_path / "trace.jsonl"
