@@ -55,7 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Bumped whenever ``RunResult.STATE`` changes; part of the result cache's
 #: code fingerprint, so stale cache entries never load.
 #: v2: RunResult gained ``stale_timer_fires`` (lazy completion timers).
-RESULT_SCHEMA_VERSION = 2
+#: v3: the collector's job table and series are packed columns.
+RESULT_SCHEMA_VERSION = 3
 
 #: Default cluster-state sampling cadence (the paper samples utilization
 #: continuously; five minutes keeps week-long runs cheap and smooth).
@@ -116,8 +117,9 @@ class RunResult(Stateful):
         ("schema", Pinned(INT)), ("collector", NESTED),
     )
 
-    def _after_load(self, refs: Refs) -> None:
-        # A decoded result is as finished as the run that made it.
+    def _before_load(self) -> None:
+        # A decoded result is as finished as the run that made it: its
+        # table is sealed while empty, and the load fills it sealed.
         self.collector.records.seal()
 
 

@@ -7,7 +7,10 @@ Every result keeps its collector, so the per-job data lives in columns (a
 :class:`JobTable`, one ``array`` per field) and the sampled series share
 one time column: a finished result holds a few dozen arrays, not one
 object per job or per sample.  When the run ends its table is sealed
-(:meth:`JobTable.seal`), which packs the job ids into one string.
+(:meth:`JobTable.seal`), which packs the job ids into one string.  A
+result or checkpoint writes the columns as they are held, one packed
+string each (:class:`~repro.sim.state.Columns`), and a decoded result's
+table is built sealed from them.
 """
 
 from __future__ import annotations
@@ -17,15 +20,16 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import gt
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.metrics.audit import AuditStats
 from repro.metrics.faults import FaultStats
 from repro.metrics.fragmentation import FragmentationTracker
 from repro.metrics.series import SampledSeries
-from repro.sim.state import FLOAT, INT, JOB_ID, NESTED, STR, CheckpointError, Choice
-from repro.sim.state import Codec, Fields, ListOf, Nullable, Row, Rows, Stateful
-from repro.sim.state import Struct
+from repro.sim.state import INT, NESTED, STR, CheckpointError, Columns, ListOf
+from repro.sim.state import Packed, Refs, Stateful, Struct, first_row, narrowest
+from repro.sim.state import within
 from repro.workload.job import Job, JobKind
 
 #: Kind column codes: a kind is stored as its index here.
@@ -80,16 +84,6 @@ class JobRecord:
         return self.final_cpus - self.requested_cpus
 
 
-#: A job's row: its :class:`JobRecord` fields by name, in order.
-_ROW = Fields(
-    job_id=JOB_ID, tenant_id=INT, submit_time=FLOAT,
-    first_start=Nullable(FLOAT), finish_time=Nullable(FLOAT),
-    start_count=INT, preempt_count=INT, failure_count=INT,
-    requested_cpus=INT, final_cpus=Nullable(INT), gpus=INT,
-    model=Nullable(STR), setup_label=Nullable(STR), kind=Choice(JobKind),
-)
-
-
 def _time(value: float) -> Optional[float]:
     return None if math.isnan(value) else value
 
@@ -98,11 +92,64 @@ def _cores(value: int) -> Optional[int]:
     return None if value < 0 else value
 
 
-#: The int columns :meth:`JobTable.seal` narrows.
-_INT_COLUMNS = (
-    "tenant_id", "start_count", "preempt_count", "failure_count",
-    "requested_cpus", "final_cpus", "gpus", "model", "setup_label",
+#: A column of counts, of floats, of times (NaN: unset), and of ints that
+#: are never negative (codes, offsets, a queue depth).
+_INTS, _FLOATS, _TIMES = Packed("bhi"), Packed("d"), Packed("d", nan=True)
+_NONNEG = Packed("bhi", low=0)
+
+#: The table as written: its ids back to back and where each ends, the
+#: labels (code 0, no label, is not written), then one packed column per
+#: :class:`JobRecord` field.
+_WIRE = dict(
+    ids=STR, id_ends=_NONNEG, labels=ListOf(STR),
+    tenant_id=_INTS, submit_time=_FLOATS, first_start=_TIMES,
+    finish_time=_TIMES, start_count=_INTS, preempt_count=_INTS,
+    failure_count=_INTS, requested_cpus=_INTS, final_cpus=Packed("bhi", low=-1),
+    gpus=_INTS, model=_NONNEG, setup_label=_NONNEG,
+    kind=Packed("bhi", low=0, high=len(_KINDS) - 1),
 )
+
+#: The table's data columns, in :class:`JobRecord` field order.
+_DATA = tuple(_WIRE)[3:]
+
+
+def _checked_ids(loaded: Dict[str, Any], path: str, refs: Refs) -> List[str]:
+    """The job ids of a loaded table, once what spans its columns holds:
+    the id ends do not go back and end the text, no id repeats, and in a
+    run each names a job of its trace; the label codes index ``labels``
+    and are set exactly on GPU rows.  A failure names its row."""
+    text, ends = loaded["ids"], loaded["id_ends"]
+    starts = array("I", [0]) + array("I", ends[:-1])
+    if any(map(gt, starts, ends)):
+        row = first_row(range(len(ends)), lambda r: starts[r] > ends[r])
+        raise CheckpointError(f"{path}.id_ends[{row}]: {ends[row]} is before its start")
+    end = ends[-1] if ends else 0
+    if end != len(text):
+        raise CheckpointError(
+            f"{path}.ids: {len(text)} characters, but its ids end at {end}"
+        )
+    ids = [text[a:b] for a, b in zip(starts, ends)]
+    jobs = refs.jobs
+    if len(set(ids)) != len(ids):
+        first: Dict[str, int] = {}
+        row = first_row(range(len(ids)), lambda r: first.setdefault(ids[r], r) != r)
+        raise CheckpointError(f"{path}.ids[{row}]: job {ids[row]!r} twice")
+    if jobs is not None and not jobs.keys() >= set(ids):
+        row = first_row(ids, lambda job_id: job_id not in jobs)
+        raise CheckpointError(
+            f"{path}.ids[{row}]: no job {ids[row]!r} in this run's trace"
+        )
+    gpu_rows = [code == _KIND_CODE[JobKind.GPU] for code in loaded["kind"]]
+    for name in ("model", "setup_label"):
+        codes = loaded[name]
+        within(codes, f"{path}.{name}", None, len(loaded["labels"]))
+        if list(map(bool, codes)) != gpu_rows:
+            row = first_row(range(len(codes)), lambda r: bool(codes[r]) != gpu_rows[r])
+            raise CheckpointError(
+                f"{path}.{name}[{row}]: "
+                "a GPU job has a model and a setup, a CPU job neither"
+            )
+    return ids
 
 
 class JobTable(Mapping[str, JobRecord], Stateful):
@@ -145,56 +192,33 @@ class JobTable(Mapping[str, JobRecord], Stateful):
     #: The row a collector update writes to (a sealed table refuses).
     writable_row = row
 
-    def append(
-        self,
-        job_id: str,
-        tenant_id: int,
-        submit_time: float,
-        first_start: Optional[float],
-        finish_time: Optional[float],
-        start_count: int,
-        preempt_count: int,
-        failure_count: int,
-        requested_cpus: int,
-        final_cpus: Optional[int],
-        gpus: int,
-        model: Optional[str],
-        setup_label: Optional[str],
-        kind: JobKind,
-    ) -> None:
-        """Add one job's row (a submit, or a loaded row)."""
-        if job_id in self.rows:
-            raise RuntimeError(f"job {job_id} submitted twice")
-        # NaN != NaN, and None == None: only a NaN time fails this.
-        if (
-            submit_time != submit_time
-            or first_start != first_start
-            or finish_time != finish_time
-        ):
-            raise ValueError(f"job {job_id}: a time is NaN")
-        if final_cpus is not None and final_cpus < 0:
-            raise ValueError(f"job {job_id}: negative final_cpus {final_cpus}")
-        gpu = kind is JobKind.GPU
-        if (model is not None) != gpu or (setup_label is not None) != gpu:
-            raise ValueError(
-                f"job {job_id}: a GPU job has a model and a setup, a CPU job neither"
-            )
-        self.tenant_id.append(tenant_id)
-        self.submit_time.append(submit_time)
-        self.first_start.append(math.nan if first_start is None else first_start)
-        self.finish_time.append(math.nan if finish_time is None else finish_time)
-        self.start_count.append(start_count)
-        self.preempt_count.append(preempt_count)
-        self.failure_count.append(failure_count)
-        self.requested_cpus.append(requested_cpus)
-        self.final_cpus.append(-1 if final_cpus is None else final_cpus)
-        self.gpus.append(gpus)
-        self.model.append(self._intern(model))
-        self.setup_label.append(self._intern(setup_label))
-        self.kind.append(_KIND_CODE[kind])
+    def append(self, job: Job, now: float) -> None:
+        """Add the row of ``job``, submitted at ``now``."""
+        if job.job_id in self.rows:
+            raise RuntimeError(f"job {job.job_id} submitted twice")
+        if now != now:
+            raise ValueError(f"job {job.job_id}: a time is NaN")
+        requested, gpu = job.requested, job.kind is JobKind.GPU
+        self.tenant_id.append(job.tenant_id)
+        self.submit_time.append(now)
+        self.first_start.append(math.nan)
+        self.finish_time.append(math.nan)
+        self.start_count.append(0)
+        self.preempt_count.append(0)
+        self.failure_count.append(0)
+        self.requested_cpus.append(
+            requested.cpus // max(1, getattr(job, "setup", None).num_nodes)
+            if gpu
+            else requested.cpus
+        )
+        self.final_cpus.append(-1)
+        self.gpus.append(requested.gpus)
+        self.model.append(self._intern(getattr(job, "model_name", None)))
+        self.setup_label.append(self._intern(job.setup.label if gpu else None))
+        self.kind.append(_KIND_CODE[job.kind])
         # Last, so a row that failed to append is never indexed.
-        self.rows[job_id] = len(self.job_ids)
-        self.job_ids.append(job_id)
+        self.rows[job.job_id] = len(self.job_ids)
+        self.job_ids.append(job.job_id)
 
     def _intern(self, label: Optional[str]) -> int:
         code = self._label_codes.get(label)
@@ -232,9 +256,31 @@ class JobTable(Mapping[str, JobRecord], Stateful):
     def record(self, row: int) -> JobRecord:
         return JobRecord(*next(self.decoded(row, row + 1)))
 
-    #: One JSON object per job, in submit order, loaded through the
-    #: table's :meth:`append` (which a sealed table refuses).
-    STATE = Struct((None, None, Rows(_ROW, decoded, lambda t, *row: t.append(*row))))
+    def _packed_ids(self) -> Tuple[str, array[int]]:
+        """The ids back to back, and where each ends."""
+        ids = self.job_ids
+        return "".join(ids), array("I", accumulate(map(len, ids)))
+
+    def _columns(self) -> Dict[str, Any]:
+        text, ends = self._packed_ids()
+        columns = {name: getattr(self, name) for name in _DATA}
+        return dict(ids=text, id_ends=ends, labels=self.labels[1:], **columns)
+
+    def _load(self, loaded: Dict[str, Any], path: str, refs: Refs) -> None:
+        self._fill(loaded, _checked_ids(loaded, path, refs))
+
+    def _fill(self, loaded: Dict[str, Any], ids: List[str]) -> None:
+        """Take the checked columns of a load, in this table's typecodes."""
+        self.job_ids = ids
+        self.rows = dict(zip(ids, range(len(ids))))
+        self.labels = [None, *loaded["labels"]]
+        self._label_codes = dict(zip(self.labels, range(len(self.labels))))
+        for name in _DATA:
+            setattr(self, name, array(getattr(self, name).typecode, loaded[name]))
+
+    #: Packed columns (:data:`_WIRE`); an open table and its sealed twin
+    #: write the same bytes.
+    STATE = Struct((None, None, Columns(_columns, _load, **_WIRE)))
 
     def rows_of(self, kind: Optional[JobKind]) -> Iterator[int]:
         """Row numbers, of ``kind`` only unless it is None."""
@@ -262,19 +308,10 @@ class JobTable(Mapping[str, JobRecord], Stateful):
         smallest typecode that holds its values; every read gives what it
         gave before, and every write raises ``RuntimeError``.
         """
-        ids = self.job_ids
-        self.id_text = "".join(ids)
-        self.id_ends = array("I", accumulate(map(len, ids), initial=0))
-        self.by_id = array("I", sorted(range(len(ids)), key=ids.__getitem__))
-        for name in _INT_COLUMNS:
-            for typecode in "bh":
-                try:
-                    setattr(self, name, array(typecode, getattr(self, name)))
-                    break
-                except OverflowError:
-                    pass
+        ids, columns = self.job_ids, self._columns()
         del self.job_ids, self.rows, self._label_codes
         self.__class__ = SealedJobTable
+        self._fill(columns, ids)
 
 
 class SealedJobTable(JobTable):
@@ -293,6 +330,25 @@ class SealedJobTable(JobTable):
         raise RuntimeError("a sealed job table is read-only")
 
     append = writable_row = seal = _sealed
+
+    def _before_load(self) -> None:
+        if len(self):
+            self._sealed()
+
+    def _packed_ids(self) -> Tuple[str, array[int]]:
+        return self.id_text, self.id_ends[1:]
+
+    def _fill(self, loaded: Dict[str, Any], ids: List[str]) -> None:
+        """Build the sealed table from ``loaded`` columns as
+        :meth:`_columns` gives them: a table's being sealed, or the checked
+        columns of a load (a decoded result's table, which
+        :meth:`RunResult._before_load` seals while it is empty)."""
+        self.id_text = loaded["ids"]
+        self.id_ends = array("I", [0]) + array("I", loaded["id_ends"])
+        self.labels = [None, *loaded["labels"]]
+        for name in _DATA:
+            setattr(self, name, narrowest(loaded[name]))
+        self.by_id = array("I", sorted(range(len(ids)), key=ids.__getitem__))
 
     def job_id(self, row: int) -> str:
         ends = self.id_ends
@@ -325,34 +381,6 @@ class SealedJobTable(JobTable):
         return len(self.id_ends) - 1
 
 
-class _Series(Codec):
-    """A collector series as ``[[time, value], ...]``: the ``clock`` series'
-    times fill the shared time column, the others must repeat them."""
-
-    in_place = True
-
-    def __init__(self, value: Codec, clock: bool = False) -> None:
-        self.points, self.clock = ListOf(Row(FLOAT, value)), clock
-
-    def dump(self, value: SampledSeries) -> List[List[float]]:
-        return [[t, v] for t, v in zip(value.time_column, value.value_column)]
-
-    def load_in(self, current: SampledSeries, raw: Any, path: str, ctx: Any) -> None:
-        points = self.points.load(raw, path, ctx)
-        times = array("d", [t for t, _ in points])
-        if self.clock:
-            current.time_column.extend(times)
-        elif times != current.time_column:
-            raise CheckpointError(f"{path}: its times differ from the clock's")
-        try:
-            current.value_column.extend([v for _, v in points])
-        except OverflowError as exc:
-            raise CheckpointError(f"{path}: {exc}") from None
-
-
-_RATE, _COUNT = _Series(FLOAT), _Series(INT)
-
-
 class MetricsCollector(Stateful):
     """Aggregates everything the evaluation figures need."""
 
@@ -371,21 +399,38 @@ class MetricsCollector(Stateful):
         self.gpu_queue_depth = SampledSeries("gpu_queue_depth", "i", times=clock)
         self.cpu_queue_depth = SampledSeries("cpu_queue_depth", "i", times=clock)
         self.hot_nodes = SampledSeries("hot_nodes", "i", times=clock)
-        self.fragmentation = FragmentationTracker()
+        self.fragmentation = FragmentationTracker(
+            clock, self.gpu_queue_depth.value_column
+        )
         self.faults = FaultStats()
         self.audit = AuditStats()
         self.throttle_events = 0
         self.core_halving_events = 0
 
+    def _sampled(self) -> Dict[str, array[Any]]:
+        """The columns :meth:`sample_cluster` writes: the clock, then the
+        values of the seven series and the fragmentation tracker's free GPU
+        fraction (its depth is ``gpu_queue_depth``'s)."""
+        series = (
+            self.gpu_active_rate, self.gpu_utilization,
+            self.gpu_utilization_overall, self.cpu_active_rate,
+            self.gpu_queue_depth, self.cpu_queue_depth, self.hot_nodes,
+        )
+        columns: Dict[str, array[Any]] = {"times": self.sample_times}
+        columns.update((s.name, s.value_column) for s in series)
+        columns["free_gpu_fraction"] = self.fragmentation.free
+        return columns
+
     STATE = Struct(
         ("records", NESTED),
-        ("series", None, Struct(
-            ("gpu_active_rate", _Series(FLOAT, clock=True)),
-            ("gpu_utilization", _RATE), ("gpu_utilization_overall", _RATE),
-            ("cpu_active_rate", _RATE), ("gpu_queue_depth", _COUNT),
-            ("cpu_queue_depth", _COUNT), ("hot_nodes", _COUNT),
+        ("series", None, Columns(
+            lambda c: c._sampled(), times=_FLOATS,
+            gpu_active_rate=_FLOATS, gpu_utilization=_FLOATS,
+            gpu_utilization_overall=_FLOATS, cpu_active_rate=_FLOATS,
+            gpu_queue_depth=_NONNEG, cpu_queue_depth=_INTS, hot_nodes=_INTS,
+            free_gpu_fraction=Packed("d", low=0.0, high=1.0),
         )),
-        ("fragmentation", NESTED), ("faults", NESTED), ("audit", NESTED),
+        ("faults", NESTED), ("audit", NESTED),
         ("throttle_events", INT), ("core_halving_events", INT),
     )
 
@@ -393,28 +438,7 @@ class MetricsCollector(Stateful):
     # Job lifecycle
 
     def job_submitted(self, job: Job, now: float) -> None:
-        requested = job.requested
-        gpu = job.kind is JobKind.GPU
-        self.records.append(
-            job_id=job.job_id,
-            tenant_id=job.tenant_id,
-            submit_time=now,
-            first_start=None,
-            finish_time=None,
-            start_count=0,
-            preempt_count=0,
-            failure_count=0,
-            requested_cpus=(
-                requested.cpus // max(1, getattr(job, "setup", None).num_nodes)
-                if gpu
-                else requested.cpus
-            ),
-            final_cpus=None,
-            gpus=requested.gpus,
-            model=getattr(job, "model_name", None),
-            setup_label=job.setup.label if gpu else None,
-            kind=job.kind,
-        )
+        self.records.append(job, now)
 
     def job_started(self, job_id: str, now: float, cpus_per_node: int) -> None:
         table = self.records
@@ -475,12 +499,12 @@ class MetricsCollector(Stateful):
                 f"series gpu_active_rate: sample at {now} before last "
                 f"{clock[-1]}"
             )
-        self.fragmentation.record(now, free_gpu_fraction, gpu_queue_depth)
+        # The tracker's depth column is gpu_queue_depth's: it appends both.
+        self.fragmentation.record(free_gpu_fraction, gpu_queue_depth)
         self.gpu_active_rate.value_column.append(gpu_active_rate)
         self.gpu_utilization.value_column.append(gpu_utilization)
         self.gpu_utilization_overall.value_column.append(gpu_utilization_overall)
         self.cpu_active_rate.value_column.append(cpu_active_rate)
-        self.gpu_queue_depth.value_column.append(gpu_queue_depth)
         self.cpu_queue_depth.value_column.append(cpu_queue_depth)
         self.hot_nodes.value_column.append(hot_nodes)
         clock.append(now)

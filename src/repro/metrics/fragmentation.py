@@ -12,37 +12,34 @@ from __future__ import annotations
 from array import array
 from typing import List, Tuple
 
-from repro.sim.state import FLOAT, INT, Row, Rows, Stateful, Struct
 
-
-class FragmentationTracker(Stateful):
+class FragmentationTracker:
     """Samples of (time, free GPU fraction, GPU-queue depth), one
-    ``array`` column each."""
+    ``array`` column each.
+
+    The time and depth columns are given: the metrics collector's sample
+    clock and its ``gpu_queue_depth`` series' values.  :meth:`record`
+    appends a free fraction and a depth; the clock's owner appends the
+    time.
+    """
 
     __slots__ = ("times", "free", "depth")
 
-    def __init__(self) -> None:
-        self.times = array("d")
+    def __init__(self, times: array[float], depth: array[int]) -> None:
+        self.times, self.depth = times, depth
         self.free = array("d")
-        self.depth = array("i")
 
-    def record(self, t: float, free_gpu_fraction: float, gpu_queue_depth: int) -> None:
+    def record(self, free_gpu_fraction: float, gpu_queue_depth: int) -> None:
         if not 0.0 <= free_gpu_fraction <= 1.0:
             raise ValueError(f"free fraction out of [0, 1]: {free_gpu_fraction}")
         if gpu_queue_depth < 0:
             raise ValueError(f"negative queue depth: {gpu_queue_depth}")
         self.depth.append(gpu_queue_depth)
         self.free.append(free_gpu_fraction)
-        self.times.append(t)
 
     @property
     def samples(self) -> List[Tuple[float, float, int]]:
         return list(zip(self.times, self.free, self.depth))
-
-    #: ``[[time, free fraction, depth], ...]``, loaded through :meth:`record`.
-    STATE = Struct(
-        (None, None, Rows(Row(FLOAT, FLOAT, INT), lambda f: f.samples, record))
-    )
 
     def fragmentation_rate(self) -> float:
         """Mean free-GPU fraction over samples with a non-empty GPU queue.

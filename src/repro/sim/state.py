@@ -9,13 +9,16 @@ below: JSON scalars, :class:`Nullable`, :class:`ListOf`, :class:`Row`
 :class:`Items`, :class:`Record` (a dataclass as a positional row),
 :class:`Choice`, the ``JOB``/``JOB_ID``/``NODE_ID`` references, nested
 components (``NESTED``, :class:`Inline`, :class:`Built`) and a
-component's table of rows (:class:`Rows`).
+component's ``array`` columns (:class:`Columns`): each written as one
+string of packed little-endian bytes (:class:`Packed`).
 
 Loading is strict (no ``int("3")``, and a bool is not an int) and checks
-every job and node id against the run (:class:`Refs`).  The first value
-that does not fit raises :class:`CheckpointError` naming its JSON path::
+every job and node id against the run (:class:`Refs`); a column is
+checked whole.  The first value that does not fit raises
+:class:`CheckpointError` naming its JSON path, and in a column its row::
 
     state.scheduler.queues.tracked["cpu-000002"]: expected [node id, int], got 7
+    result.collector.records.final_cpus[17]: -2 is below -1
 
 State derived from what was loaded is rebuilt by the component's
 ``_after_load`` hook (``_before_load`` runs first).  This module imports
@@ -25,7 +28,11 @@ nothing from the package, so every component module can import it.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
+import sys
+from array import array
+from base64 import b64decode, b64encode
+from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional
+from typing import Set, Tuple
 
 
 class CheckpointError(RuntimeError):
@@ -49,6 +56,17 @@ def _show(raw: Any) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def _only(raw: Dict[str, Any], declared: Tuple[str, ...], path: str) -> None:
+    """Fail at the first ``declared`` key missing from ``raw``, else at its
+    first undeclared one."""
+    for key in declared:
+        if key not in raw:
+            raise _fail(f"{path}.{key}", "missing")
+    if len(raw) != len(declared):
+        unknown = sorted(raw.keys() - set(declared))[0]
+        raise _fail(f"{path}.{unknown}", "not a declared field")
+
+
 class _Load:
     """One decode pass: its references and the component loading now."""
 
@@ -60,12 +78,7 @@ class _Load:
 class Codec:
     """A type: ``dump`` writes a value as JSON data; ``load`` checks JSON
     data at ``path`` and returns the value (``key``: the dict key it sits
-    under).  An ``in_place`` codec loads into the current value instead.
-
-    A list or row loads its entries at its own path, and only when one
-    fails loads them again, each at its own path, to raise the located
-    error: a table's rows would spend more on building paths than on
-    decoding."""
+    under).  An ``in_place`` codec loads into the current value instead."""
 
     name = "value"
     in_place = False
@@ -215,11 +228,7 @@ class ListOf(Codec):
     def load(self, raw: Any, path: str, ctx: _Load, key: Any = None) -> Any:
         if type(raw) is not list:
             raise self.expected(raw, path)
-        load = self.item.load
-        try:
-            items = [load(v, path, ctx) for v in raw]
-        except CheckpointError:
-            items = [load(v, f"{path}[{i}]", ctx) for i, v in enumerate(raw)]
+        items = [self.item.load(v, f"{path}[{i}]", ctx) for i, v in enumerate(raw)]
         if self.by is None:
             return self.into(items)
         keyed = {getattr(item, self.by): item for item in items}
@@ -241,14 +250,8 @@ class Row(Codec):
     def load(self, raw: Any, path: str, ctx: _Load, key: Any = None) -> Any:
         if type(raw) is not list or len(raw) != len(self.items):
             raise self.expected(raw, path)
-        try:
-            pairs = zip(self.items, raw)
-            return self.into([item.load(v, path, ctx) for item, v in pairs])
-        except CheckpointError:
-            pairs = enumerate(zip(self.items, raw))
-            return self.into(
-                [item.load(v, f"{path}[{i}]", ctx) for i, (item, v) in pairs]
-            )
+        pairs = enumerate(zip(self.items, raw))
+        return self.into([item.load(v, f"{path}[{i}]", ctx) for i, (item, v) in pairs])
 
 
 class Fields(Row):
@@ -256,7 +259,7 @@ class Fields(Row):
 
     def __init__(self, **fields: Codec) -> None:
         super().__init__(*fields.values())
-        self.keys, self.key_set = tuple(fields), frozenset(fields)
+        self.keys = tuple(fields)
         self.name = "{" + ", ".join(self.keys) + "}"
 
     def dump(self, value: Any) -> Any:
@@ -265,20 +268,9 @@ class Fields(Row):
     def load(self, raw: Any, path: str, ctx: _Load, key: Any = None) -> Any:
         if type(raw) is not dict:
             raise self.expected(raw, path)
-        if raw.keys() != self.key_set:
-            for name in self.keys:
-                if name not in raw:
-                    raise _fail(f"{path}.{name}", "missing")
-            unknown = sorted(raw.keys() - self.key_set)[0]
-            raise _fail(f"{path}.{unknown}", "not a declared field")
-        try:
-            pairs = zip(self.keys, self.items)
-            return self.into([item.load(raw[k], path, ctx) for k, item in pairs])
-        except CheckpointError:
-            pairs = zip(self.keys, self.items)
-            return self.into(
-                [item.load(raw[k], f"{path}.{k}", ctx) for k, item in pairs]
-            )
+        _only(raw, self.keys, path)
+        pairs = zip(self.keys, self.items)
+        return self.into([item.load(raw[k], f"{path}.{k}", ctx) for k, item in pairs])
 
 
 class DictOf(Codec):
@@ -361,36 +353,131 @@ class Record(Codec):
             raise _fail(path, str(exc)) from None
 
 
-class Rows:
-    """A component's table, its only field (no key, no attribute):
-    ``read(component)`` yields the rows, written as a list of ``row``; a
-    load appends each with ``add(component, *row)``, and what ``add``
-    refuses (``ValueError``, ``RuntimeError``, or ``OverflowError`` from
-    a column too narrow for the number) fails at its row."""
+# --------------------------------------------------------------------- #
+# Columns
 
-    def __init__(self, row: Codec, read: Callable[[Any], Any], add: Callable) -> None:
-        self.row, self.read, self.add = row, read, add
+#: Packed columns are little-endian on the wire.
+_SWAP = sys.byteorder == "big"
+
+
+def narrowest(column: array) -> array:
+    """An int ``column`` in the narrowest of ``b``/``h``/``i`` that holds
+    its values; a float column as it is."""
+    if column.typecode == "d":
+        return column
+    low, high = min(column, default=0), max(column, default=0)
+    for code, bound in (("b", 1 << 7), ("h", 1 << 15), ("i", 1 << 31)):
+        if -bound <= low and high < bound:
+            break
+    return column if column.typecode == code else array(code, column)
+
+
+class Packed(Codec):
+    """An ``array`` column as one string: its typecode, ``:`` and its
+    elements as little-endian bytes in base64 (``"h:AQACAA=="``).  An int
+    column takes the narrowest typecode that holds its values, so the text
+    depends on the values only.
+
+    A load takes one of ``typecodes``, NaN only in a ``nan`` (sentinel)
+    column, and elements from ``low`` to ``high``; a failure names its
+    row (``records.final_cpus[17]``)."""
+
+    def __init__(
+        self,
+        typecodes: str,
+        nan: bool = False,
+        low: Optional[float] = None,
+        high: Optional[float] = None,
+    ) -> None:
+        self.typecodes, self.nan, self.low, self.high = typecodes, nan, low, high
+        self.name = "packed column of " + " or ".join(map(_show, typecodes))
+
+    def dump(self, value: array) -> str:
+        column = narrowest(value)
+        if _SWAP:
+            column = array(column.typecode, column)
+            column.byteswap()
+        return column.typecode + ":" + b64encode(column.tobytes()).decode("ascii")
+
+    def load(self, raw: Any, path: str, ctx: _Load, key: Any = None) -> array:
+        code, _, text = raw.partition(":") if type(raw) is str else ("", "", "")
+        try:
+            data: Optional[bytes] = b64decode(text, validate=True)
+        except ValueError:  # binascii.Error
+            data = None
+        if data is None or len(code) != 1 or code not in self.typecodes:
+            raise self.expected(raw, path)
+        column = array(code)
+        if len(data) % column.itemsize:
+            raise _fail(path, f"{len(data)} bytes of {column.itemsize}-byte elements")
+        column.frombytes(data)
+        if _SWAP:
+            column.byteswap()
+        # The sum is NaN if an element is (or if it adds inf and -inf).
+        if not self.nan and code == "d" and (total := sum(column)) != total:
+            row = next((r for r, v in enumerate(column) if v != v), None)
+            if row is not None:
+                raise _fail(f"{path}[{row}]", "NaN")
+        within(column, path, self.low, self.high)
+        return column
+
+
+def first_row(rows: Iterable[Any], bad: Callable[[Any], bool]) -> int:
+    """The index of the first of ``rows`` that is ``bad``."""
+    return next(row for row, value in enumerate(rows) if bad(value))
+
+
+def within(column: array, path: str, low: Any, high: Any) -> None:
+    """Fail at the first element of ``column`` outside ``low``..``high``
+    (None: unbounded)."""
+    if low is not None and column and min(column) < low:
+        row = first_row(column, lambda v: v < low)
+        raise _fail(f"{path}[{row}]", f"{column[row]} is below {low}")
+    if high is not None and column and max(column) > high:
+        row = first_row(column, lambda v: v > high)
+        raise _fail(f"{path}[{row}]", f"{column[row]} is above {high}")
+
+
+class Columns:
+    """A component's columns, as a group of its fields or its only field:
+    ``read(component)`` gives ``{key: value}``, written as one JSON object
+    of one value per key, a :class:`Packed` column or another codec's.
+
+    A load checks each value, then that every column has the first one's
+    length (failing at the first missing or extra row), and hands
+    ``{key: loaded}`` to ``fill(component, loaded, path, refs)``, which
+    checks what spans columns: by default each column replaces the
+    contents of the array ``read`` gives, in that array's typecode."""
+
+    def __init__(
+        self,
+        read: Callable[[Any], Mapping[str, Any]],
+        fill: Optional[Callable[[Any, Dict[str, Any], str, Refs], None]] = None,
+        **fields: Codec,
+    ) -> None:
+        self.read, self.fill, self.fields = read, fill or self._refill, fields
+        self.columns = [k for k, c in fields.items() if isinstance(c, Packed)]
 
     def dump_from(self, obj: Any) -> Any:
-        return list(map(self.row.dump, self.read(obj)))
+        values = self.read(obj)
+        return {key: codec.dump(values[key]) for key, codec in self.fields.items()}
 
     def load_into(self, obj: Any, raw: Any, path: str, ctx: _Load) -> None:
-        if type(raw) is not list:
-            raise _fail(path, f"expected [{self.row.name}, ...], got {_show(raw)}")
-        load, add = self.row.load, self.add
-        for i, entry in enumerate(raw):
-            try:
-                add(obj, *load(entry, path, ctx))
-            except (ValueError, OverflowError, RuntimeError):  # CheckpointError too
-                self._add_at(obj, entry, f"{path}[{i}]", ctx)
+        if type(raw) is not dict:
+            raise _fail(path, f"expected an object, got {_show(raw)}")
+        _only(raw, tuple(self.fields), path)
+        loaded = {k: c.load(raw[k], f"{path}.{k}", ctx) for k, c in self.fields.items()}
+        rows = len(loaded[self.columns[0]])
+        for key in self.columns:
+            if len(loaded[key]) != rows:
+                have = len(loaded[key])
+                message = "missing" if have < rows else f"beyond the {rows} rows"
+                raise _fail(f"{path}.{key}[{min(have, rows)}]", message)
+        self.fill(obj, loaded, path, ctx.refs)
 
-    def _add_at(self, obj: Any, entry: Any, where: str, ctx: _Load) -> None:
-        """Load and add one entry, failing at its own path ``where``."""
-        values = self.row.load(entry, where, ctx)
-        try:
-            self.add(obj, *values)
-        except (ValueError, OverflowError, RuntimeError) as exc:
-            raise _fail(where, str(exc)) from None
+    def _refill(self, obj: Any, loaded: Dict[str, Any], path: str, refs: Refs) -> None:
+        for key, column in self.read(obj).items():
+            column[:] = array(column.typecode, loaded[key])
 
 
 # --------------------------------------------------------------------- #

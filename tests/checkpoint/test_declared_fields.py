@@ -186,7 +186,7 @@ def test_every_changed_attribute_comes_back(scheduler):
     assert {"MbaController", "NodeHealthTracker", "FaultInjector"} <= kinds
     assert {"RngRegistry", "SimulationRunner", "Progress"} <= kinds
     assert {"_RunningGpu", "_RunningCpu"} <= kinds
-    assert {"MetricsCollector", "JobTable", "FragmentationTracker"} <= kinds
+    assert {"MetricsCollector", "JobTable"} <= kinds
     assert {"FaultStats", "AuditStats"} <= kinds
 
 

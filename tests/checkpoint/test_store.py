@@ -5,6 +5,7 @@ garbage, schema drift, missing fields — must surface as a loud
 :class:`CheckpointError`, never as a silently-wrong restore.
 """
 
+import hashlib
 import json
 import os
 
@@ -100,6 +101,20 @@ class TestDamage:
         document["version"] = 3
         open(path, "w", encoding="utf-8").write(json.dumps(document))
         with pytest.raises(CheckpointError, match="schema version 3"):
+            read_checkpoint(path)
+
+    def test_schema_4_checkpoint_is_rejected(self, tmp_path):
+        # Schema 4 wrote the collector's job table one object per job and
+        # each series as [time, value] points; this build reads packed
+        # columns.  The document is whole (its digest holds), so only
+        # its version refuses it.
+        state = {"collector": {"records": [{"job_id": "cpu-000001"}]}}
+        canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        path = str(tmp_path / "ckpt-000000000001.json")
+        document = {"version": 4, "sha256": digest, "state": state}
+        open(path, "w", encoding="utf-8").write(json.dumps(document))
+        with pytest.raises(CheckpointError, match="schema version 4; "):
             read_checkpoint(path)
 
     def test_missing_fields_are_rejected(self, tmp_path):

@@ -1,5 +1,7 @@
 """Metrics collector lifecycle accounting."""
 
+from array import array
+
 import pytest
 
 from repro.metrics.collector import MetricsCollector
@@ -110,31 +112,36 @@ class TestQueueingViews:
         assert len(collector.started_records(JobKind.GPU)) == 1
 
 
+def _tracker():
+    """A tracker on time and depth columns of its own."""
+    return FragmentationTracker(array("d"), array("i"))
+
+
 class TestFragmentationTracker:
     def test_rate_over_contended_samples_only(self):
-        tracker = FragmentationTracker()
-        tracker.record(0.0, 0.5, 0)
-        tracker.record(1.0, 0.2, 3)
-        tracker.record(2.0, 0.4, 1)
+        tracker = _tracker()
+        tracker.record(0.5, 0)
+        tracker.record(0.2, 3)
+        tracker.record(0.4, 1)
         assert tracker.fragmentation_rate() == pytest.approx(0.3)
         assert tracker.contended_fraction() == pytest.approx(2 / 3)
 
     def test_no_contention_means_zero(self):
-        tracker = FragmentationTracker()
-        tracker.record(0.0, 0.9, 0)
+        tracker = _tracker()
+        tracker.record(0.9, 0)
         assert tracker.fragmentation_rate() == 0.0
 
     def test_empty_tracker(self):
-        tracker = FragmentationTracker()
+        tracker = _tracker()
         assert tracker.fragmentation_rate() == 0.0
         assert tracker.contended_fraction() == 0.0
 
     def test_validation(self):
-        tracker = FragmentationTracker()
+        tracker = _tracker()
         with pytest.raises(ValueError):
-            tracker.record(0.0, 1.5, 0)
+            tracker.record(1.5, 0)
         with pytest.raises(ValueError):
-            tracker.record(0.0, 0.5, -1)
+            tracker.record(0.5, -1)
 
 
 class TestReportRendering:

@@ -3,9 +3,9 @@
 Every result keeps its collector, so per-job data lives in one
 :class:`~repro.metrics.collector.JobTable` (an ``array`` per field) and
 records are built only when read.  These tests hold the table to the
-dict of records it replaced: the same serialized bytes, the same
-``Mapping`` behaviour, and the same unset values at the edges its
-sentinels encode (NaN times, -1 cores, label 0).
+dict of records it replaced: the same records read back from its packed
+columns, the same ``Mapping`` behaviour, and the same unset values at
+the edges its sentinels encode (NaN times, -1 cores, label 0).
 """
 
 import dataclasses
@@ -13,6 +13,7 @@ import gc
 import json
 import math
 import types
+from array import array
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.metrics.serialize import run_result_to_dict
 from repro.metrics.series import SampledSeries
 from repro.parallel.spec import RunSpec
 from repro.perfmodel.stages import TrainSetup
-from repro.sim.state import CheckpointError, Refs, load
+from repro.sim.state import CheckpointError, Packed, Refs, decode, load
 from repro.workload.job import CpuJob, GpuJob, JobKind
 
 FAULTS = FaultConfig(
@@ -69,6 +70,15 @@ def _loaded(data):
     collector = MetricsCollector()
     load(collector, data, "collector", Refs())
     return collector
+
+
+def _unpack(text):
+    """The values of a packed column."""
+    return decode(Packed("bhid", nan=True), text, "column").tolist()
+
+
+def _pack(values, typecode):
+    return Packed(typecode).dump(array(typecode, values))
 
 
 def _reachable(root):
@@ -146,7 +156,7 @@ class TestSentinels:
         assert collector.finished_records() == []
         assert collector.finished_count() == 0
         data = collector.snapshot()
-        assert data["records"][0]["finish_time"] is None
+        assert math.isnan(_unpack(data["records"]["finish_time"])[0])
 
     def test_nan_time_rejected_at_record_time(self):
         collector = MetricsCollector()
@@ -165,8 +175,10 @@ class TestSentinels:
         collector = MetricsCollector()
         collector.job_submitted(_cpu(), 0.0)
         data = collector.snapshot()
-        data["records"][0]["first_start"] = math.nan
-        with pytest.raises(CheckpointError, match=r"^collector\.records\[0\]: "):
+        data["records"]["submit_time"] = _pack([math.nan], "d")
+        with pytest.raises(
+            CheckpointError, match=r"^collector\.records\.submit_time\[0\]: NaN$"
+        ):
             _loaded(data)
 
     def test_cpu_job_has_no_model_or_setup(self):
@@ -240,9 +252,16 @@ class TestDoubleEvents:
         collector = MetricsCollector()
         collector.job_submitted(_gpu(), 0.0)
         data = collector.snapshot()
-        data["records"].append(dict(data["records"][0]))
-        with pytest.raises(CheckpointError, match=r"^collector\.records\[1\]: "):
+        records = data["records"]
+        for key, column in records.items():
+            if key not in ("ids", "id_ends", "labels"):
+                typecode = column[0]
+                records[key] = _pack(_unpack(column) * 2, typecode)
+        records["ids"] *= 2
+        records["id_ends"] = _pack([2, 4], "b")
+        with pytest.raises(CheckpointError) as raised:
             _loaded(data)
+        assert str(raised.value) == "collector.records.ids[1]: job 'g1' twice"
 
 
 class TestSharedSampleClock:
@@ -265,6 +284,8 @@ class TestSharedSampleClock:
         self._sample(collector, 30.0)
         assert collector.gpu_active_rate.time_column is collector.sample_times
         assert collector.hot_nodes.time_column is collector.sample_times
+        assert collector.fragmentation.times is collector.sample_times
+        assert collector.fragmentation.depth is collector.gpu_queue_depth.value_column
         assert collector.gpu_queue_depth.points == [(0.0, 2), (30.0, 2)]
         assert collector.fragmentation.samples == [(0.0, 0.5, 2), (30.0, 0.5, 2)]
 
@@ -275,13 +296,16 @@ class TestSharedSampleClock:
         assert len(collector.sample_times) == 0
 
     def test_series_times_must_agree_at_load(self):
+        # One time column is written for every series: a series agrees
+        # with it when it holds one value per time.
         collector = MetricsCollector()
         self._sample(collector, 0.0)
         self._sample(collector, 30.0)
         data = collector.snapshot()
-        data["series"]["hot_nodes"][1][0] = 31.0
-        with pytest.raises(CheckpointError, match=r"^collector\.series\.hot_nodes: "):
+        data["series"]["hot_nodes"] = _pack([1], "b")
+        with pytest.raises(CheckpointError) as raised:
             _loaded(data)
+        assert str(raised.value) == "collector.series.hot_nodes[1]: missing"
 
     def test_count_series_keep_int_values(self):
         series = SampledSeries("depth", "i")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import restore_run, snapshot_run
+from repro.experiments.runner import RunResult
 from repro.metrics.collector import JobTable, MetricsCollector, SealedJobTable
 from repro.metrics.serialize import run_result_from_dict, run_result_to_dict
 from repro.parallel import ResultCache, SimPool
@@ -107,6 +108,24 @@ def test_a_sealed_table_reads_like_its_open_twin(jobs, absent, cut):
     assert list(packed.decoded(*cut)) == list(table.decoded(*cut))
     assert dict(packed) == dict(table)
     assert json.dumps(sealed.snapshot()) == json.dumps(open_.snapshot())
+
+
+@settings(max_examples=40, deadline=None)
+@given(jobs=st.dictionaries(st.text(max_size=8), _HISTORY, max_size=25))
+def test_an_open_table_and_its_sealed_twin_write_the_same_result(jobs):
+    """Each int column's width on the wire is what its values need, so a
+    result writes the same bytes before and after its table is sealed,
+    and reads back to them."""
+
+    def written(collector):
+        result = RunResult(scheduler_name="drf", collector=collector, horizon_s=1.0)
+        return json.dumps(run_result_to_dict(result))
+
+    text = written(_collector(jobs))
+    assert written(_sealed(jobs)) == text
+    decoded = run_result_from_dict(json.loads(text))
+    assert dict(decoded.collector.records) == dict(_collector(jobs).records)
+    assert json.dumps(run_result_to_dict(decoded)) == text
 
 
 def test_sealing_narrows_int_columns_to_what_their_values_need():

@@ -1,6 +1,8 @@
 """The content-addressed result cache: hits, invalidation, robustness."""
 
 import json
+from array import array
+from base64 import b64encode
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.parallel import (
     SimPool,
     default_cache,
 )
+from tests.metrics.test_serialize import schema_2_document
 
 
 @pytest.fixture
@@ -132,7 +135,9 @@ class TestRobustness:
         path = cache.path_for(key)
         data = json.loads(path.read_text(encoding="utf-8"))
         if damage == "oversized int":
-            data["collector"]["records"][0]["tenant_id"] = 2**40
+            # Only as an 8-byte column, which no int column may be.
+            wide = array("q", [2**40]).tobytes()
+            data["collector"]["records"]["tenant_id"] = "q:" + b64encode(wide).decode()
         elif damage == "string for int":
             data["finished_gpu_jobs"] = str(data["finished_gpu_jobs"])
         elif damage == "bool for int":
@@ -150,6 +155,21 @@ class TestRobustness:
         assert fresh_cache.stats.stores == 1
         assert _dumps(result) == expected
         assert _dumps(fresh_cache.load(key)) == expected
+
+    def test_schema_2_entry_is_a_miss(self, tmp_path, spec):
+        # An entry as the record-per-job schema 2 wrote it, at this
+        # build's key: the schema refuses it, and the run is redone.
+        cache = ResultCache(tmp_path / "cache")
+        expected = SimPool(cache=cache).map([spec])[0]
+        path = cache.path_for(cache.key_for(spec))
+        old = json.dumps(schema_2_document(expected))
+        path.write_text(old, encoding="utf-8")
+
+        fresh_cache = ResultCache(tmp_path / "cache")
+        result = SimPool(cache=fresh_cache).map([spec])[0]
+        assert (fresh_cache.stats.hits, fresh_cache.stats.misses) == (0, 1)
+        assert _dumps(result) == _dumps(expected)
+        assert path.read_text(encoding="utf-8") != old
 
     def test_stale_schema_entry_is_a_miss(self, tmp_path, spec):
         cache = ResultCache(tmp_path / "cache")
