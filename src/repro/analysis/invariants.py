@@ -64,6 +64,10 @@ laws the evaluation rests on:
   borrower is a tracked CPU job.  The last part is why
   the CPU census needs no correction for a pass's preempted victims:
   every victim is a borrower.
+* **IV017** — fair-share residents: every DRF ledger footprint and every
+  borrow entry belongs to a job that is queued, running, or waiting out
+  a re-queue backoff.  A finished or dead job must not keep its tenant
+  charged.  Checked only when attached to a runner.
 
 Sweeps run on the first event of every ``interval_s``-aligned window of
 simulated time, a pure function of the fired event times, so a run
@@ -223,6 +227,7 @@ class InvariantAuditor:
             self._check_completion_timers(self._runner)
             self._check_monitor_index(self._runner)
             self._check_priced_speeds(self._runner)
+            self._check_fair_share_residents(self._runner)
         if self._scheduler is not None:
             self._check_queue_depths(self._scheduler)
             self._check_share_heaps(self._scheduler)
@@ -711,6 +716,29 @@ class InvariantAuditor:
             not both,
             "IV015",
             lambda: f"jobs {both} are both borrowers and tracked CPU jobs",
+        )
+
+    # -- IV017 ---------------------------------------------------------- #
+
+    def _check_fair_share_residents(self, runner: "SimulationRunner") -> None:
+        """Only queued, running and backing-off jobs hold a ledger
+        footprint or a borrow entry."""
+        scheduler = runner.scheduler
+        live = {job.job_id for job in scheduler.pending_jobs()}
+        live.update(runner.progress.running)
+        live.update(job_id for job_id, in scheduler._backing_off())
+        charged = set(getattr(scheduler, "_borrowed", ()))
+        for family in scheduler.families:
+            charged.update(family._ledger._job_footprint)
+        stray = sorted(charged - live)
+        self._assert(
+            not stray,
+            "IV017",
+            lambda: (
+                f"jobs {stray} hold a fair-share ledger footprint or a "
+                f"borrow entry, but are neither queued, running nor "
+                f"waiting to be re-queued"
+            ),
         )
 
     # ------------------------------------------------------------------ #

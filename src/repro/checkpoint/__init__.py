@@ -9,7 +9,6 @@ from repro.sim.state import CheckpointError
 from repro.checkpoint.state import (
     CheckpointWriter,
     checkpointed_runner,
-    execute_with_checkpoints,
     restore_run,
     snapshot_run,
     spec_digest,
@@ -28,7 +27,6 @@ __all__ = [
     "CheckpointWriter",
     "checkpoint_path",
     "checkpointed_runner",
-    "execute_with_checkpoints",
     "latest_checkpoint",
     "read_checkpoint",
     "restore_run",

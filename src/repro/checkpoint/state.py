@@ -4,7 +4,7 @@ A snapshot composes every stateful layer's ``snapshot()``, each derived
 from the layer's declared fields (:mod:`repro.sim.state`): engine (clock,
 counters, live-event inventory), cluster (nodes, GPUs, monitors, health
 tracker), scheduler (queues, ledgers, CODA's allocator and eliminator),
-fault injector (RNG streams, injected log), the runner core (running-job
+fault injector (RNG streams), the runner core (running-job
 records, pass flags), and the metrics collector.  Loading checks every
 value against its declaration, and every job and node id against the
 regenerated trace and cluster, and names the JSON path of the first
@@ -39,7 +39,7 @@ from repro.checkpoint.store import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.experiments.runner import RunResult, SimulationRunner
+from repro.experiments.runner import SimulationRunner
 from repro.sim.events import Event
 from repro.sim.state import Refs, Stateful, load
 
@@ -184,24 +184,3 @@ def checkpointed_runner(
         )
         runner.engine.add_observer(writer)
     return runner
-
-
-def execute_with_checkpoints(
-    spec: "RunSpec",
-    *,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every_events: Optional[int] = None,
-    restore_from: Optional[str] = None,
-) -> RunResult:
-    """Run :func:`checkpointed_runner` to the spec's horizon.
-
-    With neither checkpoint directory nor ``restore_from``, this is
-    exactly ``spec.execute()``.
-    """
-    runner = checkpointed_runner(
-        spec,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every_events=checkpoint_every_events,
-        restore_from=restore_from,
-    )
-    return runner.run(until=spec.resolved_scenario().horizon_s)

@@ -2,7 +2,7 @@
 
 A checkpoint is a single JSON document::
 
-    {"version": 5, "sha256": "<hex digest>", "state": {...}}
+    {"version": 6, "sha256": "<hex digest>", "state": {...}}
 
 where the digest covers the *canonical* encoding of the state subtree
 (sorted keys, no whitespace), so any torn write, truncation, or bit flip
@@ -34,7 +34,8 @@ from repro.sim.state import CheckpointError
 #: v4: running jobs are one ``running`` family (shared fields, then the
 #: kind's own) in place of ``running_gpu``/``running_cpu``.
 #: v5: the collector's job table and series are packed columns.
-CHECKPOINT_SCHEMA_VERSION = 5
+#: v6: the fault injector keeps no ``injected`` log.
+CHECKPOINT_SCHEMA_VERSION = 6
 
 #: Checkpoint files are named by the event count at which they were taken,
 #: zero-padded so lexicographic order is numeric order.

@@ -360,10 +360,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             profiler=profiler,
         )
     elif checkpointing:
-        from repro.checkpoint import CheckpointError, execute_with_checkpoints
+        from repro.checkpoint import CheckpointError, checkpointed_runner
 
         try:
-            result = execute_with_checkpoints(
+            runner = checkpointed_runner(
                 spec,
                 checkpoint_dir=args.checkpoint_dir,
                 checkpoint_every_events=args.checkpoint_interval,
@@ -372,6 +372,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except CheckpointError as error:
             print(f"checkpoint error: {error}", file=sys.stderr)
             return 1
+        result = runner.run(until=scenario.horizon_s)
     else:
         result = pool.map([spec])[0]
     collector = result.collector

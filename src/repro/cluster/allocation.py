@@ -63,12 +63,6 @@ class Allocation:
     def num_nodes(self) -> int:
         return len(self.shares)
 
-    def share_on(self, node_id: int) -> NodeShare:
-        for share in self.shares:
-            if share.node_id == node_id:
-                return share
-        raise KeyError(f"job {self.job_id} holds nothing on node {node_id}")
-
     def replace_share(self, new_share: NodeShare) -> None:
         """Swap the share on ``new_share.node_id`` (used by core retuning)."""
         for index, share in enumerate(self.shares):

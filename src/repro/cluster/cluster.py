@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.allocation import Allocation, NodeShare
 from repro.cluster.interconnect import Interconnect
@@ -243,15 +243,6 @@ class Cluster(Stateful):
             return 0.0, 0.0
         total = math.fsum(utils)
         return total / len(utils), total / gpus
-
-    def nodes_with_free(
-        self, cpus: int, gpus: int, *, among: Optional[Iterable[int]] = None
-    ) -> List[Node]:
-        """Nodes that could host a (cpus, gpus) share right now."""
-        candidates = (
-            self.nodes if among is None else [self.nodes[i] for i in among]
-        )
-        return [node for node in candidates if node.can_fit(cpus, gpus)]
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore

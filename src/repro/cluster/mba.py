@@ -62,14 +62,6 @@ class MbaController(Stateful):
         self._apply(job_id, new_level)
         return new_level
 
-    def set_level(self, job_id: str, level: float) -> None:
-        """Set an explicit throttle fraction (must be one of MBA_LEVELS)."""
-        if not self.supported:
-            raise RuntimeError("MBA not supported on this node")
-        if not any(abs(level - known) < 1e-9 for known in MBA_LEVELS):
-            raise ValueError(f"not an MBA level: {level}")
-        self._apply(job_id, level)
-
     def release(self, job_id: str) -> None:
         """Lift any throttle on ``job_id`` (e.g., when it finishes)."""
         if self._levels.pop(job_id, None) is not None and self.monitor.has(job_id):

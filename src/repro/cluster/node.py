@@ -10,7 +10,7 @@ bookkeeping on which every experiment result depends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.allocation import NodeShare
 from repro.cluster.gpu import Gpu
@@ -365,13 +365,6 @@ class Node(Stateful):
             raise RuntimeError(f"job {job_id} holds nothing on node {self.node_id}")
         for gpu_id in share.gpu_ids:
             self.gpus[gpu_id].utilization = utilization
-
-    def mean_active_gpu_utilization(self) -> Optional[float]:
-        """Average utilization across this node's *owned* GPUs, or None."""
-        utils = [gpu.utilization for gpu in self.gpus if not gpu.is_free]
-        if not utils:
-            return None
-        return sum(utils) / len(utils)
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore

@@ -37,9 +37,6 @@ class ResourceVector:
         """True if this demand fits inside ``capacity`` on every dimension."""
         return self.cpus <= capacity.cpus and self.gpus <= capacity.gpus
 
-    def is_zero(self) -> bool:
-        return self.cpus == 0 and self.gpus == 0
-
     def dominant_share(self, total: "ResourceVector") -> float:
         """The DRF dominant share of this usage against cluster ``total``.
 

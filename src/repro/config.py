@@ -75,10 +75,6 @@ class ClusterConfig:
     def total_gpus(self) -> int:
         return sum(count * node.gpus for count, node in self.node_groups)
 
-    @property
-    def total_cores(self) -> int:
-        return sum(count * node.cores for count, node in self.node_groups)
-
     def expand(self) -> List[NodeConfig]:
         """One NodeConfig per node, in deterministic order."""
         nodes: List[NodeConfig] = []

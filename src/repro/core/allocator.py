@@ -233,15 +233,8 @@ class AdaptiveCpuAllocator(Stateful):
                 self._failure_aborts = 0
                 self.degraded_entries += 1
 
-    def is_degraded(self, now: float) -> bool:
-        """True while the allocator is refusing to open tuning sessions."""
-        return now < self._degraded_until
-
     def tuned_cores(self, job_id: str) -> Optional[int]:
         return self._known_cores.get(job_id)
-
-    def is_tuning(self, job_id: str) -> bool:
-        return job_id in self._active
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -82,9 +82,6 @@ class TenantHistory(Stateful):
             return None
         return max(candidates)
 
-    def entries_for(self, tenant_id: int, category: str) -> Tuple[HistoryEntry, ...]:
-        return tuple(self._entries.get((tenant_id, category), ()))
-
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
 

@@ -206,6 +206,9 @@ class MultiArrayScheduler(Scheduler):
     def job_finished(self, job: Job, now: float) -> None:
         self._forget(job.job_id)
 
+    def _release_share(self, job: Job) -> None:
+        self._forget(job.job_id)
+
     def cpu_job_resized(self, job_id: str, cores: int, now: float) -> None:
         """The eliminator halved a running CPU job's cores (relayed by the
         runner): fold the delta into the incremental census."""
@@ -219,9 +222,9 @@ class MultiArrayScheduler(Scheduler):
     def job_failed(self, job: Job, now: float) -> None:
         """An infrastructure failure killed the job: its share is already
         gone from the cluster, so drop it from the census tracking before
-        the base class charges the restart budget.  Only the census is
-        touched: the ledger share and any borrow entry stay until a
-        re-queue's ``_forget`` drops them."""
+        the base class charges the restart budget.  The ledger share and
+        any borrow entry stay until a re-queue's ``_forget`` drops them,
+        or, for a job that exhausted its budget, ``_release_share``."""
         self._census_forget(job.job_id)
         super().job_failed(job, now)
 

@@ -108,9 +108,6 @@ class AuditLog:
             raise ValueError(f"unknown audit event: {event!r}")
         return [r for r in self._records if r.event == event]
 
-    def of_tenant(self, tenant_id: int) -> List[AuditRecord]:
-        return [r for r in self._records if r.tenant_id == tenant_id]
-
     def timeline(self, job_id: str) -> List[str]:
         """The ordered event names of one job — handy in assertions."""
         return [r.event for r in self.of_job(job_id)]

@@ -50,7 +50,6 @@ from repro.workload.tracegen import Trace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.invariants import InvariantAuditor
     from repro.faults.injector import FaultInjector
-    from repro.profiling import Profiler
 
 #: Bumped whenever ``RunResult.STATE`` changes; part of the result cache's
 #: code fingerprint, so stale cache entries never load.
@@ -147,13 +146,10 @@ class SimulationRunner(SchedulerContext, Stateful):
         trace: Optional[Trace] = None,
         *,
         sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
-        engine: Optional[Engine] = None,
-        collector: Optional[MetricsCollector] = None,
         audit: Optional["AuditLog"] = None,
         fault_injector: Optional["FaultInjector"] = None,
         auditor: Optional["InvariantAuditor"] = None,
         health_config: Optional[HealthConfig] = None,
-        profiler: Optional["Profiler"] = None,
     ) -> None:
         if sample_interval_s <= 0:
             raise ValueError(f"non-positive sample interval: {sample_interval_s}")
@@ -162,8 +158,8 @@ class SimulationRunner(SchedulerContext, Stateful):
             cluster.health = NodeHealthTracker(health_config)
         self.health = cluster.health
         self.scheduler = scheduler
-        self.engine = engine or Engine()
-        self.collector = collector or MetricsCollector()
+        self.engine = Engine()
+        self.collector = MetricsCollector()
         self.audit = audit
         self.fault_injector = fault_injector
         self.auditor = auditor if auditor is not None else _env_auditor()
@@ -214,8 +210,6 @@ class SimulationRunner(SchedulerContext, Stateful):
             fault_injector.attach(self)
         if self.auditor is not None:
             self.auditor.attach(self)
-        if profiler is not None:
-            profiler.attach(self.engine)
         if trace is not None:
             self.load_trace(trace)
 

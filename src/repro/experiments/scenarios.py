@@ -21,14 +21,12 @@ from repro.config import (
     paper_cluster,
     small_cluster,
 )
-from repro.core.coda import CodaConfig, CodaScheduler
+from repro.core.coda import CodaConfig
 from repro.experiments.runner import RunResult, SimulationRunner
 from repro.faults import FaultConfig, FaultInjector
 from repro.health.config import HealthConfig
 from repro.profiling import Profiler
 from repro.schedulers.base import Scheduler
-from repro.schedulers.drf import DrfScheduler
-from repro.schedulers.fifo import FifoScheduler
 from repro.workload.tracegen import Trace, TraceConfig, generate_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -76,7 +74,6 @@ class Scenario:
         sample_interval_s: float = 300.0,
         auditor: Optional[InvariantAuditor] = None,
         health_config: Optional[HealthConfig] = None,
-        profiler: Optional[Profiler] = None,
     ) -> SimulationRunner:
         """The one place a runner is built: ``scheduler`` on this
         setting, ready to run to :attr:`horizon_s`.  ``trace`` passes in
@@ -89,7 +86,6 @@ class Scenario:
             fault_injector=self.build_fault_injector(),
             auditor=auditor,
             health_config=health_config,
-            profiler=profiler,
         )
 
     def with_faults(self, fault_config: FaultConfig) -> "Scenario":
@@ -184,17 +180,6 @@ def small_scenario(
     )
 
 
-def default_schedulers(
-    coda_config: Optional[CodaConfig] = None,
-) -> Dict[str, Callable[[], Scheduler]]:
-    """Factories for the three policies the evaluation compares."""
-    return {
-        "fifo": FifoScheduler,
-        "drf": DrfScheduler,
-        "coda": lambda: CodaScheduler(coda_config),
-    }
-
-
 def run_scenario(
     scenario: Scenario,
     scheduler: Scheduler,
@@ -219,8 +204,9 @@ def run_scenario(
         sample_interval_s=sample_interval_s,
         auditor=auditor,
         health_config=health_config,
-        profiler=profiler,
     )
+    if profiler is not None:
+        profiler.attach(runner.engine)
     return runner.run(until=scenario.horizon_s)
 
 
@@ -315,7 +301,6 @@ def run_mtbf_sweep(
     scenario: Scenario,
     mtbf_hours: Sequence[float],
     *,
-    scheduler_factory: Optional[Callable[[], Scheduler]] = None,
     scheduler: str = "coda",
     coda_config: Optional[CodaConfig] = None,
     fault_seed: int = 0,
@@ -331,27 +316,11 @@ def run_mtbf_sweep(
     only in rate, not in which RNG streams exist.
 
     Points are independent and route through ``executor`` like
-    :func:`run_comparison`.  ``scheduler_factory`` remains as an escape
-    hatch for custom scheduler objects; such factories cannot cross a
-    process boundary, so they force the in-process serial path.
+    :func:`run_comparison`.
     """
     points = mtbf_sweep_points(
         scenario, mtbf_hours, fault_seed=fault_seed, node_mttr_s=node_mttr_s
     )
-    if scheduler_factory is not None:
-        if executor is not None:
-            raise ValueError(
-                "scheduler_factory runs in-process; pass a scheduler name "
-                "(and coda_config) to use an executor"
-            )
-        return {
-            hours: run_scenario(
-                point,
-                scheduler_factory(),
-                sample_interval_s=sample_interval_s,
-            )
-            for hours, point in points.items()
-        }
     from repro.parallel import RunSpec, serial_map
 
     specs = [

@@ -5,7 +5,9 @@ happen, while the :class:`~repro.experiments.runner.SimulationRunner`
 executes *what they mean* (evictions, checkpoint restarts, telemetry
 blackouts, repricing).  One independent RNG stream per (channel, node)
 keeps the schedule deterministic and decoupled: changing the node-crash
-MTBF does not move a single telemetry dropout.
+MTBF does not move a single telemetry dropout.  The injector keeps no log
+of what it injected: each fault is a ``fault:*`` event, so an engine
+observer sees the schedule as the engine fired it.
 
 Channel processes (all renewal processes with exponential gaps):
 
@@ -17,20 +19,16 @@ Channel processes (all renewal processes with exponential gaps):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.faults.config import FaultConfig
 from repro.sim.engine import Timer
 from repro.sim.rng import RngRegistry
-from repro.sim.state import FLOAT, INT, NESTED, NODE_ID, STR, DictOf, ListOf, Row
-from repro.sim.state import Refs, Scalar, Stateful, Struct
+from repro.sim.state import INT, NESTED, NODE_ID, Refs, Stateful, Struct
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import Node
     from repro.experiments.runner import SimulationRunner
-
-#: One injected-fault log entry: (sim time, channel kind, detail fields).
-InjectedEvent = Tuple[float, str, Dict[str, object]]
 
 FAULT_CRASH = Timer("fault:crash", NODE_ID)
 FAULT_RECOVER = Timer("fault:recover", NODE_ID)
@@ -43,12 +41,9 @@ FAULT_STRAGGLER = Timer("fault:straggler")
 class FaultInjector(Stateful):
     """Schedules failure/recovery events against a simulation runner."""
 
-    #: RNG positions and the injected log.  The pending fault timers live
-    #: in the engine's event inventory, one declared family per timer.
-    STATE = Struct(
-        ("rng", NESTED),
-        ("injected", ListOf(Row(FLOAT, STR, DictOf(STR, Scalar(int, str))))),
-    )
+    #: RNG positions.  The pending fault timers live in the engine's
+    #: event inventory, one declared family per timer.
+    STATE = Struct(("rng", NESTED))
 
     def __init__(
         self, config: Optional[FaultConfig] = None, *, seed: Optional[int] = None
@@ -56,8 +51,6 @@ class FaultInjector(Stateful):
         self.config = config or FaultConfig()
         self.rng = RngRegistry(seed if seed is not None else self.config.seed)
         self._runner: Optional["SimulationRunner"] = None
-        #: Injected-event log for tests and reports: (time, kind, detail).
-        self.injected: List[InjectedEvent] = []
 
     @property
     def _attached(self) -> "SimulationRunner":
@@ -123,9 +116,6 @@ class FaultInjector(Stateful):
     def _exp(self, stream: str, mean: float) -> float:
         return self.rng.stream(stream).expovariate(1.0 / mean)
 
-    def _log(self, kind: str, **detail: object) -> None:
-        self.injected.append((self._attached.engine.now, kind, detail))
-
     # ------------------------------------------------------------------ #
     # Node crash / recover
 
@@ -134,12 +124,10 @@ class FaultInjector(Stateful):
         self._arm(FAULT_CRASH, delay, node_id)
 
     def _crash_node(self, node_id: int) -> None:
-        self._log("node-crash", node_id=node_id)
         self._attached.fail_node(node_id)
         self._arm(FAULT_RECOVER, self.config.node_mttr_s, node_id)
 
     def _recover_node(self, node_id: int) -> None:
-        self._log("node-recover", node_id=node_id)
         self._attached.recover_node(node_id)
         self._arm_node_crash(node_id)
 
@@ -161,13 +149,11 @@ class FaultInjector(Stateful):
         healthy = [gpu.gpu_id for gpu in node.gpus if not gpu.failed]
         if node.is_up and healthy:
             gpu_id = self.rng.stream(f"gpu:{node_id}").choice(healthy)
-            self._log("gpu-fail", node_id=node_id, gpu_id=gpu_id)
             self._attached.fail_gpu(node_id, gpu_id)
             self._arm(FAULT_GPU_REPAIR, self.config.gpu_mttr_s, node_id, gpu_id)
         self._arm_gpu_failure(node_id)
 
     def _repair_gpu(self, node_id: int, gpu_id: int) -> None:
-        self._log("gpu-repair", node_id=node_id, gpu_id=gpu_id)
         self._attached.repair_gpu(node_id, gpu_id)
 
     # ------------------------------------------------------------------ #
@@ -178,7 +164,6 @@ class FaultInjector(Stateful):
         self._arm(FAULT_MBM, delay, node_id)
 
     def _drop_telemetry(self, node_id: int) -> None:
-        self._log("telemetry-dropout", node_id=node_id)
         self._attached.begin_telemetry_outage(
             node_id, self.config.telemetry_outage_s
         )
@@ -195,7 +180,6 @@ class FaultInjector(Stateful):
         candidates = sorted(self._attached.running_cpu_job_ids())
         if candidates:
             job_id = self.rng.stream("straggler").choice(candidates)
-            self._log("straggler", job_id=job_id)
             self._attached.apply_cpu_straggler(
                 job_id,
                 factor=self.config.straggler_factor,

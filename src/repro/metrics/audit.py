@@ -10,7 +10,7 @@ unaudited runs, so existing reports are unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.sim.state import FLOAT, INT, STR, ListOf, Record, Stateful, Struct
 
@@ -58,12 +58,6 @@ class AuditStats(Stateful):
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def by_code(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.code] = counts.get(violation.code, 0) + 1
-        return counts
 
     def summary(self) -> Tuple[int, int, int]:
         """(sweeps, assertions, violations) — the report's one-liner."""

@@ -65,12 +65,6 @@ class JobRecord:
         return self.first_start - self.submit_time
 
     @property
-    def end_to_end(self) -> Optional[float]:
-        if self.finish_time is None:
-            return None
-        return self.finish_time - self.submit_time
-
-    @property
     def processing_time(self) -> Optional[float]:
         if self.finish_time is None or self.first_start is None:
             return None

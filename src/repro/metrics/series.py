@@ -78,14 +78,6 @@ class SampledSeries:
             return 0.0
         return sum(self.value_column) / len(self.value_column)
 
-    def mean_between(self, start: float, end: float) -> float:
-        window = [
-            v for t, v in zip(self.time_column, self.value_column) if start <= t <= end
-        ]
-        if not window:
-            return 0.0
-        return sum(window) / len(window)
-
     def __len__(self) -> int:
         return len(self.value_column)
 

@@ -172,12 +172,6 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # Introspection
 
-    def entry_count(self) -> int:
-        """Number of results currently cached under the root."""
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
 
 def default_cache(
     root: Optional[Union[str, Path]] = None,

@@ -222,10 +222,6 @@ class Scheduler(Stateful, abc.ABC):
         runner, which holds this policy."""
         self._context = None
 
-    def restart_count(self, job_id: str) -> int:
-        """How many infrastructure failures ``job_id`` has taken so far."""
-        return self._restart_counts.get(job_id, 0)
-
     @abc.abstractmethod
     def submit(self, job: Job, now: float) -> None:
         """A new job arrived."""
@@ -258,7 +254,8 @@ class Scheduler(Stateful, abc.ABC):
         re-queues immediately (the pre-budget behaviour), repeat failures
         re-queue after an exponentially growing delay, and a job that
         exhausts its budget lands in :attr:`dead_jobs` instead of
-        livelocking its array head.  Where the job re-enters its queue is
+        livelocking its array head, and gives back its fair share
+        (:meth:`_release_share`).  Where the job re-enters its queue is
         :meth:`_requeue_failed_job`'s business; any surviving checkpoint
         progress is the runner's, not the queue's."""
         count = self._restart_counts.get(job.job_id, 0) + 1
@@ -273,6 +270,7 @@ class Scheduler(Stateful, abc.ABC):
                     reason="restart budget exhausted",
                 )
             )
+            self._release_share(job)
             return
         delay = policy.requeue_delay(count)
         context = self._context
@@ -281,13 +279,17 @@ class Scheduler(Stateful, abc.ABC):
             return
         context.arm_timer(REQUEUE, delay, job)
 
+    def _release_share(self, job: Job) -> None:
+        """Stop charging ``job``'s tenant for it: the job finished or
+        died.  The default policy keeps no fair-share state."""
+
     def _requeue_after_backoff(self, job: Job) -> None:
         context = self._context
         assert context is not None  # a detached policy fires no timers
         self._requeue_failed_job(job, context.now)
         context.request_schedule()
 
-    def _backing_off(self, refs: Refs) -> List[Tuple[str]]:
+    def _backing_off(self, refs: Optional[Refs] = None) -> List[Tuple[str]]:
         """Jobs waiting out a re-queue backoff: failed, yet neither dead,
         queued, nor back with the runner."""
         context = self._context
@@ -330,9 +332,6 @@ class Scheduler(Stateful, abc.ABC):
         :meth:`pending_jobs`; the shipped policies answer from O(1)
         counts (IV012 checks them against the walk)."""
         return depths_of(self.pending_jobs())
-
-    def queue_depth(self) -> int:
-        return sum(self.queue_depths())
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore

@@ -74,6 +74,9 @@ class DrfScheduler(Scheduler):
         self._tenants.submit(job)
 
     def job_finished(self, job: Job, now: float) -> None:
+        self._release_share(job)
+
+    def _release_share(self, job: Job) -> None:
         if self._ledger.finish(job.job_id) is not None:
             self._tenants.share_changed(job.tenant_id)
 

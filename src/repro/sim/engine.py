@@ -191,21 +191,6 @@ class Engine(Stateful):
         self._live += 1
         return EventHandle(event, self)
 
-    def schedule_in(
-        self,
-        delay: float,
-        action: Callable[[], Any],
-        *,
-        priority: int = EventPriority.SCHEDULE,
-        tag: str = "",
-    ) -> EventHandle:
-        """Schedule ``action`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay for event {tag!r}: {delay}")
-        return self.schedule(
-            self.now + delay, action, priority=priority, tag=tag
-        )
-
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is drained."""
         self._discard_dead()

@@ -28,7 +28,6 @@ lives there (:func:`repro.parallel.clamp_jobs`,
 from repro.sweep.config import SupervisorConfig
 from repro.sweep.ledger import (
     ALL_STATUSES,
-    COMPLETE_STATUSES,
     STATUS_CACHED,
     STATUS_FAILED,
     STATUS_INTERRUPTED,
@@ -65,7 +64,6 @@ from repro.sweep.service import (
 
 __all__ = [
     "ALL_STATUSES",
-    "COMPLETE_STATUSES",
     "STATUS_CACHED",
     "STATUS_FAILED",
     "STATUS_INTERRUPTED",

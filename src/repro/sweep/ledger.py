@@ -49,9 +49,6 @@ ALL_STATUSES = (
     STATUS_INTERRUPTED,
 )
 
-#: Statuses that mean "this cell's result exists and is reusable".
-COMPLETE_STATUSES = (STATUS_OK, STATUS_CACHED)
-
 #: Failure details are excerpted to keep the journal line-sized.
 _DETAIL_LIMIT = 500
 
@@ -104,13 +101,6 @@ class LedgerState:
     def next_seq(self) -> int:
         """The sequence number the next appended line takes."""
         return self.entries[-1].seq + 1 if self.entries else 0
-
-    def complete_keys(self) -> List[str]:
-        return [
-            key
-            for key, entry in self.last.items()
-            if entry.status in COMPLETE_STATUSES
-        ]
 
 
 class SweepLedger:

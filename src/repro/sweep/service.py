@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.experiments.runner import RunResult
 from repro.metrics.serialize import run_result_from_dict
@@ -131,13 +131,6 @@ class SweepResult:
     @property
     def ok(self) -> bool:
         return self.quarantined == 0 and self.interrupted == 0
-
-    def results_by_label(self) -> Dict[str, RunResult]:
-        return {
-            outcome.label: outcome.result
-            for outcome in self.outcomes
-            if outcome.result is not None
-        }
 
 
 def run_sweep(

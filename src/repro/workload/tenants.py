@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.perfmodel.catalog import Domain
 
@@ -120,12 +120,3 @@ def paper_tenants() -> List[TenantProfile]:
             )
         )
     return tenants
-
-
-def weights_by_tenant(
-    tenants: List[TenantProfile],
-) -> Tuple[Dict[int, float], Dict[int, float]]:
-    """(gpu_weights, cpu_weights) keyed by tenant id, for sampling."""
-    gpu = {t.tenant_id: t.gpu_job_weight for t in tenants}
-    cpu = {t.tenant_id: t.cpu_job_weight for t in tenants}
-    return gpu, cpu

@@ -141,9 +141,6 @@ class Trace:
     def cpu_jobs(self) -> List[CpuJob]:
         return [job for job in self.jobs if isinstance(job, CpuJob)]
 
-    def jobs_of_tenant(self, tenant_id: int) -> List[Job]:
-        return [job for job in self.jobs if job.tenant_id == tenant_id]
-
     def __len__(self) -> int:
         return len(self.jobs)
 

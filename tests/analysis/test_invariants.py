@@ -11,7 +11,9 @@ from repro.core.coda import CodaConfig, CodaScheduler
 from repro.experiments.runner import SimulationRunner
 from repro.experiments.scenarios import run_scenario, small_scenario
 from repro.faults import FaultConfig
+from repro.health import RestartPolicy
 from repro.metrics.audit import AuditStats
+from repro.parallel.spec import build_scheduler
 from repro.schedulers.drf import DrfScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.perfmodel.stages import TrainSetup
@@ -25,6 +27,11 @@ def attached(cluster: Cluster, **kwargs) -> InvariantAuditor:
     auditor = InvariantAuditor(60.0, **kwargs)
     auditor.attach_engine(Engine(), cluster)
     return auditor
+
+
+def _codes(auditor: InvariantAuditor) -> set:
+    """The codes of every violation ``auditor`` has recorded."""
+    return {violation.code for violation in auditor.stats.violations}
 
 
 class TestCleanRuns:
@@ -94,7 +101,7 @@ class TestCorruptionDetection:
         # shares account for.
         cluster.node(0)._used_cpus += 3
         assert auditor.check_now() > 0
-        codes = set(auditor.stats.by_code())
+        codes = _codes(auditor)
         assert "IV001" in codes  # share sum != used counter
         assert "IV002" in codes  # ledger disagrees with node usage
 
@@ -107,14 +114,14 @@ class TestCorruptionDetection:
         # the allocation ledger both disagree with it.
         setattr(cluster._usage, dimension, getattr(cluster._usage, dimension) + 1)
         auditor.check_now()
-        assert set(auditor.stats.by_code()) == {"IV002"}
+        assert _codes(auditor) == {"IV002"}
 
     def test_negative_core_counter(self):
         cluster = Cluster(small_cluster(nodes=1))
         auditor = attached(cluster)
         cluster.node(0)._used_cpus = -1
         auditor.check_now()
-        assert "IV001" in auditor.stats.by_code()
+        assert "IV001" in _codes(auditor)
 
     def test_orphaned_resident(self):
         cluster = Cluster(small_cluster(nodes=1))
@@ -122,7 +129,7 @@ class TestCorruptionDetection:
         cluster.node(0).allocate("ghost", 2, 0)
         auditor = attached(cluster)
         auditor.check_now()
-        assert "IV004" in auditor.stats.by_code()
+        assert "IV004" in _codes(auditor)
 
     def test_double_owned_gpu(self):
         cluster = Cluster(small_cluster(nodes=1))
@@ -133,7 +140,7 @@ class TestCorruptionDetection:
         node.gpus[share.gpu_ids[0]].owner = "thief"
         auditor = attached(cluster)
         auditor.check_now()
-        assert "IV001" in auditor.stats.by_code()
+        assert "IV001" in _codes(auditor)
 
     def test_strict_mode_raises(self):
         cluster = Cluster(small_cluster(nodes=1))
@@ -194,7 +201,7 @@ class TestCorruptionDetection:
             record.completion_time + 1.0, lambda: None
         )
         assert auditor.check_now() == 1
-        assert set(auditor.stats.by_code()) == {"IV009"}
+        assert _codes(auditor) == {"IV009"}
 
 
 class TestPricedSpeeds:
@@ -242,13 +249,13 @@ class TestPricedSpeeds:
         record = runner.progress.running["g"]
         setattr(record, field, getattr(record, field) * 0.5)
         assert runner.auditor.check_now() == 1
-        assert set(runner.auditor.stats.by_code()) == {"IV014"}
+        assert _codes(runner.auditor) == {"IV014"}
 
     def test_stale_cpu_speed_flagged(self):
         runner = self._runner(self._cpu_job())
         runner.progress.running["c"].cores = 2  # a resize nobody repriced
         assert runner.auditor.check_now() == 1
-        assert set(runner.auditor.stats.by_code()) == {"IV014"}
+        assert _codes(runner.auditor) == {"IV014"}
 
     def test_halving_keeps_prices_fresh(self):
         runner = self._runner(self._cpu_job())
@@ -305,7 +312,7 @@ class TestBorrowTable:
         else:
             index[0]["batch"] = True
         assert runner.auditor.check_now() == 1
-        assert set(runner.auditor.stats.by_code()) == {"IV015"}
+        assert _codes(runner.auditor) == {"IV015"}
 
     def test_tracked_borrower_flagged(self):
         runner = self._runner()
@@ -315,7 +322,7 @@ class TestBorrowTable:
         scheduler._tracked["batch"] = [0, 7]
         scheduler._cpu_used[0] = 7
         assert runner.auditor.check_now() == 1
-        assert set(runner.auditor.stats.by_code()) == {"IV015"}
+        assert _codes(runner.auditor) == {"IV015"}
 
 
 class TestWiring:
@@ -363,4 +370,43 @@ class TestClockMonotonicity:
         from repro.sim.events import Event
 
         auditor._on_event(Event(time=5.0, priority=0, seq=99, action=lambda: None))
-        assert "IV003" in auditor.stats.by_code()
+        assert "IV003" in _codes(auditor)
+
+
+class TestFairShareResidents:
+    """IV017: only queued, running and backing-off jobs keep their tenant
+    charged in a DRF ledger or hold a borrow entry."""
+
+    @staticmethod
+    def _faulted_run(policy):
+        scenario = small_scenario(duration_days=0.1, seed=2, nodes=4).with_faults(
+            FaultConfig(seed=3, node_mtbf_s=900.0, node_mttr_s=600.0)
+        )
+        scheduler = build_scheduler(
+            policy, restart_policy=RestartPolicy(max_restarts=1)
+        )
+        auditor = InvariantAuditor(60.0)
+        run_scenario(scenario, scheduler, auditor=auditor)
+        return scheduler, auditor
+
+    @pytest.mark.parametrize("policy", ("drf", "coda"))
+    def test_dead_jobs_give_back_their_share(self, policy):
+        scheduler, auditor = self._faulted_run(policy)
+        dead = {entry.job_id for entry in scheduler.dead_jobs}
+        assert dead
+        charged = set(getattr(scheduler, "_borrowed", ()))
+        for family in scheduler.families:
+            charged.update(family._ledger._job_footprint)
+        assert not dead & charged
+        assert "IV017" not in _codes(auditor)
+
+    @pytest.mark.parametrize("stray", ("footprint", "borrow"))
+    def test_stray_entry_flagged(self, stray):
+        runner = TestBorrowTable._runner()
+        scheduler = runner.scheduler
+        if stray == "footprint":
+            scheduler._cpu_ledger.start("ghost", 99, 1, 0)
+        else:
+            scheduler._borrow("ghost", 0, False)
+        assert runner.auditor.check_now() == 1
+        assert _codes(runner.auditor) == {"IV017"}

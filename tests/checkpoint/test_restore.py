@@ -15,7 +15,7 @@ from repro.checkpoint import (
     CheckpointError,
     CheckpointWriter,
     checkpoint_path,
-    execute_with_checkpoints,
+    checkpointed_runner,
     latest_checkpoint,
     read_checkpoint,
     restore_run,
@@ -32,6 +32,11 @@ from repro.workload.job import CpuJob
 
 def _dumps(result):
     return json.dumps(run_result_to_dict(result), sort_keys=True)
+
+
+def _run_checkpointed(spec, **options):
+    runner = checkpointed_runner(spec, **options)
+    return runner.run(until=spec.resolved_scenario().horizon_s)
 
 
 def _plain_spec(scheduler="coda", seed=2):
@@ -136,7 +141,7 @@ class TestByteIdenticalResume:
 
     def test_periodic_checkpoints_do_not_perturb_the_run(self, tmp_path):
         spec = _faulted_spec()
-        observed = execute_with_checkpoints(
+        observed = _run_checkpointed(
             spec,
             checkpoint_dir=str(tmp_path),
             checkpoint_every_events=50,
@@ -147,13 +152,13 @@ class TestByteIdenticalResume:
     def test_resume_from_newest_periodic_checkpoint_matches(self, tmp_path):
         spec = _faulted_spec()
         baseline = _dumps(
-            execute_with_checkpoints(
+            _run_checkpointed(
                 spec,
                 checkpoint_dir=str(tmp_path),
                 checkpoint_every_events=60,
             )
         )
-        resumed = execute_with_checkpoints(
+        resumed = _run_checkpointed(
             spec, restore_from=latest_checkpoint(str(tmp_path))
         )
         assert _dumps(resumed) == baseline
@@ -209,9 +214,7 @@ class TestLoudFailures:
         path = tmp_path / "ckpt-000000000080.json"
         path.write_text("garbage", encoding="utf-8")
         with pytest.raises(CheckpointError):
-            execute_with_checkpoints(
-                _plain_spec(), restore_from=str(path)
-            )
+            checkpointed_runner(_plain_spec(), restore_from=str(path))
 
     def test_checkpoint_without_fault_state_rejected_by_faulted_spec(self):
         state = _snapshot_at(_plain_spec(), kill_at=40)

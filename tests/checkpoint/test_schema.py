@@ -145,7 +145,7 @@ class TestLocatedLoadErrors:
 
     def test_component_the_run_does_not_have(self):
         state = json.loads(_coda_state())
-        state["faults"] = {"rng": {}, "injected": []}
+        state["faults"] = {"rng": {}}
         with pytest.raises(CheckpointError) as raised:
             _restore(state)
         assert str(raised.value) == "state.faults: not a component of this run"

@@ -117,6 +117,23 @@ class TestDamage:
         with pytest.raises(CheckpointError, match="schema version 4; "):
             read_checkpoint(path)
 
+    def test_schema_5_checkpoint_is_rejected(self, tmp_path):
+        # Schema 5 carried the fault injector's log of every injected
+        # fault; this build keeps only the injector's RNG positions.  The
+        # document is whole, so its version alone refuses it, and the
+        # error names the file.
+        state = {"faults": {"rng": {}, "injected": [[1.0, "node-crash", {}]]}}
+        canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        path = str(tmp_path / "ckpt-000000000001.json")
+        document = {"version": 5, "sha256": digest, "state": state}
+        open(path, "w", encoding="utf-8").write(json.dumps(document))
+        with pytest.raises(CheckpointError) as raised:
+            read_checkpoint(path)
+        assert str(raised.value) == (
+            f"checkpoint {path} has schema version 5; this build reads version 6"
+        )
+
     def test_missing_fields_are_rejected(self, tmp_path):
         path = self._write(tmp_path)
         open(path, "w", encoding="utf-8").write(

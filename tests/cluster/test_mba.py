@@ -46,25 +46,6 @@ class TestThrottleDown:
             controller.throttle_down("job")
 
 
-class TestSetLevel:
-    def test_explicit_level(self):
-        controller, monitor = _controller()
-        controller.set_level("job", 0.5)
-        assert monitor.usage_of("job").granted == pytest.approx(25.0)
-
-    def test_rejects_non_mba_level(self):
-        controller, _ = _controller()
-        with pytest.raises(ValueError):
-            controller.set_level("job", 0.55)
-
-    def test_level_one_clears_throttle(self):
-        controller, monitor = _controller()
-        controller.set_level("job", 0.5)
-        controller.set_level("job", 1.0)
-        assert controller.throttled_jobs() == {}
-        assert monitor.usage_of("job").granted == pytest.approx(50.0)
-
-
 class TestRelease:
     def test_release_lifts_cap(self):
         controller, monitor = _controller()

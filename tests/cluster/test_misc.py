@@ -68,14 +68,12 @@ class TestAllocation:
 
     def test_share_on(self):
         allocation = self._allocation()
-        assert allocation.share_on(2).gpus == 2
-        with pytest.raises(KeyError):
-            allocation.share_on(1)
+        assert {s.node_id: s.gpus for s in allocation.shares} == {0: 1, 2: 2}
 
     def test_replace_share(self):
         allocation = self._allocation()
         allocation.replace_share(NodeShare(node_id=0, cpus=8, gpu_ids=(0,)))
-        assert allocation.share_on(0).cpus == 8
+        assert [s.cpus for s in allocation.shares if s.node_id == 0] == [8]
 
     def test_replace_unknown_node_raises(self):
         with pytest.raises(KeyError):

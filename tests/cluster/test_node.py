@@ -136,10 +136,8 @@ class TestGpuUtilization:
     def test_set_and_average(self, node):
         node.allocate("j1", 4, 2)
         node.set_gpu_utilization("j1", 0.8)
-        assert node.mean_active_gpu_utilization() == pytest.approx(0.8)
-
-    def test_average_is_none_with_no_owners(self, node):
-        assert node.mean_active_gpu_utilization() is None
+        owned = [gpu.utilization for gpu in node.gpus if not gpu.is_free]
+        assert owned == pytest.approx([0.8, 0.8])
 
     def test_out_of_range_raises(self, node):
         node.allocate("j1", 4, 1)

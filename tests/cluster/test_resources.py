@@ -55,8 +55,8 @@ class TestFits:
         assert ResourceVector(4, 2).fits(ResourceVector(4, 2))
 
     def test_is_zero(self):
-        assert ResourceVector().is_zero()
-        assert not ResourceVector(1, 0).is_zero()
+        assert ResourceVector(3, 2) - ResourceVector(3, 2) == ResourceVector()
+        assert ResourceVector(1, 0) != ResourceVector()
 
 
 class TestDominantShare:

@@ -21,6 +21,16 @@ def _job(job_id="g1", tenant=1, model="resnet50", gpus=1, nodes=1, req=2):
     )
 
 
+def _tuning(allocator):
+    """Jobs with an open tuning session, as a checkpoint records them."""
+    return allocator.snapshot()["active"].keys()
+
+
+def _degraded_until(allocator):
+    """When the allocator's degraded mode ends (a checkpointed field)."""
+    return allocator.snapshot()["degraded_until"]
+
+
 def curve_with_knee(optimum: int, peak: float = 0.9):
     def fn(job_id: str, cores: int) -> float:
         if cores <= optimum:
@@ -60,9 +70,9 @@ class TestProfilingLoop:
         job = _job()
         context.start_job(job.job_id, 4)
         allocator.on_job_started(job, 4, context)
-        assert allocator.is_tuning(job.job_id)
+        assert job.job_id in _tuning(allocator)
         context.fire_all()
-        assert not allocator.is_tuning(job.job_id)
+        assert job.job_id not in _tuning(allocator)
         outcome = allocator.outcomes[job.job_id]
         assert outcome.tuned_cores == 5
         assert outcome.profiling_steps == 4
@@ -98,7 +108,7 @@ class TestProfilingLoop:
         allocator.on_job_finished(job, final_cores=4)
         context.stop_job(job.job_id)
         assert context.fire_all() <= 1  # the cancelled step never recurses
-        assert not allocator.is_tuning(job.job_id)
+        assert job.job_id not in _tuning(allocator)
 
     def test_duplicate_start_is_ignored(self):
         allocator = AdaptiveCpuAllocator()
@@ -162,7 +172,7 @@ class TestPreemption:
         allocator.on_job_started(job, 4, context)
         context.fire_next()  # baseline measurement at 4
         allocator.on_job_preempted(job, current_cores=4)
-        assert not allocator.is_tuning(job.job_id)
+        assert job.job_id not in _tuning(allocator)
         assert allocator.tuned_cores(job.job_id) is not None
 
     def test_preempted_after_tuning_keeps_tuned_cores(self):
@@ -198,7 +208,7 @@ class TestDegradedMode:
         job = _job(job_id=job_id)
         context.start_job(job.job_id, 4)
         allocator.on_job_started(job, 4, context)
-        assert allocator.is_tuning(job.job_id)
+        assert job.job_id in _tuning(allocator)
         context._now = at
         context.stop_job(job.job_id)
         allocator.on_job_failed(job, now=at)
@@ -212,12 +222,12 @@ class TestDegradedMode:
         for i in range(3):
             self._fail_active_session(allocator, context, f"g{i}", at=10.0 * (i + 1))
         assert allocator.degraded_entries == 1
-        assert allocator.is_degraded(30.0)
+        assert _degraded_until(allocator) > 30.0
         # New jobs run at N_start with no session opened.
         job = _job(job_id="after")
         context.start_job(job.job_id, 4)
         allocator.on_job_started(job, 4, context)
-        assert not allocator.is_tuning(job.job_id)
+        assert job.job_id not in _tuning(allocator)
         assert allocator.sessions_skipped_degraded == 1
 
     def test_probing_resumes_after_cooldown(self):
@@ -228,13 +238,13 @@ class TestDegradedMode:
         allocator.attach(context)
         for i in range(2):
             self._fail_active_session(allocator, context, f"g{i}", at=10.0)
-        assert allocator.is_degraded(50.0)
+        assert _degraded_until(allocator) > 50.0
         context._now = 200.0
-        assert not allocator.is_degraded(200.0)
+        assert _degraded_until(allocator) <= 200.0
         job = _job(job_id="later")
         context.start_job(job.job_id, 4)
         allocator.on_job_started(job, 4, context)
-        assert allocator.is_tuning(job.job_id)
+        assert job.job_id in _tuning(allocator)
 
     def test_clean_session_resets_the_strike_count(self):
         allocator = AdaptiveCpuAllocator(
@@ -248,10 +258,10 @@ class TestDegradedMode:
         context.start_job(ok.job_id, 4)
         allocator.on_job_started(ok, 4, context)
         context.fire_all()
-        assert not allocator.is_tuning(ok.job_id)
+        assert ok.job_id not in _tuning(allocator)
         self._fail_active_session(allocator, context, "g1", at=500.0)
         assert allocator.degraded_entries == 0
-        assert not allocator.is_degraded(500.0)
+        assert _degraded_until(allocator) <= 500.0
 
     def test_failures_without_active_session_do_not_count(self):
         allocator = AdaptiveCpuAllocator(

@@ -64,7 +64,7 @@ class TestAllocatorIntegration:
         runner.submit_at(0.0, _gpu("j", model="resnet50", iters=10))
         runner.engine.run(until=2000.0)
         assert runner.collector.records["j"].finish_time is not None
-        assert not scheduler.allocator.is_tuning("j")
+        assert "j" not in scheduler.allocator.snapshot()["active"]
 
 
 class TestEliminatorIntegration:

@@ -70,12 +70,6 @@ class TestTenantHistory:
         with pytest.raises(ValueError):
             TenantHistory(window=0)
 
-    def test_entries_for(self):
-        history = TenantHistory()
-        history.record(1, "a", "bat", "NLP", 5)
-        entries = history.entries_for(1, "NLP")
-        assert len(entries) == 1
-        assert entries[0].job_id == "a"
 
 
 class TestCategoryDefaults:

@@ -119,7 +119,7 @@ class TestQueriesAndPersistence:
     def test_of_event_and_tenant(self):
         log = self._sample_log()
         assert len(log.of_event("submitted")) == 2
-        assert len(log.of_tenant(2)) == 1
+        assert [r.job_id for r in log if r.tenant_id == 2] == ["b"]
         assert len(log) == 4
 
     def test_unknown_event_rejected(self):

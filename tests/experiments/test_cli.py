@@ -17,6 +17,23 @@ class TestRun:
         assert main(["run", "--policy", "fifo", "--days", "0.05"]) == 0
         assert "FIFO summary" in capsys.readouterr().out
 
+    def test_profiled_run_prints_the_same_summary_and_its_time_shares(
+        self, capsys
+    ):
+        argv = ["run", "--days", "0.02", "--no-cache"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--profile"]) == 0
+        summary, title, shares = capsys.readouterr().out.partition(
+            "\nTime shares (host time per event category):"
+        )
+        assert title and summary == plain
+        rows = [line.split() for line in shares.strip().splitlines()[2:]]
+        categories = {row[0] for row in rows}
+        assert {"arrival", "schedule-pass", "sample", "eliminator-tick"} <= categories
+        events = int(summary.split("simulation events")[1].split()[0])
+        assert sum(int(row[1]) for row in rows) == events
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             main(["run", "--policy", "magic"])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.resources import ResourceVector
 from repro.config import small_cluster
 from repro.experiments.runner import SimulationRunner
 from repro.perfmodel.catalog import get_model
@@ -76,15 +77,14 @@ class TestGpuJobExecution:
         runner.submit_at(0.0, _gpu("j", cpus=3, iters=1000))
         runner.engine.run(until=10.0)
         node = runner.cluster.nodes[runner.cluster.allocation_of("j").node_ids[0]]
-        assert node.mean_active_gpu_utilization() == pytest.approx(
-            runner.gpu_job_utilization("j")
-        )
+        owned = [gpu.utilization for gpu in node.gpus if not gpu.is_free]
+        assert owned == pytest.approx([runner.gpu_job_utilization("j")])
 
     def test_resources_released_on_completion(self):
         runner = _runner()
         runner.submit_at(0.0, _gpu("j", iters=5))
         runner.engine.run()
-        assert runner.cluster.used.is_zero()
+        assert runner.cluster.used == ResourceVector()
 
 
 class TestCpuJobExecution:

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.core.coda import CodaConfig
 from repro.experiments.scenarios import (
     Scenario,
-    default_schedulers,
     paper_scale_scenario,
     run_comparison,
     run_scenario,
@@ -45,16 +43,6 @@ class TestScenarioConstruction:
 
 
 class TestDrivers:
-    def test_default_schedulers_cover_all_policies(self):
-        factories = default_schedulers()
-        assert set(factories) == {"fifo", "drf", "coda"}
-        for factory in factories.values():
-            assert factory().name in {"fifo", "drf", "coda"}
-
-    def test_coda_config_reaches_the_factory(self):
-        factories = default_schedulers(CodaConfig(reserved_cores=10))
-        assert factories["coda"]().config.reserved_cores == 10
-
     def test_run_scenario_returns_summary(self):
         scenario = small_scenario(duration_days=0.05, nodes=4, seed=2)
         result = run_scenario(scenario, FifoScheduler())

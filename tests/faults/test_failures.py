@@ -17,6 +17,7 @@ from repro.perfmodel.stages import TrainSetup
 from repro.schedulers.fifo import FifoScheduler
 from repro.sim.events import EventPriority
 from repro.workload.job import CpuJob, GpuJob
+from tests.faults.test_injector import record_faults
 
 
 def _gpu(job_id, *, gpus=1, nodes=1, iters=100, checkpoint=10, cpus=3,
@@ -324,6 +325,7 @@ class TestDeterministicCrashScenario:
             sample_interval_s=50.0,
             fault_injector=injector,
         )
+        faults = record_faults(runner.engine)
         runner.submit_at(0.0, _gpu("gang", gpus=4, nodes=1, iters=2000))
         for index in range(3):
             runner.submit_at(
@@ -338,7 +340,7 @@ class TestDeterministicCrashScenario:
             "downtime": result.node_downtime_s,
             "gang_failures": record.failure_count,
             "gang_makespan": record.finish_time,
-            "injected": injector.injected,
+            "faults": faults,
             "events": result.events_fired,
             "finished": result.finished_gpu_jobs + result.finished_cpu_jobs,
         }
@@ -348,6 +350,8 @@ class TestDeterministicCrashScenario:
         assert first == second
         # The scenario actually exercises the failure path ...
         assert first["node_failures"] > 0
+        crashes = [tag for _, tag in first["faults"] if tag.startswith("fault:crash:")]
+        assert len(crashes) == first["node_failures"]
         assert first["restarts"] >= first["gang_failures"] > 0
         # ... and every displaced job still completes.
         assert first["gang_makespan"] is not None

@@ -9,16 +9,29 @@ from repro.faults import FaultConfig, FaultInjector
 from repro.schedulers.fifo import FifoScheduler
 
 
+def record_faults(engine):
+    """``(time, tag)`` of every ``fault:*`` event ``engine`` fires, as the
+    engine fired it, in firing order."""
+    fired = []
+
+    def observe(event):
+        if event.tag.startswith("fault:"):
+            fired.append((event.time, event.tag))
+
+    engine.add_observer(observe)
+    return fired
+
+
 def _run(config, *, seed=None, until=20_000.0, nodes=2):
-    injector = FaultInjector(config, seed=seed)
     runner = SimulationRunner(
         Cluster(small_cluster(nodes=nodes)),
         FifoScheduler(),
         sample_interval_s=500.0,
-        fault_injector=injector,
+        fault_injector=FaultInjector(config, seed=seed),
     )
+    fired = record_faults(runner.engine)
     runner.engine.run(until=until)
-    return injector.injected
+    return fired
 
 
 class TestAttach:
@@ -38,15 +51,7 @@ class TestAttach:
             )
 
     def test_inert_config_schedules_nothing(self):
-        injector = FaultInjector(FaultConfig())
-        runner = SimulationRunner(
-            Cluster(small_cluster(nodes=2)),
-            FifoScheduler(),
-            sample_interval_s=500.0,
-            fault_injector=injector,
-        )
-        runner.engine.run(until=5000.0)
-        assert injector.injected == []
+        assert _run(FaultConfig(), until=5000.0) == []
 
 
 class TestDeterminism:
@@ -73,28 +78,17 @@ class TestDeterminism:
         without_mbm = _run(
             FaultConfig(seed=3, node_mtbf_s=2000.0, node_mttr_s=300.0)
         )
-        crashes = [
-            (when, detail["node_id"])
-            for when, kind, detail in with_mbm
-            if kind == "node-crash"
-        ]
+        crashes = [fault for fault in with_mbm if fault[1].startswith("fault:crash:")]
         crashes_alone = [
-            (when, detail["node_id"])
-            for when, kind, detail in without_mbm
-            if kind == "node-crash"
+            fault for fault in without_mbm if fault[1].startswith("fault:crash:")
         ]
+        assert any(tag.startswith("fault:mbm:") for _, tag in with_mbm)
         assert crashes and crashes == crashes_alone
 
     def test_nodes_draw_from_independent_streams(self):
         """Growing the cluster leaves existing nodes' schedules alone."""
         small = _run(self.CONFIG, nodes=2)
         large = _run(self.CONFIG, nodes=3)
-        node0 = [
-            when for when, kind, detail in small
-            if kind == "node-crash" and detail["node_id"] == 0
-        ]
-        node0_large = [
-            when for when, kind, detail in large
-            if kind == "node-crash" and detail["node_id"] == 0
-        ]
+        node0 = [when for when, tag in small if tag == "fault:crash:0"]
+        node0_large = [when for when, tag in large if tag == "fault:crash:0"]
         assert node0 and node0 == node0_large

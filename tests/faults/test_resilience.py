@@ -55,7 +55,7 @@ class TestRestartBudget:
         cluster.release("j")
         scheduler.job_failed(job, 1.0)
         assert [p.job_id for p in scheduler.pending_jobs()] == ["j"]
-        assert scheduler.restart_count("j") == 1
+        assert scheduler.snapshot()["restart_counts"] == {"j": 1}
 
     def test_second_failure_is_delayed_then_requeued(self):
         from tests.core.fakes import FakeContext
@@ -136,18 +136,16 @@ class TestPoisonJobEndToEnd:
             if runner.cluster.has_allocation("poison"):
                 node_id = runner.cluster.allocation_of("poison").node_ids[0]
                 runner.fail_node(node_id)
-                runner.engine.schedule_in(
-                    5.0,
+                runner.engine.schedule(
+                    runner.engine.now + 5.0,
                     lambda node_id=node_id: runner.recover_node(node_id),
                     priority=EventPriority.MONITOR,
                 )
-            runner.engine.schedule_in(
-                20.0, sabotage, priority=EventPriority.MONITOR
+            runner.engine.schedule(
+                runner.engine.now + 20.0, sabotage, priority=EventPriority.MONITOR
             )
 
-        runner.engine.schedule_in(
-            20.0, sabotage, priority=EventPriority.MONITOR
-        )
+        runner.engine.schedule(20.0, sabotage, priority=EventPriority.MONITOR)
         result = runner.run(until=500.0)
         assert len(scheduler.dead_jobs) == 1
         assert scheduler.dead_jobs[0].job_id == "poison"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.resources import ResourceVector
 from repro.config import ClusterConfig, NodeConfig, small_cluster
 from repro.core.coda import CodaScheduler
 from repro.experiments.runner import SimulationRunner
@@ -45,7 +46,7 @@ class TestEmptyAndTinyTraces:
         runner.submit_at(0.0, _gpu("only", iters=5))
         result = runner.run(until=3600.0)
         assert result.finished_gpu_jobs == 1
-        assert runner.cluster.used.is_zero()
+        assert runner.cluster.used == ResourceVector()
 
 
 class TestOneSidedWorkloads:

@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 SCRIPT = """
 import hashlib, json, sys
-from repro.checkpoint import execute_with_checkpoints, latest_checkpoint
+from repro.checkpoint import checkpointed_runner, latest_checkpoint
 from repro.experiments.scenarios import small_scenario
 from repro.faults import FaultConfig
 from repro.health import HealthConfig
@@ -46,13 +46,16 @@ def digest(result):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+horizon = spec.resolved_scenario().horizon_s
 direct = digest(spec.execute())
-execute_with_checkpoints(
+checkpointed_runner(
     spec, checkpoint_dir=root + "/ckpt", checkpoint_every_events=150
-)
+).run(until=horizon)
 checkpoint = latest_checkpoint(root + "/ckpt")
 assert checkpoint is not None
-restored = digest(execute_with_checkpoints(spec, restore_from=checkpoint))
+restored = digest(
+    checkpointed_runner(spec, restore_from=checkpoint).run(until=horizon)
+)
 SimPool(cache=ResultCache(root + "/cache")).map([spec])
 warm = SimPool(cache=ResultCache(root + "/cache"))
 cached = digest(warm.map([spec])[0])

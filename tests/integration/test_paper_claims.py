@@ -2,9 +2,16 @@
 
 One shared half-day paper-scale run per policy (module-scoped), with the
 Sec. VI claims asserted as *shapes*: who wins, and by roughly what factor.
-The exact magnitudes live in EXPERIMENTS.md; the bounds here are loose
-enough to survive seed changes but tight enough that a regression in any
-CODA component fails them.
+The exact magnitudes live in EXPERIMENTS.md; the bounds here are tight
+enough that a regression in any CODA component fails them.
+
+The bounds hold at this module's seed, not at every seed.  After half a
+simulated day, whether the baselines have built the queue these claims
+describe depends on the trace: seeds 5, 7, 11 and 7919 each fail at least
+one claim at 0.5 days (fifo's contended fraction, the share of GPU jobs
+queued over 10 min, or CODA's finished-job margin).  At one simulated day,
+EXPERIMENTS.md's standard setting, all 16 claims held on the 11 seeds
+tried (1, 2, 3, 4, 5, 7, 11, 13, 17, 7919 and 12345).
 """
 
 import pytest
@@ -158,12 +165,13 @@ class TestFig13EndToEnd:
             coda_rec = coda.records.get(job_id)
             if (
                 coda_rec is None
-                or fifo_rec.end_to_end is None
-                or coda_rec.end_to_end is None
+                or fifo_rec.finish_time is None
+                or coda_rec.finish_time is None
             ):
                 continue
             total += 1
-            if coda_rec.end_to_end <= fifo_rec.end_to_end * 1.05:
+            coda_latency = coda_rec.finish_time - coda_rec.submit_time
+            if coda_latency <= (fifo_rec.finish_time - fifo_rec.submit_time) * 1.05:
                 improved += 1
         assert total > 50
         assert improved / total >= 0.7

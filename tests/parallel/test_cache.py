@@ -32,6 +32,11 @@ def _dumps(result):
     return json.dumps(run_result_to_dict(result), sort_keys=True)
 
 
+def _entries(cache):
+    """Result files stored under the cache root."""
+    return sum(1 for _ in cache.root.glob("*/*.json"))
+
+
 class TestCacheRoundTrip:
     def test_warm_hit_returns_identical_result(self, tmp_path, spec):
         cache = ResultCache(tmp_path / "cache")
@@ -49,11 +54,11 @@ class TestCacheRoundTrip:
 
     def test_entry_count_tracks_stores(self, tmp_path, spec):
         cache = ResultCache(tmp_path / "cache")
-        assert cache.entry_count() == 0
+        assert _entries(cache) == 0
         SimPool(cache=cache).map([spec])
-        assert cache.entry_count() == 1
+        assert _entries(cache) == 1
         SimPool(cache=cache).map([spec])  # hit: no second entry
-        assert cache.entry_count() == 1
+        assert _entries(cache) == 1
 
     def test_store_is_atomic_no_temp_residue(self, tmp_path, spec):
         cache = ResultCache(tmp_path / "cache")
@@ -99,7 +104,7 @@ class TestInvalidation:
         SimPool(cache=cache).map([spec])
         assert cache.stats.hits == 0
         assert cache.stats.stores == 2
-        assert cache.entry_count() == 2
+        assert _entries(cache) == 2
 
 
 class TestRobustness:

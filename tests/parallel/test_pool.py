@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.checkpoint import execute_with_checkpoints
+from repro.checkpoint import checkpointed_runner
 from repro.experiments.scenarios import (
     run_comparison,
     run_mtbf_sweep,
@@ -13,7 +13,6 @@ from repro.experiments.scenarios import (
 )
 from repro.metrics.serialize import run_result_from_dict, run_result_to_dict
 from repro.parallel import ResultCache, RunSpec, SimPool, serial_map
-from repro.schedulers.fifo import FifoScheduler
 from repro.sweep import SupervisorConfig, run_supervised
 
 
@@ -36,12 +35,19 @@ def _supervised(specs, config):
     return [run_result_from_dict(outcome.payload) for outcome in outcomes]
 
 
+def _run(runner, spec):
+    return runner.run(until=spec.resolved_scenario().horizon_s)
+
+
 def _checkpointed(specs, tmp_path):
     return [
-        execute_with_checkpoints(
+        _run(
+            checkpointed_runner(
+                spec,
+                checkpoint_dir=str(tmp_path / spec.scheduler),
+                checkpoint_every_events=_EVERY,
+            ),
             spec,
-            checkpoint_dir=str(tmp_path / spec.scheduler),
-            checkpoint_every_events=_EVERY,
         )
         for spec in specs
     ]
@@ -55,7 +61,7 @@ def _resumed(specs, tmp_path):
         directory = tmp_path / spec.scheduler
         names = sorted(os.listdir(directory))
         middle = str(directory / names[len(names) // 2])
-        results.append(execute_with_checkpoints(spec, restore_from=middle))
+        results.append(_run(checkpointed_runner(spec, restore_from=middle), spec))
     return results
 
 
@@ -198,21 +204,6 @@ class TestExecutorInjection:
         assert set(serial) == set(pooled) == set(hours)
         for point in hours:
             assert _dumps(serial[point]) == _dumps(pooled[point])
-
-    def test_scheduler_factory_conflicts_with_executor(self, scenario):
-        with pytest.raises(ValueError, match="scheduler_factory"):
-            run_mtbf_sweep(
-                scenario,
-                (1.0,),
-                scheduler_factory=FifoScheduler,
-                executor=serial_map,
-            )
-
-    def test_scheduler_factory_path_still_works(self, scenario):
-        results = run_mtbf_sweep(
-            scenario, (0.0,), scheduler_factory=FifoScheduler
-        )
-        assert results[0.0].scheduler_name == "fifo"
 
 
 class TestClampJobs:

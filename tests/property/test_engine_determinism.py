@@ -30,8 +30,8 @@ def _drive(seed: int, steps: int = 400):
         if roll < 0.3:
             nested = f"{label}+"
             live.append(
-                engine.schedule_in(
-                    rng.uniform(0.1, 20.0),
+                engine.schedule(
+                    engine.now + rng.uniform(0.1, 20.0),
                     lambda: fire(nested),
                     priority=rng.choice(list(EventPriority)),
                 )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.resources import ResourceVector
 from repro.config import ClusterConfig, NodeConfig
 from repro.perfmodel.catalog import ALL_MODEL_NAMES, get_model
 from repro.perfmodel.contention import ContentionState
@@ -148,7 +149,7 @@ class TestClusterAllocationProperties:
         assert used.gpus <= total_before.gpus
         for job_id in placed:
             cluster.release(job_id)
-        assert cluster.used.is_zero()
+        assert cluster.used == ResourceVector()
         assert cluster.total == total_before
 
 

@@ -42,11 +42,11 @@ import dataclasses
 from repro.config import ClusterConfig, NodeConfig, small_cluster
 from repro.experiments.scenarios import (
     Scenario,
-    default_schedulers,
     run_scenario,
     small_scenario,
 )
 from repro.faults import FaultConfig
+from repro.parallel.spec import build_scheduler
 from repro.workload.tracegen import TraceConfig
 
 POLICIES = ("fifo", "drf", "coda")
@@ -157,7 +157,7 @@ def run(monkeypatch, policy, seed, faults, reference, *, leg="calm"):
         monkeypatch.setenv("REPRO_REFERENCE", "1")
     else:
         monkeypatch.delenv("REPRO_REFERENCE", raising=False)
-    scheduler = default_schedulers()[policy]()
+    scheduler = build_scheduler(policy)
     decisions = []
     skips = []
     inner_schedule = scheduler.schedule

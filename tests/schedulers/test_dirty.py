@@ -15,11 +15,10 @@ from repro.config import small_cluster
 from repro.experiments.runner import SimulationRunner
 from repro.experiments.scenarios import (
     Scenario,
-    default_schedulers,
     run_scenario,
     small_scenario,
 )
-from repro.parallel.spec import RunSpec
+from repro.parallel.spec import RunSpec, build_scheduler
 from repro.perfmodel.stages import TrainSetup
 from repro.profiling import Profiler
 from repro.schedulers.base import (
@@ -321,7 +320,7 @@ def test_skipped_passes_book_under_schedule_skip(policy):
     profiler = Profiler()
     result = run_scenario(
         scenario,
-        default_schedulers()[policy](),
+        build_scheduler(policy),
         sample_interval_s=3600.0,
         profiler=profiler,
     )
@@ -349,7 +348,7 @@ def test_empty_queues_skip_the_pass_freed_capacity_requests(policy):
     though the gate alone would rescan."""
     runner = SimulationRunner(
         Cluster(small_cluster(nodes=2)),
-        default_schedulers()[policy](),
+        build_scheduler(policy),
         sample_interval_s=1e9,
     )
     profiler = Profiler()
@@ -370,7 +369,7 @@ def test_reference_mode_never_skips_empty_queues(monkeypatch, policy):
     monkeypatch.setenv("REPRO_REFERENCE", "1")
     runner = SimulationRunner(
         Cluster(small_cluster(nodes=2)),
-        default_schedulers()[policy](),
+        build_scheduler(policy),
         sample_interval_s=1e9,
     )
     runner.submit_at(0.0, _cpu_job("c"))
@@ -399,6 +398,6 @@ def test_queue_depths_survive_checkpoint_restore(policy):
     assert scheduler.queue_depths() == deepest
     for _ in range(300):
         assert scheduler.queue_depths() == depths_of(scheduler.pending_jobs())
-        if restored.engine.peek_time() is None:
+        if not restored.engine.pending:
             break
         restored.engine.step()

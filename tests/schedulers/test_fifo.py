@@ -94,7 +94,7 @@ class TestLifecycle:
         scheduler = FifoScheduler()
         scheduler.submit(_gpu("g"), 0.0)
         scheduler.submit(_cpu("c"), 0.0)
-        assert scheduler.queue_depth() == 2
+        assert sum(scheduler.queue_depths()) == 2
 
     def test_rejects_unknown_job_type(self):
         scheduler = FifoScheduler()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.sim.state import CheckpointError
 from repro.sweep import (
-    STATUS_CACHED,
     STATUS_FAILED,
     STATUS_OK,
     STATUS_PENDING,
@@ -40,13 +39,7 @@ class TestAppendReplayRoundTrip:
         state = SweepLedger.replay(path)
         assert state.last["k1"].status == STATUS_FAILED
         assert state.last["k1"].detail == "boom"
-        assert state.complete_keys() == ["k2"]
-
-    def test_cached_counts_as_complete(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        with SweepLedger(path) as ledger:
-            ledger.append("k1", "a", STATUS_CACHED)
-        assert SweepLedger.replay(path).complete_keys() == ["k1"]
+        assert state.last["k2"].status == STATUS_OK
 
     def test_missing_file_replays_empty(self, tmp_path):
         state = SweepLedger.replay(tmp_path / "absent.jsonl")

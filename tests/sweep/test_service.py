@@ -26,6 +26,15 @@ def _dumps(result):
     return json.dumps(run_result_to_dict(result), sort_keys=True)
 
 
+def _by_label(sweep):
+    """Each settled cell's result, by its spec label."""
+    return {
+        outcome.label: outcome.result
+        for outcome in sweep.outcomes
+        if outcome.result is not None
+    }
+
+
 @pytest.fixture
 def specs():
     scenario = small_scenario(duration_days=0.01, nodes=4, seed=1)
@@ -44,7 +53,7 @@ class TestFreshSweep:
         )
         assert result.ok
         assert result.executed == 4 and result.reused == 0
-        by_label = result.results_by_label()
+        by_label = _by_label(result)
         for spec, expected in zip(specs, serial_map(specs)):
             assert _dumps(by_label[spec.label()]) == _dumps(expected)
 
@@ -57,7 +66,7 @@ class TestFreshSweep:
             supervisor=_FAST,
         )
         state = SweepLedger.replay(out / LEDGER_NAME)
-        assert len(state.complete_keys()) == 4
+        assert [entry.status for entry in state.last.values()] == [STATUS_OK] * 4
         report = (out / REPORT_NAME).read_text()
         for spec in specs:
             assert spec.label() in report
@@ -86,8 +95,8 @@ class TestResume:
         assert again.executed == 0
         assert again.reused == 4
         assert [c.status for c in again.outcomes] == [STATUS_CACHED] * 4
-        for label, result in first.results_by_label().items():
-            assert _dumps(again.results_by_label()[label]) == _dumps(result)
+        for label, result in _by_label(first).items():
+            assert _dumps(_by_label(again)[label]) == _dumps(result)
 
     def test_resume_reads_the_ledger_once(self, tmp_path, specs, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
@@ -141,7 +150,7 @@ class TestResume:
         # resume still executes nothing and results stay byte-identical.
         assert result.executed == 0 and result.reused == 4
         for spec, expected in zip(specs, serial_map(specs)):
-            assert _dumps(result.results_by_label()[spec.label()]) == _dumps(
+            assert _dumps(_by_label(result)[spec.label()]) == _dumps(
                 expected
             )
 
@@ -173,7 +182,7 @@ class TestResume:
         )
         assert result.reused == 1 and result.executed == 3
         for spec, expected in zip(specs, serial_map(specs)):
-            assert _dumps(result.results_by_label()[spec.label()]) == _dumps(
+            assert _dumps(_by_label(result)[spec.label()]) == _dumps(
                 expected
             )
 
@@ -293,7 +302,7 @@ class TestCheckpointing:
             cache=ResultCache(tmp_path / "cache"),
             supervisor=supervisor,
         )
-        by_label = result.results_by_label()
+        by_label = _by_label(result)
         for spec, expected in zip(specs, serial_map(specs)):
             assert _dumps(by_label[spec.label()]) == _dumps(expected)
 
@@ -323,7 +332,7 @@ class TestCheckpointing:
         assert result.ok
         ledger_text = (out / LEDGER_NAME).read_text()
         assert "restored_from=" in ledger_text
-        by_label = result.results_by_label()
+        by_label = _by_label(result)
         for spec, expected in zip(specs, serial_map(specs)):
             assert _dumps(by_label[spec.label()]) == _dumps(expected)
 
@@ -386,6 +395,6 @@ class TestInterruptedSweep:
         assert result.ok
         assert result.reused == 2  # the two cells settled before the signal
         assert result.executed == 2  # the interrupted remainder re-ran
-        by_label = result.results_by_label()
+        by_label = _by_label(result)
         for spec, expected in zip(specs, serial_map(specs)):
             assert _dumps(by_label[spec.label()]) == _dumps(expected)

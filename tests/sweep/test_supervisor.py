@@ -19,7 +19,7 @@ import pytest
 from repro.experiments.scenarios import grid_specs, small_scenario
 from repro.metrics.serialize import run_result_to_dict
 from repro.parallel import SimPool, serial_map
-from repro.checkpoint import execute_with_checkpoints
+from repro.checkpoint import checkpointed_runner
 from repro.sweep import (
     OUTCOME_OK,
     OUTCOME_QUARANTINED,
@@ -411,9 +411,9 @@ class TestCheckpointAwareRetry:
     ):
         spec = specs[1]  # coda:s1 — the long cell
         cell = cell_checkpoint_dir(str(tmp_path), spec.label())
-        execute_with_checkpoints(
+        checkpointed_runner(
             spec, checkpoint_dir=cell, checkpoint_every_events=40
-        )
+        ).run(until=spec.resolved_scenario().horizon_s)
         events = []
         outcomes = run_supervised(
             specs, jobs=1, config=self._config(tmp_path),

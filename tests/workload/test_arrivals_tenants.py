@@ -11,7 +11,6 @@ from repro.workload.tenants import (
     TenantKind,
     TenantProfile,
     paper_tenants,
-    weights_by_tenant,
 )
 
 
@@ -132,9 +131,9 @@ class TestTenants:
                 assert sum(w for _, w in tenant.domain_mix) == pytest.approx(1.0)
 
     def test_weights_by_tenant(self):
-        gpu, cpu = weights_by_tenant(paper_tenants())
-        assert gpu[20] == 0.0
-        assert cpu[20] > 0.0
+        weights = {t.tenant_id: t for t in paper_tenants()}
+        assert weights[20].gpu_job_weight == 0.0
+        assert weights[20].cpu_job_weight > 0.0
 
     def test_cpu_only_cannot_have_gpu_weight(self):
         with pytest.raises(ValueError):

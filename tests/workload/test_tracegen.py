@@ -170,7 +170,3 @@ class TestConfigValidation:
     def test_duration_s(self):
         assert TraceConfig(duration_days=2.0).duration_s == 2 * DAY
 
-    def test_jobs_of_tenant(self, week_trace):
-        jobs = week_trace.jobs_of_tenant(15)
-        assert jobs
-        assert all(job.tenant_id == 15 for job in jobs)
